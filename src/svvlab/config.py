@@ -74,9 +74,10 @@ class RunConfig:
     grid: Grid
     solver: SolverConfig
     initial: InitialData
-    noise: NoiseModel | None
+    noise: NoiseModel | None  # truncated and mollified for solver.epsilon
     seed: int
     output_dir: str
+    noise_template: NoiseModel | None = None  # the raw model, before mollifying
     noise_case: int = 2
     noise_c1: float = 1.0
     noise_alpha1: float = 0.25
@@ -235,10 +236,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     noise_alpha1 = float(nb.get("alpha1", 0.25))
     alpha0 = float(nb.get("alpha0", 0.0))
 
-    # cross-constraints
+    # cross-constraints; runs use the truncated, mollified noise, and a
+    # sweep re-mollifies the raw template for each of its viscosities
+    noise_template = noise
     if law is not None and solver is not None and noise is not None:
         try:
-            noise.truncate_mollify(
+            noise = noise.truncate_mollify(
                 solver.epsilon, noise_c1, noise_alpha1, solver.rho_inf
             )
         except ConfigError as exc:
@@ -312,6 +315,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         noise=noise,
         seed=seed,
         output_dir=output_dir,
+        noise_template=noise_template,
         noise_case=noise_case,
         noise_c1=noise_c1,
         noise_alpha1=noise_alpha1,

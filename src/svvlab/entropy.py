@@ -237,11 +237,6 @@ def _require_polytropic(law: PressureLaw):
         )
 
 
-def wave_amplitude(law: PressureLaw, rho):
-    """K(rho), the half-width of the kernel support in s around u."""
-    return law.k_integral(rho)
-
-
 def entropy_pair(
     law: PressureLaw,
     spec: EntropySpec,
@@ -273,8 +268,8 @@ def entropy_pair(
     pos = rho > 0.0
     u = np.zeros_like(rho)
     u[pos] = m[pos] / rho[pos]
-    K = np.zeros_like(rho)
-    K[pos] = wave_amplitude(law, rho[pos])
+    K = np.zeros_like(rho)  # half-width of the kernel support in s around u
+    K[pos] = law.k_integral(rho[pos])
 
     eta = np.zeros_like(rho)
     qf = np.zeros_like(rho)
@@ -402,31 +397,12 @@ def high_order_energy(law: PressureLaw, rho, m, rho_inf):
     ) * m[pos] ** 2 / rho[pos]
     g = law.high_order_potential(rho)
     g_inf = law.high_order_potential(rho_inf)
-    # g'(r) = int_0^r g'' dy; recover from the identity g' = (g(r) stays
-    # cheap via quadrature only for composite laws) -- use closed form
-    # where available, finite difference otherwise.
-    gp_inf = _g_prime(law, rho_inf)
+    gp_inf = law.dhigh_order_potential(rho_inf)
     absolute = kin + g
     relative = kin + (g - g_inf - gp_inf * (rho - rho_inf))
     if scalar:
         return float(absolute[0]), float(relative[0])
     return absolute, relative
-
-
-def _g_prime(law: PressureLaw, rho):
-    if law.is_polytropic:
-        g, k = law.gamma, law.kappa
-        c = 2.0 * k**2 * g / (g - 1.0)
-        return c / (2.0 * g - 2.0) * rho ** (2.0 * g - 2.0)
-    val, _ = quad(
-        lambda y: 2.0 * law.dpressure(y) * law.internal_energy(y) / y,
-        0.0,
-        rho,
-        epsabs=1e-10,
-        epsrel=1e-10,
-        limit=200,
-    )
-    return val
 
 
 def riemann_invariants(law: PressureLaw, rho, m):

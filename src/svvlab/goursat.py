@@ -52,13 +52,6 @@ def _k_inverse(law: PressureLaw, k_values, rho_max):
     return np.interp(k_values, k_tab, rho_tab)
 
 
-def _vacuum_power_law(law: PressureLaw) -> PressureLaw:
-    """The pure power law the pressure reduces to near the vacuum."""
-    if law.is_polytropic:
-        return law
-    return PressureLaw.polytropic(law.gamma1, law.kappa1)
-
-
 @dataclass(frozen=True)
 class GoursatTable:
     """Special entropy on the characteristic grid a_i = i h, b_j = j h.
@@ -93,7 +86,7 @@ class GoursatTable:
         K = np.where(rho > 0.0, self.law.k_integral(np.maximum(rho, 1e-300)), 0.0)
         if np.any(K > self.k_max * (1.0 + 1e-12)):
             raise DomainError("state outside the tabulated density range")
-        energy = 0.5 * rho * u**2 + rho * law_internal(self.law, rho)
+        energy = 0.5 * rho * u**2 + rho * self.law.internal_energy(rho)
         out = np.where(u >= K, energy, np.where(u <= -K, -energy, 0.0))
 
         interior = np.abs(u) < K
@@ -124,12 +117,8 @@ class GoursatTable:
         i = np.arange(self.n + 1)
         a = i * self.h
         rho = _k_inverse(self.law, 0.5 * a, self.rho_max * 1.0001)
-        data = 0.5 * rho * (0.5 * a) ** 2 + rho * law_internal(self.law, rho)
+        data = 0.5 * rho * (0.5 * a) ** 2 + rho * self.law.internal_energy(rho)
         return float(np.nanmax(np.abs(self.eta[:, 0] - data)))
-
-
-def law_internal(law: PressureLaw, rho):
-    return law.internal_energy(rho)
 
 
 def goursat_solve(law: PressureLaw, rho_max: float, resolution: int) -> GoursatTable:
@@ -168,7 +157,8 @@ def goursat_solve(law: PressureLaw, rho_max: float, resolution: int) -> GoursatT
             np.inf,
         )
 
-    vac_law = _vacuum_power_law(law)
+    # the pure power law the pressure reduces to near the vacuum
+    vac_law = law if law.is_polytropic else law._near_law
     seed_spec = EntropySpec.signed_square()
     seeded = 0
 

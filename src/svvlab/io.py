@@ -60,14 +60,6 @@ def read_frame(path):
     return grid, GridState(t, arr[: n + 1].copy(), arr[n + 1 :].copy())
 
 
-def write_frame_csv(path, grid: Grid, state: GridState):
-    write_csv(
-        path,
-        ["x", "rho", "m"],
-        zip(grid.x, state.rho, state.mom),
-    )
-
-
 def save_trajectory(traj: Trajectory, out_dir, prefix="frame"):
     """Write per-save frames plus a manifest JSON; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)

@@ -15,7 +15,7 @@ are always generated on a base grid dt_base and summed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,19 +172,16 @@ class NoiseModel:
     def _region_indicator(self, rho, m):
         """Smooth indicator of Gamma_H in the Riemann invariants."""
         rho = np.asarray(rho, dtype=float)
-        m = np.asarray(m, dtype=float)
         pos = rho > 0.0
-        out = np.zeros(np.broadcast_shapes(rho.shape, m.shape))
-        if not pos.any():
-            return out
         rp = np.where(pos, rho, 1.0)
-        u = np.where(pos, m / rp, 0.0)
+        u = np.where(pos, np.asarray(m, dtype=float) / rp, 0.0)
         K = np.where(pos, self.law.k_integral(rp), 0.0)
-        w1 = u - K
-        w2 = u + K
         width = self.trans_width if self.trans_width else 1e-3
-        j = smoothstep((self.H - w2) / width) * smoothstep((w1 + self.H) / width)
-        return np.where(pos, j, 0.0)
+        upper = (self.H - (u + K)) / width  # (H - w2) / width
+        lower = ((u - K) + self.H) / width  # (w1 + H) / width
+        if (upper >= 1.0).all() and (lower >= 1.0).all():  # both steps are exactly 1
+            return np.where(pos, 1.0, 0.0)
+        return np.where(pos, smoothstep(upper) * smoothstep(lower), 0.0)
 
     def _spatial_cutoff(self, x):
         if self.support_kind != "whole_line" or self.epsilon is None:
@@ -200,11 +197,7 @@ class NoiseModel:
 
     def forcing_l2(self, x, rho, m):
         """Pointwise sqrt(sum_k (a_k zeta_k)^2), the growth functional."""
-        total = 0.0
-        for k, mode in enumerate(self.modes):
-            z = mode.a * self.zeta_eff(k, x, rho, m)
-            total = total + z**2
-        return np.sqrt(total)
+        return np.sqrt(self.forcing_quadratic(x, rho, m))
 
     def forcing_quadratic(self, x, rho, m):
         """sum_k (a_k zeta_k)^2, the Ito-correction integrand numerator."""

@@ -14,20 +14,39 @@ All derived thermodynamic quantities are provided: P, P', P'', sound
 speed c = sqrt(P'), the wave integral K(rho) = int_0^rho sqrt(P'(y))/y dy,
 internal energy e with rho**2 e' = P and e(0) = 0, the relative internal
 energy about a far-field density, and the potential g of the high-order
-energy (g'' = 2 P' e / rho, g(0) = g'(0) = 0).
+energy (g'' = 2 P' e / rho, g(0) = g'(0) = 0) with its derivative g'.
+
+For the composite law each of e, K, g' and g has one vectorized
+evaluation path over three regimes: the gamma1 power law in closed form
+below rho_lo, a Chebyshev model of the integral from rho_lo on the blend
+window (evaluated only on the points inside it), and a closed-form tail
+above rho_hi, where P = kappa2 rho**gamma2 exactly.  The models are built
+lazily, on first use, by _WindowFit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial import chebyshev
+from scipy.fft import dct
 
 from .errors import ConfigError, DomainError, NumericalError
 
-_QUAD_TOL = 1e-10
+# A piece of a window fit has converged when its trailing Chebyshev
+# coefficients fall below _FIT_TOL times the largest.  Its node count
+# doubles up to _PIECE_MAX_NODES, where the rounding floor of the sampled
+# integrand is accepted instead; a piece that has not converged by then, or
+# whose value grows by more than _PIECE_GROWTH, is halved, up to
+# _MAX_SPLITS times.
+_FIT_TOL = 1e-15
+_PIECE_MAX_NODES = 256
+_PIECE_GROWTH = 4.0
+_MAX_SPLITS = 20
+# points of the blend window on which a composite law must have P' > 0
+_HYPERBOLICITY_SAMPLES = 257
 
 
 def default_kappa(gamma: float) -> float:
@@ -79,6 +98,114 @@ def _smoothstep_d2(t):
     num2 = 2.0 * (fp * g - f * gp) * (fp + gp)
     out[mid] = (num1 - num2) / s**3
     return out
+
+
+class _WindowFit:
+    """base + int_lo^rho f(y) dy for rho in [lo, hi], piecewise Chebyshev.
+
+    The pieces are built from lo upwards, each in s = log(rho), which keeps
+    the vacuum singularity of the power laws away from the window.  A
+    piece is halved, at most _MAX_SPLITS times, while its integrand series
+    has not converged with _PIECE_MAX_NODES nodes or its value grows by more
+    than _PIECE_GROWTH across it; the growth bound keeps rounding relative
+    to the value.  Past that the fit raises NumericalError.  f must be
+    vectorized; the integral must be positive and increasing.
+    """
+
+    def __init__(self, f, lo, hi, base, name):
+        # the blend variable t = (rho - lo) / (hi - lo) carries a rounding
+        # error of eps hi / (hi - lo), and so does every sample of f
+        floor = max(100.0 * _FIT_TOL, 100.0 * np.finfo(float).eps * hi / (hi - lo))
+        todo = [(np.log(lo), np.log(hi), 0)]
+        self._pieces = []
+        while todo:  # left to right, each piece starting from the last one's top
+            a, b, splits = todo.pop()
+            c = _integrand_series(f, a, b, floor, name)
+            piece = None if c is None else _ChebPiece(c, a, b, base)
+            if piece is None or piece.top > _PIECE_GROWTH * base:
+                if splits == _MAX_SPLITS:
+                    raise NumericalError(
+                        f"{name}: Chebyshev fit near rho = {np.exp(a):.6g} did not "
+                        f"converge on [{lo:g}, {hi:g}]"
+                    )
+                mid = 0.5 * (a + b)
+                todo += [(mid, b, splits + 1), (a, mid, splits + 1)]
+                continue
+            self._pieces.append(piece)
+            base = piece.top
+        self._inner_edges = np.array([p.a for p in self._pieces[1:]])
+        self.top = base  # the value at hi
+
+    def __call__(self, rho):
+        s = np.log(rho)
+        out = np.empty_like(s)
+        which = np.searchsorted(self._inner_edges, s)
+        for i, piece in enumerate(self._pieces):
+            mask = which == i
+            if mask.any():
+                out[mask] = piece(s[mask])
+        return out
+
+
+def _integrand_series(f, a, b, floor, name):
+    """Chebyshev coefficients on [a, b] of f(e^s) e^s, or None.
+
+    The integrand is sampled at n Chebyshev nodes and the coefficients come
+    from one DCT.  n doubles until the trailing coefficients have decayed
+    below _FIT_TOL, or below floor at _PIECE_MAX_NODES; None when they have
+    not.
+    """
+    n = 16
+    while n < _PIECE_MAX_NODES:
+        n *= 2
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        y = np.exp(0.5 * (b - a) * (x + 1.0) + a)
+        c = dct(f(y) * y, type=2) / n
+        c[0] *= 0.5
+        if not np.all(np.isfinite(c)):
+            raise NumericalError(f"{name}: non-finite integrand on the blend window")
+        tail = np.abs(c[-n // 8 :]).max() / np.abs(c).max()
+        if tail <= _FIT_TOL or (n == _PIECE_MAX_NODES and tail <= floor):
+            return c
+    return None
+
+
+class _ChebPiece:
+    """base + int_{e^a}^{e^s} f(y) dy for s in [a, b], from the Chebyshev
+    coefficients c of f(e^s) e^s.
+
+    The series is integrated term by term (Clenshaw-Curtis quadrature at
+    every point at once) and evaluated by the barycentric formula on
+    Chebyshev nodes, a few matrix products however many terms it has.
+    """
+
+    def __init__(self, c, a, b, base):
+        coef = chebyshev.chebint(c, lbnd=-1.0, scl=0.5 * (b - a))
+        coef[0] += base
+        # drop the trailing terms whose sum is below rounding of the largest
+        tail = np.cumsum(np.abs(coef[::-1]))[::-1]
+        n = max(2, int(np.count_nonzero(tail > np.finfo(float).eps * np.abs(coef).max())))
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        self._nodes = np.cos(theta)
+        weights = np.where(np.arange(n) % 2, -1.0, 1.0) * np.sin(theta)
+        values = chebyshev.chebval(self._nodes, coef[:n])
+        self._weighted = np.stack([weights * values, weights], axis=1)
+        self._values = values
+        self.a = a
+        self._mid = a + b
+        self._width = b - a
+        self.top = float(chebyshev.chebval(1.0, coef[:n]))
+
+    def __call__(self, s):
+        x = np.clip((2.0 * s - self._mid) / self._width, -1.0, 1.0)
+        diff = np.subtract.outer(x, self._nodes)
+        hit = diff == 0.0  # x on a node: the node's value, not 1/0
+        diff[hit] = np.inf
+        num, den = ((1.0 / diff) @ self._weighted).T
+        out = num / den
+        rows = hit.any(axis=1)
+        out[rows] = self._values[hit[rows].argmax(axis=1)]
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +278,16 @@ class PressureLaw:
             )
         if violations:
             raise ConfigError("; ".join(violations), violations)
-        return PressureLaw("composite", gamma1, gamma2, kappa1, kappa2, rho_lo, rho_hi)
+        law = PressureLaw("composite", gamma1, gamma2, kappa1, kappa2, rho_lo, rho_hi)
+        rho = np.linspace(rho_lo, rho_hi, _HYPERBOLICITY_SAMPLES)
+        Pp = law.dpressure(rho)
+        if not np.all(Pp > 0.0):
+            i = int(np.argmin(Pp))
+            raise ConfigError(
+                f"composite law is not strictly hyperbolic: P' = {Pp[i]:.6g} "
+                f"at rho = {rho[i]:.6g} in the blend window"
+            )
+        return law
 
     # -- basic properties --------------------------------------------------
 
@@ -204,20 +340,24 @@ class PressureLaw:
     def _blend_t(self, rho):
         return (rho - self.rho_lo) / (self.rho_hi - self.rho_lo)
 
-    def _logP_parts(self, rho):
-        """Return L, L', L'' of log P for the composite law (rho > 0)."""
+    def _logP_parts(self, rho, order=2):
+        """Return (L, L', L'')[: order + 1] of log P for the composite law (rho > 0)."""
         rho = np.asarray(rho, dtype=float)
         L1 = np.log(self.kappa1) + self.gamma1 * np.log(rho)
         L2 = np.log(self.kappa2) + self.gamma2 * np.log(rho)
-        d = self.rho_hi - self.rho_lo
         t = self._blend_t(rho)
         w = _smoothstep(t)
-        wp = _smoothstep_d1(t) / d
-        wpp = _smoothstep_d2(t) / d**2
         L = (1.0 - w) * L1 + w * L2
+        if order == 0:
+            return (L,)
+        d = self.rho_hi - self.rho_lo
+        wp = _smoothstep_d1(t) / d
         dL1, dL2 = self.gamma1 / rho, self.gamma2 / rho
-        d2L1, d2L2 = -self.gamma1 / rho**2, -self.gamma2 / rho**2
         Lp = (1.0 - w) * dL1 + w * dL2 + wp * (L2 - L1)
+        if order == 1:
+            return L, Lp
+        wpp = _smoothstep_d2(t) / d**2
+        d2L1, d2L2 = -self.gamma1 / rho**2, -self.gamma2 / rho**2
         Lpp = (
             (1.0 - w) * d2L1
             + w * d2L2
@@ -235,7 +375,7 @@ class PressureLaw:
             return self.kappa * rho**self.gamma
         out = np.where(
             rho > 0.0,
-            np.exp(self._logP_parts(np.where(rho > 0.0, rho, 1.0))[0]),
+            np.exp(self._logP_parts(np.where(rho > 0.0, rho, 1.0), 0)[0]),
             0.0,
         )
         return out if out.ndim else float(out)
@@ -246,7 +386,7 @@ class PressureLaw:
         if self.is_polytropic:
             return self.kappa * self.gamma * rho ** (self.gamma - 1.0)
         safe = np.where(rho > 0.0, rho, 1.0)
-        L, Lp, _ = self._logP_parts(safe)
+        L, Lp = self._logP_parts(safe, 1)
         out = np.where(rho > 0.0, np.exp(L) * Lp, 0.0)
         return out if out.ndim else float(out)
 
@@ -268,33 +408,15 @@ class PressureLaw:
     def k_integral(self, rho):
         """K(rho) = int_0^rho sqrt(P'(y))/y dy.
 
-        Equals rho**theta exactly for the scaled polytropic law; computed
-        by closed form below the blend window and adaptive quadrature
-        above it for the composite law.
+        Equals rho**theta exactly for the scaled polytropic law.
         """
         rho = self._check_nonneg(rho)
         if self.is_polytropic:
             th = self.theta
             return np.sqrt(self.kappa * self.gamma) / th * rho**th
-        return self._vector(self._k_one, rho)
-
-    def _k_one(self, rho):
-        th1 = self.theta1
-        pref = np.sqrt(self.kappa1 * self.gamma1) / th1
-        if rho <= self.rho_lo:
-            return pref * rho**th1
-        base = pref * self.rho_lo**th1
-        val, err = quad(
-            lambda y: np.sqrt(self.dpressure(y)) / y,
-            self.rho_lo,
-            rho,
-            epsabs=_QUAD_TOL,
-            epsrel=_QUAD_TOL,
-            limit=200,
+        return self._regimes(
+            rho, self._near_law.k_integral, self._k_fit, self._far_law.k_integral
         )
-        if not np.isfinite(val):
-            raise NumericalError("k_integral quadrature failed", residual=err)
-        return base + val
 
     def internal_energy(self, rho):
         """e(rho) with rho**2 e' = P, e(0) = 0."""
@@ -302,43 +424,9 @@ class PressureLaw:
         if self.is_polytropic:
             g = self.gamma
             return self.kappa / (g - 1.0) * rho ** (g - 1.0)
-        return self._vector(self._e_one, rho)
-
-    @cached_property
-    def _e_blend(self):
-        # Chebyshev model of int_{rho_lo}^{rho} P/y^2 dy over the blend
-        # window; the integrand is smooth there so degree 48 reaches
-        # machine precision and removes nested quadratures downstream.
-        def raw(r):
-            val, _ = quad(
-                lambda y: self.pressure(y) / y**2,
-                self.rho_lo,
-                r,
-                epsabs=_QUAD_TOL,
-                epsrel=_QUAD_TOL,
-                limit=200,
-            )
-            return val
-
-        nodes = np.polynomial.chebyshev.chebpts1(48)
-        lo, hi = self.rho_lo, self.rho_hi
-        rs = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        vals = np.array([raw(r) for r in rs])
-        return np.polynomial.Chebyshev.fit(rs, vals, 47, domain=[lo, hi])
-
-    def _e_one(self, rho):
-        g1, g2 = self.gamma1, self.gamma2
-        if rho <= self.rho_lo:
-            return self.kappa1 / (g1 - 1.0) * rho ** (g1 - 1.0)
-        base = self.kappa1 / (g1 - 1.0) * self.rho_lo ** (g1 - 1.0)
-        if rho <= self.rho_hi:
-            return base + float(self._e_blend(rho))
-        tail = (
-            self.kappa2
-            / (g2 - 1.0)
-            * (rho ** (g2 - 1.0) - self.rho_hi ** (g2 - 1.0))
+        return self._regimes(
+            rho, self._near_law.internal_energy, self._e_fit, self._far_law.internal_energy
         )
-        return base + float(self._e_blend(self.rho_hi)) + tail
 
     def rho_e_prime(self, rho):
         """(rho e(rho))' = e(rho) + P(rho)/rho, rho > 0."""
@@ -350,8 +438,9 @@ class PressureLaw:
         rho = self._check_nonneg(rho)
         if rho_inf <= 0.0:
             raise DomainError(f"rho_inf must be positive, got {rho_inf}")
-        base = rho_inf * self.internal_energy(rho_inf)
-        slope = self.rho_e_prime(rho_inf)
+        e_inf = self.internal_energy(rho_inf)
+        base = rho_inf * e_inf
+        slope = e_inf + self.pressure(rho_inf) / rho_inf  # (rho e)' at rho_inf
         return rho * self.internal_energy(rho) - base - slope * (rho - rho_inf)
 
     def high_order_potential(self, rho):
@@ -361,33 +450,108 @@ class PressureLaw:
             g, k = self.gamma, self.kappa
             c = 2.0 * k**2 * g / (g - 1.0)
             return c / ((2.0 * g - 2.0) * (2.0 * g - 1.0)) * rho ** (2.0 * g - 1.0)
-        return self._vector(self._g_one, rho)
-
-    def _g_one(self, rho):
-        # g(rho) = int_0^rho (rho - y) g''(y) dy; closed power-law part
-        # below the blend window, quadrature above.
-        g1, k1 = self.gamma1, self.kappa1
-        c = 2.0 * k1**2 * g1 / (g1 - 1.0)  # g'' = c y^(2 g1 - 3) for y <= rho_lo
-        a = min(rho, self.rho_lo)
-        p = 2.0 * g1 - 2.0
-        part = c * (rho * a**p / p - a ** (p + 1.0) / (p + 1.0))
-        if rho <= self.rho_lo:
-            return part
-        val, err = quad(
-            lambda y: (rho - y)
-            * 2.0
-            * self.dpressure(y)
-            * self.internal_energy(y)
-            / y,
-            self.rho_lo,
-            rho,
-            epsabs=_QUAD_TOL,
-            epsrel=_QUAD_TOL,
-            limit=200,
+        # above rho_hi, g' = g'(hi) + 2 gamma2 C (e_far - e_far(hi)) + the far
+        # law's g' - g'(hi) (see dhigh_order_potential); integrate it once more
+        far, hi, C = self._far_law, self.rho_hi, self._e_offset
+        slope = (
+            self._gp_fit.top
+            - 2.0 * self.gamma2 * C * far.internal_energy(hi)
+            - far.dhigh_order_potential(hi)
         )
-        if not np.isfinite(val):
-            raise NumericalError("high_order_potential quadrature failed", residual=err)
-        return part + val
+        return self._regimes(
+            rho,
+            self._near_law.high_order_potential,
+            self._g_fit,
+            far.high_order_potential,
+            lambda r: slope * (r - hi)
+            + 2.0 * C / (self.gamma2 - 1.0) * (far.pressure(r) - far.pressure(hi)),
+        )
+
+    def dhigh_order_potential(self, rho):
+        """g'(rho) = int_0^rho 2 P'(y) e(y) / y dy."""
+        rho = self._check_nonneg(rho)
+        if self.is_polytropic:
+            g, k = self.gamma, self.kappa
+            c = 2.0 * k**2 * g / (g - 1.0)
+            return c / (2.0 * g - 2.0) * rho ** (2.0 * g - 2.0)
+        # above rho_hi, e = C + e_far, so g'' = 2 P' e / y is the far law's
+        # g'' plus 2 gamma2 C e_far'
+        far, hi = self._far_law, self.rho_hi
+        A = 2.0 * self.gamma2 * self._e_offset
+        return self._regimes(
+            rho,
+            self._near_law.dhigh_order_potential,
+            self._gp_fit,
+            far.dhigh_order_potential,
+            lambda r: A * (far.internal_energy(r) - far.internal_energy(hi)),
+        )
+
+    # -- composite-law regimes -----------------------------------------------
+
+    def _regimes(self, rho, near, fit, far, extra=None):
+        """A composite-law quantity: the near (gamma1) power law's value on
+        [0, rho_lo], the window fit on the points inside (rho_lo, rho_hi),
+        and on [rho_hi, inf) the fit's value at rho_hi plus the far (gamma2)
+        power law's change from rho_hi, plus extra(rho) where that is not
+        all of it."""
+        rho = np.asarray(rho, dtype=float)
+        above = fit.top + far(rho) - far(self.rho_hi)
+        if extra is not None:
+            above = above + extra(rho)
+        out = np.where(rho <= self.rho_lo, near(rho), above)
+        inside = (rho > self.rho_lo) & (rho < self.rho_hi)
+        if inside.any():
+            out[inside] = fit(rho[inside])
+        return out if out.ndim else float(out)
+
+    @cached_property
+    def _near_law(self):
+        """The pure power law P = kappa1 rho**gamma1 below rho_lo."""
+        return PressureLaw.polytropic(self.gamma1, self.kappa1)
+
+    @cached_property
+    def _far_law(self):
+        """The pure power law P = kappa2 rho**gamma2 above rho_hi."""
+        return PressureLaw.polytropic(self.gamma2, self.kappa2)
+
+    @cached_property
+    def _e_offset(self):
+        """C with e = C + e_far above rho_hi."""
+        return self._e_fit.top - self._far_law.internal_energy(self.rho_hi)
+
+    def _window_fit(self, integrand, near):
+        """Window fit of the quantity the near-law method `near` gives below rho_lo."""
+        return _WindowFit(
+            integrand, self.rho_lo, self.rho_hi, near(self.rho_lo), near.__name__
+        )
+
+    @cached_property
+    def _e_fit(self):
+        return self._window_fit(
+            lambda y: self.pressure(y) / y**2,
+            self._near_law.internal_energy,
+        )
+
+    @cached_property
+    def _k_fit(self):
+        return self._window_fit(
+            lambda y: np.sqrt(self.dpressure(y)) / y,
+            self._near_law.k_integral,
+        )
+
+    @cached_property
+    def _gp_fit(self):
+        return self._window_fit(
+            lambda y: 2.0 * self.dpressure(y) * self.internal_energy(y) / y,
+            self._near_law.dhigh_order_potential,
+        )
+
+    @cached_property
+    def _g_fit(self):
+        return self._window_fit(
+            self.dhigh_order_potential,
+            self._near_law.high_order_potential,
+        )
 
     # -- empirical bound checks --------------------------------------------
 
@@ -480,10 +644,3 @@ class PressureLaw:
         if np.any(arr <= 0.0):
             raise DomainError("density must be strictly positive")
         return arr if arr.ndim else float(arr)
-
-    @staticmethod
-    def _vector(fn, rho):
-        arr = np.asarray(rho, dtype=float)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        return np.array([fn(float(r)) for r in arr.ravel()]).reshape(arr.shape)

@@ -117,20 +117,6 @@ class SolverConfig:
         return n
 
 
-def suggest_dt(law: PressureLaw, grid: Grid, state: GridState, config_kwargs) -> float:
-    """Largest stable dt at the given state (convective bound; diffusive
-    bound included only for the explicit scheme)."""
-    eps = config_kwargs.get("epsilon", 0.1)
-    cfl_c = config_kwargs.get("cfl_conv", 0.4)
-    cfl_d = config_kwargs.get("cfl_diff", 0.4)
-    scheme = config_kwargs.get("scheme", "imex")
-    speed = _max_wave_speed(law, state)
-    dt = cfl_c * grid.dx / speed
-    if scheme == "explicit":
-        dt = min(dt, cfl_d * grid.dx**2 / (2.0 * eps))
-    return dt
-
-
 def _max_wave_speed(law: PressureLaw, state: GridState) -> float:
     pos = state.rho > 0.0
     if not pos.any():
@@ -217,12 +203,6 @@ class Stepper:
         return GridState(t_new, rho_new, m_new)
 
 
-def step(state: GridState, law: PressureLaw, grid: Grid, config: SolverConfig,
-         forcing_increment=None) -> GridState:
-    """Single-step convenience wrapper around Stepper."""
-    return Stepper(law, grid, config).step(state, forcing_increment)
-
-
 @dataclass
 class Trajectory:
     """States at save times plus per-step diagnostic streams."""
@@ -239,6 +219,7 @@ class Trajectory:
     step_states: list | None = None  # (rho, m) at every step (incl. initial)
     forcing_increments: list | None = None  # per-step momentum fields
     error: Exception | None = None
+    H: float | None = None  # Gamma_H half-width of the noise, once mollified
 
     @property
     def dt(self) -> float:
@@ -342,6 +323,7 @@ def simulate(
         min_rho=min_rho,
         step_states=step_states,
         forcing_increments=forcing_rec,
+        H=noise.H if noise is not None else None,
     )
 
 
@@ -358,8 +340,10 @@ def epsilon_sweep(
 ):
     """Run simulate per epsilon with shared Brownian streams.
 
-    eps_list must be strictly decreasing.  Per-member failures are
-    recorded on the returned Trajectory (error field); the sweep continues.
+    eps_list must be strictly decreasing.  Each member mollifies the raw
+    noise_template for its own epsilon, and its Trajectory reports the H it
+    used.  Per-member failures are recorded on the returned Trajectory
+    (error field); the sweep continues.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -386,6 +370,7 @@ def epsilon_sweep(
                 dissipation=np.array([0.0]),
                 min_rho=np.array([init.rho.min()]),
                 error=exc,
+                H=noise.H if noise is not None else None,
             )
         out.append((eps, traj))
     return out

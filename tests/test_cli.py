@@ -8,8 +8,14 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from svvlab import cli
 from svvlab.cli import main
 from svvlab.io import read_frame
+
+COMPOSITE_LAW = {
+    "kind": "composite", "gamma1": 2.0, "gamma2": 1.6,
+    "kappa1": 0.125, "kappa2": 0.15, "rho_lo": 0.9, "rho_hi": 1.4,
+}
 
 BASE = {
     "law": {"kind": "polytropic", "gamma": 2.0},
@@ -114,8 +120,72 @@ class TestSimulate:
             payload = json.load(fh)
         assert "error" in payload
 
+    def test_forcing_vanishes_outside_gamma_h(self, runner, tmp_path, monkeypatch):
+        # H = 1.2 * 0.05^(-1/4) = 2.54, and a fast bump carries w2 = u + K
+        # above it, so part of the state leaves Gamma_H
+        saved = []
+        save = cli.save_trajectory
+
+        def keep(traj, *args, **kwargs):
+            saved.append(traj)
+            return save(traj, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_trajectory", keep)
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "initial": {"kind": "bump", "amplitude": 0.3, "width": 0.5,
+                            "m_amplitude": 3.0},
+                "solver": {"record_steps": True, "record_forcing": True},
+                "noise": {"c1": 1.2},
+            },
+        )
+        r = runner.invoke(
+            main, ["simulate", "--config", cfg, "--output-dir", str(tmp_path / "out")]
+        )
+        assert r.exit_code == 0, r.output
+        (traj,) = saved
+        H = 1.2 * 0.05**-0.25
+        assert traj.H == pytest.approx(H, rel=1e-15)
+        outside = inside_forced = 0
+        for (rho, m), forcing in zip(traj.step_states, traj.forcing_increments):
+            u = m / rho
+            K = np.sqrt(rho)  # scaled gamma = 2 law
+            out = (u + K >= H) | (u - K <= -H)
+            assert np.all(forcing[out] == 0.0)
+            outside += int(out.sum())
+            inside_forced += int(np.count_nonzero(forcing[~out]))
+        assert outside > 0 and inside_forced > 0
+
 
 class TestSweep:
+    def test_excess_uses_member_h(self, runner, tmp_path, monkeypatch):
+        seen = []
+        check = cli.invariant_region_check
+
+        def record(traj, law, H):
+            seen.append(H)
+            return check(traj, law, H)
+
+        monkeypatch.setattr(cli, "invariant_region_check", record)
+        cfg = write_cfg(tmp_path, {"sweep": {"epsilons": [0.05, 0.02], "cells": [2, 2]}})
+        r = runner.invoke(
+            main, ["sweep-epsilon", "--config", cfg, "--output-dir", str(tmp_path / "out")]
+        )
+        assert r.exit_code == 0, r.output
+        assert seen == [pytest.approx(3.0 * eps**-0.25, rel=1e-15) for eps in (0.05, 0.02)]
+
+    def test_composite_law_exits_2(self, runner, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            {"law": COMPOSITE_LAW, "sweep": {"epsilons": [0.05, 0.02], "cells": [2, 2]}},
+        )
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["sweep-epsilon", "--config", cfg, "--output-dir", str(out)])
+        assert r.exit_code == 2
+        assert "polytropic" in r.output
+        assert not out.exists()
+
     def test_summary_and_concentration(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -194,6 +264,14 @@ class TestYoungMeasure:
         assert lines[0] == "it,ix,epsilon,tartar_residual,cell_spread"
         assert len(lines) == 1 + 2 * 3
 
+    def test_composite_law_exits_2(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path, {"law": COMPOSITE_LAW})
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["young-measure", "--config", cfg, "--output-dir", str(out)])
+        assert r.exit_code == 2
+        assert "polytropic" in r.output
+        assert not out.exists()
+
 
 class TestValidate:
     def test_default_config_passes(self, runner, tmp_path):
@@ -206,6 +284,19 @@ class TestValidate:
         assert set(payload.values()) == {"pass"}
         assert "entropy_vs_mechanical" in payload
         assert "goursat_cross_check" in payload
+
+    def test_composite_law_skips_entropy_check(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path, {"law": COMPOSITE_LAW})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["validate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 0, r.output
+        with open(os.path.join(out, "validate.json")) as fh:
+            payload = json.load(fh)
+        assert payload == {
+            "pressure_bounds": "pass",
+            "entropy_vs_mechanical": "skip",
+            "noise_growth": "pass",
+        }
 
     def test_empty_config_exits_2(self, runner, tmp_path):
         p = tmp_path / "empty.yaml"

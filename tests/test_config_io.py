@@ -38,6 +38,18 @@ class TestLoadConfig:
         assert cfg.noise is not None
         assert cfg.law.gamma == 2.0
 
+    def test_noise_is_mollified_once(self):
+        cfg = config_from_dict(
+            {**GOOD, "noise": {**GOOD["noise"], "kind": "mode_family", "n_modes": 30}}
+        )
+        # H = c1 eps^(-alpha1), and floor(1/eps) = 20 of the 30 modes
+        assert cfg.noise.H == pytest.approx(3.0 * 0.05**-0.25, rel=1e-15)
+        assert cfg.noise.n_modes == cfg.noise.mode_cap == 20
+        assert cfg.noise_template.H is None and cfg.noise_template.n_modes == 30
+        # mollifying the mollified model again for the same epsilon is a no-op
+        again = cfg.noise.truncate_mollify(0.05, cfg.noise_c1, cfg.noise_alpha1, 1.0)
+        assert again == cfg.noise
+
     def test_empty_config_rejected(self, tmp_path):
         p = tmp_path / "empty.yaml"
         p.write_text("")

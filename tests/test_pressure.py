@@ -1,12 +1,15 @@
 """Pressure-law closed forms, quadrature cross-checks, and bound reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
-from svvlab.errors import ConfigError, DomainError
-from svvlab.pressure import PressureLaw, default_kappa
+from svvlab.errors import ConfigError, DomainError, NumericalError
+from svvlab.pressure import PressureLaw, _ChebPiece, _WindowFit, default_kappa
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +197,205 @@ class TestComposite:
 def test_default_kappa():
     assert default_kappa(2.0) == pytest.approx(0.125)
     assert default_kappa(1.4) == pytest.approx(0.4**2 / 5.6)
+
+
+# ---------------------------------------------------------------------------
+# composite-law window fits against the adaptive-quadrature oracle
+# ---------------------------------------------------------------------------
+
+# The per-point quadratures the composite law used before its Chebyshev
+# window fits, with a tighter tolerance and a break point at rho_hi (without
+# it, quad steps over a narrow blend window and K(2) of the "narrow-window"
+# law comes out 0.3% low): each is exact in closed form below rho_lo and
+# integrates from rho_lo above it.  The g' and g oracles use the law's own
+# e, which the e oracle pins.
+
+
+def _quad(f, law, rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(
+            f,
+            law.rho_lo,
+            rho,
+            points=[law.rho_hi] if rho > law.rho_hi else None,
+            epsabs=0.0,
+            epsrel=1e-13,
+            limit=400,
+        )
+    return val
+
+
+def _k_oracle(law, rho):
+    th1 = law.theta1
+    pref = np.sqrt(law.kappa1 * law.gamma1) / th1
+    if rho <= law.rho_lo:
+        return pref * rho**th1
+    return pref * law.rho_lo**th1 + _quad(
+        lambda y: np.sqrt(law.dpressure(y)) / y, law, rho
+    )
+
+
+def _e_oracle(law, rho):
+    g1 = law.gamma1
+    if rho <= law.rho_lo:
+        return law.kappa1 / (g1 - 1.0) * rho ** (g1 - 1.0)
+    return law.kappa1 / (g1 - 1.0) * law.rho_lo ** (g1 - 1.0) + _quad(
+        lambda y: law.pressure(y) / y**2, law, rho
+    )
+
+
+def _gp_oracle(law, rho):
+    g1 = law.gamma1
+    c = 2.0 * law.kappa1**2 * g1 / (g1 - 1.0)
+    a = min(rho, law.rho_lo)
+    part = c / (2.0 * g1 - 2.0) * a ** (2.0 * g1 - 2.0)
+    if rho <= law.rho_lo:
+        return part
+    return part + _quad(
+        lambda y: 2.0 * law.dpressure(y) * law.internal_energy(y) / y, law, rho
+    )
+
+
+def _g_oracle(law, rho):
+    # g(rho) = int_0^rho (rho - y) g''(y) dy
+    g1 = law.gamma1
+    c = 2.0 * law.kappa1**2 * g1 / (g1 - 1.0)  # g'' = c y^(2 g1 - 3) below rho_lo
+    a = min(rho, law.rho_lo)
+    p = 2.0 * g1 - 2.0
+    part = c * (rho * a**p / p - a ** (p + 1.0) / (p + 1.0))
+    if rho <= law.rho_lo:
+        return part
+    return part + _quad(
+        lambda y: (rho - y) * 2.0 * law.dpressure(y) * law.internal_energy(y) / y, law, rho
+    )
+
+
+QUANTITIES = {
+    "internal_energy": _e_oracle,
+    "k_integral": _k_oracle,
+    "dhigh_order_potential": _gp_oracle,
+    "high_order_potential": _g_oracle,
+}
+
+LAWS = {
+    "fixture": (2.2, 1.6, 0.15, 0.2, 1.0, 2.5),
+    "composite-workload": (2.0, 1.6, 0.125, 0.15, 0.9, 1.4),
+    "wide-window": (2.0, 1.6, 0.125, 0.15, 0.2, 5.0),
+    # the blend's t = (rho - rho_lo) / (rho_hi - rho_lo) is sampled with
+    # rounding 1e-13, so K and g' stop at the noise floor of their samples
+    "narrow-window": (2.0, 1.6, 0.125, 0.15, 1.0, 1.001),
+}
+
+
+def _oracle_points(lo, hi):
+    near = [lo, hi, lo - 5e-13, lo + 5e-13, hi - 5e-13, hi + 5e-13]
+    return np.concatenate([np.geomspace(1e-6, 1e3, 31), near, np.linspace(lo, hi, 17)])
+
+
+class TestCompositeWindowFits:
+    @pytest.mark.parametrize("law_name", sorted(LAWS))
+    @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+    def test_matches_quadrature_oracle(self, law_name, quantity):
+        law = PressureLaw.composite(*LAWS[law_name])
+        rho = _oracle_points(law.rho_lo, law.rho_hi)
+        fast = getattr(law, quantity)(rho)
+        ref = np.array([QUANTITIES[quantity](law, float(r)) for r in rho])
+        rel = np.abs(fast - ref) / np.abs(ref)
+        assert rel.max() <= 1e-12, (rho[np.argmax(rel)], rel.max())
+
+    @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+    def test_shapes_and_domain(self, comp, quantity):
+        f = getattr(comp, quantity)
+        for r in (0.5, 1.7, 4.0):
+            v = f(r)
+            assert isinstance(v, float)
+            assert v == f(np.array([r]))[0]
+        rho = np.linspace(0.1, 5.0, 12).reshape(3, 4)
+        assert f(rho).shape == (3, 4)
+        assert f(0.0) == 0.0
+        with pytest.raises(DomainError):
+            f(-0.1)
+        with pytest.raises(DomainError):
+            f(np.array([1.0, -1e-9]))
+
+    def test_g_derivatives(self, comp):
+        # g' is the derivative of g; g'' = 2 P' e / rho
+        rho = np.array([0.6, 1.3, 2.0, 3.5])
+        h = 1e-5
+        dg = (comp.high_order_potential(rho + h) - comp.high_order_potential(rho - h)) / (2 * h)
+        assert np.allclose(dg, comp.dhigh_order_potential(rho), rtol=1e-8)
+        d2g = (
+            comp.dhigh_order_potential(rho + h) - comp.dhigh_order_potential(rho - h)
+        ) / (2 * h)
+        ref = 2.0 * comp.dpressure(rho) * comp.internal_energy(rho) / rho
+        assert np.allclose(d2g, ref, rtol=1e-8)
+
+    def test_fits_built_lazily(self, tmp_path):
+        from svvlab.config import load_config
+
+        law = PressureLaw.composite(*LAWS["composite-workload"])
+        fits = ("_e_fit", "_k_fit", "_gp_fit", "_g_fit")
+        assert not any(name in law.__dict__ for name in fits)
+        law.internal_energy(1.0)
+        assert "_e_fit" in law.__dict__ and "_k_fit" not in law.__dict__
+
+        p = tmp_path / "run.yaml"
+        g1, g2, k1, k2, lo, hi = LAWS["composite-workload"]
+        p.write_text(
+            "law: {kind: composite, gamma1: %r, gamma2: %r, kappa1: %r, kappa2: %r,"
+            " rho_lo: %r, rho_hi: %r}\n" % (g1, g2, k1, k2, lo, hi)
+        )
+        cfg = load_config(str(p))
+        assert not any(name in cfg.law.__dict__ for name in fits)
+
+    def test_value_on_a_chebyshev_node(self):
+        # the barycentric formula would divide by zero exactly on a node; on
+        # s in [-1, 1] the series variable is s itself
+        piece = _ChebPiece(np.array([1.0, 0.5, 0.25]), -1.0, 1.0, 2.0)
+        s = np.concatenate([piece._nodes, [-1.0, 0.3, 1.0]])
+        # int_{-1}^s (1 + 0.5 T1 + 0.25 T2) = s + 1 + (s^2 - 1)/4 + (s^3/3 - s/2 - 1/6)/2
+        ref = 2.0 + s + 1.0 + (s**2 - 1.0) / 4.0 + (s**3 / 3.0 - s / 2.0 - 1.0 / 6.0) / 2.0
+        assert np.allclose(piece(s), ref, rtol=1e-15, atol=1e-15)
+
+    def test_unconverged_fit_raises(self):
+        with pytest.raises(NumericalError):
+            _WindowFit(lambda y: np.abs(y - 1.5), 1.0, 2.0, 0.0, "kinked")
+
+
+class TestCompositeHyperbolicity:
+    def test_non_hyperbolic_blend_rejected(self):
+        # P' is about -32 near rho = 19 inside the window
+        with pytest.raises(ConfigError, match="hyperbolic"):
+            PressureLaw.composite(2.9, 1.05, 0.3, 0.05, 0.01, 50.0)
+
+    def test_verify_bounds_unchanged(self, comp):
+        # the report of the per-point quadrature implementation
+        expected = [
+            ("strict-hyperbolicity P'>0", 8.289225223981593e-05, 3.3460465682920755),
+            ("genuine-nonlinearity 2P'+rho P''>0", 0.00026525520716741093, 8.699721077559396),
+            ("pressure-vs-power-vacuum", 0.14999999999999977, 0.1500000000000002),
+            ("internal-energy-vs-power-vacuum", 0.12499999999999996, 0.12499999999999999),
+            ("wave-integral-vs-power-vacuum", 0.9574271077563378, 0.9574271077563381),
+            ("relative-energy-lower-vacuum", 0.46777878818186613, 154.58625515578723),
+            (
+                "density-control-by-relative-energy-vacuum",
+                2.184771456575142e-07,
+                0.9194772585059435,
+            ),
+            ("pressure-vs-power-infinity", 0.1999999999999999, 0.20000000000000015),
+            ("internal-energy-vs-power-infinity", 0.21201131152203673, 0.31228808671457264),
+            ("wave-integral-vs-power-infinity", 1.2180172192146275, 1.607567327210246),
+            ("relative-energy-lower-infinity", 0.5999864658914815, 1.3733214807759668),
+            (
+                "density-control-by-relative-energy-infinity",
+                3.3850134766357427,
+                4.352038730185435,
+            ),
+        ]
+        report = comp.verify_bounds(np.geomspace(1e-3, 50.0, 64), 1.0)
+        assert [c.name for c in report] == [name for name, _, _ in expected]
+        assert all(c.satisfied for c in report)
+        for c, (_, lo, hi) in zip(report, expected):
+            assert c.ratio_min == pytest.approx(lo, rel=1e-10)
+            assert c.ratio_max == pytest.approx(hi, rel=1e-10)

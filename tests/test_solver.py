@@ -149,6 +149,16 @@ class TestSweep:
         assert eps == 0.05
         assert np.array_equal(traj.final.rho, direct.final.rho)
 
+    def test_member_reports_its_h(self, law2, grid):
+        cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1)
+        noise = NoiseModel.single_mode(0.3, law2, seed=1, dt_base=1e-3)
+        out = epsilon_sweep(
+            bump_state(grid), law2, grid, cfg, noise, [0.05, 0.02], c1=3.0, alpha1=0.25
+        )
+        assert out[1][1].H == pytest.approx(3.0 * 0.02**-0.25, rel=1e-15)
+        assert out[0][1].H == pytest.approx(6.344227580643, rel=1e-12)
+        assert epsilon_sweep(bump_state(grid), law2, grid, cfg, None, [0.05])[0][1].H is None
+
     def test_member_failure_recorded(self, law2, grid):
         x = grid.x
         rho = np.full(x.size, 0.2)
