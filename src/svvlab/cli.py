@@ -12,7 +12,6 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import click
@@ -72,7 +71,11 @@ def _psi_pair(cfg: RunConfig):
 
 
 def _fail_runtime(out_dir, exc):
-    payload = {"error": type(exc).__name__, "detail": str(exc)}
+    payload = {
+        "error": type(exc).__name__,
+        "detail": str(exc),
+        "sample": exc.sample,
+    }
     if isinstance(exc, PositivityLoss):
         payload.update(t=fmt(exc.t), x=fmt(exc.x), rho_min=fmt(exc.rho_min))
     try:
@@ -86,8 +89,6 @@ def _fail_runtime(out_dir, exc):
 common_options = [
     click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
     click.option("--seed", type=int, default=None, help="override the config seed"),
-    click.option("--samples", type=int, default=None, help="override sample count"),
-    click.option("--jobs", type=int, default=1, help="worker threads for ensembles"),
     click.option("--output-dir", type=click.Path(), default=None),
 ]
 
@@ -104,28 +105,25 @@ def main():
     """Viscous stochastic isentropic Euler laboratory."""
 
 
-def _run_samples(cfg: RunConfig, n_samples, jobs):
-    init = cfg.initial.build(cfg.grid, cfg.solver.rho_inf)
-
-    def one(sid):
-        return simulate(init, cfg.law, cfg.grid, cfg.solver, cfg.noise, sid)
-
-    ids = list(range(n_samples))
-    if jobs > 1 and n_samples > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, ids))
-    return [one(sid) for sid in ids]
-
-
 @main.command()
 @with_common
-def simulate_cmd(config_path, seed, samples, jobs, output_dir):
-    """Run one or many samples; write frames and diagnostics."""
+@click.option("--samples", type=int, default=None, help="override the config sample count")
+def simulate_cmd(config_path, seed, output_dir, samples):
+    """Run an ensemble of samples, stepped together as one batch; write
+    frames and diagnostics per sample.
+
+    Sample s follows its own Brownian path, the same in any batch.  If a
+    sample fails, the run exits 1 and error.json names the first failing
+    sample.
+    """
     cfg = _load(config_path, seed, output_dir)
     _prepare_outdir(cfg, config_path)
     n_samples = samples if samples is not None else cfg.samples
+    init = cfg.initial.build(cfg.grid, cfg.solver.rho_inf)
     try:
-        trajs = _run_samples(cfg, n_samples, jobs)
+        trajs = simulate(
+            init, cfg.law, cfg.grid, cfg.solver, cfg.noise, range(n_samples)
+        )
     except RUNTIME_ERRORS as exc:
         _fail_runtime(cfg.output_dir, exc)
     for traj in trajs:
@@ -140,7 +138,7 @@ main.add_command(simulate_cmd, name="simulate")
 
 @main.command("sweep-epsilon")
 @with_common
-def sweep_cmd(config_path, seed, samples, jobs, output_dir):
+def sweep_cmd(config_path, seed, output_dir):
     """Common-noise viscosity sweep with Young-measure analysis."""
     cfg = _load(config_path, seed, output_dir)
     if not cfg.sweep_epsilons:
@@ -239,7 +237,7 @@ def entropy_table_cmd(gamma, psi, rho_range, u_range, output_dir):
 
 @main.command("young-measure")
 @with_common
-def young_cmd(config_path, seed, samples, jobs, output_dir):
+def young_cmd(config_path, seed, output_dir):
     """Per-cell commutation residuals for a fresh run of the config."""
     cfg = _load(config_path, seed, output_dir)
     psi1, psi2 = _psi_pair(cfg)
@@ -265,7 +263,7 @@ def young_cmd(config_path, seed, samples, jobs, output_dir):
 
 @main.command("validate")
 @with_common
-def validate_cmd(config_path, seed, samples, jobs, output_dir):
+def validate_cmd(config_path, seed, output_dir):
     """Structural checks: pressure bounds, noise growth, entropy cross-check."""
     cfg = _load(config_path, seed, output_dir)
     _prepare_outdir(cfg, config_path)

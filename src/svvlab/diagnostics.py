@@ -15,20 +15,16 @@ import numpy as np
 from .entropy import EntropySpec, entropy_pair, riemann_invariants
 from .errors import ConfigError, DomainError
 from .pressure import PressureLaw
-from .solver import Grid, GridState, Trajectory
+from .solver import Grid, GridState, Trajectory, dissipation_rate, relative_energy
 
 
 def total_relative_energy(
     grid: Grid, state: GridState, law: PressureLaw, rho_inf: float
 ) -> float:
     """Trapezoid integral of 1/2 m^2/rho + e*(rho, rho_inf) over the grid."""
-    rho, m = state.rho, state.mom
-    pos = rho > 0.0
-    if np.any(~pos & (m != 0.0)):
+    if np.any(~(state.rho > 0.0) & (state.mom != 0.0)):
         raise DomainError("momentum on vacuum has infinite kinetic energy")
-    kin = np.where(pos, 0.5 * m**2 / np.where(pos, rho, 1.0), 0.0)
-    integrand = kin + law.relative_internal_energy(rho, rho_inf)
-    return float(np.trapezoid(integrand, dx=grid.dx))
+    return float(relative_energy(law, grid, state.rho, state.mom, rho_inf))
 
 
 def dissipation_increment(
@@ -39,14 +35,7 @@ def dissipation_increment(
     (rho e)'' = P'(rho)/rho, so the integrand is a positive-weighted sum of
     squares and the increment is never negative.
     """
-    dx = grid.dx
-    rho, m = state.rho, state.mom
-    rho_x = np.gradient(rho, dx)
-    pos = rho > 0.0
-    u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
-    u_x = np.gradient(u, dx)
-    w = np.where(pos, law.dpressure(rho) / np.where(pos, rho, 1.0), 0.0)
-    return epsilon * dt * float(np.trapezoid(w * rho_x**2 + rho * u_x**2, dx=dx))
+    return epsilon * dt * float(dissipation_rate(law, grid, state.rho, state.mom))
 
 
 @dataclass(frozen=True)

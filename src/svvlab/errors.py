@@ -6,7 +6,12 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A quadrature or solve failed to converge; carries a residual estimate."""
+    """A quadrature or solve failed to converge; carries a residual estimate.
+
+    Also raised when a time step breaks its stability bound; sample is then
+    the id of the failing sample."""
+
+    sample = None
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -22,7 +27,10 @@ class ConfigError(ValueError):
 
 
 class PositivityLoss(RuntimeError):
-    """Density dropped below the configured floor during time stepping."""
+    """Density dropped below the configured floor during time stepping;
+    sample is the id of the failing sample."""
+
+    sample = None
 
     def __init__(self, t, x, rho_min):
         super().__init__(
@@ -34,7 +42,10 @@ class PositivityLoss(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite values appeared during time stepping."""
+    """Non-finite values appeared during time stepping; sample is the id of
+    the failing sample."""
+
+    sample = None
 
     def __init__(self, t):
         super().__init__(f"solution diverged (NaN/Inf) at t={t:.6g}")

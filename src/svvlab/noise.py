@@ -15,7 +15,7 @@ are always generated on a base grid dt_base and summed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class NoiseModel:
     mode_cap: int | None = None
     H: float | None = None  # invariant-region half-width after mollification
     trans_width: float | None = None
+    # sample id -> (Generator, initial Philox state) of its stream; every
+    # draw restores that state, so no draw depends on the ones before it
+    _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -188,12 +191,17 @@ class NoiseModel:
             return np.ones_like(np.asarray(x, dtype=float))
         return smoothstep(2.0 * (1.0 - np.abs(self.epsilon * np.asarray(x))))
 
+    def _mollified(self, x, rho, m):
+        """k -> zeta_k^eps at the given states; the Gamma_H indicator and
+        the spatial cutoff are evaluated once, for every mode."""
+        if self.H is None:
+            return lambda k: self.modes[k](x, rho, m)
+        indicator, cutoff = self._region_indicator(rho, m), self._spatial_cutoff(x)
+        return lambda k: self.modes[k](x, rho, m) * indicator * cutoff
+
     def zeta_eff(self, k, x, rho, m):
         """Mollified coefficient of mode k (0-based) at the given states."""
-        raw = self.modes[k](x, rho, m)
-        if self.H is None:
-            return raw
-        return raw * self._region_indicator(rho, m) * self._spatial_cutoff(x)
+        return self._mollified(x, rho, m)(k)
 
     def forcing_l2(self, x, rho, m):
         """Pointwise sqrt(sum_k (a_k zeta_k)^2), the growth functional."""
@@ -201,38 +209,57 @@ class NoiseModel:
 
     def forcing_quadratic(self, x, rho, m):
         """sum_k (a_k zeta_k)^2, the Ito-correction integrand numerator."""
+        zeta = self._mollified(x, rho, m)
         total = 0.0
         for k, mode in enumerate(self.modes):
-            z = mode.a * self.zeta_eff(k, x, rho, m)
+            z = mode.a * zeta(k)
             total = total + z**2
         return total
 
     def apply_forcing(self, x, rho, m, dW):
-        """Momentum increment sum_k a_k zeta_k^eps(x, rho, m) dW_k."""
+        """Momentum increment sum_k a_k zeta_k^eps(x, rho, m) dW_k.
+
+        rho and m may hold one state per row; dW is then (rows, n_modes),
+        one row of increments per state."""
         dW = np.asarray(dW, dtype=float)
-        if dW.shape[0] != self.n_modes:
+        if dW.shape[-1] != self.n_modes:
             raise DomainError(
-                f"expected {self.n_modes} increments, got {dW.shape[0]}"
+                f"expected {self.n_modes} increments, got {dW.shape[-1]}"
             )
+        zeta = self._mollified(x, rho, m)
         out = np.zeros_like(np.asarray(rho, dtype=float))
         for k, mode in enumerate(self.modes):
-            if dW[k] != 0.0:
-                out = out + mode.a * self.zeta_eff(k, x, rho, m) * dW[k]
+            dW_k = dW[..., k, None]
+            if dW_k.any():
+                out = out + mode.a * zeta(k) * dW_k
         return out
 
     # -- Brownian increments ----------------------------------------------
 
     def _blocks(self, sample_id: int, fine_step: int, count: int):
-        """Standard normal draws for one fine step; mode i is draw i."""
-        key = ((int(self.seed) & _U64) << 64) | (int(sample_id) & _U64)
-        bitgen = np.random.Philox(key=key, counter=int(fine_step) << 128)
-        return np.random.Generator(bitgen).standard_normal(count)
+        """Standard normal draws for one fine step; mode i is draw i.
 
-    def sample_increments(self, sample_id: int, step: int, dt: float):
+        Each sample keeps one Philox generator keyed by (seed, sample); a
+        draw restores its initial state (empty output buffer) with the
+        counter set to fine_step << 128, which gives the bits of a
+        generator built afresh with that counter."""
+        stream = self._streams.get(sample_id)
+        if stream is None:
+            key = ((int(self.seed) & _U64) << 64) | (int(sample_id) & _U64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            stream = self._streams[sample_id] = gen, gen.bit_generator.state
+        gen, state = stream
+        state["state"]["counter"][:] = 0, 0, fine_step & _U64, fine_step >> 64
+        gen.bit_generator.state = state
+        return gen.standard_normal(count)
+
+    def sample_increments(self, sample_id, step: int, dt: float):
         """Brownian increments over [step dt, (step+1) dt) for all modes.
 
-        dt must be an integer multiple of dt_base; the increments are sums
-        of base-grid draws, so coarse and fine runs share one path.
+        sample_id is one id, giving (n_modes,) increments, or a sequence of
+        ids, giving (len(sample_id), n_modes).  dt must be an integer
+        multiple of dt_base; the increments are sums of base-grid draws, so
+        coarse and fine runs share one path.
         """
         k = dt / self.dt_base
         ki = int(round(k))
@@ -240,13 +267,17 @@ class NoiseModel:
             raise ConfigError(
                 f"dt = {dt:g} must be an integer multiple of dt_base = {self.dt_base:g}"
             )
+        batched = not isinstance(sample_id, (int, np.integer))
+        ids = [int(s) for s in sample_id] if batched else [int(sample_id)]
         nm = self.n_modes
         root = np.sqrt(self.dt_base)
-        out = np.zeros(nm)
+        out = np.zeros((len(ids), nm))
         base = step * ki
-        for j in range(ki):
-            out += self._blocks(sample_id, base + j, nm)
-        return out * root
+        for row, sid in zip(out, ids):
+            for j in range(ki):
+                row += self._blocks(sid, base + j, nm)
+        out = out * root
+        return out if batched else out[0]
 
     # -- reporting ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ lazily, on first use, by _WindowFit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -243,6 +243,8 @@ class PressureLaw:
     kappa2: float
     rho_lo: float = 0.0  # blend window, composite only
     rho_hi: float = 0.0
+    # rho_inf -> (rho_inf e(rho_inf), (rho e)'(rho_inf)) of relative_internal_energy
+    _bregman: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -438,9 +440,13 @@ class PressureLaw:
         rho = self._check_nonneg(rho)
         if rho_inf <= 0.0:
             raise DomainError(f"rho_inf must be positive, got {rho_inf}")
-        e_inf = self.internal_energy(rho_inf)
-        base = rho_inf * e_inf
-        slope = e_inf + self.pressure(rho_inf) / rho_inf  # (rho e)' at rho_inf
+        constants = self._bregman.get(rho_inf)
+        if constants is None:
+            e_inf = self.internal_energy(rho_inf)
+            base = rho_inf * e_inf
+            slope = e_inf + self.pressure(rho_inf) / rho_inf  # (rho e)' at rho_inf
+            constants = self._bregman[rho_inf] = base, slope
+        base, slope = constants
         return rho * self.internal_energy(rho) - base - slope * (rho - rho_inf)
 
     def high_order_potential(self, rho):

@@ -9,10 +9,12 @@ on a uniform grid over [-L, L] with Dirichlet far-field clamping to
 (rho_inf, 0).  Convection uses conservative central differences of the
 cell-face flux averages; diffusion is either implicit (IMEX, tridiagonal
 solve, default) or explicit; the noise is explicit and evaluated at the
-step start as the Ito integral requires.
+step start as the Ito integral requires.  An ensemble is stepped as one
+batch, its samples the rows of (S, n+1) arrays; a single run is a batch
+of one.
 
 Positivity is never repaired: a density-floor violation raises
-PositivityLoss with the failing time and location.
+PositivityLoss with the failing time, location and sample.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     ConfigError,
@@ -56,7 +58,8 @@ class Grid:
 
 @dataclass
 class GridState:
-    """Fields (rho, m) on the grid nodes at one time instant."""
+    """Fields (rho, m) on the grid nodes at one time instant: (n+1,) arrays,
+    or (S, n+1) with one row per sample of a batch."""
 
     t: float
     rho: np.ndarray
@@ -70,10 +73,8 @@ class GridState:
 
     @property
     def u(self) -> np.ndarray:
-        out = np.zeros_like(self.rho)
         pos = self.rho > 0.0
-        out[pos] = self.mom[pos] / self.rho[pos]
-        return out
+        return np.where(pos, self.mom / np.where(pos, self.rho, 1.0), 0.0)
 
     def copy(self) -> "GridState":
         return GridState(self.t, self.rho.copy(), self.mom.copy())
@@ -117,16 +118,13 @@ class SolverConfig:
         return n
 
 
-def _max_wave_speed(law: PressureLaw, state: GridState) -> float:
-    pos = state.rho > 0.0
-    if not pos.any():
-        return 1e-30
-    c = np.sqrt(law.dpressure(state.rho[pos]))
-    return float(np.max(np.abs(state.u[pos]) + c)) or 1e-30
-
-
 class Stepper:
-    """Precomputed operators for repeated steps on one (grid, config)."""
+    """Precomputed operators for repeated steps on one (grid, config).
+
+    A step advances a batch of S independent samples held as (S, n+1)
+    arrays; every operation acts row by row, so a row's values are those of
+    a batch of one.
+    """
 
     def __init__(self, law: PressureLaw, grid: Grid, config: SolverConfig):
         self.law = law
@@ -136,76 +134,111 @@ class Stepper:
         dx = grid.dx
         mu = config.epsilon * config.dt / dx**2
         self.mu = mu
+        # far-field values of (rho, m), broadcast over the stacked fields
+        self._far = np.array([[config.rho_inf], [0.0]])
         if config.scheme == "imex":
-            # (I - mu L) on interior nodes, Dirichlet ends
-            ab = np.zeros((3, n - 1))
-            ab[0, 1:] = -mu
-            ab[1, :] = 1.0 + 2.0 * mu
-            ab[2, :-1] = -mu
-            self._band = ab
+            # (I - mu L) on interior nodes, Dirichlet ends, factored once;
+            # it is strictly diagonally dominant, so never singular
+            off = np.full(n - 2, -mu)
+            *self._lu, _ = dgttrf(off, np.full(n - 1, 1.0 + 2.0 * mu), off)
 
     def _diffuse(self, f, boundary):
-        cfg = self.config
+        """One diffusion substep of the fields f (..., n+1), clamped to
+        boundary (broadcast over f's leading axes) at both ends; the
+        implicit solve takes every field as one right-hand side."""
         mu = self.mu
-        if cfg.scheme == "explicit":
-            out = f.copy()
-            out[1:-1] = f[1:-1] + mu * (f[2:] - 2.0 * f[1:-1] + f[:-2])
-            out[0] = out[-1] = boundary
-            return out
-        rhs = f[1:-1].copy()
-        rhs[0] += mu * boundary
-        rhs[-1] += mu * boundary
+        boundary = np.asarray(boundary, dtype=float)[..., None]
         out = np.empty_like(f)
-        out[1:-1] = solve_banded((1, 1), self._band, rhs)
-        out[0] = out[-1] = boundary
+        if self.config.scheme == "explicit":
+            out[..., 1:-1] = f[..., 1:-1] + mu * (
+                f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
+            )
+        elif f.size:  # scipy's dgttrs writes out of bounds given no columns
+            rhs = f[..., 1:-1].copy()
+            rhs[..., :1] += mu * boundary
+            rhs[..., -1:] += mu * boundary
+            x, _ = dgttrs(*self._lu, rhs.reshape(-1, rhs.shape[-1]).T, overwrite_b=1)
+            out[..., 1:-1] = x.T.reshape(rhs.shape)
+        out[..., :1] = boundary
+        out[..., -1:] = boundary
         return out
 
-    def step(self, state: GridState, forcing_increment=None) -> GridState:
-        """One Euler-Maruyama step; forcing_increment is the momentum field
-        sum_k a_k zeta_k dW_k already evaluated at the step start."""
+    def _dt_max(self, state: GridState) -> np.ndarray:
+        """Per-row stability bound on dt from the largest wave speed."""
+        cfg = self.config
+        dx = self.grid.dx
+        pos = state.rho > 0.0
+        c = np.sqrt(self.law.dpressure(np.where(pos, state.rho, 1.0)))
+        speed = np.where(pos, np.abs(state.u) + c, -np.inf).max(axis=-1)
+        speed[~(speed > 0.0)] = 1e-30  # no positive cell, or all at rest
+        dt_max = cfg.cfl_conv * dx / speed
+        if cfg.scheme == "explicit":
+            dt_max = np.minimum(dt_max, cfg.cfl_diff * dx**2 / (2.0 * cfg.epsilon))
+        return dt_max
+
+    def step(self, state: GridState, forcing_increment=None):
+        """One Euler-Maruyama step of every row of state.
+
+        forcing_increment is the momentum field sum_k a_k zeta_k dW_k of
+        each row, already evaluated at the step start.  Returns (new
+        state, failure).  failure is None, or (row, error) for the first
+        row that broke the CFL bound, diverged or fell below the density
+        floor; the new state then holds only the rows before it.
+        """
         cfg = self.config
         dx = self.grid.dx
         dt = cfg.dt
-        rho, m = state.rho, state.mom
+        failure = None
 
         if cfg.check_cfl:
-            speed = _max_wave_speed(self.law, state)
-            dt_max = cfg.cfl_conv * dx / speed
-            if cfg.scheme == "explicit":
-                dt_max = min(dt_max, cfg.cfl_diff * dx**2 / (2.0 * cfg.epsilon))
-            if dt > dt_max * (1.0 + 1e-9):
-                raise NumericalError(
-                    f"dt = {dt:g} violates the stability bound {dt_max:g} "
+            dt_max = self._dt_max(state)
+            (bad,) = np.nonzero(dt > dt_max * (1.0 + 1e-9))
+            if bad.size:
+                row = int(bad[0])
+                failure = row, NumericalError(
+                    f"dt = {dt:g} violates the stability bound {dt_max[row]:g} "
                     f"at t = {state.t:g}"
                 )
+                state = GridState(state.t, state.rho[:row], state.mom[:row])
+                if forcing_increment is not None:
+                    forcing_increment = forcing_increment[:row]
 
+        rho, m = state.rho, state.mom
         pos = rho > 0.0
         flux_m = np.where(pos, m**2 / np.where(pos, rho, 1.0), 0.0) + self.law.pressure(
             rho
         )
 
-        rho_new = rho.copy()
-        m_new = m.copy()
-        rho_new[1:-1] = rho[1:-1] - dt * (m[2:] - m[:-2]) / (2.0 * dx)
-        m_new[1:-1] = m[1:-1] - dt * (flux_m[2:] - flux_m[:-2]) / (2.0 * dx)
+        new = np.stack((rho, m))  # (rho, m) stacked, ends kept
+        new[0, ..., 1:-1] = rho[..., 1:-1] - dt * (m[..., 2:] - m[..., :-2]) / (2.0 * dx)
+        new[1, ..., 1:-1] = m[..., 1:-1] - dt * (flux_m[..., 2:] - flux_m[..., :-2]) / (
+            2.0 * dx
+        )
         if forcing_increment is not None:
-            m_new[1:-1] = m_new[1:-1] + forcing_increment[1:-1]
+            new[1, ..., 1:-1] += forcing_increment[..., 1:-1]
 
-        rho_new = self._diffuse(rho_new, cfg.rho_inf)
-        m_new = self._diffuse(m_new, 0.0)
+        new = self._diffuse(new, self._far)
+        rho_new, m_new = new
 
         t_new = state.t + dt
-        if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(m_new))):
-            raise DivergenceError(t_new)
-        if rho_new.min() < cfg.density_floor:
-            i = int(np.argmin(rho_new))
-            raise PositivityLoss(t_new, self.grid.x[i], float(rho_new.min()))
-        return GridState(t_new, rho_new, m_new)
+        finite = np.isfinite(new).all(axis=-1).all(axis=0)
+        rho_min = rho_new.min(axis=-1)
+        (bad,) = np.nonzero(~finite | (rho_min < cfg.density_floor))
+        if bad.size:
+            row = int(bad[0])
+            if not finite[row]:
+                exc = DivergenceError(t_new)
+            else:
+                i = int(np.argmin(rho_new[row]))
+                exc = PositivityLoss(t_new, self.grid.x[i], float(rho_min[row]))
+            failure = row, exc
+            rho_new, m_new = rho_new[:row], m_new[:row]
+        return GridState(t_new, rho_new, m_new), failure
 
 
 @dataclass
 class Trajectory:
-    """States at save times plus per-step diagnostic streams."""
+    """States at save times plus per-step diagnostic streams of one sample."""
 
     grid: Grid
     config: SolverConfig
@@ -216,8 +249,8 @@ class Trajectory:
     energy: np.ndarray  # relative energy at each step start + final
     dissipation: np.ndarray  # cumulative viscous dissipation, same grid
     min_rho: np.ndarray
-    step_states: list | None = None  # (rho, m) at every step (incl. initial)
-    forcing_increments: list | None = None  # per-step momentum fields
+    step_states: np.ndarray | None = None  # (steps + 1, 2, n + 1): (rho, m) per step
+    forcing_increments: np.ndarray | None = None  # (steps, n + 1) momentum fields
     error: Exception | None = None
     H: float | None = None  # Gamma_H half-width of the noise, once mollified
 
@@ -230,22 +263,24 @@ class Trajectory:
         return self.states[-1]
 
 
-def _relative_energy_integral(law, grid, rho, m, rho_inf):
+def relative_energy(law, grid, rho, m, rho_inf):
+    """Trapezoid integral over the last axis of 1/2 m^2/rho + e*(rho, rho_inf)."""
     pos = rho > 0.0
     kin = np.where(pos, 0.5 * m**2 / np.where(pos, rho, 1.0), 0.0)
     integrand = kin + law.relative_internal_energy(rho, rho_inf)
-    return float(np.trapezoid(integrand, dx=grid.dx))
+    return np.trapezoid(integrand, dx=grid.dx, axis=-1)
 
 
-def _dissipation_rate(law, grid, rho, m):
-    """int ((rho e)'' rho_x^2 + rho u_x^2) dx with (rho e)'' = P'(rho)/rho."""
+def dissipation_rate(law, grid, rho, m):
+    """int ((rho e)'' rho_x^2 + rho u_x^2) dx over the last axis, with
+    (rho e)'' = P'(rho)/rho and central differences."""
     dx = grid.dx
-    rho_x = np.gradient(rho, dx)
+    rho_x = np.gradient(rho, dx, axis=-1)
     pos = rho > 0.0
     u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
-    u_x = np.gradient(u, dx)
+    u_x = np.gradient(u, dx, axis=-1)
     w = np.where(pos, law.dpressure(rho) / np.where(pos, rho, 1.0), 0.0)
-    return float(np.trapezoid(w * rho_x**2 + rho * u_x**2, dx=dx))
+    return np.trapezoid(w * rho_x**2 + rho * u_x**2, dx=dx, axis=-1)
 
 
 def simulate(
@@ -254,77 +289,114 @@ def simulate(
     grid: Grid,
     config: SolverConfig,
     noise=None,
-    sample_id: int = 0,
-) -> Trajectory:
+    sample_id=0,
+):
     """Integrate to T, recording saves and per-step diagnostics.
 
-    Deterministic given (config, noise seed, sample_id).  Step errors
-    propagate with the failing time attached.
+    sample_id is one id, which gives one Trajectory, or a sequence of ids,
+    which gives a list of them, one per id, from one batched run; init
+    holds (n+1,) fields shared by every sample or (S, n+1) fields, one row
+    per sample.  Each sample is deterministic given (config, noise seed,
+    sample id), and is the same whatever batch it runs in.
+
+    Step errors carry the failing time and sample id.  A failing sample
+    stops the run: the samples after it are dropped, those before it are
+    stepped on, and the error raised is that of the first failing sample
+    in the order given, which a one-at-a-time loop would raise.
     """
+    batched = not isinstance(sample_id, (int, np.integer))
+    ids = [int(s) for s in sample_id] if batched else [int(sample_id)]
     n_steps = config.n_steps
     if n_steps % config.n_saves != 0:
         raise ConfigError(
             f"n_steps = {n_steps} is not a multiple of n_saves = {config.n_saves}"
         )
+    if not ids:
+        return []
     save_every = n_steps // config.n_saves
+    n_samples, n_nodes = len(ids), grid.n + 1
 
     stepper = Stepper(law, grid, config)
-    state = init.copy()
-    state.t = 0.0
+    shape = (n_samples, n_nodes)
+    state = GridState(
+        0.0,
+        np.broadcast_to(init.rho, shape).copy(),
+        np.broadcast_to(init.mom, shape).copy(),
+    )
 
-    times = [0.0]
-    states = [state.copy()]
-    energy = np.empty(n_steps + 1)
-    diss = np.empty(n_steps + 1)
-    min_rho = np.empty(n_steps + 1)
-    energy[0] = _relative_energy_integral(law, grid, state.rho, state.mom, config.rho_inf)
-    diss[0] = 0.0
-    min_rho[0] = state.rho.min()
-    step_states = [(state.rho.copy(), state.mom.copy())] if config.record_steps else None
-    forcing_rec = [] if config.record_forcing else None
+    times = np.zeros(config.n_saves + 1)
+    saves = np.empty((n_samples, config.n_saves + 1, 2, n_nodes))
+    energy = np.empty((n_samples, n_steps + 1))
+    diss = np.empty((n_samples, n_steps + 1))
+    min_rho = np.empty((n_samples, n_steps + 1))
+    step_states = (
+        np.empty((n_samples, n_steps + 1, 2, n_nodes)) if config.record_steps else None
+    )
+    forcing_rec = (
+        np.zeros((n_samples, n_steps, n_nodes)) if config.record_forcing else None
+    )
 
+    def record(k, column):
+        rho, m = state.rho, state.mom
+        energy[:k, column] = relative_energy(law, grid, rho, m, config.rho_inf)
+        min_rho[:k, column] = rho.min(axis=-1)
+        if step_states is not None:
+            step_states[:k, column, 0] = rho
+            step_states[:k, column, 1] = m
+
+    k = n_samples  # the rows still stepped: a prefix of the batch
+    record(k, 0)
+    diss[:, 0] = 0.0
+    saves[:, 0, 0] = state.rho
+    saves[:, 0, 1] = state.mom
+    error = None
     x = grid.x
     for n in range(n_steps):
         forcing = None
         if noise is not None and noise.n_modes > 0:
-            dW = noise.sample_increments(sample_id, n, config.dt)
-            forcing = np.zeros_like(state.rho)
-            forcing[:] = noise.apply_forcing(x, state.rho, state.mom, dW)
-        if forcing_rec is not None:
-            forcing_rec.append(
-                forcing.copy() if forcing is not None else np.zeros_like(state.rho)
-            )
+            dW = noise.sample_increments(ids[:k], n, config.dt)
+            forcing = noise.apply_forcing(x, state.rho, state.mom, dW)
+            if forcing_rec is not None:
+                forcing_rec[:k, n] = forcing
         diss_inc = (
             config.epsilon
             * config.dt
-            * _dissipation_rate(law, grid, state.rho, state.mom)
+            * dissipation_rate(law, grid, state.rho, state.mom)
         )
-        state = stepper.step(state, forcing)
-        energy[n + 1] = _relative_energy_integral(
-            law, grid, state.rho, state.mom, config.rho_inf
-        )
-        diss[n + 1] = diss[n] + diss_inc
-        min_rho[n + 1] = state.rho.min()
-        if step_states is not None:
-            step_states.append((state.rho.copy(), state.mom.copy()))
+        state, failure = stepper.step(state, forcing)
+        if failure is not None:
+            k, error = failure
+            error.sample = ids[k]
+            if k == 0:
+                break
+        record(k, n + 1)
+        diss[:k, n + 1] = diss[:k, n] + diss_inc[:k]
         if (n + 1) % save_every == 0:
-            times.append(state.t)
-            states.append(state.copy())
+            j = (n + 1) // save_every
+            times[j] = state.t
+            saves[:k, j, 0] = state.rho
+            saves[:k, j, 1] = state.mom
+    if error is not None:
+        raise error
 
-    return Trajectory(
-        grid=grid,
-        config=config,
-        law=law,
-        sample_id=sample_id,
-        times=np.array(times),
-        states=states,
-        energy=energy,
-        dissipation=diss,
-        min_rho=min_rho,
-        step_states=step_states,
-        forcing_increments=forcing_rec,
-        H=noise.H if noise is not None else None,
-    )
+    trajs = [
+        Trajectory(
+            grid=grid,
+            config=config,
+            law=law,
+            sample_id=sid,
+            times=times,
+            states=[GridState(t, *saves[s, j]) for j, t in enumerate(times)],
+            energy=energy[s],
+            dissipation=diss[s],
+            min_rho=min_rho[s],
+            step_states=step_states[s] if step_states is not None else None,
+            forcing_increments=forcing_rec[s] if forcing_rec is not None else None,
+            H=noise.H if noise is not None else None,
+        )
+        for s, sid in enumerate(ids)
+    ]
+    return trajs if batched else trajs[0]
 
 
 def epsilon_sweep(

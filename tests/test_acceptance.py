@@ -165,10 +165,8 @@ def test_criterion_05_ito_energy_balance_refinement():
             epsilon=0.05, T=0.5, dt=dt, n_saves=5,
             record_steps=True, record_forcing=True,
         )
-        res = []
-        for sid in range(16):
-            traj = simulate(bump_init(grid), LAW2, grid, cfg, noise, sid)
-            res.append(abs(energy_balance_check(traj, LAW2, noise).residual))
+        trajs = simulate(bump_init(grid), LAW2, grid, cfg, noise, range(16))
+        res = [abs(energy_balance_check(traj, LAW2, noise).residual) for traj in trajs]
         means.append(np.mean(res))
     orders = [np.log2(means[i] / means[i + 1]) for i in range(2)]
     dt = time.perf_counter() - t0
@@ -213,10 +211,8 @@ def test_criterion_07_positivity_ensemble():
     cfg = SolverConfig(epsilon=0.01, T=1.0, dt=2e-3, n_saves=10)
     init = bump_init(grid)
     assert float(init.rho.min()) >= 0.1
-    min_rho = np.inf
-    for sid in range(32):
-        traj = simulate(init, LAW2, grid, cfg, noise, sid)  # raises on loss
-        min_rho = min(min_rho, float(np.min(traj.min_rho)))
+    trajs = simulate(init, LAW2, grid, cfg, noise, range(32))  # raises on loss
+    min_rho = min(float(np.min(traj.min_rho)) for traj in trajs)
     dt = time.perf_counter() - t0
     ok = min_rho > 0.0 and dt < 120.0
     report(7, "positivity over ensemble", ok,
@@ -301,12 +297,11 @@ def test_criterion_10_stochastic_self_convergence():
     noise = NoiseModel.single_mode(0.3, LAW2, seed=11, dt_base=6.25e-4)
     noise = noise.truncate_mollify(0.05, 3.0, 0.25, 1.0)
     dts = (5e-3, 2.5e-3, 1.25e-3)
-    finals = {dt: [] for dt in dts}
+    finals = {}
     for dt_step in dts:
         cfg = SolverConfig(epsilon=0.05, T=0.25, dt=dt_step, n_saves=5)
-        for sid in range(64):
-            traj = simulate(bump_init(grid), LAW2, grid, cfg, noise, sid)
-            finals[dt_step].append((traj.final.rho, traj.final.mom))
+        trajs = simulate(bump_init(grid), LAW2, grid, cfg, noise, range(64))
+        finals[dt_step] = [(traj.final.rho, traj.final.mom) for traj in trajs]
 
     def l2_gap(dta, dtb):
         gaps = [
@@ -342,8 +337,7 @@ def test_criterion_11_entropy_inequality():
     ]
     raw = []
     worst_margin = np.inf
-    for sid in range(16):
-        traj = simulate(bump_init(grid), LAW2, grid, cfg, noise, sid)
+    for traj in simulate(bump_init(grid), LAW2, grid, cfg, noise, range(16)):
         for spec in specs:
             rep = entropy_inequality_residual(traj, LAW2, spec, phi, noise)
             tol = abs(rep.viscous_reference) + 0.1 * (cfg.dt + grid.dx**2)

@@ -91,8 +91,7 @@ class TestSimulate:
         out = str(tmp_path / "out")
         r = runner.invoke(
             main,
-            ["simulate", "--config", cfg, "--samples", "3", "--jobs", "2",
-             "--output-dir", out],
+            ["simulate", "--config", cfg, "--samples", "3", "--output-dir", out],
         )
         assert r.exit_code == 0, r.output
         for sid in range(3):
@@ -119,6 +118,32 @@ class TestSimulate:
         with open(os.path.join(out, "error.json")) as fh:
             payload = json.load(fh)
         assert "error" in payload
+
+    def test_error_json_names_the_failing_sample(self, runner, tmp_path):
+        # strong noise against a high density floor: of samples 0-5, only
+        # sample 4 falls below the floor
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "solver": {"density_floor": 0.99},
+                "noise": {"kind": "single_mode", "amplitude": 3.0, "c1": 3.0,
+                          "alpha1": 0.25},
+            },
+        )
+        out = str(tmp_path / "out")
+        r = runner.invoke(
+            main, ["simulate", "--config", cfg, "--samples", "4", "--output-dir", out]
+        )
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(
+            main, ["simulate", "--config", cfg, "--samples", "6", "--output-dir", out]
+        )
+        assert r.exit_code == 1
+        with open(os.path.join(out, "error.json")) as fh:
+            payload = json.load(fh)
+        assert payload["error"] == "PositivityLoss"
+        assert payload["sample"] == 4
+        assert float(payload["rho_min"]) < 0.99
 
     def test_forcing_vanishes_outside_gamma_h(self, runner, tmp_path, monkeypatch):
         # H = 1.2 * 0.05^(-1/4) = 2.54, and a fast bump carries w2 = u + K
@@ -316,3 +341,17 @@ class TestValidate:
         )
         r = runner.invoke(main, ["validate", "--config", cfg])
         assert r.exit_code == 2
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", ["sweep-epsilon", "young-measure", "validate"])
+    def test_samples_option_rejected(self, runner, tmp_path, command):
+        # only simulate runs an ensemble
+        cfg = write_cfg(tmp_path, {"sweep": {"epsilons": [0.05, 0.02], "cells": [2, 2]}})
+        out = tmp_path / "out"
+        r = runner.invoke(
+            main, [command, "--config", cfg, "--samples", "3", "--output-dir", str(out)]
+        )
+        assert r.exit_code == 2
+        assert "--samples" in r.output
+        assert not out.exists()

@@ -102,6 +102,32 @@ class TestSampling:
         b = small.sample_increments(0, 4, 1e-3)
         assert np.array_equal(a[:2], b)
 
+    def test_counter_reset_matches_fresh_philox(self, law2):
+        # oracle: a Philox built afresh for every base step, keyed by
+        # (seed, sample) with the base step as the high counter word
+        rng = np.random.default_rng(20)
+        u64 = (1 << 64) - 1
+        for _ in range(20):
+            seed, sid, step = (int(v) for v in rng.integers(0, 2**62, size=3))
+            step %= 10**6
+            model = NoiseModel.mode_family(0.2, 1.5, 4, law2, seed=seed, dt_base=1e-3)
+            expect = np.zeros(4)
+            for j in range(3 * step, 3 * step + 3):
+                bitgen = np.random.Philox(key=(seed << 64) | (sid & u64), counter=j << 128)
+                expect += np.random.Generator(bitgen).standard_normal(4)
+            expect *= np.sqrt(1e-3)
+            assert np.array_equal(model.sample_increments(sid, step, 3e-3), expect)
+            # a second draw of the same stream, after others, resets again
+            model.sample_increments(sid, step + 1, 3e-3)
+            assert np.array_equal(model.sample_increments(sid, step, 3e-3), expect)
+
+    def test_batched_rows_are_one_sample_draws(self, family):
+        ids = [4, 0, 9]
+        batch = family.sample_increments(ids, 6, 2e-3)
+        assert batch.shape == (3, family.n_modes)
+        for row, sid in zip(batch, ids):
+            assert np.array_equal(row, family.sample_increments(sid, 6, 2e-3))
+
     def test_moments(self, single):
         dt = 1e-3
         draws = np.array(
@@ -143,6 +169,43 @@ class TestForcing:
         assert forced[0] == 0.0
         inside = out.apply_forcing(x, rho, np.zeros(1), np.array([1.0]))
         assert inside[0] != 0.0
+
+    def test_shared_mollifier_matches_per_mode_sums(self, law2):
+        model = NoiseModel.mode_family(
+            0.5, 0.5, 20, law2, seed=1, dt_base=1e-3, support_kind="whole_line"
+        )
+        model = model.truncate_mollify(0.04, 1.5, 0.25, rho_inf=1.0, trans_width=0.5)
+        assert model.n_modes == 20
+        x = np.linspace(-30.0, 30.0, 257)
+        rho = 1.0 + 0.5 * np.exp(-(x**2))
+        m = 2.0 * np.sin(x) * rho  # crosses the edge of Gamma_H
+        dW = np.random.default_rng(0).standard_normal(20)
+        force = np.zeros_like(x)
+        quad = 0.0
+        for k, mode in enumerate(model.modes):
+            z = model.zeta_eff(k, x, rho, m)
+            # the per-mode formula, indicator and cutoff evaluated afresh
+            raw = mode(x, rho, m)
+            assert np.array_equal(
+                z, raw * model._region_indicator(rho, m) * model._spatial_cutoff(x)
+            )
+            force = force + mode.a * z * dW[k]
+            quad = quad + (mode.a * z) ** 2
+        assert 0.0 < model._region_indicator(rho, m).min() < 1.0
+        assert model._spatial_cutoff(x).min() == 0.0
+        assert np.array_equal(model.apply_forcing(x, rho, m, dW), force)
+        assert np.array_equal(model.forcing_quadratic(x, rho, m), quad)
+
+    def test_batched_forcing_rows(self, family):
+        model = family.truncate_mollify(0.2, 3.0, 0.25, rho_inf=1.0)
+        x = np.linspace(-2.0, 2.0, 33)
+        rho = 1.0 + 0.2 * np.cos(np.arange(3)[:, None] + x)
+        m = 4.0 * np.sin(np.arange(3)[:, None] - x)  # partly outside Gamma_H
+        dW = np.random.default_rng(1).standard_normal((3, model.n_modes))
+        out = model.apply_forcing(x, rho, m, dW)
+        assert out.shape == rho.shape
+        for r in range(3):
+            assert np.array_equal(out[r], model.apply_forcing(x, rho[r], m[r], dW[r]))
 
     def test_wrong_increment_count(self, family):
         with pytest.raises(DomainError):

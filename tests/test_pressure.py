@@ -122,6 +122,32 @@ class TestRelativeInternalEnergy:
             assert v > 0.0
 
 
+    def test_far_field_constants_evaluated_once(self, monkeypatch):
+        law = PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4)
+        rho = np.linspace(0.5, 2.0, 257)
+        e_inf = law.internal_energy(1.2)
+        expect = (
+            rho * law.internal_energy(rho)
+            - 1.2 * e_inf
+            - (e_inf + law.pressure(1.2) / 1.2) * (rho - 1.2)
+        )
+        scalar_calls = []
+        energy = PressureLaw.internal_energy
+
+        def counted(self, r):
+            if self is law and np.ndim(r) == 0:
+                scalar_calls.append(r)
+            return energy(self, r)
+
+        monkeypatch.setattr(PressureLaw, "internal_energy", counted)
+        first = law.relative_internal_energy(rho, 1.2)
+        second = law.relative_internal_energy(rho, 1.2)
+        assert scalar_calls == [1.2]
+        assert np.array_equal(first, expect) and np.array_equal(second, expect)
+        law.relative_internal_energy(rho, 0.8)  # another far field: its own constants
+        assert scalar_calls == [1.2, 0.8]
+
+
 class TestHighOrderPotential:
     def test_closed_forms(self, law2):
         assert law2.high_order_potential(2.0) == pytest.approx(1.0 / 12.0)

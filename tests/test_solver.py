@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from svvlab.errors import ConfigError, NumericalError, PositivityLoss
+from svvlab.errors import ConfigError, DivergenceError, NumericalError, PositivityLoss
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
 from svvlab.solver import (
@@ -132,6 +132,86 @@ class TestGuards:
             simulate(GridState(0.0, rho, m), law2, grid, cfg)
         assert exc.value.rho_min < 1e-2
         assert exc.value.t > 0.0
+
+
+def batch_case(kind):
+    """(init, law, grid, config, noise) of one pinned batch scenario."""
+    grid = Grid(L=5.0, n=64)
+    common = dict(epsilon=0.05, T=0.04, dt=1e-3, n_saves=4, record_steps=True,
+                  record_forcing=True)
+    if kind == "composite":
+        law = PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4)
+        return bump_state(grid, amp=0.6), law, grid, SolverConfig(**common), None
+    law = PressureLaw.polytropic(2.0)
+    noise = NoiseModel.mode_family(0.4, 1.0, 3, law, seed=3, dt_base=1e-3)
+    noise = noise.truncate_mollify(0.05, 3.0, 0.25, 1.0)
+    return bump_state(grid), law, grid, SolverConfig(scheme=kind, **common), noise
+
+
+class TestBatch:
+    """A batched run is the one-sample run of each of its ids, bitwise."""
+
+    @pytest.mark.parametrize("kind", ["imex", "explicit", "composite"])
+    @pytest.mark.parametrize("n_samples", [1, 3, 12])
+    def test_batch_equals_one_sample_calls(self, kind, n_samples):
+        init, law, grid, cfg, noise = batch_case(kind)
+        ids = [5 * s + 1 for s in range(n_samples)]
+        batch = simulate(init, law, grid, cfg, noise, ids)
+        assert [traj.sample_id for traj in batch] == ids
+        for sid, traj in zip(ids, batch):
+            one = simulate(init, law, grid, cfg, noise, sid)
+            assert np.array_equal(traj.times, one.times)
+            for a, b in zip(traj.states, one.states):
+                assert a.t == b.t
+                assert np.array_equal(a.rho, b.rho) and np.array_equal(a.mom, b.mom)
+            for name in ("energy", "dissipation", "min_rho", "step_states",
+                         "forcing_increments"):
+                assert np.array_equal(getattr(traj, name), getattr(one, name)), name
+        if noise is not None and n_samples > 1:
+            assert not np.array_equal(batch[0].final.mom, batch[1].final.mom)
+
+    def test_step_records_unpack_as_pairs(self, law2, grid):
+        cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1, record_steps=True)
+        traj = simulate(bump_state(grid), law2, grid, cfg)
+        assert traj.step_states.shape == (11, 2, grid.n + 1)
+        rho, m = traj.step_states[-1]
+        assert np.array_equal(rho, traj.final.rho) and np.array_equal(m, traj.final.mom)
+        assert simulate(bump_state(grid), law2, grid, cfg, sample_id=[]) == []
+
+    @pytest.mark.parametrize("speeds", [(2.0, 3.0), (3.0, 2.0)])
+    def test_error_is_that_of_the_first_failing_sample(self, law2, speeds):
+        # outflows drain the density: at speed 2 below the floor at t = 0.158,
+        # at speed 3 the CFL bound breaks at t = 0.096; the last sample
+        # breaks it at once; so samples 1 and 2 fail in either time order
+        grid = Grid(L=5.0, n=128)
+        cfg = SolverConfig(epsilon=0.01, T=0.2, dt=2e-3, n_saves=1, density_floor=1e-2)
+        rho = np.full((4, grid.n + 1), 0.2)
+        m = np.array([0.0, *speeds, 0.0])[:, None] * np.tanh(2.0 * grid.x) * rho
+        m[3] = 20.0 * rho[3]
+        ids = [10, 11, 12, 13]
+        serial = []
+        for r in range(4):
+            try:
+                simulate(GridState(0.0, rho[r], m[r]), law2, grid, cfg, sample_id=ids[r])
+                serial.append(None)
+            except (PositivityLoss, NumericalError, DivergenceError) as exc:
+                serial.append(exc)
+        assert serial[0] is None and all(serial[1:])
+        assert isinstance(serial[1 + speeds.index(2.0)], PositivityLoss)
+        with pytest.raises((PositivityLoss, NumericalError)) as caught:
+            simulate(GridState(0.0, rho, m), law2, grid, cfg, sample_id=ids)
+        exc = caught.value
+        assert exc.sample == 11 and serial[1].sample == 11
+        assert type(exc) is type(serial[1]) and str(exc) == str(serial[1])
+        if isinstance(exc, PositivityLoss):
+            assert (exc.t, exc.x, exc.rho_min) == (serial[1].t, serial[1].x, serial[1].rho_min)
+        # two samples failing in the same step: the first one's error
+        r = 1 + speeds.index(2.0)
+        with pytest.raises(PositivityLoss) as caught:
+            simulate(GridState(0.0, rho[[r, r]], m[[r, r]]), law2, grid, cfg, sample_id=[7, 8])
+        exc = caught.value
+        assert exc.sample == 7
+        assert (exc.t, exc.x, exc.rho_min) == (serial[r].t, serial[r].x, serial[r].rho_min)
 
 
 class TestSweep:
