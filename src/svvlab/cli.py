@@ -76,8 +76,10 @@ def _fail_runtime(out_dir, exc):
         "detail": str(exc),
         "sample": exc.sample,
     }
+    if exc.t is not None:
+        payload["t"] = fmt(exc.t)
     if isinstance(exc, PositivityLoss):
-        payload.update(t=fmt(exc.t), x=fmt(exc.x), rho_min=fmt(exc.rho_min))
+        payload.update(x=fmt(exc.x), rho_min=fmt(exc.rho_min))
     try:
         write_json(os.path.join(out_dir, "error.json"), payload)
     except OSError:

@@ -79,35 +79,40 @@ def psi_cutoff(R, s):
     """Three-piece C^2 cut-off approximation of s^2/2 and its derivatives.
 
     Returns (psi_R, psi_R', psi_R'').  psi_R'' is the piecewise-linear hat:
-    1 on |s| <= R, (2R - |s|)/R on R <= |s| <= 2R, 0 beyond.
+    1 on |s| <= R, (2R - |s|)/R on R <= |s| <= 2R, 0 beyond.  When every
+    |s| <= R the inner piece is evaluated without masks, with the same
+    expressions and so the same values.
     """
     if R <= 0.0:
         raise DomainError(f"cutoff scale R must be positive, got {R}")
     s_in = np.asarray(s, dtype=float)
     s = np.atleast_1d(s_in)
     a = np.abs(s)
-    sgn = np.sign(s)
     inner = a <= R
-    mid = (a > R) & (a < 2.0 * R)
-    outer = a >= 2.0 * R
+    if inner.all():
+        val, d1, d2 = 0.5 * s**2, s.copy(), np.ones_like(s)
+    else:
+        sgn = np.sign(s)
+        mid = (a > R) & (a < 2.0 * R)
+        outer = a >= 2.0 * R
 
-    val = np.empty_like(s)
-    d1 = np.empty_like(s)
-    d2 = np.empty_like(s)
+        val = np.empty_like(s)
+        d1 = np.empty_like(s)
+        d2 = np.empty_like(s)
 
-    val[inner] = 0.5 * s[inner] ** 2
-    d1[inner] = s[inner]
-    d2[inner] = 1.0
+        val[inner] = 0.5 * s[inner] ** 2
+        d1[inner] = s[inner]
+        d2[inner] = 1.0
 
-    am = a[mid]
-    val[mid] = R**2 / 6.0 - 0.5 * R * am + am**2 - am**3 / (6.0 * R)
-    d1[mid] = sgn[mid] * (-0.5 * R + 2.0 * am - am**2 / (2.0 * R))
-    d2[mid] = (2.0 * R - am) / R
+        am = a[mid]
+        val[mid] = R**2 / 6.0 - 0.5 * R * am + am**2 - am**3 / (6.0 * R)
+        d1[mid] = sgn[mid] * (-0.5 * R + 2.0 * am - am**2 / (2.0 * R))
+        d2[mid] = (2.0 * R - am) / R
 
-    ao = a[outer]
-    val[outer] = -7.0 * R**2 / 6.0 + 1.5 * R * ao
-    d1[outer] = sgn[outer] * 1.5 * R
-    d2[outer] = 0.0
+        ao = a[outer]
+        val[outer] = -7.0 * R**2 / 6.0 + 1.5 * R * ao
+        d1[outer] = sgn[outer] * 1.5 * R
+        d2[outer] = 0.0
 
     if s_in.ndim == 0:
         return float(val[0]), float(d1[0]), float(d2[0])
@@ -265,36 +270,34 @@ def entropy_pair(
     rho = rho.ravel()
     m = m.ravel()
 
+    if method not in ("gauss", "adaptive"):
+        raise ValueError(f"unknown quadrature method {method!r}")
     pos = rho > 0.0
-    u = np.zeros_like(rho)
-    u[pos] = m[pos] / rho[pos]
-    K = np.zeros_like(rho)  # half-width of the kernel support in s around u
-    K[pos] = law.k_integral(rho[pos])
-
-    eta = np.zeros_like(rho)
-    qf = np.zeros_like(rho)
-    dm = np.zeros_like(rho)
-    d2m = np.zeros_like(rho)
+    solid = pos.all()  # no vacuum node: no gathers and scatters
+    rp, mp = (rho, m) if solid else (rho[pos], m[pos])
+    up = mp / rp
+    Kp = law.k_integral(rp)  # half-width of the kernel support in s around u
 
     if method == "gauss":
         z, w, M0 = _jacobi_rule(n_nodes, lam)
-        s_nodes = u[pos, None] + K[pos, None] * z[None, :]
+        s_nodes = up[:, None] + Kp[:, None] * z
         pv = spec.psi(s_nodes)
-        eta[pos] = rho[pos] * (pv @ w) / M0
-        qf[pos] = (
-            rho[pos]
-            * (((u[pos, None] + theta * K[pos, None] * z[None, :]) * pv) @ w)
-            / M0
+        pw = pv @ w
+        vals = (
+            rp * pw / M0,
+            rp / M0 * (up * pw + theta * Kp * (pv @ (z * w))),
+            (spec.dpsi(s_nodes) @ w) / M0,
+            (spec.d2psi(s_nodes) @ w) / (rp * M0),
         )
-        dm[pos] = (spec.dpsi(s_nodes) @ w) / M0
-        d2m[pos] = (spec.d2psi(s_nodes) @ w) / (rho[pos] * M0)
-    elif method == "adaptive":
-        for i in np.nonzero(pos)[0]:
-            eta[i], qf[i], dm[i], d2m[i] = _adaptive_pair(
-                spec, lam, theta, rho[i], u[i], K[i]
-            )
     else:
-        raise ValueError(f"unknown quadrature method {method!r}")
+        vals = np.zeros((4, rp.size))
+        for i in range(rp.size):
+            vals[:, i] = _adaptive_pair(spec, lam, theta, rp[i], up[i], Kp[i])
+    if not solid:
+        full = np.zeros((4, rho.size))
+        full[:, pos] = vals
+        vals = full
+    eta, qf, dm, d2m = vals
 
     if scalar:
         return EntropyPairValue(float(eta[0]), float(qf[0]), float(dm[0]), float(d2m[0]))

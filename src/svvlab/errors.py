@@ -8,14 +8,15 @@ class DomainError(ValueError):
 class NumericalError(RuntimeError):
     """A quadrature or solve failed to converge; carries a residual estimate.
 
-    Also raised when a time step breaks its stability bound; sample is then
-    the id of the failing sample."""
+    Also raised when a time step breaks its stability bound; t is then the
+    time of the step and sample the id of the failing sample."""
 
     sample = None
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, t=None):
         super().__init__(message)
         self.residual = residual
+        self.t = t
 
 
 class ConfigError(ValueError):

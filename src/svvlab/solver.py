@@ -197,7 +197,8 @@ class Stepper:
                 row = int(bad[0])
                 failure = row, NumericalError(
                     f"dt = {dt:g} violates the stability bound {dt_max[row]:g} "
-                    f"at t = {state.t:g}"
+                    f"at t = {state.t:g}",
+                    t=state.t,
                 )
                 state = GridState(state.t, state.rho[:row], state.mom[:row])
                 if forcing_increment is not None:

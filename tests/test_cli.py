@@ -145,6 +145,29 @@ class TestSimulate:
         assert payload["sample"] == 4
         assert float(payload["rho_min"]) < 0.99
 
+    def test_error_json_gives_the_time_of_a_cfl_failure(self, runner, tmp_path):
+        # dt = 0.05 starts below the stability bound; strong noise speeds
+        # the flow up until the third step breaks it
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "solver": {"epsilon": 0.05, "T": 1.0, "dt": 0.05, "n_saves": 5},
+                "noise": {"kind": "single_mode", "amplitude": 3.0, "c1": 3.0,
+                          "alpha1": 0.25},
+            },
+        )
+        out = str(tmp_path / "out")
+        r = runner.invoke(
+            main, ["simulate", "--config", cfg, "--samples", "4", "--output-dir", out]
+        )
+        assert r.exit_code == 1
+        with open(os.path.join(out, "error.json")) as fh:
+            payload = json.load(fh)
+        assert payload["error"] == "NumericalError"
+        assert "stability bound" in payload["detail"]
+        assert payload["sample"] == 0
+        assert float(payload["t"]) == pytest.approx(0.1)
+
     def test_forcing_vanishes_outside_gamma_h(self, runner, tmp_path, monkeypatch):
         # H = 1.2 * 0.05^(-1/4) = 2.54, and a fast bump carries w2 = u + K
         # above it, so part of the state leaves Gamma_H

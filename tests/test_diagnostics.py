@@ -1,8 +1,12 @@
 """Energy balance, invariant regions, moments, weak-form entropy residuals."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from svvlab import diagnostics
 from svvlab.diagnostics import (
     BumpTestFunction,
     compact_moments,
@@ -13,7 +17,7 @@ from svvlab.diagnostics import (
     invariant_region_check,
     total_relative_energy,
 )
-from svvlab.entropy import EntropySpec, riemann_invariants
+from svvlab.entropy import EntropySpec, entropy_pair, riemann_invariants
 from svvlab.errors import ConfigError, DomainError
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
@@ -201,6 +205,180 @@ class TestEntropyResidual:
             traj, law2, EntropySpec.cutoff_energy(20.0), phi
         )
         assert a.S == pytest.approx(b.S, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# step-by-step oracles: the loops the block evaluations replaced
+# ---------------------------------------------------------------------------
+
+def balance_loop(traj, noise):
+    """(martingale, Ito) sums of energy_balance_check, one step at a time."""
+    dx, x = traj.grid.dx, traj.grid.x
+    mart = 0.0
+    ito = 0.0
+    for (rho, m), dF in zip(traj.step_states[:-1], traj.forcing_increments):
+        pos = rho > 0.0
+        u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
+        mart += float(np.trapezoid(u * dF, dx=dx))
+        quad = noise.forcing_quadratic(x, rho, m)
+        inv_rho = np.where(pos, 1.0 / np.where(pos, rho, 1.0), 0.0)
+        ito += 0.5 * traj.config.dt * float(np.trapezoid(inv_rho * quad, dx=dx))
+    return mart, ito
+
+
+def residual_loop(traj, law, spec, phi, noise, n_nodes=48):
+    """(transport, martingale, Ito, viscous) sums of
+    entropy_inequality_residual, one step at a time."""
+    cfg = traj.config
+    x, dx, dt = traj.grid.x, traj.grid.dx, cfg.dt
+    transport = mart = ito = visc = 0.0
+    for n in range(len(traj.step_states) - 1):
+        t = n * dt
+        if abs(t - phi.t0) >= phi.rt:
+            continue
+        active = np.abs(x - phi.x0) < phi.rx
+        w = phi.value(t, x)
+        rho, m = traj.step_states[n]
+        pv = entropy_pair(law, spec, rho[active], m[active], n_nodes=n_nodes)
+        xa = x[active]
+        transport += dt * dx * float(
+            np.sum(pv.eta * phi.dt(t, xa) + pv.q * phi.dx(t, xa))
+        )
+        visc += cfg.epsilon * dt * dx * float(np.sum(pv.eta * phi.dxx(t, xa)))
+        dF = traj.forcing_increments[n][active]
+        mart += dx * float(np.sum(pv.deta_dm * dF * w[active]))
+        quad = noise.forcing_quadratic(xa, rho[active], m[active])
+        ito += 0.5 * dt * dx * float(np.sum(pv.d2eta_dm2 * quad * w[active]))
+    return transport, mart, ito, visc
+
+
+def assert_residual_matches_loop(traj, law, spec, phi, noise):
+    rep = entropy_inequality_residual(traj, law, spec, phi, noise)
+    transport, mart, ito, visc = residual_loop(traj, law, spec, phi, noise)
+    scale = abs(transport) + abs(mart) + abs(ito)
+    assert abs(rep.S - (transport + mart + ito)) <= 1e-12 * scale
+    assert rep.transport == pytest.approx(transport, rel=1e-12)
+    assert rep.martingale == pytest.approx(mart, rel=1e-12)
+    assert rep.ito == pytest.approx(ito, rel=1e-12)
+    assert rep.viscous_reference == pytest.approx(visc, rel=1e-12)
+    return rep
+
+
+def assert_balance_matches_loop(traj, law, noise):
+    rep = energy_balance_check(traj, law, noise)
+    mart, ito = balance_loop(traj, noise)
+    de = traj.energy[-1] - traj.energy[0]
+    assert rep.martingale_term == pytest.approx(mart, rel=1e-12)
+    assert rep.ito_term == pytest.approx(ito, rel=1e-12)
+    assert rep.residual == pytest.approx(de + traj.dissipation[-1] - mart - ito, rel=1e-12)
+
+
+PSIS = {
+    "energy": EntropySpec.energy(),
+    "cutoff:5": EntropySpec.cutoff_energy(5.0),
+    "bump:0,4": EntropySpec.compact_bump(0.0, 4.0),
+}
+# criterion 11's test function
+PHI11 = BumpTestFunction(0.25, 0.2, 0.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def noisy_run(law2, grid):
+    """A criterion-11-shaped path: mollified noise, every step recorded."""
+    noise = NoiseModel.single_mode(0.3, law2, seed=9, dt_base=1e-3)
+    noise = noise.truncate_mollify(0.02, 3.0, 0.25, 1.0)
+    cfg = SolverConfig(
+        epsilon=0.02, T=0.5, dt=1e-3, n_saves=5,
+        record_steps=True, record_forcing=True,
+    )
+    traj = simulate(bump_state(grid), law2, grid, cfg, noise, sample_id=3)
+    return traj, noise
+
+
+class TestBlockOracles:
+    @pytest.mark.parametrize("psi", list(PSIS))
+    def test_residual_matches_step_loop(self, law2, noisy_run, psi):
+        traj, noise = noisy_run
+        n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
+        rows = diagnostics.BLOCK_POINTS // (n_active * 48)
+        t = np.arange(len(traj.step_states) - 1) * traj.dt
+        n_steps = int(np.sum(np.abs(t - PHI11.t0) < PHI11.rt))
+        assert rows > 1 and n_steps % rows != 0  # a short last block
+        rep = assert_residual_matches_loop(traj, law2, PSIS[psi], PHI11, noise)
+        assert rep.martingale != 0.0 and rep.ito != 0.0
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_one_and_five_step_blocks(self, law2, noisy_run, rows, monkeypatch):
+        traj, noise = noisy_run
+        n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
+        monkeypatch.setattr(diagnostics, "BLOCK_POINTS", rows * n_active * 48)
+        assert_residual_matches_loop(traj, law2, PSIS["cutoff:5"], PHI11, noise)
+        assert_balance_matches_loop(traj, law2, noise)
+
+    def test_phi_over_a_few_steps(self, law2, noisy_run):
+        # |n dt - 0.25| < 0.0025: steps 248-252
+        traj, noise = noisy_run
+        phi = BumpTestFunction(0.25, 0.0025, 0.3, 1.0)
+        rep = assert_residual_matches_loop(traj, law2, PSIS["energy"], phi, noise)
+        assert rep.transport != 0.0
+
+    def test_balance_matches_step_loop(self, law2, noisy_run):
+        traj, noise = noisy_run
+        assert_balance_matches_loop(traj, law2, noise)
+
+    def test_vacuum_node_in_the_active_window(self, law2, noisy_run):
+        # a hand-built path with rho = m = 0 at x = 0.5 on steps 100-299;
+        # no forcing acts on vacuum
+        traj, noise = noisy_run
+        steps = traj.step_states.copy()
+        forcing = traj.forcing_increments.copy()
+        i = int(np.argmin(np.abs(traj.grid.x - 0.5)))
+        steps[100:300, :, i] = 0.0
+        forcing[100:300, i] = 0.0
+        holed = dataclasses.replace(traj, step_states=steps, forcing_increments=forcing)
+        for spec in PSIS.values():
+            assert_residual_matches_loop(holed, law2, spec, PHI11, noise)
+        assert_balance_matches_loop(holed, law2, noise)
+
+    def test_residual_memory_is_bounded(self, law2, noisy_run):
+        traj, noise = noisy_run
+        tracemalloc.start()
+        try:
+            entropy_inequality_residual(traj, law2, PSIS["cutoff:5"], PHI11, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_invariant_region_matches_step_loop(self, law2, noisy_run):
+        traj, _ = noisy_run
+        H = 0.9 * float(np.max(riemann_invariants(law2, *traj.step_states[0])[1]))
+        saved = dataclasses.replace(traj, step_states=None)
+        for path in (traj, saved):
+            pairs = (
+                path.step_states if path.step_states is not None
+                else [(s.rho, s.mom) for s in path.states]
+            )
+            loop = 0.0
+            for rho, m in pairs:
+                w1, w2 = riemann_invariants(law2, rho, m)
+                loop = max(loop, float(np.maximum(np.maximum(w2 - H, -H - w1), 0.0).max()))
+            assert loop > 0.0
+            assert invariant_region_check(path, law2, H) == loop
+
+    def test_compact_moments_match_step_loop(self, law2, noisy_run):
+        traj, _ = noisy_run
+        x = traj.grid.x
+        mask = (x >= -1.5) & (x <= 2.0)
+        fp, fu = [], []
+        for s in traj.states:
+            rho, m = s.rho[mask], s.mom[mask]
+            fp.append(np.trapezoid(rho * law2.pressure(rho), x[mask]))
+            fu.append(np.trapezoid(rho * np.abs(m / rho) ** 3, x[mask]))
+        m_p, m_u3 = compact_moments(traj, law2, (-1.5, 2.0))
+        assert m_p == pytest.approx(np.trapezoid(fp, traj.times), rel=1e-14)
+        assert m_u3 == pytest.approx(np.trapezoid(fu, traj.times), rel=1e-14)
+        assert m_u3 > 0.0
 
 
 class TestEnsembleMoments:

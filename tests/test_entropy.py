@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from svvlab.entropy import (
     EntropySpec,
@@ -60,6 +61,39 @@ class TestEntropyPair:
     def test_vacuum_all_zero(self, law2):
         pv = entropy_pair(law2, EntropySpec.energy(), np.array([0.0]), np.array([0.0]))
         assert pv.eta[0] == pv.q[0] == pv.deta_dm[0] == pv.d2eta_dm2[0] == 0.0
+
+    @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.5])
+    def test_gauss_kernel_matches_per_node_form(self, gamma):
+        # q = rho/M0 (u psi@w + theta K psi@(z w)) against the per-node
+        # integrand (u + theta K z) psi(u + K z) it replaces; vacuum nodes
+        # give zeros and leave the other nodes' values as they are
+        law = PressureLaw.polytropic(gamma)
+        rng = np.random.default_rng(5)
+        rho = rng.uniform(0.05, 3.0, 300)
+        m = rng.standard_normal(300)
+        rho[::17] = m[::17] = 0.0
+        pos = rho > 0.0
+        z, w = roots_jacobi(48, law.lam, law.lam)
+        u = m[pos] / rho[pos]
+        K = law.k_integral(rho[pos])
+        s = u[:, None] + K[:, None] * z
+        specs = (
+            EntropySpec.energy(),
+            EntropySpec.cutoff_energy(1.0),
+            EntropySpec.compact_bump(0.0, 4.0),
+        )
+        for spec in specs:
+            pv = entropy_pair(law, spec, rho, m, n_nodes=48)
+            q = rho[pos] * (((u[:, None] + law.theta * K[:, None] * z) * spec.psi(s)) @ w)
+            q /= w.sum()
+            assert np.max(np.abs(pv.q[pos] - q)) <= 1e-14 * np.max(np.abs(q))
+            solid = entropy_pair(law, spec, rho[pos], m[pos], n_nodes=48)
+            for a, b in zip(
+                (pv.eta, pv.q, pv.deta_dm, pv.d2eta_dm2),
+                (solid.eta, solid.q, solid.deta_dm, solid.d2eta_dm2),
+            ):
+                np.testing.assert_array_equal(a[pos], b)
+                assert not a[~pos].any()
 
     @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.0, 3.5])
     def test_energy_generator_matches_mechanical(self, gamma):
@@ -194,6 +228,23 @@ class TestPsiCutoff:
         assert d2 >= 0.0
         assert v == pytest.approx(vm, rel=1e-12, abs=1e-12)
         assert d1 == pytest.approx(-d1m, rel=1e-12, abs=1e-12)
+
+    def test_inner_short_cut_matches_three_piece_path(self):
+        # points beyond R send a call through the three masked pieces; the
+        # inner points' values must not depend on which path ran
+        R = 5.0
+        inner = np.random.default_rng(11).uniform(-R, R, (6, 7))
+        inner[0, 0] = -R  # the joint belongs to the inner piece
+        mixed = np.append(inner.ravel(), [1.5 * R, -3.0 * R])
+        fast = psi_cutoff(R, inner)
+        pieces = psi_cutoff(R, mixed)
+        for f, p in zip(fast, pieces):
+            assert f.shape == inner.shape
+            np.testing.assert_array_equal(f.ravel(), p[: inner.size])
+        assert not np.shares_memory(fast[1], inner)
+        # scalars: inner ones take the short-cut, the others the pieces
+        for i, s in enumerate(mixed):
+            assert psi_cutoff(R, s) == tuple(float(p[i]) for p in pieces)
 
     def test_cutoff_pair_exact_beyond_support(self, law2):
         # R above |u| + rho^theta: cutoff and energy generators see the
