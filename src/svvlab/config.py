@@ -78,15 +78,12 @@ class RunConfig:
     seed: int
     output_dir: str
     noise_template: NoiseModel | None = None  # the raw model, before mollifying
-    noise_case: int = 2
     noise_c1: float = 1.0
     noise_alpha1: float = 0.25
-    alpha0: float = 0.0
     window: tuple = (-1.0, 1.0)
     moment_p: tuple = (1.0, 2.0)
     cells: tuple = (8, 8)
     sweep_epsilons: tuple = ()
-    sweep_R: tuple = ()
     samples: int = 1
     phi: BumpTestFunction | None = None
     psis: tuple = ("energy",)
@@ -231,10 +228,8 @@ def config_from_dict(raw: dict) -> RunConfig:
                 f"noise.kind must be none, single_mode or mode_family, "
                 f"got {nb.get('kind')!r}"
             )
-    noise_case = int(nb.get("case", 2))
     noise_c1 = float(nb.get("c1", 1.0))
     noise_alpha1 = float(nb.get("alpha1", 0.25))
-    alpha0 = float(nb.get("alpha0", 0.0))
 
     # cross-constraints; runs use the truncated, mollified noise, and a
     # sweep re-mollifies the raw template for each of its viscosities
@@ -246,14 +241,6 @@ def config_from_dict(raw: dict) -> RunConfig:
             )
         except ConfigError as exc:
             errs.append(f"noise mollification constraint violated: {exc}")
-    if noise_case == 1 and law is not None:
-        if alpha0 <= 0.0 or alpha0 * law.gamma2 <= 1.0:
-            errs.append(
-                "case 1 requires alpha0 > 0 with alpha0 * gamma2 > 1 so the "
-                "far-field density eps^alpha0 decays fast enough"
-            )
-    if noise_case not in (1, 2, 3):
-        errs.append(f"noise.case must be 1, 2 or 3, got {noise_case}")
 
     if solver is not None and grid is not None and law is not None:
         try:
@@ -294,7 +281,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     sweep_eps = tuple(float(e) for e in wb.get("epsilons", ()))
     if sweep_eps and any(b >= a for a, b in zip(sweep_eps, sweep_eps[1:])):
         errs.append("sweep.epsilons must be strictly decreasing")
-    sweep_R = tuple(float(r) for r in wb.get("R", ()))
     samples = int(wb.get("samples", raw.get("samples", 1)))
     if samples < 1:
         errs.append("sample count must be >= 1")
@@ -316,15 +302,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         seed=seed,
         output_dir=output_dir,
         noise_template=noise_template,
-        noise_case=noise_case,
         noise_c1=noise_c1,
         noise_alpha1=noise_alpha1,
-        alpha0=alpha0,
         window=window,
         moment_p=moment_p,
         cells=cells,
         sweep_epsilons=sweep_eps,
-        sweep_R=sweep_R,
         samples=samples,
         phi=phi,
         psis=psis,

@@ -24,8 +24,8 @@ BLOCK_POINTS = 2**16
 
 
 def _step_blocks(n_steps: int, points_per_step: int):
-    """Slices of consecutive steps of at most BLOCK_POINTS points (one step
-    at least)."""
+    """Slices of consecutive steps (or other rows, such as Young-measure
+    atoms) of at most BLOCK_POINTS points (one row at least)."""
     rows = max(1, BLOCK_POINTS // points_per_step)
     return [slice(a, min(a + rows, n_steps)) for a in range(0, n_steps, rows)]
 

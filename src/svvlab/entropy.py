@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from .errors import DomainError
@@ -126,7 +125,9 @@ class EntropySpec:
     growth_class is one of "compact", "subquadratic", "subcubic",
     "energy" (psi = s^2/2) and "cutoff_energy" (the three-piece psi_R).
     kinks lists s-locations where psi is not smooth; the adaptive
-    quadrature path splits there.
+    quadrature path splits there.  fused, when given, returns (psi, psi',
+    psi'') from shared intermediates; the built-in generators are defined
+    by it alone.
     """
 
     name: str
@@ -135,80 +136,98 @@ class EntropySpec:
     d2psi: callable
     growth_class: str = "subquadratic"
     kinks: tuple = ()
+    fused: callable | None = None
+
+    def derivatives(self, s):
+        """(psi, psi', psi'') at s, from one call of fused if there is one."""
+        if self.fused is not None:
+            return self.fused(s)
+        return self.psi(s), self.dpsi(s), self.d2psi(s)
 
     @staticmethod
-    def energy() -> "EntropySpec":
+    def _from_fused(name, fused, growth_class, kinks=()) -> "EntropySpec":
         return EntropySpec(
-            "energy",
-            lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
-            lambda s: np.asarray(s, dtype=float),
-            lambda s: np.ones_like(np.asarray(s, dtype=float)),
-            growth_class="energy",
+            name,
+            lambda s: fused(s)[0],
+            lambda s: fused(s)[1],
+            lambda s: fused(s)[2],
+            growth_class=growth_class,
+            kinks=kinks,
+            fused=fused,
         )
 
     @staticmethod
+    def energy() -> "EntropySpec":
+        def fused(s):
+            s = np.asarray(s, dtype=float)
+            return 0.5 * s**2, s, np.ones_like(s)
+
+        return EntropySpec._from_fused("energy", fused, "energy")
+
+    @staticmethod
     def cutoff_energy(R: float) -> "EntropySpec":
-        return EntropySpec(
+        return EntropySpec._from_fused(
             f"cutoff_energy(R={R:g})",
-            lambda s: psi_cutoff(R, s)[0],
-            lambda s: psi_cutoff(R, s)[1],
-            lambda s: psi_cutoff(R, s)[2],
-            growth_class="cutoff_energy",
+            lambda s: psi_cutoff(R, s),
+            "cutoff_energy",
             kinks=(-2.0 * R, -R, R, 2.0 * R),
         )
 
     @staticmethod
     def signed_square() -> "EntropySpec":
         """psi(s) = s|s|/2, the generator of the special Goursat entropy."""
-        return EntropySpec(
-            "signed_square",
-            lambda s: 0.5 * np.asarray(s, dtype=float) * np.abs(s),
-            lambda s: np.abs(np.asarray(s, dtype=float)),
-            lambda s: np.sign(np.asarray(s, dtype=float)),
-            growth_class="subcubic",
-            kinks=(0.0,),
-        )
+
+        def fused(s):
+            s = np.asarray(s, dtype=float)
+            a = np.abs(s)
+            return 0.5 * s * a, a, np.sign(s)
+
+        return EntropySpec._from_fused("signed_square", fused, "subcubic", kinks=(0.0,))
 
     @staticmethod
     def constant(c: float = 1.0) -> "EntropySpec":
-        return EntropySpec(
-            f"constant({c:g})",
-            lambda s: np.full_like(np.asarray(s, dtype=float), c),
-            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            growth_class="subquadratic",
-        )
+        def fused(s):
+            s = np.asarray(s, dtype=float)
+            return np.full_like(s, c), np.zeros_like(s), np.zeros_like(s)
+
+        return EntropySpec._from_fused(f"constant({c:g})", fused, "subquadratic")
 
     @staticmethod
     def compact_bump(center: float = 0.0, width: float = 1.0) -> "EntropySpec":
         """Compactly supported C^2 generator (1 - t^2)^3 on |t| < 1."""
 
-        def _t(s):
-            return (np.asarray(s, dtype=float) - center) / width
+        def fused(s):
+            # t, t^2 and b = 1 - t^2 are shared and then overwritten in
+            # place: on entropy_pair's blocks of 2^16 nodes, every further
+            # live node array costs more in cache misses than it saves
+            shape = np.shape(s)
+            t = np.array(s, dtype=float, ndmin=1)
+            t -= center
+            t /= width
+            outside = ~(np.abs(t) < 1.0)
+            t2 = t**2
+            b = 1.0 - t2
+            b2 = b**2
+            psi = b**3
+            psi[outside] = 0.0
+            dpsi = t
+            dpsi *= -6.0
+            dpsi *= b2
+            dpsi /= width
+            dpsi[outside] = 0.0
+            d2psi = t2
+            d2psi *= 24.0
+            d2psi *= b
+            b2 *= 6.0
+            d2psi -= b2
+            d2psi /= width**2
+            d2psi[outside] = 0.0
+            return psi.reshape(shape), dpsi.reshape(shape), d2psi.reshape(shape)
 
-        def p(s):
-            t = _t(s)
-            b = 1.0 - t**2
-            return np.where(np.abs(t) < 1.0, b**3, 0.0)
-
-        def dp(s):
-            t = _t(s)
-            b = 1.0 - t**2
-            return np.where(np.abs(t) < 1.0, -6.0 * t * b**2 / width, 0.0)
-
-        def d2p(s):
-            t = _t(s)
-            b = 1.0 - t**2
-            return np.where(
-                np.abs(t) < 1.0, (24.0 * t**2 * b - 6.0 * b**2) / width**2, 0.0
-            )
-
-        return EntropySpec(
+        return EntropySpec._from_fused(
             f"compact_bump({center:g},{width:g})",
-            p,
-            dp,
-            d2p,
-            growth_class="compact",
+            fused,
+            "compact",
             kinks=(center - width, center + width),
         )
 
@@ -281,13 +300,13 @@ def entropy_pair(
     if method == "gauss":
         z, w, M0 = _jacobi_rule(n_nodes, lam)
         s_nodes = up[:, None] + Kp[:, None] * z
-        pv = spec.psi(s_nodes)
+        pv, dpv, d2pv = spec.derivatives(s_nodes)
         pw = pv @ w
         vals = (
             rp * pw / M0,
             rp / M0 * (up * pw + theta * Kp * (pv @ (z * w))),
-            (spec.dpsi(s_nodes) @ w) / M0,
-            (spec.d2psi(s_nodes) @ w) / (rp * M0),
+            (dpv @ w) / M0,
+            (d2pv @ w) / (rp * M0),
         )
     else:
         vals = np.zeros((4, rp.size))
@@ -307,6 +326,9 @@ def entropy_pair(
 
 
 def _adaptive_pair(spec, lam, theta, rho, u, K):
+    # imported here: scipy.integrate loads optimize, sparse and spatial
+    from scipy.integrate import quad
+
     # Map psi kinks into z; weight (1 - z^2)^lam stays in the integrand
     # (lam > -1/2 keeps it integrable); adaptive rule handles endpoints.
     pts = sorted(

@@ -26,6 +26,12 @@ from .pressure import _smoothstep as smoothstep
 _U64 = (1 << 64) - 1
 
 
+def _column(value):
+    """A per-row tuple as a column over the rows of a batch; one value as
+    it is."""
+    return np.asarray(value, dtype=float)[:, None] if isinstance(value, tuple) else value
+
+
 def bump(x, center=0.0, width=1.0, amplitude=1.0):
     """C-infinity bump, equal to amplitude at the center, 0 outside."""
     t = (np.asarray(x, dtype=float) - center) / width
@@ -55,10 +61,11 @@ class NoiseModel:
     seed: int
     dt_base: float
     support_kind: str = "compact_x"  # or "whole_line"
-    epsilon: float | None = None
-    mode_cap: int | None = None
-    H: float | None = None  # invariant-region half-width after mollification
-    trans_width: float | None = None
+    # after mollification: one value each, or a tuple of one per row
+    epsilon: float | tuple | None = None
+    mode_cap: int | tuple | None = None
+    H: float | tuple | None = None  # invariant-region half-width
+    trans_width: float | tuple | None = None
     # sample id -> (Generator, initial Philox state) of its stream; every
     # draw restores that state, so no draw depends on the ones before it
     _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -127,15 +134,25 @@ class NoiseModel:
 
     def truncate_mollify(
         self,
-        epsilon: float,
+        epsilon,
         c1: float,
         alpha1: float,
         rho_inf: float,
         trans_width: float | None = None,
     ) -> "NoiseModel":
-        """Keep floor(1/eps) modes and confine them to Gamma_H smoothly."""
-        if not (0.0 < epsilon <= 1.0):
-            raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
+        """Keep floor(1/eps) modes and confine them to Gamma_H smoothly.
+
+        epsilon is one viscosity, or a sequence of them, one per row of a
+        batch: each row is then mollified for its own epsilon, and
+        epsilon, mode_cap, H and trans_width hold one value per row.  The
+        model keeps the largest cap's modes; a row gets exactly zero from
+        the modes beyond its own cap.
+        """
+        per_row = np.ndim(epsilon) > 0
+        eps_rows = [float(e) for e in epsilon] if per_row else [float(epsilon)]
+        for eps in eps_rows:
+            if not (0.0 < eps <= 1.0):
+                raise ConfigError(f"epsilon must lie in (0, 1], got {eps}")
         if c1 <= 0.0:
             raise ConfigError("c1 must be positive")
         law = self.law
@@ -145,25 +162,47 @@ class NoiseModel:
             raise ConfigError(
                 f"alpha1 must lie in (0, {alpha_max:g}) for this law, got {alpha1}"
             )
-        H = c1 * epsilon ** (-alpha1)
         H_min = 1.0 + (rho_inf + 1.0) ** th2
-        if H < H_min:
-            raise ConfigError(
-                f"H = c1 eps^-alpha1 = {H:.6g} violates the far-field bound "
-                f"{H_min:.6g}; choose a smaller epsilon or larger c1"
-            )
-        if not law.is_polytropic and H < law.rho_lo:
-            raise ConfigError(
-                f"H = {H:.6g} is below the vacuum-regime edge {law.rho_lo:.6g}"
-            )
-        cap = int(np.floor(1.0 / epsilon))
+        H_rows, caps = [], []
+        for eps in eps_rows:
+            H = c1 * eps ** (-alpha1)
+            if H < H_min:
+                raise ConfigError(
+                    f"H = c1 eps^-alpha1 = {H:.6g} violates the far-field bound "
+                    f"{H_min:.6g}; choose a smaller epsilon or larger c1"
+                )
+            if not law.is_polytropic and H < law.rho_lo:
+                raise ConfigError(
+                    f"H = {H:.6g} is below the vacuum-regime edge {law.rho_lo:.6g}"
+                )
+            H_rows.append(H)
+            caps.append(int(np.floor(1.0 / eps)))
+        widths = [float(trans_width) if trans_width is not None else e for e in eps_rows]
+        pack = tuple if per_row else (lambda rows: rows[0])
         return replace(
             self,
-            modes=self.modes[:cap],
-            epsilon=epsilon,
-            mode_cap=cap,
-            H=H,
-            trans_width=float(trans_width) if trans_width is not None else epsilon,
+            modes=self.modes[: max(caps, default=0)],
+            epsilon=pack(eps_rows),
+            mode_cap=pack(caps),
+            H=pack(H_rows),
+            trans_width=pack(widths),
+        )
+
+    def rows(self, index) -> "NoiseModel":
+        """The model of the given rows of a model mollified per row; any
+        other model serves every row as it is."""
+        if not isinstance(self.H, tuple):
+            return self
+
+        def pick(values):
+            return tuple(values[i] for i in index)
+
+        return replace(
+            self,
+            epsilon=pick(self.epsilon),
+            mode_cap=pick(self.mode_cap),
+            H=pick(self.H),
+            trans_width=pick(self.trans_width),
         )
 
     @property
@@ -179,9 +218,13 @@ class NoiseModel:
         rp = np.where(pos, rho, 1.0)
         u = np.where(pos, np.asarray(m, dtype=float) / rp, 0.0)
         K = np.where(pos, self.law.k_integral(rp), 0.0)
-        width = self.trans_width if self.trans_width else 1e-3
-        upper = (self.H - (u + K)) / width  # (H - w2) / width
-        lower = ((u - K) + self.H) / width  # (w1 + H) / width
+        H = _column(self.H)
+        if isinstance(self.trans_width, tuple):
+            width = _column(tuple(w or 1e-3 for w in self.trans_width))
+        else:
+            width = self.trans_width if self.trans_width else 1e-3
+        upper = (H - (u + K)) / width  # (H - w2) / width
+        lower = ((u - K) + H) / width  # (w1 + H) / width
         if (upper >= 1.0).all() and (lower >= 1.0).all():  # both steps are exactly 1
             return np.where(pos, 1.0, 0.0)
         return np.where(pos, smoothstep(upper) * smoothstep(lower), 0.0)
@@ -189,15 +232,19 @@ class NoiseModel:
     def _spatial_cutoff(self, x):
         if self.support_kind != "whole_line" or self.epsilon is None:
             return np.ones_like(np.asarray(x, dtype=float))
-        return smoothstep(2.0 * (1.0 - np.abs(self.epsilon * np.asarray(x))))
+        return smoothstep(2.0 * (1.0 - np.abs(_column(self.epsilon) * np.asarray(x))))
 
     def _mollified(self, x, rho, m):
         """k -> zeta_k^eps at the given states; the Gamma_H indicator and
-        the spatial cutoff are evaluated once, for every mode."""
+        the spatial cutoff are evaluated once, for every mode.  A model
+        mollified per row zeroes each row's modes beyond its cap."""
         if self.H is None:
             return lambda k: self.modes[k](x, rho, m)
         indicator, cutoff = self._region_indicator(rho, m), self._spatial_cutoff(x)
-        return lambda k: self.modes[k](x, rho, m) * indicator * cutoff
+        if not isinstance(self.mode_cap, tuple):
+            return lambda k: self.modes[k](x, rho, m) * indicator * cutoff
+        caps = _column(self.mode_cap)
+        return lambda k: self.modes[k](x, rho, m) * indicator * cutoff * (k < caps)
 
     def zeta_eff(self, k, x, rho, m):
         """Mollified coefficient of mode k (0-based) at the given states."""
@@ -257,7 +304,8 @@ class NoiseModel:
         """Brownian increments over [step dt, (step+1) dt) for all modes.
 
         sample_id is one id, giving (n_modes,) increments, or a sequence of
-        ids, giving (len(sample_id), n_modes).  dt must be an integer
+        ids, giving (len(sample_id), n_modes), where a repeated id repeats
+        its row.  dt must be an integer
         multiple of dt_base; the increments are sums of base-grid draws, so
         coarse and fine runs share one path.
         """
@@ -273,9 +321,14 @@ class NoiseModel:
         root = np.sqrt(self.dt_base)
         out = np.zeros((len(ids), nm))
         base = step * ki
-        for row, sid in zip(out, ids):
+        first = {}  # sample id -> its first row: each id is drawn once
+        for i, sid in enumerate(ids):
+            if sid in first:
+                out[i] = out[first[sid]]
+                continue
+            first[sid] = i
             for j in range(ki):
-                row += self._blocks(sid, base + j, nm)
+                out[i] += self._blocks(sid, base + j, nm)
         out = out * root
         return out if batched else out[0]
 

@@ -31,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.fft import dct
 
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -155,6 +154,9 @@ def _integrand_series(f, a, b, floor, name):
     below _FIT_TOL, or below floor at _PIECE_MAX_NODES; None when they have
     not.
     """
+    # imported here: only a composite law's window fit needs scipy.fft
+    from scipy.fft import dct
+
     n = 16
     while n < _PIECE_MAX_NODES:
         n *= 2

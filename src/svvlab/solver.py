@@ -123,29 +123,47 @@ class Stepper:
 
     A step advances a batch of S independent samples held as (S, n+1)
     arrays; every operation acts row by row, so a row's values are those of
-    a batch of one.
+    a batch of one.  epsilon gives each row its own viscosity, in place of
+    config.epsilon: the implicit matrix is factored once per distinct
+    viscosity and solved once per step for each group of rows sharing it.
     """
 
-    def __init__(self, law: PressureLaw, grid: Grid, config: SolverConfig):
+    def __init__(self, law: PressureLaw, grid: Grid, config: SolverConfig, epsilon=None):
         self.law = law
         self.grid = grid
         self.config = config
         n = grid.n
         dx = grid.dx
-        mu = config.epsilon * config.dt / dx**2
-        self.mu = mu
+        self.epsilon = np.asarray(
+            config.epsilon if epsilon is None else epsilon, dtype=float
+        )
+        # a column over the rows: one diffusion number per row
+        self.mu = self.epsilon[..., None] * config.dt / dx**2
         # far-field values of (rho, m), broadcast over the stacked fields
         self._far = np.array([[config.rho_inf], [0.0]])
         if config.scheme == "imex":
-            # (I - mu L) on interior nodes, Dirichlet ends, factored once;
-            # it is strictly diagonally dominant, so never singular
-            off = np.full(n - 2, -mu)
-            *self._lu, _ = dgttrf(off, np.full(n - 1, 1.0 + 2.0 * mu), off)
+            # (I - mu L) on interior nodes, Dirichlet ends, factored once per
+            # distinct mu; it is strictly diagonally dominant, so never
+            # singular.  Each solve takes the rows selected by its key.
+            mus = np.atleast_1d(self.mu[..., 0])
+            self._solves = []
+            for mu in dict.fromkeys(mus.tolist()):
+                off = np.full(n - 2, -mu)
+                *lu, _ = dgttrf(off, np.full(n - 1, 1.0 + 2.0 * mu), off)
+                (rows,) = np.nonzero(mus == mu)
+                if rows.size == mus.size:
+                    key = np.s_[...]
+                elif rows[-1] - rows[0] + 1 == rows.size:
+                    key = np.s_[..., rows[0] : rows[-1] + 1, :]
+                else:
+                    key = np.s_[..., rows, :]
+                self._solves.append((key, lu))
 
     def _diffuse(self, f, boundary):
         """One diffusion substep of the fields f (..., n+1), clamped to
         boundary (broadcast over f's leading axes) at both ends; the
-        implicit solve takes every field as one right-hand side."""
+        implicit solve takes every field of a group of rows as one
+        right-hand side."""
         mu = self.mu
         boundary = np.asarray(boundary, dtype=float)[..., None]
         out = np.empty_like(f)
@@ -157,8 +175,10 @@ class Stepper:
             rhs = f[..., 1:-1].copy()
             rhs[..., :1] += mu * boundary
             rhs[..., -1:] += mu * boundary
-            x, _ = dgttrs(*self._lu, rhs.reshape(-1, rhs.shape[-1]).T, overwrite_b=1)
-            out[..., 1:-1] = x.T.reshape(rhs.shape)
+            for key, lu in self._solves:
+                part = rhs[key]
+                x, _ = dgttrs(*lu, part.reshape(-1, part.shape[-1]).T, overwrite_b=1)
+                out[..., 1:-1][key] = x.T.reshape(part.shape)
         out[..., :1] = boundary
         out[..., -1:] = boundary
         return out
@@ -173,7 +193,7 @@ class Stepper:
         speed[~(speed > 0.0)] = 1e-30  # no positive cell, or all at rest
         dt_max = cfg.cfl_conv * dx / speed
         if cfg.scheme == "explicit":
-            dt_max = np.minimum(dt_max, cfg.cfl_diff * dx**2 / (2.0 * cfg.epsilon))
+            dt_max = np.minimum(dt_max, cfg.cfl_diff * dx**2 / (2.0 * self.epsilon))
         return dt_max
 
     def step(self, state: GridState, forcing_increment=None):
@@ -181,28 +201,19 @@ class Stepper:
 
         forcing_increment is the momentum field sum_k a_k zeta_k dW_k of
         each row, already evaluated at the step start.  Returns (new
-        state, failure).  failure is None, or (row, error) for the first
-        row that broke the CFL bound, diverged or fell below the density
-        floor; the new state then holds only the rows before it.
+        state, failures).  failures lists (row, error), by row, for every
+        row that broke the CFL bound at the step start, or diverged or
+        fell below the density floor at its end; the new state holds the
+        other rows, in order.
         """
         cfg = self.config
         dx = self.grid.dx
         dt = cfg.dt
-        failure = None
 
+        unstable = np.zeros(state.rho.shape[:-1], dtype=bool)
         if cfg.check_cfl:
             dt_max = self._dt_max(state)
-            (bad,) = np.nonzero(dt > dt_max * (1.0 + 1e-9))
-            if bad.size:
-                row = int(bad[0])
-                failure = row, NumericalError(
-                    f"dt = {dt:g} violates the stability bound {dt_max[row]:g} "
-                    f"at t = {state.t:g}",
-                    t=state.t,
-                )
-                state = GridState(state.t, state.rho[:row], state.mom[:row])
-                if forcing_increment is not None:
-                    forcing_increment = forcing_increment[:row]
+            unstable = dt > dt_max * (1.0 + 1e-9)
 
         rho, m = state.rho, state.mom
         pos = rho > 0.0
@@ -224,17 +235,24 @@ class Stepper:
         t_new = state.t + dt
         finite = np.isfinite(new).all(axis=-1).all(axis=0)
         rho_min = rho_new.min(axis=-1)
-        (bad,) = np.nonzero(~finite | (rho_min < cfg.density_floor))
-        if bad.size:
-            row = int(bad[0])
-            if not finite[row]:
+        bad = unstable | ~finite | (rho_min < cfg.density_floor)
+        if not bad.any():
+            return GridState(t_new, rho_new, m_new), []
+        failures = []
+        for row in np.flatnonzero(bad):
+            if unstable[row]:
+                exc = NumericalError(
+                    f"dt = {dt:g} violates the stability bound {dt_max[row]:g} "
+                    f"at t = {state.t:g}",
+                    t=state.t,
+                )
+            elif not finite[row]:
                 exc = DivergenceError(t_new)
             else:
                 i = int(np.argmin(rho_new[row]))
                 exc = PositivityLoss(t_new, self.grid.x[i], float(rho_min[row]))
-            failure = row, exc
-            rho_new, m_new = rho_new[:row], m_new[:row]
-        return GridState(t_new, rho_new, m_new), failure
+            failures.append((int(row), exc))
+        return GridState(t_new, rho_new[~bad], m_new[~bad]), failures
 
 
 @dataclass
@@ -291,6 +309,9 @@ def simulate(
     config: SolverConfig,
     noise=None,
     sample_id=0,
+    *,
+    epsilon=None,
+    keep_failures: bool = False,
 ):
     """Integrate to T, recording saves and per-step diagnostics.
 
@@ -300,10 +321,15 @@ def simulate(
     per sample.  Each sample is deterministic given (config, noise seed,
     sample id), and is the same whatever batch it runs in.
 
+    epsilon, if given, holds one viscosity per sample in place of
+    config.epsilon, and each Trajectory's config carries its own; noise is
+    then mollified per row for the same list (NoiseModel.truncate_mollify).
+
     Step errors carry the failing time and sample id.  A failing sample
-    stops the run: the samples after it are dropped, those before it are
-    stepped on, and the error raised is that of the first failing sample
-    in the order given, which a one-at-a-time loop would raise.
+    is dropped and the others are stepped on.  The run then raises the
+    error of the first failing sample in the order given, which a
+    one-at-a-time loop would raise; with keep_failures it returns, and a
+    failed sample's Trajectory holds only its initial state and the error.
     """
     batched = not isinstance(sample_id, (int, np.integer))
     ids = [int(s) for s in sample_id] if batched else [int(sample_id)]
@@ -316,14 +342,30 @@ def simulate(
         return []
     save_every = n_steps // config.n_saves
     n_samples, n_nodes = len(ids), grid.n + 1
+    if epsilon is None:
+        configs = [config] * n_samples
+    else:
+        if len(epsilon) != n_samples:
+            raise ConfigError(f"{len(epsilon)} viscosities for {n_samples} samples")
+        configs = [replace(config, epsilon=eps) for eps in epsilon]
+    row_eps = np.array([c.epsilon for c in configs], dtype=float)
+    if noise is None:
+        row_H = [None] * n_samples
+    elif isinstance(noise.H, tuple):
+        if len(noise.H) != n_samples:
+            raise ConfigError(f"noise mollified for {len(noise.H)} rows, not {n_samples}")
+        row_H = list(noise.H)
+    else:
+        row_H = [noise.H] * n_samples
 
-    stepper = Stepper(law, grid, config)
+    stepper = Stepper(law, grid, config, row_eps)
     shape = (n_samples, n_nodes)
     state = GridState(
         0.0,
         np.broadcast_to(init.rho, shape).copy(),
         np.broadcast_to(init.mom, shape).copy(),
     )
+    start = state
 
     times = np.zeros(config.n_saves + 1)
     saves = np.empty((n_samples, config.n_saves + 1, 2, n_nodes))
@@ -337,55 +379,75 @@ def simulate(
         np.zeros((n_samples, n_steps, n_nodes)) if config.record_forcing else None
     )
 
-    def record(k, column):
+    def record(rows, column):
         rho, m = state.rho, state.mom
-        energy[:k, column] = relative_energy(law, grid, rho, m, config.rho_inf)
-        min_rho[:k, column] = rho.min(axis=-1)
+        energy[rows, column] = relative_energy(law, grid, rho, m, config.rho_inf)
+        min_rho[rows, column] = rho.min(axis=-1)
         if step_states is not None:
-            step_states[:k, column, 0] = rho
-            step_states[:k, column, 1] = m
+            step_states[rows, column, 0] = rho
+            step_states[rows, column, 1] = m
 
-    k = n_samples  # the rows still stepped: a prefix of the batch
-    record(k, 0)
+    # the samples still stepped, by position; rows indexes the batch arrays
+    # with them, a slice until the first failure
+    alive, rows = np.arange(n_samples), np.s_[:]
+    alive_ids, alive_eps, alive_noise = ids, row_eps, noise
+    errors = [None] * n_samples
+    record(rows, 0)
     diss[:, 0] = 0.0
     saves[:, 0, 0] = state.rho
     saves[:, 0, 1] = state.mom
-    error = None
     x = grid.x
     for n in range(n_steps):
         forcing = None
         if noise is not None and noise.n_modes > 0:
-            dW = noise.sample_increments(ids[:k], n, config.dt)
-            forcing = noise.apply_forcing(x, state.rho, state.mom, dW)
+            dW = alive_noise.sample_increments(alive_ids, n, config.dt)
+            forcing = alive_noise.apply_forcing(x, state.rho, state.mom, dW)
             if forcing_rec is not None:
-                forcing_rec[:k, n] = forcing
-        diss_inc = (
-            config.epsilon
-            * config.dt
-            * dissipation_rate(law, grid, state.rho, state.mom)
+                forcing_rec[rows, n] = forcing
+        diss_inc = alive_eps * config.dt * dissipation_rate(
+            law, grid, state.rho, state.mom
         )
-        state, failure = stepper.step(state, forcing)
-        if failure is not None:
-            k, error = failure
-            error.sample = ids[k]
-            if k == 0:
+        state, failures = stepper.step(state, forcing)
+        if failures:
+            dropped = [row for row, _ in failures]
+            for row, exc in failures:
+                exc.sample = ids[alive[row]]
+                errors[alive[row]] = exc
+            alive = rows = np.delete(alive, dropped)
+            if not alive.size:
                 break
-        record(k, n + 1)
-        diss[:k, n + 1] = diss[:k, n] + diss_inc[:k]
+            diss_inc = np.delete(diss_inc, dropped)
+            alive_ids = [ids[s] for s in alive]
+            alive_eps = row_eps[alive]
+            stepper = Stepper(law, grid, config, alive_eps)
+            if noise is not None:
+                alive_noise = noise.rows(alive)
+        record(rows, n + 1)
+        diss[rows, n + 1] = diss[rows, n] + diss_inc
         if (n + 1) % save_every == 0:
             j = (n + 1) // save_every
             times[j] = state.t
-            saves[:k, j, 0] = state.rho
-            saves[:k, j, 1] = state.mom
-    if error is not None:
-        raise error
+            saves[rows, j, 0] = state.rho
+            saves[rows, j, 1] = state.mom
+    if not keep_failures:
+        for exc in errors:
+            if exc is not None:
+                raise exc
 
-    trajs = [
-        Trajectory(
-            grid=grid,
-            config=config,
-            law=law,
-            sample_id=sid,
+    def trajectory(s, sid):
+        common = dict(grid=grid, config=configs[s], law=law, sample_id=sid, H=row_H[s])
+        if errors[s] is not None:
+            return Trajectory(
+                **common,
+                times=np.array([0.0]),
+                states=[GridState(0.0, start.rho[s].copy(), start.mom[s].copy())],
+                energy=np.array([np.nan]),
+                dissipation=np.array([0.0]),
+                min_rho=np.array([start.rho[s].min()]),
+                error=errors[s],
+            )
+        return Trajectory(
+            **common,
             times=times,
             states=[GridState(t, *saves[s, j]) for j, t in enumerate(times)],
             energy=energy[s],
@@ -393,10 +455,9 @@ def simulate(
             min_rho=min_rho[s],
             step_states=step_states[s] if step_states is not None else None,
             forcing_increments=forcing_rec[s] if forcing_rec is not None else None,
-            H=noise.H if noise is not None else None,
         )
-        for s, sid in enumerate(ids)
-    ]
+
+    trajs = [trajectory(s, sid) for s, sid in enumerate(ids)]
     return trajs if batched else trajs[0]
 
 
@@ -411,42 +472,34 @@ def epsilon_sweep(
     alpha1: float = 0.25,
     sample_id: int = 0,
 ):
-    """Run simulate per epsilon with shared Brownian streams.
+    """Run one sample at each epsilon with shared Brownian streams, the
+    members stepped together as one batch.
 
     eps_list must be strictly decreasing.  Each member mollifies the raw
     noise_template for its own epsilon, and its Trajectory reports the H it
-    used.  Per-member failures are recorded on the returned Trajectory
-    (error field); the sweep continues.
+    used; it is the Trajectory a lone simulate of that member gives.
+    Per-member failures are recorded on the returned Trajectory (error
+    field); the other members go on.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("epsilon list must be strictly decreasing")
-    out = []
-    for eps in eps_list:
-        config = replace(config_template, epsilon=eps)
-        noise = None
-        if noise_template is not None and noise_template.n_modes > 0:
-            noise = noise_template.truncate_mollify(
-                eps, c1, alpha1, config.rho_inf
-            )
-        try:
-            traj = simulate(init, law, grid, config, noise, sample_id)
-        except (PositivityLoss, DivergenceError, NumericalError) as exc:
-            traj = Trajectory(
-                grid=grid,
-                config=config,
-                law=law,
-                sample_id=sample_id,
-                times=np.array([0.0]),
-                states=[init.copy()],
-                energy=np.array([np.nan]),
-                dissipation=np.array([0.0]),
-                min_rho=np.array([init.rho.min()]),
-                error=exc,
-                H=noise.H if noise is not None else None,
-            )
-        out.append((eps, traj))
-    return out
+    noise = None
+    if noise_template is not None and noise_template.n_modes > 0:
+        noise = noise_template.truncate_mollify(
+            eps_list, c1, alpha1, config_template.rho_inf
+        )
+    trajs = simulate(
+        init,
+        law,
+        grid,
+        config_template,
+        noise,
+        [sample_id] * len(eps_list),
+        epsilon=eps_list,
+        keep_failures=True,
+    )
+    return list(zip(eps_list, trajs))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import _step_blocks
 from .entropy import EntropySpec, entropy_pair
 from .errors import ConfigError, DomainError
 from .pressure import PressureLaw
@@ -64,7 +65,10 @@ class EmpiricalYoungMeasure:
 
 
 def build_measure(traj: Trajectory, cells: CellPartition) -> EmpiricalYoungMeasure:
-    """Bin the trajectory's save-time grid values into the cell partition."""
+    """Bin the trajectory's save-time grid values into the cell partition.
+
+    The atoms are ordered by save time, then by node, and binned by one
+    stable sort of their cell indices, so each cell keeps that order."""
     x = traj.grid.x
     t = traj.times
     if cells.a < x[0] - 1e-12 or cells.b > x[-1] + 1e-12:
@@ -82,24 +86,23 @@ def build_measure(traj: Trajectory, cells: CellPartition) -> EmpiricalYoungMeasu
         0,
         cells.n_x - 1,
     )
-    t_in = (t >= cells.t0 - 1e-12) & (t <= cells.t1 + 1e-12)
-    x_in = (x >= cells.a - 1e-12) & (x <= cells.b + 1e-12)
+    (ks,) = np.nonzero((t >= cells.t0 - 1e-12) & (t <= cells.t1 + 1e-12))
+    (js,) = np.nonzero((x >= cells.a - 1e-12) & (x <= cells.b + 1e-12))
 
-    buckets = [[] for _ in range(cells.n_t * cells.n_x)]
-    for k, state in enumerate(traj.states):
-        if not t_in[k]:
-            continue
-        it = it_of[k]
-        for j in np.nonzero(x_in)[0]:
-            buckets[it * cells.n_x + ix_of[j]].append((state.rho[j], state.mom[j]))
-    samples = []
-    for idx, b in enumerate(buckets):
-        if not b:
-            it, ix = divmod(idx, cells.n_x)
-            raise ConfigError(
-                f"cell ({it}, {ix}) received no samples; refine saves or coarsen cells"
-            )
-        samples.append(np.array(b, dtype=float))
+    cell = (it_of[ks, None] * cells.n_x + ix_of[js]).ravel()
+    atoms = np.array(
+        [np.column_stack((traj.states[k].rho[js], traj.states[k].mom[js])) for k in ks],
+        dtype=float,
+    ).reshape(-1, 2)
+    counts = np.bincount(cell, minlength=cells.n_t * cells.n_x)
+    (empty,) = np.nonzero(counts == 0)
+    if empty.size:
+        it, ix = divmod(int(empty[0]), cells.n_x)
+        raise ConfigError(
+            f"cell ({it}, {ix}) received no samples; refine saves or coarsen cells"
+        )
+    binned = atoms[np.argsort(cell, kind="stable")]
+    samples = np.split(binned, np.cumsum(counts)[:-1])
     return EmpiricalYoungMeasure(cells=cells, samples=samples, epsilon=traj.config.epsilon)
 
 
@@ -112,13 +115,29 @@ def measure_from_atoms(atoms, epsilon: float = 0.0) -> EmpiricalYoungMeasure:
     return EmpiricalYoungMeasure(cells=cells, samples=[arr], epsilon=epsilon)
 
 
-def _cell_pairs(law, spec, atoms, n_nodes):
+def _segments(measure: EmpiricalYoungMeasure):
+    """Every atom of the measure, cell after cell, with the index of each
+    cell's first atom and each cell's atom count."""
+    counts = np.array([len(atoms) for atoms in measure.samples])
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return np.concatenate(measure.samples), starts, counts
+
+
+def _atom_pairs(law, spec, atoms, n_nodes):
+    """(eta, q) of every atom, vacuum atoms zeroed, from one entropy_pair
+    call per block of at most BLOCK_POINTS node-points."""
     rho = atoms[:, 0].copy()
     m = atoms[:, 1].copy()
     vac = rho < VACUUM_TOL
     rho[vac] = 0.0
     m[vac] = 0.0
-    return entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
+    eta = np.empty(rho.size)
+    q = np.empty(rho.size)
+    for block in _step_blocks(rho.size, n_nodes):
+        pv = entropy_pair(law, spec, rho[block], m[block], n_nodes=n_nodes)
+        eta[block] = pv.eta
+        q[block] = pv.q
+    return eta, q
 
 
 def pair_average(
@@ -129,14 +148,12 @@ def pair_average(
 ):
     """Cell-averaged (eta, q) arrays of shape (n_t, n_x)."""
     c = measure.cells
-    eta = np.empty((c.n_t, c.n_x))
-    q = np.empty((c.n_t, c.n_x))
-    for idx, atoms in enumerate(measure.samples):
-        pv = _cell_pairs(law, spec, atoms, n_nodes)
-        it, ix = divmod(idx, c.n_x)
-        eta[it, ix] = pv.eta.mean()
-        q[it, ix] = pv.q.mean()
-    return eta, q
+    atoms, starts, counts = _segments(measure)
+    eta, q = _atom_pairs(law, spec, atoms, n_nodes)
+    return (
+        (np.add.reduceat(eta, starts) / counts).reshape(c.n_t, c.n_x),
+        (np.add.reduceat(q, starts) / counts).reshape(c.n_t, c.n_x),
+    )
 
 
 def tartar_residual(
@@ -149,24 +166,34 @@ def tartar_residual(
     """Per-cell commutation residual, shape (n_t, n_x).
 
     Exactly zero on single-atom cells and antisymmetric in (spec1, spec2).
+    Cell means are segment sums over the atoms of all cells at once.
     """
     c = measure.cells
-    out = np.empty((c.n_t, c.n_x))
-    for idx, atoms in enumerate(measure.samples):
-        it, ix = divmod(idx, c.n_x)
-        if atoms.shape[0] == 1 or np.ptp(atoms, axis=0).max() == 0.0:
-            out[it, ix] = 0.0
-            continue
-        p1 = _cell_pairs(law, spec1, atoms, n_nodes)
-        p2 = _cell_pairs(law, spec2, atoms, n_nodes)
-        cross = np.mean(p1.eta * p2.q - p2.eta * p1.q)
-        split = np.mean(p1.eta) * np.mean(p2.q) - np.mean(p1.q) * np.mean(p2.eta)
-        out[it, ix] = cross - split
-    return out
+    atoms, starts, counts = _segments(measure)
+    eta1, q1 = _atom_pairs(law, spec1, atoms, n_nodes)
+    eta2, q2 = _atom_pairs(law, spec2, atoms, n_nodes)
+
+    def mean(v):
+        return np.add.reduceat(v, starts) / counts
+
+    cross = mean(eta1 * q2 - eta2 * q1)
+    split = mean(eta1) * mean(q2) - mean(q1) * mean(eta2)
+    return np.where(_degenerate(atoms, starts, counts), 0.0, cross - split).reshape(
+        c.n_t, c.n_x
+    )
+
+
+def _degenerate(atoms, starts, counts):
+    """Cells holding a single atom, or only copies of one atom."""
+    spread = np.maximum.reduceat(atoms, starts) - np.minimum.reduceat(atoms, starts)
+    return (counts == 1) | (spread.max(axis=1) == 0.0)
 
 
 def concentration_metric(measures) -> dict:
     """Per-cell covariance traces across a viscosity sweep, plus a trend.
+
+    A trace is the biased variance of rho plus that of m over the cell's
+    atoms, from segment sums; single-atom and constant cells give 0.
 
     measures: list of EmpiricalYoungMeasure with common cells, ordered by
     decreasing epsilon.  Returns a dict with the traces (n_eps, n_t, n_x),
@@ -182,13 +209,13 @@ def concentration_metric(measures) -> dict:
     eps = np.array([mu.epsilon for mu in measures])
     traces = np.empty((len(measures), cells.n_t, cells.n_x))
     for k, mu in enumerate(measures):
-        for idx, atoms in enumerate(mu.samples):
-            it, ix = divmod(idx, cells.n_x)
-            if atoms.shape[0] == 1:
-                traces[k, it, ix] = 0.0
-            else:
-                cov = np.cov(atoms.T, bias=True)
-                traces[k, it, ix] = float(np.trace(np.atleast_2d(cov)))
+        atoms, starts, counts = _segments(mu)
+        mean = np.add.reduceat(atoms, starts) / counts[:, None]
+        dev2 = (atoms - np.repeat(mean, counts, axis=0)) ** 2
+        trace = np.add.reduceat(dev2, starts).sum(axis=1) / counts
+        traces[k] = np.where(_degenerate(atoms, starts, counts), 0.0, trace).reshape(
+            cells.n_t, cells.n_x
+        )
     maxima = traces.reshape(len(measures), -1).max(axis=1)
     slope = np.nan
     if np.all(maxima > 0.0) and np.all(eps > 0.0):

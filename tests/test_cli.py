@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -378,3 +380,22 @@ class TestOptions:
         assert r.exit_code == 2
         assert "--samples" in r.output
         assert not out.exists()
+
+
+def test_import_leaves_cold_scipy_modules_out():
+    # scipy.integrate serves only the adaptive entropy oracle, scipy.fft only
+    # composite window fits: both load where they are used
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys, svvlab.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.fft') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -83,13 +83,6 @@ class TestLoadConfig:
             config_from_dict(bad)
         assert any("mollification" in v for v in exc.value.violations)
 
-    def test_case1_needs_decay_exponent(self):
-        bad = dict(GOOD)
-        bad["noise"] = {"kind": "none", "case": 1, "alpha0": 0.3}
-        with pytest.raises(ConfigError) as exc:
-            config_from_dict(bad)
-        assert any("case 1" in v for v in exc.value.violations)
-
     def test_phi_support_checked(self):
         bad = dict(GOOD)
         bad["diagnostics"] = {

@@ -261,6 +261,103 @@ class TestPsiCutoff:
         assert np.max(np.abs(pv_R.q - pv_E.q)) < 1e-12
 
 
+def separate_callables(center=0.0, width=4.0, R=5.0, c=1.5):
+    """The built-in generators as three separate callables each, as they
+    were written before the fused form: the oracle of its values."""
+
+    def _t(s):
+        return (np.asarray(s, dtype=float) - center) / width
+
+    def p(s):
+        t = _t(s)
+        b = 1.0 - t**2
+        return np.where(np.abs(t) < 1.0, b**3, 0.0)
+
+    def dp(s):
+        t = _t(s)
+        b = 1.0 - t**2
+        return np.where(np.abs(t) < 1.0, -6.0 * t * b**2 / width, 0.0)
+
+    def d2p(s):
+        t = _t(s)
+        b = 1.0 - t**2
+        return np.where(np.abs(t) < 1.0, (24.0 * t**2 * b - 6.0 * b**2) / width**2, 0.0)
+
+    return [
+        (EntropySpec.energy(), (
+            lambda s: 0.5 * np.asarray(s, dtype=float) ** 2,
+            lambda s: np.asarray(s, dtype=float),
+            lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        )),
+        (EntropySpec.cutoff_energy(R), (
+            lambda s: psi_cutoff(R, s)[0],
+            lambda s: psi_cutoff(R, s)[1],
+            lambda s: psi_cutoff(R, s)[2],
+        )),
+        (EntropySpec.signed_square(), (
+            lambda s: 0.5 * np.asarray(s, dtype=float) * np.abs(s),
+            lambda s: np.abs(np.asarray(s, dtype=float)),
+            lambda s: np.sign(np.asarray(s, dtype=float)),
+        )),
+        (EntropySpec.constant(c), (
+            lambda s: np.full_like(np.asarray(s, dtype=float), c),
+            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+            lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        )),
+        (EntropySpec.compact_bump(center, width), (p, dp, d2p)),
+    ]
+
+
+class TestFusedGenerators:
+    """Each built-in generator's one fused callable gives the values of the
+    three separate callables, bitwise, on nodes inside R and the bump's
+    support, across them, and beyond them."""
+
+    # (rho, u) whose Gauss nodes u + K(rho) z lie all inside |s| < 4, across
+    # 4, 5 and 10, or all beyond 10 (K = sqrt(rho) for gamma = 2)
+    STATES = {
+        "inner": ([0.2, 0.5, 1.0], [0.0, -1.5, 1.2]),
+        "mixed": ([1.0, 4.0, 9.0], [4.5, -5.5, 8.0]),
+        "outer": ([0.1, 0.3, 0.5], [15.0, -16.0, 20.0]),
+    }
+
+    @pytest.mark.parametrize("where", ["inner", "mixed", "outer"])
+    def test_fused_equals_separate_callables(self, law2, where):
+        rho, u = (np.array(v) for v in self.STATES[where])
+        z, _ = roots_jacobi(48, law2.lam, law2.lam)
+        s = u[:, None] + law2.k_integral(rho)[:, None] * z
+        for spec, parts in separate_callables():
+            expect = [f(s) for f in parts]
+            for got in (spec.derivatives(s), (spec.psi(s), spec.dpsi(s), spec.d2psi(s))):
+                for a, b in zip(got, expect):
+                    np.testing.assert_array_equal(a, b)
+            oracle = EntropySpec("oracle", *parts)
+            pv = entropy_pair(law2, spec, rho, rho * u, n_nodes=48)
+            ref = entropy_pair(law2, oracle, rho, rho * u, n_nodes=48)
+            for name in ("eta", "q", "deta_dm", "d2eta_dm2"):
+                np.testing.assert_array_equal(getattr(pv, name), getattr(ref, name))
+        for spec, parts in separate_callables():  # scalar nodes
+            for node in (0.7, 4.5, -12.0):
+                for a, b in zip(spec.derivatives(node), (f(node) for f in parts)):
+                    assert np.shape(a) == np.shape(b) and a == b
+        a = np.abs(s)
+        cut = {"inner": a.max() < 4.0, "mixed": a.min() < 4.0 < 10.0 < a.max(),
+               "outer": a.min() > 10.0}
+        assert cut[where]
+
+    def test_one_call_per_evaluation(self, law2):
+        calls = []
+        base = EntropySpec.compact_bump(0.0, 4.0)
+
+        def fused(s):
+            calls.append(s.shape)
+            return base.fused(s)
+
+        spec = EntropySpec("counted", base.psi, base.dpsi, base.d2psi, fused=fused)
+        entropy_pair(law2, spec, np.ones(5), np.zeros(5), n_nodes=48)
+        assert calls == [(5, 48)]
+
+
 class TestRiemannInvariants:
     def test_values(self, law2):
         w1, w2 = riemann_invariants(law2, 1.0, 0.0)

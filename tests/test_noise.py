@@ -128,6 +128,21 @@ class TestSampling:
         for row, sid in zip(batch, ids):
             assert np.array_equal(row, family.sample_increments(sid, 6, 2e-3))
 
+    def test_repeated_id_is_drawn_once(self, family, monkeypatch):
+        calls = []
+        blocks = NoiseModel._blocks
+
+        def counted(self, sample_id, fine_step, count):
+            calls.append(sample_id)
+            return blocks(self, sample_id, fine_step, count)
+
+        monkeypatch.setattr(NoiseModel, "_blocks", counted)
+        batch = family.sample_increments([4, 4, 9, 4], 6, 2e-3)
+        assert calls == [4, 4, 9, 9]  # two base steps per id
+        for row in (1, 3):
+            assert np.array_equal(batch[row], batch[0])
+        assert not np.array_equal(batch[0], batch[2])
+
     def test_moments(self, single):
         dt = 1e-3
         draws = np.array(
@@ -206,6 +221,39 @@ class TestForcing:
         assert out.shape == rho.shape
         for r in range(3):
             assert np.array_equal(out[r], model.apply_forcing(x, rho[r], m[r], dW[r]))
+
+    def test_rows_mollified_per_epsilon(self, law2):
+        # each row is the model mollified for its own epsilon: caps 2, 4 and
+        # 10 of 20 modes, its own H, transition width and whole-line cutoff;
+        # modes beyond a row's cap give it exactly zero
+        template = NoiseModel.mode_family(
+            0.5, 0.5, 20, law2, seed=1, dt_base=1e-3, support_kind="whole_line"
+        )
+        eps = [0.5, 0.25, 0.1]
+        rows = template.truncate_mollify(eps, 3.0, 0.25, rho_inf=1.0)
+        lone = [template.truncate_mollify(e, 3.0, 0.25, rho_inf=1.0) for e in eps]
+        assert rows.n_modes == 10 and rows.mode_cap == (2, 4, 10)
+        assert rows.H == tuple(m.H for m in lone)
+        assert rows.epsilon == tuple(eps) and rows.trans_width == tuple(eps)
+        x = np.linspace(-5.0, 5.0, 65)
+        rho = 1.0 + 0.3 * np.cos(np.arange(3)[:, None] + x)
+        m = 3.0 * np.sin(x) * rho  # leaves Gamma_H in the first row
+        dW = np.random.default_rng(2).standard_normal((3, rows.n_modes))
+        force = rows.apply_forcing(x, rho, m, dW)
+        quad = rows.forcing_quadratic(x, rho, m)
+        for r, model in enumerate(lone):
+            cap = model.n_modes
+            assert np.array_equal(force[r], model.apply_forcing(x, rho[r], m[r], dW[r, :cap]))
+            assert np.array_equal(quad[r], model.forcing_quadratic(x, rho[r], m[r]))
+            for k in range(cap, rows.n_modes):
+                assert not rows.zeta_eff(k, x, rho, m)[r].any()
+        assert rows._region_indicator(rho, m)[0].min() < 1.0
+        picked = rows.rows([2, 0])
+        assert picked.H == (rows.H[2], rows.H[0]) and picked.mode_cap == (10, 2)
+        assert np.array_equal(
+            picked.apply_forcing(x, rho[[2, 0]], m[[2, 0]], dW[[2, 0]]), force[[2, 0]]
+        )
+        assert lone[0].rows([5, 7]) is lone[0]
 
     def test_wrong_increment_count(self, family):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 """Time stepping: equilibrium, convergence, stability guards, heat kernel."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,90 @@ class TestBatch:
         assert (exc.t, exc.x, exc.rho_min) == (serial[r].t, serial[r].x, serial[r].rho_min)
 
 
+def sweep_loop(init, law, grid, config, noise_template, eps_list, c1, alpha1):
+    """The one-member-at-a-time sweep that the batched sweep replaced, kept
+    as its oracle: (config, noise, Trajectory or error) per member."""
+    out = []
+    for eps in eps_list:
+        member = replace(config, epsilon=eps)
+        noise = None
+        if noise_template is not None and noise_template.n_modes > 0:
+            noise = noise_template.truncate_mollify(eps, c1, alpha1, config.rho_inf)
+        try:
+            traj = simulate(init, law, grid, member, noise, 0)
+        except (PositivityLoss, DivergenceError, NumericalError) as exc:
+            traj = exc
+        out.append((member, noise, traj))
+    return out
+
+
+def assert_sweep_matches_loop(init, law, grid, config, noise, eps_list, c1=3.0, alpha1=0.25):
+    swept = epsilon_sweep(init, law, grid, config, noise, eps_list, c1=c1, alpha1=alpha1)
+    lone = sweep_loop(init, law, grid, config, noise, eps_list, c1, alpha1)
+    assert [eps for eps, _ in swept] == list(eps_list)
+    for (eps, traj), (member, member_noise, one) in zip(swept, lone):
+        assert traj.config == member and traj.config.epsilon == eps
+        assert traj.H == (member_noise.H if member_noise is not None else None)
+        if isinstance(one, Exception):
+            exc = traj.error
+            assert type(exc) is type(one) and str(exc) == str(one)
+            assert (exc.sample, exc.t) == (one.sample, one.t)
+            if isinstance(one, PositivityLoss):
+                assert (exc.x, exc.rho_min) == (one.x, one.rho_min)
+            assert traj.times.tolist() == [0.0] and np.isnan(traj.energy).all()
+            continue
+        assert traj.error is None
+        assert np.array_equal(traj.times, one.times)
+        for a, b in zip(traj.states, one.states):
+            assert a.t == b.t
+            assert np.array_equal(a.rho, b.rho) and np.array_equal(a.mom, b.mom)
+        for name in ("energy", "dissipation", "min_rho", "step_states",
+                     "forcing_increments"):
+            assert np.array_equal(getattr(traj, name), getattr(one, name)), name
+    return swept
+
+
 class TestSweep:
+    """A batched sweep's members are the lone simulate runs, bitwise."""
+
+    @pytest.mark.parametrize("scheme", ["imex", "explicit"])
+    def test_members_equal_lone_runs(self, scheme):
+        init, law, grid, cfg, _ = batch_case(scheme)
+        noise = NoiseModel.mode_family(0.4, 1.0, 3, law, seed=3, dt_base=1e-3)
+        swept = assert_sweep_matches_loop(init, law, grid, cfg, noise, [0.08, 0.05, 0.02])
+        finals = [traj.final.mom for _, traj in swept]
+        assert not np.array_equal(finals[0], finals[1])
+
+    def test_members_keep_their_mode_caps(self):
+        # caps 2, 4 and 10 of 20 modes; the whole-line cutoff and the
+        # momentum, which leaves Gamma_H, differ per member
+        init, law, grid, cfg, _ = batch_case("imex")
+        init = GridState(0.0, init.rho, 3.0 * np.sin(grid.x) * init.rho)
+        noise = NoiseModel.mode_family(
+            0.4, 0.5, 20, law, seed=4, dt_base=1e-3, support_kind="whole_line"
+        )
+        swept = assert_sweep_matches_loop(init, law, grid, cfg, noise, [0.5, 0.25, 0.1])
+        assert [len(traj.forcing_increments) for _, traj in swept] == [40] * 3
+
+    def test_noise_free_members(self):
+        init, law, grid, cfg, _ = batch_case("imex")
+        swept = assert_sweep_matches_loop(init, law, grid, cfg, None, [0.2, 0.05, 0.01])
+        assert all(traj.H is None and not traj.forcing_increments.any() for _, traj in swept)
+
+    def test_failing_middle_member(self):
+        # with seed 292 the member at eps 0.3 falls below the density floor
+        # at t = 0.161, while the members at 0.5 and 0.2 finish
+        law = PressureLaw.polytropic(2.0)
+        grid = Grid(L=5.0, n=64)
+        x = grid.x
+        init = GridState(0.0, 1.0 + 0.3 * np.exp(-(x**2) / 0.5), np.zeros_like(x))
+        cfg = SolverConfig(epsilon=0.05, T=0.2, dt=1e-3, n_saves=2, density_floor=0.9)
+        noise = NoiseModel.mode_family(4.0, 0.0, 6, law, seed=292, dt_base=1e-3)
+        swept = assert_sweep_matches_loop(init, law, grid, cfg, noise, [0.5, 0.3, 0.2])
+        assert [traj.error is None for _, traj in swept] == [True, False, True]
+        assert isinstance(swept[1][1].error, PositivityLoss)
+        assert swept[1][1].error.sample == 0
+
     def test_decreasing_enforced(self, law2, grid):
         cfg = SolverConfig(epsilon=0.05, T=0.1, dt=1e-3, n_saves=5)
         with pytest.raises(ConfigError):

@@ -5,10 +5,13 @@ import pytest
 
 from svvlab.entropy import EntropySpec, entropy_pair
 from svvlab.errors import ConfigError
+from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
 from svvlab.solver import Grid, GridState, SolverConfig, simulate
 from svvlab.young import (
+    VACUUM_TOL,
     CellPartition,
+    EmpiricalYoungMeasure,
     build_measure,
     concentration_metric,
     measure_from_atoms,
@@ -24,6 +27,145 @@ def law2():
 
 ENERGY = EntropySpec.energy()
 CUTOFF = EntropySpec.compact_bump(0.0, 4.0)
+
+
+# The per-cell loops that the segment-sum evaluation replaced, kept as its
+# oracle.
+
+def build_measure_loop(traj, cells):
+    x, t = traj.grid.x, traj.times
+    it_of = np.clip(((t - cells.t0) / (cells.t1 - cells.t0) * cells.n_t).astype(int),
+                    0, cells.n_t - 1)
+    ix_of = np.clip(((x - cells.a) / (cells.b - cells.a) * cells.n_x).astype(int),
+                    0, cells.n_x - 1)
+    t_in = (t >= cells.t0 - 1e-12) & (t <= cells.t1 + 1e-12)
+    x_in = (x >= cells.a - 1e-12) & (x <= cells.b + 1e-12)
+    buckets = [[] for _ in range(cells.n_t * cells.n_x)]
+    for k, state in enumerate(traj.states):
+        if t_in[k]:
+            for j in np.nonzero(x_in)[0]:
+                buckets[it_of[k] * cells.n_x + ix_of[j]].append((state.rho[j], state.mom[j]))
+    return [np.array(b, dtype=float) for b in buckets]
+
+
+def cell_pairs_loop(law, spec, atoms, n_nodes=48):
+    rho, m = atoms[:, 0].copy(), atoms[:, 1].copy()
+    vac = rho < VACUUM_TOL
+    rho[vac] = m[vac] = 0.0
+    return entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
+
+
+def pair_average_loop(measure, law, spec):
+    pvs = [cell_pairs_loop(law, spec, atoms) for atoms in measure.samples]
+    shape = (measure.cells.n_t, measure.cells.n_x)
+    return (np.array([pv.eta.mean() for pv in pvs]).reshape(shape),
+            np.array([pv.q.mean() for pv in pvs]).reshape(shape))
+
+
+def tartar_loop(measure, law, spec1, spec2):
+    out = []
+    for atoms in measure.samples:
+        if atoms.shape[0] == 1 or np.ptp(atoms, axis=0).max() == 0.0:
+            out.append(0.0)
+            continue
+        p1 = cell_pairs_loop(law, spec1, atoms)
+        p2 = cell_pairs_loop(law, spec2, atoms)
+        cross = np.mean(p1.eta * p2.q - p2.eta * p1.q)
+        split = np.mean(p1.eta) * np.mean(p2.q) - np.mean(p1.q) * np.mean(p2.eta)
+        out.append(cross - split)
+    return np.array(out).reshape(measure.cells.n_t, measure.cells.n_x)
+
+
+def trace_loop(measure):
+    return np.array([
+        0.0 if len(atoms) == 1 else float(np.trace(np.cov(atoms.T, bias=True)))
+        for atoms in measure.samples
+    ]).reshape(measure.cells.n_t, measure.cells.n_x)
+
+
+@pytest.fixture(scope="module")
+def noisy_measure(law2):
+    """A noisy run binned into cells of 84 to 105 atoms: 4,223 atoms, so
+    entropy pairs take four blocks of at most 1,365 atoms (48 nodes)."""
+    grid = Grid(L=5.0, n=256)
+    cfg = SolverConfig(epsilon=0.02, T=0.2, dt=1e-3, n_saves=40)
+    noise = NoiseModel.single_mode(0.6, law2, seed=2, dt_base=1e-3)
+    noise = noise.truncate_mollify(0.02, 3.0, 0.25, 1.0)
+    x = grid.x
+    init = GridState(0.0, 1.0 + 0.3 * np.exp(-(x**2) / 0.5), 0.4 * np.exp(-(x**2)))
+    traj = simulate(init, law2, grid, cfg, noise, 0)
+    cells = CellPartition(0.0, 0.2, -2.0, 2.0, 6, 7)
+    return traj, cells, build_measure(traj, cells)
+
+
+def degenerate_measure():
+    """Single-atom, constant, vacuum-holding and spread cells."""
+    rng = np.random.default_rng(3)
+    spread = np.column_stack((rng.uniform(0.5, 2.0, 9), rng.standard_normal(9)))
+    samples = [
+        np.array([[1.5, 0.6]]),
+        np.tile([[1.1, -0.3]], (3, 1)),
+        np.array([[0.0, 0.0], [1e-12, 0.0], [1.2, 0.1], [0.9, -0.2]]),
+        spread,
+        np.tile([[0.1, 0.2]], (7, 1)),
+        spread[:2],
+    ]
+    return EmpiricalYoungMeasure(CellPartition(0.0, 1.0, 0.0, 1.0, 2, 3), samples, 0.05)
+
+
+class TestSegmentOracles:
+    """Segment sums over all atoms against the per-cell loops: the binning
+    is exact, and means and traces agree within 1e-12 relative.  A residual
+    is a difference of products of means that can cancel, so it agrees
+    within 1e-12 of the measure's largest residual (the max |R| that
+    sweep-epsilon reports)."""
+
+    def test_binning_equals_loop(self, noisy_measure):
+        traj, cells, mu = noisy_measure
+        loop = build_measure_loop(traj, cells)
+        counts = [len(a) for a in loop]
+        assert sum(counts) == 4223 and min(counts) == 84 and max(counts) == 105
+        assert len(mu.samples) == len(loop)
+        for a, b in zip(mu.samples, loop):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [ENERGY, CUTOFF])
+    def test_pair_average_equals_loop(self, law2, noisy_measure, spec):
+        for mu in (noisy_measure[2], degenerate_measure()):
+            for new, old in zip(pair_average(mu, law2, spec), pair_average_loop(mu, law2, spec)):
+                np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+
+    def test_tartar_equals_loop(self, law2, noisy_measure):
+        for mu in (noisy_measure[2], degenerate_measure()):
+            for specs in ((ENERGY, CUTOFF), (CUTOFF, EntropySpec.cutoff_energy(1.0))):
+                new = tartar_residual(mu, law2, *specs)
+                old = tartar_loop(mu, law2, *specs)
+                scale = np.abs(old).max()
+                assert scale > 0.0
+                np.testing.assert_allclose(new, old, rtol=0.0, atol=1e-12 * scale)
+                assert np.array_equal(new == 0.0, old == 0.0)
+        new = tartar_residual(degenerate_measure(), law2, ENERGY, CUTOFF).ravel()
+        assert new[0] == new[1] == new[4] == 0.0 and new[3] != 0.0
+
+    def test_traces_equal_loop(self, noisy_measure):
+        mu = noisy_measure[2]
+        mus = [mu, EmpiricalYoungMeasure(mu.cells, mu.samples, 0.01)]
+        np.testing.assert_allclose(
+            concentration_metric(mus)["traces"][0], trace_loop(mus[0]), rtol=1e-12, atol=0.0
+        )
+        deg = degenerate_measure()
+        again = EmpiricalYoungMeasure(deg.cells, deg.samples, 0.01)
+        traces = concentration_metric([deg, again])["traces"][0]
+        old = trace_loop(deg)
+        for i in (2, 3, 5):
+            assert traces.flat[i] == pytest.approx(old.flat[i], rel=1e-12, abs=0.0)
+        assert traces.flat[0] == traces.flat[1] == traces.flat[4] == 0.0
+
+    def test_empty_cell_named(self, noisy_measure):
+        traj = noisy_measure[0]
+        # 41 saves in 60 time cells: cell row 2 is the first one left empty
+        with pytest.raises(ConfigError, match=r"cell \(2, 0\) received no samples"):
+            build_measure(traj, CellPartition(0.0, 0.2, -2.0, 2.0, 60, 7))
 
 
 class TestBuildMeasure:
