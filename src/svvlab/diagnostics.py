@@ -68,10 +68,6 @@ class BalanceReport:
     ito_term: float
     dt: float
 
-    @property
-    def abs_residual(self) -> float:
-        return abs(self.residual)
-
 
 def energy_balance_check(
     traj: Trajectory, law: PressureLaw, noise=None
@@ -221,30 +217,6 @@ class BumpTestFunction:
             and self.t0 + self.rt < T
             and self.x0 - self.rx > -L
             and self.x0 + self.rx < L
-        )
-
-    def value(self, t, x):
-        return self._b((t - self.t0) / self.rt) * self._b((x - self.x0) / self.rx)
-
-    def dt(self, t, x):
-        return (
-            self._db((t - self.t0) / self.rt)
-            / self.rt
-            * self._b((x - self.x0) / self.rx)
-        )
-
-    def dx(self, t, x):
-        return (
-            self._b((t - self.t0) / self.rt)
-            * self._db((x - self.x0) / self.rx)
-            / self.rx
-        )
-
-    def dxx(self, t, x):
-        return (
-            self._b((t - self.t0) / self.rt)
-            * self._d2b((x - self.x0) / self.rx)
-            / self.rx**2
         )
 
 

@@ -11,7 +11,8 @@ with K(rho) the wave integral and M0 = int (1 - z^2)^lambda dz.  The
 normalization M0 is fixed so that psi(s) = s^2/2 reproduces the mechanical
 energy pair exactly (and psi = 1 gives eta = rho).  Quadrature is
 Gauss-Jacobi in z with the weight (1 - z^2)^lambda, which also covers
-gamma > 3 where lambda is negative and the raw kernel is endpoint-singular.
+gamma > 3 where lambda is negative and the raw kernel is endpoint-singular,
+and gamma near 1 where lambda is large and the weight is a narrow peak.
 
 Momentum derivatives of eta are obtained by differentiating under the
 integral (quadrature of psi' and psi''), not by numerical differencing.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError
 from .pressure import PressureLaw
@@ -124,8 +124,8 @@ class EntropySpec:
 
     growth_class is one of "compact", "subquadratic", "subcubic",
     "energy" (psi = s^2/2) and "cutoff_energy" (the three-piece psi_R).
-    kinks lists s-locations where psi is not smooth; the adaptive
-    quadrature path splits there.  fused, when given, returns (psi, psi',
+    kinks lists s-locations where psi is not smooth, where an adaptive
+    quadrature would split.  fused, when given, returns (psi, psi',
     psi'') from shared intermediates; the built-in generators are defined
     by it alone.
     """
@@ -248,7 +248,15 @@ class EntropyPairValue:
 
 @lru_cache(maxsize=32)
 def _jacobi_rule(n_nodes: int, lam: float):
-    z, w = roots_jacobi(n_nodes, lam, lam)
+    """Nodes, weights and weight sum of the n-node Gauss rule for
+    (1 - z^2)^lam, by Golub-Welsch: the nodes are the eigenvalues of the
+    symmetric Jacobi matrix of the Gegenbauer recurrence, the weights the
+    squared first components of its eigenvectors (normalized to sum 1).
+    It stays finite however large lam is."""
+    k = np.arange(1.0, n_nodes)
+    off = np.sqrt(k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0))
+    z, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
     return z, w, float(w.sum())
 
 
@@ -267,13 +275,11 @@ def entropy_pair(
     rho,
     m,
     n_nodes: int = 64,
-    method: str = "gauss",
 ) -> EntropyPairValue:
     """Evaluate (eta, q, d eta/dm, d^2 eta/dm^2) for a gamma-law gas.
 
-    Vectorized over (rho, m).  method="gauss" uses a fixed Gauss-Jacobi
-    rule (exact for polynomial psi); "adaptive" uses adaptive quadrature
-    split at the spec's kinks, for high-accuracy scalar oracles.
+    Vectorized over (rho, m), with a fixed n_nodes-point Gauss-Jacobi rule
+    (exact for polynomial psi).
     """
     _require_polytropic(law)
     lam = law.lam
@@ -289,29 +295,22 @@ def entropy_pair(
     rho = rho.ravel()
     m = m.ravel()
 
-    if method not in ("gauss", "adaptive"):
-        raise ValueError(f"unknown quadrature method {method!r}")
     pos = rho > 0.0
     solid = pos.all()  # no vacuum node: no gathers and scatters
     rp, mp = (rho, m) if solid else (rho[pos], m[pos])
     up = mp / rp
     Kp = law.k_integral(rp)  # half-width of the kernel support in s around u
 
-    if method == "gauss":
-        z, w, M0 = _jacobi_rule(n_nodes, lam)
-        s_nodes = up[:, None] + Kp[:, None] * z
-        pv, dpv, d2pv = spec.derivatives(s_nodes)
-        pw = pv @ w
-        vals = (
-            rp * pw / M0,
-            rp / M0 * (up * pw + theta * Kp * (pv @ (z * w))),
-            (dpv @ w) / M0,
-            (d2pv @ w) / (rp * M0),
-        )
-    else:
-        vals = np.zeros((4, rp.size))
-        for i in range(rp.size):
-            vals[:, i] = _adaptive_pair(spec, lam, theta, rp[i], up[i], Kp[i])
+    z, w, M0 = _jacobi_rule(n_nodes, lam)
+    s_nodes = up[:, None] + Kp[:, None] * z
+    pv, dpv, d2pv = spec.derivatives(s_nodes)
+    pw = pv @ w
+    vals = (
+        rp * pw / M0,
+        rp / M0 * (up * pw + theta * Kp * (pv @ (z * w))),
+        (dpv @ w) / M0,
+        (d2pv @ w) / (rp * M0),
+    )
     if not solid:
         full = np.zeros((4, rho.size))
         full[:, pos] = vals
@@ -323,37 +322,6 @@ def entropy_pair(
     return EntropyPairValue(
         eta.reshape(shape), qf.reshape(shape), dm.reshape(shape), d2m.reshape(shape)
     )
-
-
-def _adaptive_pair(spec, lam, theta, rho, u, K):
-    # imported here: scipy.integrate loads optimize, sparse and spatial
-    from scipy.integrate import quad
-
-    # Map psi kinks into z; weight (1 - z^2)^lam stays in the integrand
-    # (lam > -1/2 keeps it integrable); adaptive rule handles endpoints.
-    pts = sorted(
-        float((k - u) / K) for k in spec.kinks if abs((k - u) / K) < 1.0
-    )
-
-    def integ(f):
-        val, _ = quad(
-            f, -1.0, 1.0, points=pts or None, epsabs=1e-13, epsrel=1e-13, limit=400
-        )
-        return val
-
-    def weight(z):
-        return (1.0 - z * z) ** lam
-
-    M0 = integ(weight)
-    eta = rho * integ(lambda z: spec.psi(u + K * z) * weight(z)) / M0
-    qf = (
-        rho
-        * integ(lambda z: (u + theta * K * z) * spec.psi(u + K * z) * weight(z))
-        / M0
-    )
-    dm = integ(lambda z: spec.dpsi(u + K * z) * weight(z)) / M0
-    d2m = integ(lambda z: spec.d2psi(u + K * z) * weight(z)) / (rho * M0)
-    return eta, qf, dm, d2m
 
 
 # ---------------------------------------------------------------------------

@@ -150,19 +150,20 @@ def _integrand_series(f, a, b, floor, name):
     """Chebyshev coefficients on [a, b] of f(e^s) e^s, or None.
 
     The integrand is sampled at n Chebyshev nodes and the coefficients come
-    from one DCT.  n doubles until the trailing coefficients have decayed
-    below _FIT_TOL, or below floor at _PIECE_MAX_NODES; None when they have
-    not.
+    from one DCT-II, taken as one FFT of the samples reordered evens up,
+    odds down (Makhoul).  n doubles until the trailing coefficients have
+    decayed below _FIT_TOL, or below floor at _PIECE_MAX_NODES; None when
+    they have not.
     """
-    # imported here: only a composite law's window fit needs scipy.fft
-    from scipy.fft import dct
-
     n = 16
     while n < _PIECE_MAX_NODES:
         n *= 2
-        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        k = np.arange(n)
+        x = np.cos(np.pi * (k + 0.5) / n)
         y = np.exp(0.5 * (b - a) * (x + 1.0) + a)
-        c = dct(f(y) * y, type=2) / n
+        g = f(y) * y
+        c = np.fft.fft(np.concatenate((g[::2], g[::-2])))
+        c = 2.0 * (np.exp(-0.5j * np.pi * k / n) * c).real / n
         c[0] *= 0.5
         if not np.all(np.isfinite(c)):
             raise NumericalError(f"{name}: non-finite integrand on the blend window")

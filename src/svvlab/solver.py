@@ -7,11 +7,10 @@ One Euler-Maruyama step of
 
 on a uniform grid over [-L, L] with Dirichlet far-field clamping to
 (rho_inf, 0).  Convection uses conservative central differences of the
-cell-face flux averages; diffusion is either implicit (IMEX, tridiagonal
-solve, default) or explicit; the noise is explicit and evaluated at the
-step start as the Ito integral requires.  An ensemble is stepped as one
-batch, its samples the rows of (S, n+1) arrays; a single run is a batch
-of one.
+cell-face flux averages; diffusion is either implicit (IMEX, default) or
+explicit; the noise is explicit and evaluated at the step start as the Ito
+integral requires.  An ensemble is stepped as one batch, its samples the
+rows of (S, n+1) arrays; a single run is a batch of one.
 
 Positivity is never repaired: a density-floor violation raises
 PositivityLoss with the failing time, location and sample.
@@ -22,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     ConfigError,
@@ -124,8 +122,7 @@ class Stepper:
     A step advances a batch of S independent samples held as (S, n+1)
     arrays; every operation acts row by row, so a row's values are those of
     a batch of one.  epsilon gives each row its own viscosity, in place of
-    config.epsilon: the implicit matrix is factored once per distinct
-    viscosity and solved once per step for each group of rows sharing it.
+    config.epsilon, and so its own implicit matrix.
     """
 
     def __init__(self, law: PressureLaw, grid: Grid, config: SolverConfig, epsilon=None):
@@ -142,43 +139,36 @@ class Stepper:
         # far-field values of (rho, m), broadcast over the stacked fields
         self._far = np.array([[config.rho_inf], [0.0]])
         if config.scheme == "imex":
-            # (I - mu L) on interior nodes, Dirichlet ends, factored once per
-            # distinct mu; it is strictly diagonally dominant, so never
-            # singular.  Each solve takes the rows selected by its key.
-            mus = np.atleast_1d(self.mu[..., 0])
-            self._solves = []
-            for mu in dict.fromkeys(mus.tolist()):
-                off = np.full(n - 2, -mu)
-                *lu, _ = dgttrf(off, np.full(n - 1, 1.0 + 2.0 * mu), off)
-                (rows,) = np.nonzero(mus == mu)
-                if rows.size == mus.size:
-                    key = np.s_[...]
-                elif rows[-1] - rows[0] + 1 == rows.size:
-                    key = np.s_[..., rows[0] : rows[-1] + 1, :]
-                else:
-                    key = np.s_[..., rows, :]
-                self._solves.append((key, lu))
+            # (I - mu L) on interior nodes with Dirichlet ends is diagonal in
+            # the sine basis sin(pi j k / n); the inverses of its eigenvalues,
+            # one row per mu, at k = 0..n of the odd extension's rfft
+            k = np.arange(n + 1)
+            self._inv_eig = 1.0 / (1.0 + 2.0 * self.mu * (1.0 - np.cos(np.pi * k / n)))
 
     def _diffuse(self, f, boundary):
         """One diffusion substep of the fields f (..., n+1), clamped to
-        boundary (broadcast over f's leading axes) at both ends; the
-        implicit solve takes every field of a group of rows as one
-        right-hand side."""
+        boundary (broadcast over f's leading axes) at both ends.
+
+        The implicit solve acts on f - boundary, which has zero ends, so a
+        field at its boundary value stays there exactly.  It is a DST-I:
+        the odd extension over 2n nodes goes through one rfft, is divided
+        by its row's eigenvalues and comes back through one irfft.
+        """
         mu = self.mu
+        n = self.grid.n
         boundary = np.asarray(boundary, dtype=float)[..., None]
         out = np.empty_like(f)
         if self.config.scheme == "explicit":
             out[..., 1:-1] = f[..., 1:-1] + mu * (
                 f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
             )
-        elif f.size:  # scipy's dgttrs writes out of bounds given no columns
-            rhs = f[..., 1:-1].copy()
-            rhs[..., :1] += mu * boundary
-            rhs[..., -1:] += mu * boundary
-            for key, lu in self._solves:
-                part = rhs[key]
-                x, _ = dgttrs(*lu, part.reshape(-1, part.shape[-1]).T, overwrite_b=1)
-                out[..., 1:-1][key] = x.T.reshape(part.shape)
+        else:
+            odd = np.zeros(f.shape[:-1] + (2 * n,))
+            odd[..., 1:n] = f[..., 1:-1] - boundary
+            odd[..., n + 1 :] = -odd[..., n - 1 : 0 : -1]
+            spec = np.fft.rfft(odd)
+            spec *= self._inv_eig
+            out[..., 1:-1] = np.fft.irfft(spec, 2 * n)[..., 1:n] + boundary
         out[..., :1] = boundary
         out[..., -1:] = boundary
         return out
@@ -328,7 +318,9 @@ def simulate(
     Step errors carry the failing time and sample id.  A failing sample
     is dropped and the others are stepped on.  The run then raises the
     error of the first failing sample in the order given, which a
-    one-at-a-time loop would raise; with keep_failures it returns, and a
+    one-at-a-time loop would raise, and so drops the samples after a
+    failing one with it: they cannot change which error that is.  With
+    keep_failures it steps every other sample to T and returns, and a
     failed sample's Trajectory holds only its initial state and the error.
     """
     batched = not isinstance(sample_id, (int, np.integer))
@@ -413,6 +405,10 @@ def simulate(
             for row, exc in failures:
                 exc.sample = ids[alive[row]]
                 errors[alive[row]] = exc
+            if not keep_failures:  # failures come in row order: the first is first
+                first = dropped[0]
+                dropped = range(first, alive.size)
+                state = GridState(state.t, state.rho[:first], state.mom[:first])
             alive = rows = np.delete(alive, dropped)
             if not alive.size:
                 break
@@ -500,40 +496,3 @@ def epsilon_sweep(
         keep_failures=True,
     )
     return list(zip(eps_list, trajs))
-
-
-# ---------------------------------------------------------------------------
-# heat semigroup reference operator
-# ---------------------------------------------------------------------------
-
-def heat_kernel(t, x):
-    """K(t, x) = (4 pi t)^{-1/2} exp(-x^2 / (4 t))."""
-    t = float(t)
-    if t < 0.0:
-        raise DomainError("heat kernel time must be nonnegative")
-    if t == 0.0:
-        raise DomainError("heat kernel is a delta at t = 0; use the identity")
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-(x**2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
-    return out if out.ndim else float(out)
-
-
-def heat_semigroup_apply(field, eps_t, grid: Grid, far_field: float = 0.0):
-    """Convolve (field - far_field) with the heat kernel at time eps_t.
-
-    The field is extended by its far-field constant outside the grid; the
-    constant part convolves to itself exactly (the kernel has unit mass),
-    so only the compact perturbation is quadratured.  eps_t = 0 is the
-    identity.
-    """
-    if eps_t < 0.0:
-        raise DomainError("eps_t must be nonnegative")
-    f = np.asarray(field, dtype=float)
-    if eps_t == 0.0:
-        return f.copy()
-    x = grid.x
-    pert = f - far_field
-    w = np.full(x.size, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    Kmat = heat_kernel(eps_t, x[:, None] - x[None, :])
-    return far_field + Kmat @ (pert * w)

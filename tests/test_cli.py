@@ -289,6 +289,18 @@ class TestEntropyTable:
         )
         assert r.exit_code == 2
 
+    def test_gamma_next_to_one_gives_a_finite_table(self, runner, tmp_path):
+        # lam ~ 1e6: the Gauss-Jacobi rule must stay finite
+        out = str(tmp_path / "out")
+        r = runner.invoke(
+            main, ["entropy-table", "--gamma", "1.000001", "--output-dir", out]
+        )
+        assert r.exit_code == 0, r.output
+        data = np.genfromtxt(
+            os.path.join(out, "entropy_table.csv"), delimiter=",", skip_header=1
+        )
+        assert data.size and np.isfinite(data).all()
+
     def test_bad_psi_exits_2(self, runner, tmp_path):
         r = runner.invoke(
             main,
@@ -382,14 +394,30 @@ class TestOptions:
         assert not out.exists()
 
 
-def test_import_leaves_cold_scipy_modules_out():
-    # scipy.integrate serves only the adaptive entropy oracle, scipy.fft only
-    # composite window fits: both load where they are used
+def test_runtime_loads_no_scipy():
+    # scipy serves only as the tests' oracle: a noisy batched IMEX run, an
+    # entropy pair and a composite law's window fit all run on numpy alone
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = (
-        "import sys, svvlab.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.fft') if m in sys.modules])"
-    )
+    code = """
+import sys
+import numpy as np
+import svvlab.cli
+from svvlab.entropy import EntropySpec, entropy_pair
+from svvlab.noise import NoiseModel
+from svvlab.pressure import PressureLaw
+from svvlab.solver import Grid, GridState, SolverConfig, simulate
+
+law = PressureLaw.polytropic(2.0)
+grid = Grid(L=5.0, n=64)
+noise = NoiseModel.single_mode(0.2, law, seed=5, dt_base=1e-3)
+noise = noise.truncate_mollify(0.05, 3.0, 0.25, 1.0)
+cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1)
+init = GridState(0.0, 1.0 + 0.3 * np.exp(-grid.x**2), np.zeros(grid.n + 1))
+simulate(init, law, grid, cfg, noise, [0, 1])
+entropy_pair(law, EntropySpec.compact_bump(0.0, 4.0), [1.0, 2.0], [0.5, -0.5])
+PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4).internal_energy(np.array([1.1]))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},

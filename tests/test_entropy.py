@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
+from svvlab import entropy
 from svvlab.entropy import (
     EntropySpec,
     entropy_pair,
@@ -24,6 +26,40 @@ from svvlab.pressure import PressureLaw
 @pytest.fixture(scope="module")
 def law2():
     return PressureLaw.polytropic(2.0)
+
+
+def adaptive_pair(law, spec, rho, m):
+    """(eta, q, d eta/dm, d^2 eta/dm^2) at one state by adaptive quadrature
+    split at the spec's kinks: the high-accuracy scalar oracle of the Gauss
+    rule.  The weight (1 - z^2)^lam stays in the integrand (lam > -1/2
+    keeps it integrable); the adaptive rule handles the endpoints."""
+    lam, theta = law.lam, law.theta
+    u = m / rho
+    K = float(law.k_integral(rho))
+    pts = sorted(float((k - u) / K) for k in spec.kinks if abs((k - u) / K) < 1.0)
+
+    def integ(f):
+        val, _ = quad(
+            f, -1.0, 1.0, points=pts or None, epsabs=1e-13, epsrel=1e-13, limit=400
+        )
+        return val
+
+    def weight(z):
+        return (1.0 - z * z) ** lam
+
+    M0 = integ(weight)
+    eta = rho * integ(lambda z: spec.psi(u + K * z) * weight(z)) / M0
+    qf = rho * integ(lambda z: (u + theta * K * z) * spec.psi(u + K * z) * weight(z)) / M0
+    dm = integ(lambda z: spec.dpsi(u + K * z) * weight(z)) / M0
+    d2m = integ(lambda z: spec.d2psi(u + K * z) * weight(z)) / (rho * M0)
+    return eta, qf, dm, d2m
+
+
+def roots_jacobi_rule(n_nodes, lam):
+    """scipy's Gauss-Jacobi rule in the shape of entropy._jacobi_rule: the
+    oracle of the Golub-Welsch rule, where it is finite."""
+    z, w = roots_jacobi(n_nodes, lam, lam)
+    return z, w, float(w.sum())
 
 
 class TestKernels:
@@ -65,15 +101,16 @@ class TestEntropyPair:
     @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.5])
     def test_gauss_kernel_matches_per_node_form(self, gamma):
         # q = rho/M0 (u psi@w + theta K psi@(z w)) against the per-node
-        # integrand (u + theta K z) psi(u + K z) it replaces; vacuum nodes
-        # give zeros and leave the other nodes' values as they are
+        # integrand (u + theta K z) psi(u + K z) it replaces, on the same
+        # rule; vacuum nodes give zeros and leave the other nodes' values
+        # as they are
         law = PressureLaw.polytropic(gamma)
         rng = np.random.default_rng(5)
         rho = rng.uniform(0.05, 3.0, 300)
         m = rng.standard_normal(300)
         rho[::17] = m[::17] = 0.0
         pos = rho > 0.0
-        z, w = roots_jacobi(48, law.lam, law.lam)
+        z, w, _ = entropy._jacobi_rule(48, law.lam)
         u = m[pos] / rho[pos]
         K = law.k_integral(rho[pos])
         s = u[:, None] + K[:, None] * z
@@ -122,15 +159,48 @@ class TestEntropyPair:
             law2, EntropySpec.signed_square(), np.array([1.3]), np.array([0.5]),
             n_nodes=1024,
         )
-        pv_a = entropy_pair(
-            law2,
+        eta, q, _, _ = adaptive_pair(law2, EntropySpec.signed_square(), 1.3, 0.5)
+        assert eta == pytest.approx(pv_g.eta[0], rel=1e-8)
+        assert q == pytest.approx(pv_g.q[0], rel=1e-8)
+
+    def test_golub_welsch_matches_roots_jacobi(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        rho = rng.uniform(0.05, 3.0, 2000)
+        m = rng.standard_normal(2000)
+        specs = (
+            EntropySpec.energy(),
+            EntropySpec.cutoff_energy(1.0),
+            EntropySpec.compact_bump(0.0, 4.0),
             EntropySpec.signed_square(),
-            np.array([1.3]),
-            np.array([0.5]),
-            method="adaptive",
+            EntropySpec.constant(2.0),
         )
-        assert pv_a.eta[0] == pytest.approx(pv_g.eta[0], rel=1e-8)
-        assert pv_a.q[0] == pytest.approx(pv_g.q[0], rel=1e-8)
+        fields = ("eta", "q", "deta_dm", "d2eta_dm2")
+        for gamma in (1.05, 1.4, 5.0 / 3.0, 2.0, 3.0, 4.0, 7.0):
+            law = PressureLaw.polytropic(gamma)
+            for n_nodes in (48, 64, 96):
+                for spec in specs:
+                    got = entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(entropy, "_jacobi_rule", roots_jacobi_rule)
+                        want = entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
+                    for name in fields:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b)), (
+                            gamma, n_nodes, spec.name, name,
+                        )
+
+    def test_energy_pair_for_gamma_next_to_one(self):
+        # lam = (3 - gamma) / (2 (gamma - 1)) ~ 1e9: a Gauss rule that
+        # stays finite, and still exact for psi = s^2/2
+        law = PressureLaw.polytropic(1.0 + 1e-9)
+        rng = np.random.default_rng(8)
+        rho = rng.uniform(0.1, 5.0, 200)
+        m = rho * rng.uniform(-3.0, 3.0, 200)
+        pv = entropy_pair(law, EntropySpec.energy(), rho, m)
+        me = mechanical_energy_pair(law, rho, m)
+        for name in ("eta", "q", "deta_dm", "d2eta_dm2"):
+            a, b = getattr(pv, name), getattr(me, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
     def test_compact_support_linear_density_bound(self, law2):
         # |eta^psi| <= C rho for compactly supported psi

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 from scipy.integrate import IntegrationWarning, quad
 
+from svvlab import pressure
 from svvlab.errors import ConfigError, DomainError, NumericalError
 from svvlab.pressure import PressureLaw, _ChebPiece, _WindowFit, default_kappa
 
@@ -319,7 +321,56 @@ def _oracle_points(lo, hi):
     return np.concatenate([np.geomspace(1e-6, 1e3, 31), near, np.linspace(lo, hi, 17)])
 
 
+def scipy_integrand_series(f, a, b, floor, name):
+    """pressure._integrand_series with scipy's DCT-II: its oracle."""
+    n = 16
+    while n < pressure._PIECE_MAX_NODES:
+        n *= 2
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        y = np.exp(0.5 * (b - a) * (x + 1.0) + a)
+        c = dct(f(y) * y, type=2) / n
+        c[0] *= 0.5
+        if not np.all(np.isfinite(c)):
+            raise NumericalError(f"{name}: non-finite integrand on the blend window")
+        tail = np.abs(c[-n // 8 :]).max() / np.abs(c).max()
+        if tail <= pressure._FIT_TOL or (n == pressure._PIECE_MAX_NODES and tail <= floor):
+            return c
+    return None
+
+
+FITS = ("_e_fit", "_k_fit", "_gp_fit", "_g_fit")
+
+
 class TestCompositeWindowFits:
+    @pytest.mark.parametrize("law_name", sorted(LAWS))
+    def test_series_match_scipy_dct(self, law_name, monkeypatch):
+        # every series the fits take, against scipy's DCT of the same
+        # samples; the fits then have the pieces scipy's would have
+        calls = []
+        series = pressure._integrand_series
+
+        def recorded(*args):
+            calls.append((args, series(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(pressure, "_integrand_series", recorded)
+        law = PressureLaw.composite(*LAWS[law_name])
+        got = [[(p.a, p.top) for p in getattr(law, fit)._pieces] for fit in FITS]
+        assert calls
+        for args, c in calls:
+            ref = scipy_integrand_series(*args)
+            assert (c is None) == (ref is None)
+            if ref is not None:
+                assert c.size == ref.size
+                assert np.max(np.abs(c - ref)) <= 1e-15 * np.max(np.abs(ref))
+        monkeypatch.setattr(pressure, "_integrand_series", scipy_integrand_series)
+        law = PressureLaw.composite(*LAWS[law_name])
+        want = [[(p.a, p.top) for p in getattr(law, fit)._pieces] for fit in FITS]
+        assert [len(p) for p in got] == [len(p) for p in want]
+        for g, w in zip(got, want):
+            assert [a for a, _ in g] == [a for a, _ in w]
+            np.testing.assert_allclose([t for _, t in g], [t for _, t in w], rtol=1e-14)
+
     @pytest.mark.parametrize("law_name", sorted(LAWS))
     @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
     def test_matches_quadrature_oracle(self, law_name, quantity):

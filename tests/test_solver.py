@@ -5,7 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from svvlab.errors import ConfigError, DivergenceError, NumericalError, PositivityLoss
+from scipy.linalg.lapack import dgttrf, dgttrs
+
+from svvlab.errors import (
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    NumericalError,
+    PositivityLoss,
+)
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
 from svvlab.solver import (
@@ -14,8 +22,6 @@ from svvlab.solver import (
     SolverConfig,
     Stepper,
     epsilon_sweep,
-    heat_kernel,
-    heat_semigroup_apply,
     simulate,
 )
 
@@ -34,6 +40,62 @@ def bump_state(grid, amp=0.3, width=0.5):
     x = grid.x
     rho = 1.0 + amp * np.exp(-(x**2) / (2 * width**2))
     return GridState(0.0, rho, np.zeros_like(x))
+
+
+# ---------------------------------------------------------------------------
+# heat semigroup: the exact diffusion operator, an oracle for the substep
+# ---------------------------------------------------------------------------
+
+def heat_kernel(t, x):
+    """K(t, x) = (4 pi t)^{-1/2} exp(-x^2 / (4 t))."""
+    t = float(t)
+    if t < 0.0:
+        raise DomainError("heat kernel time must be nonnegative")
+    if t == 0.0:
+        raise DomainError("heat kernel is a delta at t = 0; use the identity")
+    x = np.asarray(x, dtype=float)
+    out = np.exp(-(x**2) / (4.0 * t)) / np.sqrt(4.0 * np.pi * t)
+    return out if out.ndim else float(out)
+
+
+def heat_semigroup_apply(field, eps_t, grid: Grid, far_field: float = 0.0):
+    """Convolve (field - far_field) with the heat kernel at time eps_t.
+
+    The field is extended by its far-field constant outside the grid; the
+    constant part convolves to itself exactly (the kernel has unit mass),
+    so only the compact perturbation is quadratured.  eps_t = 0 is the
+    identity.
+    """
+    if eps_t < 0.0:
+        raise DomainError("eps_t must be nonnegative")
+    f = np.asarray(field, dtype=float)
+    if eps_t == 0.0:
+        return f.copy()
+    x = grid.x
+    pert = f - far_field
+    w = np.full(x.size, grid.dx)
+    w[0] = w[-1] = 0.5 * grid.dx
+    Kmat = heat_kernel(eps_t, x[:, None] - x[None, :])
+    return far_field + Kmat @ (pert * w)
+
+
+def dgttrs_diffuse(f, mus, boundary):
+    """The implicit substep by LAPACK's tridiagonal LU, one row at a time:
+    the solve the sine-transform one replaced.  f is (2, S, n+1), mus one
+    diffusion number per row, boundary one value per field."""
+    n = f.shape[-1] - 1
+    out = np.empty_like(f)
+    for j, b in enumerate(boundary):
+        for r, mu in enumerate(mus):
+            off = np.full(n - 2, -mu)
+            *lu, info = dgttrf(off, np.full(n - 1, 1.0 + 2.0 * mu), off)
+            assert info == 0
+            rhs = f[j, r, 1:-1].copy()
+            rhs[0] += mu * b
+            rhs[-1] += mu * b
+            out[j, r, 1:-1] = dgttrs(*lu, rhs)[0]
+            out[j, r, [0, -1]] = b
+    return out
 
 
 class TestTypes:
@@ -113,6 +175,36 @@ class TestConvergence:
             out = stepper._diffuse(out, 1.0)
         exact = heat_semigroup_apply(f, cfg.epsilon * n_steps * cfg.dt, grid, 1.0)
         assert np.max(np.abs(out - exact)) < 5e-3  # O(dt) splitting error
+
+
+class TestSineSolve:
+    """The DST-I implicit substep against LAPACK's tridiagonal solve."""
+
+    @pytest.mark.parametrize(
+        "eps", [(0.05,), (0.05,) * 12, (0.08, 0.05, 0.05, 0.01)], ids=["S1", "S12", "mixed"]
+    )
+    def test_matches_dgttrs(self, law2, grid, eps):
+        cfg = SolverConfig(epsilon=0.05, T=1.0, dt=1e-3)
+        stepper = Stepper(law2, grid, cfg, np.array(eps))
+        rng = np.random.default_rng(4)
+        f = np.stack((
+            1.0 + 0.3 * rng.standard_normal((len(eps), grid.n + 1)),
+            0.5 * rng.standard_normal((len(eps), grid.n + 1)),
+        ))
+        got = stepper._diffuse(f, stepper._far)
+        mus = [e * cfg.dt / grid.dx**2 for e in eps]
+        want = dgttrs_diffuse(f, mus, (cfg.rho_inf, 0.0))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        for r, e in enumerate(eps):  # each row is its batch of one, bitwise
+            lone = Stepper(law2, grid, cfg, np.array([e]))
+            np.testing.assert_array_equal(lone._diffuse(f[:, r : r + 1], lone._far)[:, 0], got[:, r])
+
+    def test_no_rows(self, law2, grid):
+        cfg = SolverConfig(epsilon=0.05, T=1.0, dt=1e-3)
+        stepper = Stepper(law2, grid, cfg, np.zeros(0))
+        assert stepper._diffuse(np.zeros((2, 0, grid.n + 1)), stepper._far).shape == (
+            2, 0, grid.n + 1,
+        )
 
 
 class TestGuards:
@@ -214,6 +306,25 @@ class TestBatch:
         exc = caught.value
         assert exc.sample == 7
         assert (exc.t, exc.x, exc.rho_min) == (serial[r].t, serial[r].x, serial[r].rho_min)
+
+
+    def test_samples_after_a_failing_one_stop_with_it(self, law2, monkeypatch):
+        # sample 0 breaks the CFL bound at once; the run's error is its
+        # whatever the other eleven do, so no step follows the first
+        grid = Grid(L=5.0, n=128)
+        cfg = SolverConfig(epsilon=0.01, T=0.2, dt=2e-3, n_saves=1)
+        rho = np.ones((12, grid.n + 1))
+        m = np.zeros_like(rho)
+        m[0] = 20.0
+        calls = []
+        step = Stepper.step
+        monkeypatch.setattr(
+            Stepper, "step", lambda self, *a: calls.append(len(a[0].rho)) or step(self, *a)
+        )
+        with pytest.raises(NumericalError) as caught:
+            simulate(GridState(0.0, rho, m), law2, grid, cfg, sample_id=list(range(12)))
+        assert caught.value.sample == 0
+        assert calls == [12]
 
 
 def sweep_loop(init, law, grid, config, noise_template, eps_list, c1, alpha1):
