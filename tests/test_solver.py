@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from svvlab.errors import (
@@ -197,7 +196,8 @@ class TestSineSolve:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         for r, e in enumerate(eps):  # each row is its batch of one, bitwise
             lone = Stepper(law2, grid, cfg, np.array([e]))
-            np.testing.assert_array_equal(lone._diffuse(f[:, r : r + 1], lone._far)[:, 0], got[:, r])
+            alone = lone._diffuse(f[:, r : r + 1], lone._far)[:, 0]
+            np.testing.assert_array_equal(alone, got[:, r])
 
     def test_no_rows(self, law2, grid):
         cfg = SolverConfig(epsilon=0.05, T=1.0, dt=1e-3)
@@ -307,10 +307,9 @@ class TestBatch:
         assert exc.sample == 7
         assert (exc.t, exc.x, exc.rho_min) == (serial[r].t, serial[r].x, serial[r].rho_min)
 
-
     def test_samples_after_a_failing_one_stop_with_it(self, law2, monkeypatch):
-        # sample 0 breaks the CFL bound at once; the run's error is its
-        # whatever the other eleven do, so no step follows the first
+        # sample 0 breaks the CFL bound at its first step; the run raises
+        # its error whatever the other eleven do, so no second step is taken
         grid = Grid(L=5.0, n=128)
         cfg = SolverConfig(epsilon=0.01, T=0.2, dt=2e-3, n_saves=1)
         rho = np.ones((12, grid.n + 1))
