@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .pressure import PressureLaw
 from .pressure import _smoothstep as smoothstep
+from .solver import StateFields
 
 _U64 = (1 << 64) - 1
 
@@ -43,13 +44,14 @@ def bump(x, center=0.0, width=1.0, amplitude=1.0):
 
 @dataclass(frozen=True)
 class NoiseMode:
-    """One forcing mode: coefficient a and state-dependent profile zeta."""
+    """One forcing mode: coefficient a and profile zeta(x, rho, m) =
+    alpha(x) rho, density-proportional with a spatial profile alpha."""
 
     a: float
-    zeta: object  # callable (x, rho, m) -> field
+    alpha: object  # callable x -> field
 
     def __call__(self, x, rho, m):
-        return self.zeta(x, rho, m)
+        return self.alpha(x) * rho
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class NoiseModel:
     # sample id -> (Generator, initial Philox state) of its stream; every
     # draw restores that state, so no draw depends on the ones before it
     _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # nodes x -> (mode profiles alpha_k(x), spatial cutoff) on them
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -86,11 +90,11 @@ class NoiseModel:
         if width <= 0.0:
             raise ConfigError("bump width must be positive (compact support)")
 
-        def zeta(x, rho, m):
-            return bump(x, center, width, amplitude) * rho
+        def alpha(x):
+            return bump(x, center, width, amplitude)
 
         return NoiseModel(
-            modes=(NoiseMode(a1, zeta),), law=law, seed=seed, dt_base=dt_base
+            modes=(NoiseMode(a1, alpha),), law=law, seed=seed, dt_base=dt_base
         )
 
     @staticmethod
@@ -113,10 +117,10 @@ class NoiseModel:
             shift = center + 0.25 * width * ((k - 1) % 3 - 1)
             wk = width / (1.0 + 0.1 * (k - 1))
 
-            def zeta(x, rho, m, _s=shift, _w=wk):
-                return bump(x, _s, _w) * rho
+            def alpha(x, _s=shift, _w=wk):
+                return bump(x, _s, _w)
 
-            modes.append(NoiseMode(a1 * k ** (-decay), zeta))
+            modes.append(NoiseMode(a1 * k ** (-decay), alpha))
         return NoiseModel(
             modes=tuple(modes),
             law=law,
@@ -211,13 +215,15 @@ class NoiseModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _region_indicator(self, rho, m):
-        """Smooth indicator of Gamma_H in the Riemann invariants."""
-        rho = np.asarray(rho, dtype=float)
-        pos = rho > 0.0
-        rp = np.where(pos, rho, 1.0)
-        u = np.where(pos, np.asarray(m, dtype=float) / rp, 0.0)
-        K = np.where(pos, self.law.k_integral(rp), 0.0)
+    def _region_indicator(self, rho, m, fields=None):
+        """Smooth indicator of Gamma_H in the Riemann invariants.  fields is
+        the states' StateFields, made here (checking rho) if not given."""
+        if fields is None:
+            fields = StateFields(
+                self.law, np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
+            )
+        pos, u = fields.pos, fields.u
+        K = np.where(pos, self.law._k_integral(fields.rp), 0.0)
         H = _column(self.H)
         if isinstance(self.trans_width, tuple):
             width = _column(tuple(w or 1e-3 for w in self.trans_width))
@@ -230,21 +236,44 @@ class NoiseModel:
         return np.where(pos, smoothstep(upper) * smoothstep(lower), 0.0)
 
     def _spatial_cutoff(self, x):
+        """The whole-line cutoff on |x| < 1/eps, or None where there is
+        none to apply."""
         if self.support_kind != "whole_line" or self.epsilon is None:
-            return np.ones_like(np.asarray(x, dtype=float))
+            return None
         return smoothstep(2.0 * (1.0 - np.abs(_column(self.epsilon) * np.asarray(x))))
 
-    def _mollified(self, x, rho, m):
-        """k -> zeta_k^eps at the given states; the Gamma_H indicator and
-        the spatial cutoff are evaluated once, for every mode.  A model
-        mollified per row zeroes each row's modes beyond its cap."""
+    def _on_grid(self, x):
+        """(alpha_k(x) of every mode, spatial cutoff) on the nodes x: they
+        depend on x alone, so each grid's are evaluated once and kept (the
+        last few grids')."""
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        kept = self._grids.get(key)
+        if kept is None:
+            if len(self._grids) >= 4:
+                self._grids.clear()
+            profiles = tuple(mode.alpha(x) for mode in self.modes)
+            kept = self._grids[key] = profiles, self._spatial_cutoff(x)
+        return kept
+
+    def _mollified(self, x, rho, m, fields=None):
+        """k -> zeta_k^eps at the given states; the Gamma_H indicator is
+        evaluated once, for every mode, and the profiles and the spatial
+        cutoff once per grid.  A model mollified per row zeroes each row's
+        modes beyond its cap."""
+        profiles, cutoff = self._on_grid(x)
         if self.H is None:
-            return lambda k: self.modes[k](x, rho, m)
-        indicator, cutoff = self._region_indicator(rho, m), self._spatial_cutoff(x)
-        if not isinstance(self.mode_cap, tuple):
-            return lambda k: self.modes[k](x, rho, m) * indicator * cutoff
-        caps = _column(self.mode_cap)
-        return lambda k: self.modes[k](x, rho, m) * indicator * cutoff * (k < caps)
+            return lambda k: profiles[k] * rho
+        indicator = self._region_indicator(rho, m, fields)
+        caps = _column(self.mode_cap) if isinstance(self.mode_cap, tuple) else None
+
+        def zeta(k):
+            z = profiles[k] * rho * indicator
+            if cutoff is not None:
+                z = z * cutoff
+            return z if caps is None else z * (k < caps)
+
+        return zeta
 
     def zeta_eff(self, k, x, rho, m):
         """Mollified coefficient of mode k (0-based) at the given states."""
@@ -263,17 +292,18 @@ class NoiseModel:
             total = total + z**2
         return total
 
-    def apply_forcing(self, x, rho, m, dW):
+    def apply_forcing(self, x, rho, m, dW, fields=None):
         """Momentum increment sum_k a_k zeta_k^eps(x, rho, m) dW_k.
 
         rho and m may hold one state per row; dW is then (rows, n_modes),
-        one row of increments per state."""
+        one row of increments per state.  fields is the states'
+        StateFields, made here if not given."""
         dW = np.asarray(dW, dtype=float)
         if dW.shape[-1] != self.n_modes:
             raise DomainError(
                 f"expected {self.n_modes} increments, got {dW.shape[-1]}"
             )
-        zeta = self._mollified(x, rho, m)
+        zeta = self._mollified(x, rho, m, fields)
         out = np.zeros_like(np.asarray(rho, dtype=float))
         for k, mode in enumerate(self.modes):
             dW_k = dW[..., k, None]

@@ -372,6 +372,11 @@ class PressureLaw:
         return L, Lp, Lpp
 
     # -- thermodynamic closure ---------------------------------------------
+    #
+    # A public method checks rho >= 0 once; where it has an unchecked twin
+    # _name, callers that have checked rho already (the composite regimes,
+    # relative_internal_energy, the solver's pass over a state) call the
+    # twin.
 
     def pressure(self, rho):
         """P(rho); P(0) = 0, strictly increasing."""
@@ -395,6 +400,24 @@ class PressureLaw:
         out = np.where(rho > 0.0, np.exp(L) * Lp, 0.0)
         return out if out.ndim else float(out)
 
+    def pressure_pair(self, rho):
+        """(P(rho), P'(rho)) of an array rho >= 0, from one check of rho
+        and, for a composite law, one evaluation of log P and its slope:
+        P = exp(L) and P' = exp(L) L'.  Each equals what pressure and
+        dpressure give, bit for bit."""
+        return self._pressure_pair(self._check_nonneg(rho))
+
+    def _pressure_pair(self, rho):
+        if self.is_polytropic:
+            return (
+                self.kappa * rho**self.gamma,
+                self.kappa * self.gamma * rho ** (self.gamma - 1.0),
+            )
+        pos = rho > 0.0
+        L, Lp = self._logP_parts(np.where(pos, rho, 1.0), 1)
+        P = np.exp(L)
+        return np.where(pos, P, 0.0), np.where(pos, P * Lp, 0.0)
+
     def d2pressure(self, rho):
         """P''(rho) (rho > 0)."""
         rho = self._check_pos(rho)
@@ -415,22 +438,29 @@ class PressureLaw:
 
         Equals rho**theta exactly for the scaled polytropic law.
         """
-        rho = self._check_nonneg(rho)
+        return self._k_integral(self._check_nonneg(rho))
+
+    def _k_integral(self, rho):
         if self.is_polytropic:
             th = self.theta
             return np.sqrt(self.kappa * self.gamma) / th * rho**th
         return self._regimes(
-            rho, self._near_law.k_integral, self._k_fit, self._far_law.k_integral
+            rho, self._near_law._k_integral, self._k_fit, self._far_law._k_integral
         )
 
     def internal_energy(self, rho):
         """e(rho) with rho**2 e' = P, e(0) = 0."""
-        rho = self._check_nonneg(rho)
+        return self._internal_energy(self._check_nonneg(rho))
+
+    def _internal_energy(self, rho):
         if self.is_polytropic:
             g = self.gamma
             return self.kappa / (g - 1.0) * rho ** (g - 1.0)
         return self._regimes(
-            rho, self._near_law.internal_energy, self._e_fit, self._far_law.internal_energy
+            rho,
+            self._near_law._internal_energy,
+            self._e_fit,
+            self._far_law._internal_energy,
         )
 
     def rho_e_prime(self, rho):
@@ -450,11 +480,13 @@ class PressureLaw:
             slope = e_inf + self.pressure(rho_inf) / rho_inf  # (rho e)' at rho_inf
             constants = self._bregman[rho_inf] = base, slope
         base, slope = constants
-        return rho * self.internal_energy(rho) - base - slope * (rho - rho_inf)
+        return rho * self._internal_energy(rho) - base - slope * (rho - rho_inf)
 
     def high_order_potential(self, rho):
         """g(rho) with g'' = 2 P' e / rho and g(0) = g'(0) = 0."""
-        rho = self._check_nonneg(rho)
+        return self._high_order_potential(self._check_nonneg(rho))
+
+    def _high_order_potential(self, rho):
         if self.is_polytropic:
             g, k = self.gamma, self.kappa
             c = 2.0 * k**2 * g / (g - 1.0)
@@ -469,16 +501,18 @@ class PressureLaw:
         )
         return self._regimes(
             rho,
-            self._near_law.high_order_potential,
+            self._near_law._high_order_potential,
             self._g_fit,
-            far.high_order_potential,
+            far._high_order_potential,
             lambda r: slope * (r - hi)
             + 2.0 * C / (self.gamma2 - 1.0) * (far.pressure(r) - far.pressure(hi)),
         )
 
     def dhigh_order_potential(self, rho):
         """g'(rho) = int_0^rho 2 P'(y) e(y) / y dy."""
-        rho = self._check_nonneg(rho)
+        return self._dhigh_order_potential(self._check_nonneg(rho))
+
+    def _dhigh_order_potential(self, rho):
         if self.is_polytropic:
             g, k = self.gamma, self.kappa
             c = 2.0 * k**2 * g / (g - 1.0)
@@ -489,29 +523,43 @@ class PressureLaw:
         A = 2.0 * self.gamma2 * self._e_offset
         return self._regimes(
             rho,
-            self._near_law.dhigh_order_potential,
+            self._near_law._dhigh_order_potential,
             self._gp_fit,
-            far.dhigh_order_potential,
-            lambda r: A * (far.internal_energy(r) - far.internal_energy(hi)),
+            far._dhigh_order_potential,
+            lambda r: A * (far._internal_energy(r) - far._internal_energy(hi)),
         )
 
     # -- composite-law regimes -----------------------------------------------
 
     def _regimes(self, rho, near, fit, far, extra=None):
-        """A composite-law quantity: the near (gamma1) power law's value on
-        [0, rho_lo], the window fit on the points inside (rho_lo, rho_hi),
-        and on [rho_hi, inf) the fit's value at rho_hi plus the far (gamma2)
-        power law's change from rho_hi, plus extra(rho) where that is not
-        all of it."""
+        """A composite-law quantity of a checked rho >= 0: the near (gamma1)
+        power law's value on [0, rho_lo], the window fit inside (rho_lo,
+        rho_hi), and on [rho_hi, inf) the fit's value at rho_hi plus the far
+        (gamma2) power law's change from rho_hi, plus extra(rho) where that
+        is not all of it.  Each regime is evaluated only on its own points;
+        near, far and extra are unchecked."""
         rho = np.asarray(rho, dtype=float)
-        above = fit.top + far(rho) - far(self.rho_hi)
-        if extra is not None:
-            above = above + extra(rho)
-        out = np.where(rho <= self.rho_lo, near(rho), above)
+        if not rho.ndim:  # one number, which the power laws take as a float
+            r = float(rho)
+            if r <= self.rho_lo:
+                return float(near(r))
+            if r < self.rho_hi:
+                return float(fit(rho[None])[0])
+            tail = fit.top + far(r) - far(self.rho_hi)
+            return float(tail if extra is None else tail + extra(r))
+        out = np.empty_like(rho)
+        below = rho <= self.rho_lo
         inside = (rho > self.rho_lo) & (rho < self.rho_hi)
+        above = ~(below | inside)
+        if below.any():
+            out[below] = near(rho[below])
+        if above.any():
+            r = rho[above]
+            tail = fit.top + far(r) - far(self.rho_hi)
+            out[above] = tail if extra is None else tail + extra(r)
         if inside.any():
             out[inside] = fit(rho[inside])
-        return out if out.ndim else float(out)
+        return out
 
     @cached_property
     def _near_law(self):

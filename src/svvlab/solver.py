@@ -69,13 +69,44 @@ class GridState:
         if self.rho.shape != self.mom.shape:
             raise DomainError("rho and mom must share a shape")
 
-    @property
-    def u(self) -> np.ndarray:
-        pos = self.rho > 0.0
-        return np.where(pos, self.mom / np.where(pos, self.rho, 1.0), 0.0)
-
     def copy(self) -> "GridState":
         return GridState(self.t, self.rho.copy(), self.mom.copy())
+
+
+class StateFields:
+    """The pointwise quantities of one state (rho, m), computed once and
+    shared by every per-step consumer: the CFL guard, the flux, the
+    relative energy, the dissipation and the noise's Gamma_H indicator.
+
+    pos is rho > 0; rp is rho where positive and 1 elsewhere, safe to
+    divide by; u is m / rho, 0 on vacuum; P and dP are P(rho) and P'(rho).
+    Given rho_inf, estar is e*(rho, rho_inf), which the relative energy
+    reads, else None.  rho >= 0 is checked once (DomainError otherwise):
+    by e*(rho, rho_inf) when it is made, else by (P, P').
+    """
+
+    __slots__ = ("estar", "P", "dP", "pos", "rp", "u")
+
+    def __init__(self, law: PressureLaw, rho: np.ndarray, m: np.ndarray, rho_inf=None):
+        if rho_inf is None:
+            self.estar = None
+            self.P, self.dP = law.pressure_pair(rho)
+        else:
+            self.estar = law.relative_internal_energy(rho, rho_inf)
+            self.P, self.dP = law._pressure_pair(rho)
+        self.pos = rho > 0.0
+        self.rp = np.where(self.pos, rho, 1.0)
+        self.u = np.where(self.pos, m / self.rp, 0.0)
+
+
+def _central_difference(f, dx):
+    """d/dx over the last axis: central inside, one-sided at the ends, the
+    values of np.gradient(f, dx, axis=-1)."""
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (f[..., 1] - f[..., 0]) / dx
+    out[..., -1] = (f[..., -1] - f[..., -2]) / dx
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,24 +204,24 @@ class Stepper:
         out[..., -1:] = boundary
         return out
 
-    def _dt_max(self, state: GridState) -> np.ndarray:
+    def _dt_max(self, fields: StateFields) -> np.ndarray:
         """Per-row stability bound on dt from the largest wave speed."""
         cfg = self.config
         dx = self.grid.dx
-        pos = state.rho > 0.0
-        c = np.sqrt(self.law.dpressure(np.where(pos, state.rho, 1.0)))
-        speed = np.where(pos, np.abs(state.u) + c, -np.inf).max(axis=-1)
+        c = np.sqrt(fields.dP)
+        speed = np.where(fields.pos, np.abs(fields.u) + c, -np.inf).max(axis=-1)
         speed[~(speed > 0.0)] = 1e-30  # no positive cell, or all at rest
         dt_max = cfg.cfl_conv * dx / speed
         if cfg.scheme == "explicit":
             dt_max = np.minimum(dt_max, cfg.cfl_diff * dx**2 / (2.0 * self.epsilon))
         return dt_max
 
-    def step(self, state: GridState, forcing_increment=None):
+    def step(self, state: GridState, forcing_increment=None, fields=None):
         """One Euler-Maruyama step of every row of state.
 
         forcing_increment is the momentum field sum_k a_k zeta_k dW_k of
-        each row, already evaluated at the step start.  Returns (new
+        each row, already evaluated at the step start; fields is the
+        state's StateFields, made here if not given.  Returns (new
         state, failures).  failures lists (row, error), by row, for every
         row that broke the CFL bound at the step start, or diverged or
         fell below the density floor at its end; the new state holds the
@@ -199,17 +230,16 @@ class Stepper:
         cfg = self.config
         dx = self.grid.dx
         dt = cfg.dt
+        rho, m = state.rho, state.mom
+        if fields is None:
+            fields = StateFields(self.law, rho, m)
 
-        unstable = np.zeros(state.rho.shape[:-1], dtype=bool)
+        unstable = np.zeros(rho.shape[:-1], dtype=bool)
         if cfg.check_cfl:
-            dt_max = self._dt_max(state)
+            dt_max = self._dt_max(fields)
             unstable = dt > dt_max * (1.0 + 1e-9)
 
-        rho, m = state.rho, state.mom
-        pos = rho > 0.0
-        flux_m = np.where(pos, m**2 / np.where(pos, rho, 1.0), 0.0) + self.law.pressure(
-            rho
-        )
+        flux_m = np.where(fields.pos, m**2 / fields.rp, 0.0) + fields.P
 
         new = np.stack((rho, m))  # (rho, m) stacked, ends kept
         new[0, ..., 1:-1] = rho[..., 1:-1] - dt * (m[..., 2:] - m[..., :-2]) / (2.0 * dx)
@@ -272,23 +302,28 @@ class Trajectory:
         return self.states[-1]
 
 
-def relative_energy(law, grid, rho, m, rho_inf):
-    """Trapezoid integral over the last axis of 1/2 m^2/rho + e*(rho, rho_inf)."""
-    pos = rho > 0.0
-    kin = np.where(pos, 0.5 * m**2 / np.where(pos, rho, 1.0), 0.0)
-    integrand = kin + law.relative_internal_energy(rho, rho_inf)
-    return np.trapezoid(integrand, dx=grid.dx, axis=-1)
+def relative_energy(law, grid, rho, m, rho_inf, fields=None):
+    """Trapezoid integral over the last axis of 1/2 m^2/rho + e*(rho, rho_inf).
+
+    fields is the state's StateFields made with this rho_inf, made here
+    (checking rho) if not given."""
+    if fields is None:
+        fields = StateFields(law, rho, m, rho_inf)
+    kin = np.where(fields.pos, 0.5 * m**2 / fields.rp, 0.0)
+    return np.trapezoid(kin + fields.estar, dx=grid.dx, axis=-1)
 
 
-def dissipation_rate(law, grid, rho, m):
+def dissipation_rate(law, grid, rho, m, fields=None):
     """int ((rho e)'' rho_x^2 + rho u_x^2) dx over the last axis, with
-    (rho e)'' = P'(rho)/rho and central differences."""
+    (rho e)'' = P'(rho)/rho and central differences.
+
+    fields is the state's StateFields, made here (checking rho) if not
+    given."""
+    if fields is None:
+        fields = StateFields(law, rho, m)
     dx = grid.dx
-    rho_x = np.gradient(rho, dx, axis=-1)
-    pos = rho > 0.0
-    u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
-    u_x = np.gradient(u, dx, axis=-1)
-    w = np.where(pos, law.dpressure(rho) / np.where(pos, rho, 1.0), 0.0)
+    rho_x, u_x = _central_difference(np.stack((rho, fields.u)), dx)
+    w = np.where(fields.pos, fields.dP / fields.rp, 0.0)
     return np.trapezoid(w * rho_x**2 + rho * u_x**2, dx=dx, axis=-1)
 
 
@@ -372,19 +407,23 @@ def simulate(
     )
 
     def record(rows, column):
+        """Record the state's functionals and return its StateFields, made
+        once per state: they serve the next step too."""
         rho, m = state.rho, state.mom
-        energy[rows, column] = relative_energy(law, grid, rho, m, config.rho_inf)
+        fields = StateFields(law, rho, m, config.rho_inf)
+        energy[rows, column] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
         min_rho[rows, column] = rho.min(axis=-1)
         if step_states is not None:
             step_states[rows, column, 0] = rho
             step_states[rows, column, 1] = m
+        return fields
 
     # the samples still stepped, by position; rows indexes the batch arrays
     # with them, a slice until the first failure
     alive, rows = np.arange(n_samples), np.s_[:]
     alive_ids, alive_eps, alive_noise = ids, row_eps, noise
     errors = [None] * n_samples
-    record(rows, 0)
+    fields = record(rows, 0)
     diss[:, 0] = 0.0
     saves[:, 0, 0] = state.rho
     saves[:, 0, 1] = state.mom
@@ -393,13 +432,13 @@ def simulate(
         forcing = None
         if noise is not None and noise.n_modes > 0:
             dW = alive_noise.sample_increments(alive_ids, n, config.dt)
-            forcing = alive_noise.apply_forcing(x, state.rho, state.mom, dW)
+            forcing = alive_noise.apply_forcing(x, state.rho, state.mom, dW, fields)
             if forcing_rec is not None:
                 forcing_rec[rows, n] = forcing
         diss_inc = alive_eps * config.dt * dissipation_rate(
-            law, grid, state.rho, state.mom
+            law, grid, state.rho, state.mom, fields
         )
-        state, failures = stepper.step(state, forcing)
+        state, failures = stepper.step(state, forcing, fields)
         if failures:
             dropped = [row for row, _ in failures]
             for row, exc in failures:
@@ -418,7 +457,7 @@ def simulate(
             stepper = Stepper(law, grid, config, alive_eps)
             if noise is not None:
                 alive_noise = noise.rows(alive)
-        record(rows, n + 1)
+        fields = record(rows, n + 1)
         diss[rows, n + 1] = diss[rows, n] + diss_inc
         if (n + 1) % save_every == 0:
             j = (n + 1) // save_every

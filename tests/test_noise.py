@@ -38,7 +38,7 @@ class TestConstruction:
     def test_amplitudes_nonincreasing_enforced(self, law2):
         from svvlab.noise import NoiseMode
 
-        z = lambda x, rho, m: rho
+        z = np.ones_like
         with pytest.raises(ConfigError):
             NoiseModel(
                 modes=(NoiseMode(0.1, z), NoiseMode(0.5, z)),

@@ -381,6 +381,55 @@ class TestCompositeWindowFits:
         rel = np.abs(fast - ref) / np.abs(ref)
         assert rel.max() <= 1e-12, (rho[np.argmax(rel)], rel.max())
 
+    @pytest.mark.parametrize("law_name", sorted(LAWS))
+    def test_regimes_on_their_own_points(self, law_name, monkeypatch):
+        # each regime evaluated only on its own points, without the power
+        # laws' input checks, gives the bits of both power laws evaluated,
+        # checked, on every point; the fits are built afresh either way
+        def every_point(law):
+            rho = np.concatenate(([0.0], _oracle_points(law.rho_lo, law.rho_hi)))
+            scalars = (0.0, law.rho_lo, 0.5 * (law.rho_lo + law.rho_hi), law.rho_hi, 3.0)
+            out = []
+            for quantity in sorted(QUANTITIES):
+                f = getattr(law, quantity)
+                out += [f(rho), f(rho.reshape(5, 11)), *map(f, scalars)]
+            return out + [law.relative_internal_energy(rho, 1.2)]
+
+        def checked_regimes(self, rho, near, fit, far, extra=None):
+            near, far = (getattr(law, f.__name__.lstrip("_")) for law, f in (
+                (self._near_law, near), (self._far_law, far)))
+            rho = np.asarray(rho, dtype=float)
+            above = fit.top + far(rho) - far(self.rho_hi)
+            if extra is not None:
+                above = above + extra(rho)
+            out = np.where(rho <= self.rho_lo, near(rho), above)
+            inside = (rho > self.rho_lo) & (rho < self.rho_hi)
+            if inside.any():
+                out[inside] = fit(rho[inside])
+            return out if out.ndim else float(out)
+
+        got = every_point(PressureLaw.composite(*LAWS[law_name]))
+        monkeypatch.setattr(PressureLaw, "_regimes", checked_regimes)
+        want = every_point(PressureLaw.composite(*LAWS[law_name]))
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("law_name", ["polytropic", *sorted(LAWS)])
+    def test_pressure_pair(self, law_name):
+        # P and P' from one check are pressure and dpressure, bitwise
+        if law_name == "polytropic":
+            law = PressureLaw.polytropic(1.4)
+            rho = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 31), [0.0]))
+        else:
+            law = PressureLaw.composite(*LAWS[law_name])
+            rho = np.concatenate(([0.0], _oracle_points(law.rho_lo, law.rho_hi)))
+        rho = rho.reshape(-1, 11)
+        P, dP = law.pressure_pair(rho)
+        assert np.array_equal(P, law.pressure(rho))
+        assert np.array_equal(dP, law.dpressure(rho))
+        with pytest.raises(DomainError):
+            law.pressure_pair(np.array([1.0, -1e-9]))
+
     @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
     def test_shapes_and_domain(self, comp, quantity):
         f = getattr(comp, quantity)

@@ -1,11 +1,14 @@
 """Time stepping: equilibrium, convergence, stability guards, heat kernel."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from svvlab import noise as noise_module
+from svvlab.config import config_from_dict
 from svvlab.errors import (
     ConfigError,
     DivergenceError,
@@ -14,13 +17,16 @@ from svvlab.errors import (
     PositivityLoss,
 )
 from svvlab.noise import NoiseModel
-from svvlab.pressure import PressureLaw
+from svvlab.pressure import PressureLaw, _smoothstep
 from svvlab.solver import (
     Grid,
     GridState,
     SolverConfig,
+    StateFields,
     Stepper,
+    dissipation_rate,
     epsilon_sweep,
+    relative_energy,
     simulate,
 )
 
@@ -471,3 +477,222 @@ class TestHeatKernel:
     def test_identity_at_zero(self, grid):
         f = bump_state(grid).rho
         assert np.array_equal(heat_semigroup_apply(f, 0.0, grid, 1.0), f)
+
+
+# ---------------------------------------------------------------------------
+# the shared per-state pass against the stand-alone formulas it replaced
+# ---------------------------------------------------------------------------
+
+# the example run file of the README
+README_RUN = {
+    "law": {"kind": "polytropic", "gamma": 2.0},
+    "grid": {"L": 5.0, "n": 256},
+    "solver": {"epsilon": 0.05, "T": 0.5, "dt": 1.0e-3, "n_saves": 10},
+    "initial": {"kind": "bump", "amplitude": 0.3, "width": 0.5},
+    "noise": {"kind": "single_mode", "amplitude": 0.3, "c1": 3.0, "alpha1": 0.25},
+    "seed": 7,
+}
+
+
+def quotient_energy(law, grid, rho, m, rho_inf):
+    """The relative energy with its kinetic part m^2/rho taken afresh."""
+    pos = rho > 0.0
+    kin = np.where(pos, 0.5 * m**2 / np.where(pos, rho, 1.0), 0.0)
+    integrand = kin + law.relative_internal_energy(rho, rho_inf)
+    return np.trapezoid(integrand, dx=grid.dx, axis=-1)
+
+
+def gradient_dissipation(law, grid, rho, m):
+    """The dissipation rate from two np.gradient calls and dpressure."""
+    dx = grid.dx
+    rho_x = np.gradient(rho, dx, axis=-1)
+    pos = rho > 0.0
+    u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
+    u_x = np.gradient(u, dx, axis=-1)
+    w = np.where(pos, law.dpressure(rho) / np.where(pos, rho, 1.0), 0.0)
+    return np.trapezoid(w * rho_x**2 + rho * u_x**2, dx=dx, axis=-1)
+
+
+def dpressure_dt_max(stepper, rho, m):
+    """The CFL bound with its sound speed from dpressure."""
+    cfg, dx = stepper.config, stepper.grid.dx
+    pos = rho > 0.0
+    u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
+    c = np.sqrt(stepper.law.dpressure(np.where(pos, rho, 1.0)))
+    speed = np.where(pos, np.abs(u) + c, -np.inf).max(axis=-1)
+    speed[~(speed > 0.0)] = 1e-30
+    dt_max = cfg.cfl_conv * dx / speed
+    if cfg.scheme == "explicit":
+        dt_max = np.minimum(dt_max, cfg.cfl_diff * dx**2 / (2.0 * stepper.epsilon))
+    return dt_max
+
+
+def afresh_forcing(noise, x, rho, m, dW):
+    """The forcing of a model mollified for one epsilon, each mode's
+    profile, the Gamma_H indicator and the cutoff evaluated afresh."""
+    pos = rho > 0.0
+    rp = np.where(pos, rho, 1.0)
+    u = np.where(pos, m / rp, 0.0)
+    K = np.where(pos, noise.law.k_integral(rp), 0.0)
+    width = noise.trans_width or 1e-3
+    upper = (noise.H - (u + K)) / width
+    lower = ((u - K) + noise.H) / width
+    indicator = np.where(pos, _smoothstep(upper) * _smoothstep(lower), 0.0)
+    cutoff = np.ones_like(x)
+    if noise.support_kind == "whole_line":
+        cutoff = _smoothstep(2.0 * (1.0 - np.abs(noise.epsilon * x)))
+    out = np.zeros_like(rho)
+    for k, mode in enumerate(noise.modes):
+        out = out + mode.a * (mode(x, rho, m) * indicator * cutoff) * dW[:, k, None]
+    return out
+
+
+def pressure_step(stepper, rho, m, forcing):
+    """One step of each row with its flux pressure from law.pressure."""
+    dx, dt = stepper.grid.dx, stepper.config.dt
+    pos = rho > 0.0
+    flux = np.where(pos, m**2 / np.where(pos, rho, 1.0), 0.0) + stepper.law.pressure(rho)
+    new = np.stack((rho, m))
+    new[0, :, 1:-1] = rho[:, 1:-1] - dt * (m[:, 2:] - m[:, :-2]) / (2.0 * dx)
+    new[1, :, 1:-1] = m[:, 1:-1] - dt * (flux[:, 2:] - flux[:, :-2]) / (2.0 * dx)
+    if forcing is not None:
+        new[1, :, 1:-1] += forcing[:, 1:-1]
+    return stepper._diffuse(new, stepper._far)
+
+
+def assert_matches_oracle(traj, noise):
+    """Every recorded step of traj, redone by the stand-alone formulas with
+    the steps as rows: the energies, dissipation, minimum densities, CFL
+    bounds, forcing, next states and saved frames, bit for bit.  noise is
+    the model mollified for traj's own epsilon, or None."""
+    law, grid, cfg = traj.law, traj.grid, traj.config
+    stepper = Stepper(law, grid, cfg)
+    steps = traj.step_states
+    rho, m = np.ascontiguousarray(steps[:, 0]), np.ascontiguousarray(steps[:, 1])
+    start_rho, start_m = rho[:-1], m[:-1]
+    assert np.array_equal(traj.energy, quotient_energy(law, grid, rho, m, cfg.rho_inf))
+    rate = gradient_dissipation(law, grid, start_rho, start_m)
+    diss = np.cumsum(np.concatenate(([0.0], cfg.epsilon * cfg.dt * rate)))
+    assert np.array_equal(traj.dissipation, diss)
+    assert np.array_equal(traj.min_rho, rho.min(axis=-1))
+    fields = StateFields(law, start_rho, start_m)
+    assert np.array_equal(
+        stepper._dt_max(fields), dpressure_dt_max(stepper, start_rho, start_m)
+    )
+    forcing = None
+    if noise is not None:
+        dW = np.array([
+            noise.sample_increments(traj.sample_id, n, cfg.dt) for n in range(cfg.n_steps)
+        ])
+        forcing = afresh_forcing(noise, grid.x, start_rho, start_m, dW)
+        assert np.array_equal(traj.forcing_increments, forcing)
+    stepped = pressure_step(stepper, start_rho, start_m, forcing)
+    assert np.array_equal(stepped, steps[1:].transpose(1, 0, 2))
+    every = cfg.n_steps // cfg.n_saves
+    for j, state in enumerate(traj.states):
+        assert np.array_equal(state.rho, rho[j * every])
+        assert np.array_equal(state.mom, m[j * every])
+
+
+class TestSharedStatePass:
+    """Each state's u, P and P' are computed once and shared by the CFL
+    guard, the flux, the energy, the dissipation and the noise; the
+    results are those of the stand-alone formulas, bitwise."""
+
+    def test_readme_ensemble(self):
+        cfg = config_from_dict(README_RUN)
+        sc = replace(cfg.solver, record_steps=True, record_forcing=True)
+        init = cfg.initial.build(cfg.grid, sc.rho_inf)
+        trajs = simulate(init, cfg.law, cfg.grid, sc, cfg.noise, list(range(12)))
+        for traj in trajs:
+            assert_matches_oracle(traj, cfg.noise)
+
+    def test_explicit_scheme(self):
+        init, law, grid, cfg, noise = batch_case("explicit")
+        for traj in simulate(init, law, grid, cfg, noise, [1, 2, 3]):
+            assert_matches_oracle(traj, noise)
+
+    def test_sweep_members(self):
+        init, law, grid, cfg, _ = batch_case("imex")
+        # the momentum leaves Gamma_H of the first member
+        init = GridState(0.0, init.rho, 3.0 * np.sin(grid.x) * init.rho)
+        template = NoiseModel.mode_family(
+            0.4, 1.0, 3, law, seed=3, dt_base=1e-3, support_kind="whole_line"
+        )
+        eps_list = [0.5, 0.2, 0.05]
+        for eps, traj in epsilon_sweep(
+            init, law, grid, cfg, template, eps_list, c1=3.0, alpha1=0.25
+        ):
+            assert traj.error is None
+            noise = template.truncate_mollify(eps, 3.0, 0.25, 1.0)
+            assert_matches_oracle(traj, noise)
+            rho, m = traj.step_states[:, 0], traj.step_states[:, 1]
+            if eps == eps_list[0]:
+                assert noise._region_indicator(rho, m).min() < 1.0
+
+    def test_composite_blend_window(self):
+        init, law, grid, cfg, _ = batch_case("composite")
+        traj = simulate(init, law, grid, cfg)
+        rho = traj.step_states[:, 0]
+        assert (rho < law.rho_lo).any() or (rho > law.rho_hi).any()
+        assert ((rho > law.rho_lo) & (rho < law.rho_hi)).any()
+        assert_matches_oracle(traj, None)
+
+    def test_density_checked_once_per_state_per_step(self, monkeypatch):
+        cfg = config_from_dict(README_RUN)
+        sc, n_samples = cfg.solver, 12
+        init = cfg.initial.build(cfg.grid, sc.rho_inf)
+        shapes = []
+        check = PressureLaw._check_nonneg
+
+        def counted(rho):
+            shapes.append(np.shape(rho))
+            return check(rho)
+
+        bumps = []
+        plain_bump = noise_module.bump
+        monkeypatch.setattr(PressureLaw, "_check_nonneg", staticmethod(counted))
+        monkeypatch.setattr(
+            noise_module, "bump", lambda *a, **k: bumps.append(1) or plain_bump(*a, **k)
+        )
+        simulate(init, cfg.law, cfg.grid, sc, cfg.noise, list(range(n_samples)))
+        states = shapes.count((n_samples, cfg.grid.n + 1))
+        assert states == sc.n_steps + 1  # the initial state and one per step
+        assert len(shapes) - states <= 2  # the law's far-field constants, once
+        # the mode's profile is evaluated once per grid, by every later run too
+        simulate(init, cfg.law, cfg.grid, sc, cfg.noise, 3)
+        assert len(bumps) == cfg.noise.n_modes == 1
+
+    def test_negative_initial_density_rejected_before_stepping(self, law2, grid, monkeypatch):
+        init = bump_state(grid)
+        init.rho[100] = -1e-3
+        steps = []
+        step = Stepper.step
+        monkeypatch.setattr(
+            Stepper, "step", lambda self, *a: steps.append(1) or step(self, *a)
+        )
+        cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1)
+        with pytest.raises(DomainError):
+            simulate(init, law2, grid, cfg)
+        assert steps == []
+        with pytest.raises(DomainError):
+            relative_energy(law2, grid, init.rho, init.mom, 1.0)
+        with pytest.raises(DomainError):
+            dissipation_rate(law2, grid, init.rho, init.mom)
+
+    @pytest.mark.parametrize("kind", ["polytropic", "composite"])
+    def test_vacuum_nodes(self, grid, kind):
+        law = PressureLaw.polytropic(2.0)
+        if kind == "composite":
+            law = PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4)
+        state = bump_state(grid, amp=0.6)
+        rho, m = state.rho, 0.2 * np.sin(grid.x) * state.rho
+        rho[:40] = rho[120:130] = 0.0
+        m[:40] = m[120:130] = 0.0
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            energy = relative_energy(law, grid, rho, m, 1.0)
+            rate = dissipation_rate(law, grid, rho, m)
+            assert energy == quotient_energy(law, grid, rho, m, 1.0)
+            assert rate == gradient_dissipation(law, grid, rho, m)
+        assert np.isfinite(energy) and np.isfinite(rate) and rate > 0.0
