@@ -171,45 +171,32 @@ class BumpTestFunction:
         self.t0, self.rt, self.x0, self.rx = t0, rt, x0, rx
 
     @staticmethod
-    def _b(s):
+    def _b_parts(s, order):
+        """(b, b', b'')[: order + 1] at s, only the orders asked for."""
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - si**2))
-        return out
-
-    @staticmethod
-    def _db(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
+        out = [np.zeros_like(s) for _ in range(order + 1)]
         inside = np.abs(s) < 1.0
         si = s[inside]
         q = 1.0 - si**2
-        out[inside] = np.exp(-1.0 / q) * (-2.0 * si / q**2)
-        return out
-
-    @staticmethod
-    def _d2b(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        q = 1.0 - si**2
-        lr = -2.0 * si / q**2  # b'/b
-        dlr = (-2.0 - 6.0 * si**2) / q**3
-        out[inside] = np.exp(-1.0 / q) * (lr**2 + dlr)
-        return out
+        b = np.exp(-1.0 / q)
+        out[0][inside] = b
+        if order >= 1:
+            lr = -2.0 * si / q**2  # b'/b
+            out[1][inside] = b * lr
+        if order >= 2:
+            dlr = (-2.0 - 6.0 * si**2) / q**3
+            out[2][inside] = b * (lr**2 + dlr)
+        return tuple(out)
 
     def time_factors(self, t):
         """b((t - t0)/rt) and its t-derivative: phi = time x space factor."""
-        s = (np.asarray(t, dtype=float) - self.t0) / self.rt
-        return self._b(s), self._db(s) / self.rt
+        b, db = self._b_parts((np.asarray(t, dtype=float) - self.t0) / self.rt, 1)
+        return b, db / self.rt
 
     def space_factors(self, x):
         """b((x - x0)/rx) and its first and second x-derivatives."""
-        s = (np.asarray(x, dtype=float) - self.x0) / self.rx
-        return self._b(s), self._db(s) / self.rx, self._d2b(s) / self.rx**2
+        b, db, d2b = self._b_parts((np.asarray(x, dtype=float) - self.x0) / self.rx, 2)
+        return b, db / self.rx, d2b / self.rx**2
 
     def supported_in(self, T: float, L: float) -> bool:
         return (

@@ -120,56 +120,27 @@ def psi_cutoff(R, s):
 
 @dataclass(frozen=True)
 class EntropySpec:
-    """A generating function psi with derivatives and a growth class.
-
-    growth_class is one of "compact", "subquadratic", "subcubic",
-    "energy" (psi = s^2/2) and "cutoff_energy" (the three-piece psi_R).
-    kinks lists s-locations where psi is not smooth, where an adaptive
-    quadrature would split.  fused, when given, returns (psi, psi',
-    psi'') from shared intermediates; the built-in generators are defined
-    by it alone.
-    """
+    """A generating function psi: derivatives(s) returns (psi, psi', psi'')
+    at s from one call.  kinks lists s-locations where psi is not smooth,
+    where an adaptive quadrature would split."""
 
     name: str
-    psi: callable
-    dpsi: callable
-    d2psi: callable
-    growth_class: str = "subquadratic"
+    derivatives: callable
     kinks: tuple = ()
-    fused: callable | None = None
-
-    def derivatives(self, s):
-        """(psi, psi', psi'') at s, from one call of fused if there is one."""
-        if self.fused is not None:
-            return self.fused(s)
-        return self.psi(s), self.dpsi(s), self.d2psi(s)
-
-    @staticmethod
-    def _from_fused(name, fused, growth_class, kinks=()) -> "EntropySpec":
-        return EntropySpec(
-            name,
-            lambda s: fused(s)[0],
-            lambda s: fused(s)[1],
-            lambda s: fused(s)[2],
-            growth_class=growth_class,
-            kinks=kinks,
-            fused=fused,
-        )
 
     @staticmethod
     def energy() -> "EntropySpec":
-        def fused(s):
+        def derivatives(s):
             s = np.asarray(s, dtype=float)
             return 0.5 * s**2, s, np.ones_like(s)
 
-        return EntropySpec._from_fused("energy", fused, "energy")
+        return EntropySpec("energy", derivatives)
 
     @staticmethod
     def cutoff_energy(R: float) -> "EntropySpec":
-        return EntropySpec._from_fused(
+        return EntropySpec(
             f"cutoff_energy(R={R:g})",
             lambda s: psi_cutoff(R, s),
-            "cutoff_energy",
             kinks=(-2.0 * R, -R, R, 2.0 * R),
         )
 
@@ -177,26 +148,26 @@ class EntropySpec:
     def signed_square() -> "EntropySpec":
         """psi(s) = s|s|/2, the generator of the special Goursat entropy."""
 
-        def fused(s):
+        def derivatives(s):
             s = np.asarray(s, dtype=float)
             a = np.abs(s)
             return 0.5 * s * a, a, np.sign(s)
 
-        return EntropySpec._from_fused("signed_square", fused, "subcubic", kinks=(0.0,))
+        return EntropySpec("signed_square", derivatives, kinks=(0.0,))
 
     @staticmethod
     def constant(c: float = 1.0) -> "EntropySpec":
-        def fused(s):
+        def derivatives(s):
             s = np.asarray(s, dtype=float)
             return np.full_like(s, c), np.zeros_like(s), np.zeros_like(s)
 
-        return EntropySpec._from_fused(f"constant({c:g})", fused, "subquadratic")
+        return EntropySpec(f"constant({c:g})", derivatives)
 
     @staticmethod
     def compact_bump(center: float = 0.0, width: float = 1.0) -> "EntropySpec":
         """Compactly supported C^2 generator (1 - t^2)^3 on |t| < 1."""
 
-        def fused(s):
+        def derivatives(s):
             # t, t^2 and b = 1 - t^2 are shared and then overwritten in
             # place: on entropy_pair's blocks of 2^16 nodes, every further
             # live node array costs more in cache misses than it saves
@@ -224,10 +195,9 @@ class EntropySpec:
             d2psi[outside] = 0.0
             return psi.reshape(shape), dpsi.reshape(shape), d2psi.reshape(shape)
 
-        return EntropySpec._from_fused(
+        return EntropySpec(
             f"compact_bump({center:g},{width:g})",
-            fused,
-            "compact",
+            derivatives,
             kinks=(center - width, center + width),
         )
 

@@ -34,8 +34,9 @@ def _k_prime(law: PressureLaw, rho):
 
 
 def _k_second(law: PressureLaw, rho):
-    pp = law.dpressure(rho)
-    return law.d2pressure(rho) / (2.0 * np.sqrt(pp) * rho) - np.sqrt(pp) / rho**2
+    """K''(rho) of an array rho > 0."""
+    _, pp, ppp = law._pressure_parts(rho, 2)
+    return ppp / (2.0 * np.sqrt(pp) * rho) - np.sqrt(pp) / rho**2
 
 
 def _k_inverse(law: PressureLaw, k_values, rho_max):

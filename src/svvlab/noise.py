@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .pressure import PressureLaw
-from .pressure import _smoothstep as smoothstep
+from .pressure import PressureLaw, _smoothstep
 from .solver import StateFields
 
 _U64 = (1 << 64) - 1
@@ -159,6 +158,10 @@ class NoiseModel:
                 raise ConfigError(f"epsilon must lie in (0, 1], got {eps}")
         if c1 <= 0.0:
             raise ConfigError("c1 must be positive")
+        if trans_width is not None and not (0.0 < trans_width < np.inf):
+            raise ConfigError(
+                f"trans_width must be positive and finite, got {trans_width}"
+            )
         law = self.law
         th2 = law.theta2
         alpha_max = th2 if law.gamma1 <= 2.0 else min(0.5, th2)
@@ -225,22 +228,19 @@ class NoiseModel:
         pos, u = fields.pos, fields.u
         K = np.where(pos, self.law._k_integral(fields.rp), 0.0)
         H = _column(self.H)
-        if isinstance(self.trans_width, tuple):
-            width = _column(tuple(w or 1e-3 for w in self.trans_width))
-        else:
-            width = self.trans_width if self.trans_width else 1e-3
+        width = _column(self.trans_width)
         upper = (H - (u + K)) / width  # (H - w2) / width
         lower = ((u - K) + H) / width  # (w1 + H) / width
         if (upper >= 1.0).all() and (lower >= 1.0).all():  # both steps are exactly 1
             return np.where(pos, 1.0, 0.0)
-        return np.where(pos, smoothstep(upper) * smoothstep(lower), 0.0)
+        return np.where(pos, _smoothstep(upper)[0] * _smoothstep(lower)[0], 0.0)
 
     def _spatial_cutoff(self, x):
         """The whole-line cutoff on |x| < 1/eps, or None where there is
         none to apply."""
         if self.support_kind != "whole_line" or self.epsilon is None:
             return None
-        return smoothstep(2.0 * (1.0 - np.abs(_column(self.epsilon) * np.asarray(x))))
+        return _smoothstep(2.0 * (1.0 - np.abs(_column(self.epsilon) * np.asarray(x))))[0]
 
     def _on_grid(self, x):
         """(alpha_k(x) of every mode, spatial cutoff) on the nodes x: they
@@ -371,7 +371,7 @@ class NoiseModel:
         with the max of G / (rho (1 + eps^2 + u^2 + e)^{1/2}); vacuum cells
         contribute zero.
         """
-        eps2 = (self.epsilon or 0.0) ** 2
+        eps2 = 0.0 if self.epsilon is None else _column(self.epsilon) ** 2
         worst = 0.0
         count = 0
         for x, rho, m in states:
@@ -382,9 +382,8 @@ class NoiseModel:
             if pos.any():
                 rp = rho[pos]
                 u = m[pos] / rp
-                env = rp * np.sqrt(
-                    1.0 + eps2 + u**2 + self.law.internal_energy(rp)
-                )
+                e2 = np.broadcast_to(eps2, rho.shape)[pos]
+                env = rp * np.sqrt(1.0 + e2 + u**2 + self.law.internal_energy(rp))
                 worst = max(worst, float(np.max(G[pos] / env)))
             count += 1
         passed = None if B0 is None else bool(worst <= B0)

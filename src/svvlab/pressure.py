@@ -53,50 +53,31 @@ def default_kappa(gamma: float) -> float:
     return (gamma - 1.0) ** 2 / (4.0 * gamma)
 
 
-def _smoothstep(t):
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
+def _smoothstep(t, order=0):
+    """(w, w', w'')[: order + 1] of the C-infinity monotone step w: 0 for
+    t <= 0, 1 for t >= 1.  Only the orders asked for are computed."""
     t = np.asarray(t, dtype=float)
     lo = t <= 0.0
     hi = t >= 1.0
     mid = ~(lo | hi)
-    out = np.zeros_like(t)
-    out[hi] = 1.0
+    out = [np.zeros_like(t) for _ in range(order + 1)]
+    out[0][hi] = 1.0
     tm = t[mid]
     f = np.exp(-1.0 / tm)
     g = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = f / (f + g)
-    return out
-
-
-def _smoothstep_d1(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
-    fp = f / tm**2
-    gp = -g / (1.0 - tm) ** 2
-    out[mid] = (fp * g - f * gp) / (f + g) ** 2
-    return out
-
-
-def _smoothstep_d2(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
-    fp = f / tm**2
-    gp = -g / (1.0 - tm) ** 2
-    fpp = f * (1.0 - 2.0 * tm) / tm**4
-    gpp = g * (1.0 - 2.0 * (1.0 - tm)) / (1.0 - tm) ** 4
     s = f + g
-    num1 = (fpp * g - f * gpp) * s
-    num2 = 2.0 * (fp * g - f * gp) * (fp + gp)
-    out[mid] = (num1 - num2) / s**3
-    return out
+    out[0][mid] = f / s
+    if order >= 1:
+        fp = f / tm**2
+        gp = -g / (1.0 - tm) ** 2
+        out[1][mid] = (fp * g - f * gp) / s**2
+    if order >= 2:
+        fpp = f * (1.0 - 2.0 * tm) / tm**4
+        gpp = g * (1.0 - 2.0 * (1.0 - tm)) / (1.0 - tm) ** 4
+        num1 = (fpp * g - f * gpp) * s
+        num2 = 2.0 * (fp * g - f * gp) * (fp + gp)
+        out[2][mid] = (num1 - num2) / s**3
+    return tuple(out)
 
 
 class _WindowFit:
@@ -340,28 +321,24 @@ class PressureLaw:
             self.kappa - default_kappa(self.gamma)
         ) <= 1e-14 * default_kappa(self.gamma)
 
-    # -- blend helpers (composite) -----------------------------------------
+    # -- blend helper (composite) ------------------------------------------
 
-    def _blend_t(self, rho):
-        return (rho - self.rho_lo) / (self.rho_hi - self.rho_lo)
-
-    def _logP_parts(self, rho, order=2):
+    def _logP_parts(self, rho, order):
         """Return (L, L', L'')[: order + 1] of log P for the composite law (rho > 0)."""
         rho = np.asarray(rho, dtype=float)
         L1 = np.log(self.kappa1) + self.gamma1 * np.log(rho)
         L2 = np.log(self.kappa2) + self.gamma2 * np.log(rho)
-        t = self._blend_t(rho)
-        w = _smoothstep(t)
+        d = self.rho_hi - self.rho_lo
+        w, *dw = _smoothstep((rho - self.rho_lo) / d, order)
         L = (1.0 - w) * L1 + w * L2
         if order == 0:
             return (L,)
-        d = self.rho_hi - self.rho_lo
-        wp = _smoothstep_d1(t) / d
+        wp = dw[0] / d
         dL1, dL2 = self.gamma1 / rho, self.gamma2 / rho
         Lp = (1.0 - w) * dL1 + w * dL2 + wp * (L2 - L1)
         if order == 1:
             return L, Lp
-        wpp = _smoothstep_d2(t) / d**2
+        wpp = dw[1] / d**2
         d2L1, d2L2 = -self.gamma1 / rho**2, -self.gamma2 / rho**2
         Lpp = (
             (1.0 - w) * d2L1
@@ -376,57 +353,47 @@ class PressureLaw:
     # A public method checks rho >= 0 once; where it has an unchecked twin
     # _name, callers that have checked rho already (the composite regimes,
     # relative_internal_energy, the solver's pass over a state) call the
-    # twin.
+    # twin.  P, P' and P'' share one twin, _pressure_parts.
 
     def pressure(self, rho):
         """P(rho); P(0) = 0, strictly increasing."""
-        rho = self._check_nonneg(rho)
-        if self.is_polytropic:
-            return self.kappa * rho**self.gamma
-        out = np.where(
-            rho > 0.0,
-            np.exp(self._logP_parts(np.where(rho > 0.0, rho, 1.0), 0)[0]),
-            0.0,
-        )
-        return out if out.ndim else float(out)
+        return self._pressure_parts(self._check_nonneg(rho), 0)[0]
 
     def dpressure(self, rho):
         """P'(rho)."""
-        rho = self._check_nonneg(rho)
-        if self.is_polytropic:
-            return self.kappa * self.gamma * rho ** (self.gamma - 1.0)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        L, Lp = self._logP_parts(safe, 1)
-        out = np.where(rho > 0.0, np.exp(L) * Lp, 0.0)
-        return out if out.ndim else float(out)
+        return self._pressure_parts(self._check_nonneg(rho), 1)[1]
 
     def pressure_pair(self, rho):
-        """(P(rho), P'(rho)) of an array rho >= 0, from one check of rho
-        and, for a composite law, one evaluation of log P and its slope:
-        P = exp(L) and P' = exp(L) L'.  Each equals what pressure and
-        dpressure give, bit for bit."""
-        return self._pressure_pair(self._check_nonneg(rho))
-
-    def _pressure_pair(self, rho):
-        if self.is_polytropic:
-            return (
-                self.kappa * rho**self.gamma,
-                self.kappa * self.gamma * rho ** (self.gamma - 1.0),
-            )
-        pos = rho > 0.0
-        L, Lp = self._logP_parts(np.where(pos, rho, 1.0), 1)
-        P = np.exp(L)
-        return np.where(pos, P, 0.0), np.where(pos, P * Lp, 0.0)
+        """(P(rho), P'(rho)) from one check of rho and one evaluation."""
+        return self._pressure_parts(self._check_nonneg(rho), 1)
 
     def d2pressure(self, rho):
         """P''(rho) (rho > 0)."""
-        rho = self._check_pos(rho)
+        return self._pressure_parts(self._check_pos(rho), 2)[2]
+
+    def _pressure_parts(self, rho, order):
+        """(P, P', P'')[: order + 1] of a checked rho, only the orders asked
+        for (P'' only where rho > 0); floats for a float rho.  A composite
+        law's are exp(L), exp(L) L' and exp(L) (L'' + L'^2) with L = log P,
+        and P = P' = 0 on vacuum."""
         if self.is_polytropic:
-            g = self.gamma
-            return self.kappa * g * (g - 1.0) * rho ** (g - 2.0)
-        L, Lp, Lpp = self._logP_parts(rho)
-        out = np.exp(L) * (Lpp + Lp**2)
-        return out if np.ndim(out) else float(out)
+            k, g = self.kappa, self.gamma
+            parts = [k * rho**g]
+            if order >= 1:
+                parts.append(k * g * rho ** (g - 1.0))
+            if order >= 2:
+                parts.append(k * g * (g - 1.0) * rho ** (g - 2.0))
+            return tuple(parts)
+        pos = rho > 0.0
+        L, *dL = self._logP_parts(np.where(pos, rho, 1.0), order)
+        P = np.exp(L)
+        parts = [P]
+        if order >= 1:
+            parts.append(P * dL[0])
+        if order >= 2:
+            parts.append(P * (dL[1] + dL[0] ** 2))
+        parts = [np.where(pos, p, 0.0) for p in parts]
+        return tuple(p if p.ndim else float(p) for p in parts)
 
     def sound_speed(self, rho):
         """c(rho) = sqrt(P'(rho)), rho > 0."""
@@ -632,9 +599,7 @@ class PressureLaw:
             ok = bool(np.all(np.isfinite(r)) and (not positive or np.all(r > 0.0)))
             checks.append(BoundCheck(name, float(r.min()), float(r.max()), ok))
 
-        P = self.pressure(rho)
-        Pp = self.dpressure(rho)
-        Ppp = self.d2pressure(rho)
+        P, Pp, Ppp = self._pressure_parts(rho, 2)
         e = self.internal_energy(rho)
         K = self.k_integral(rho)
         estar = self.relative_internal_energy(rho, rho_inf)

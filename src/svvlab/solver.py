@@ -93,7 +93,7 @@ class StateFields:
             self.P, self.dP = law.pressure_pair(rho)
         else:
             self.estar = law.relative_internal_energy(rho, rho_inf)
-            self.P, self.dP = law._pressure_pair(rho)
+            self.P, self.dP = law._pressure_parts(rho, 1)
         self.pos = rho > 0.0
         self.rp = np.where(self.pos, rho, 1.0)
         self.u = np.where(self.pos, m / self.rp, 0.0)

@@ -40,21 +40,54 @@ def bump_state(grid, amp=0.3, width=0.5):
     return GridState(0.0, rho, np.zeros_like(x))
 
 
+# the test bump b and its derivatives, one function each: the oracles of
+# BumpTestFunction._b_parts
+def bump_b(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - si**2))
+    return out
+
+
+def bump_db(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    q = 1.0 - si**2
+    out[inside] = np.exp(-1.0 / q) * (-2.0 * si / q**2)
+    return out
+
+
+def bump_d2b(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    q = 1.0 - si**2
+    lr = -2.0 * si / q**2  # b'/b
+    dlr = (-2.0 - 6.0 * si**2) / q**3
+    out[inside] = np.exp(-1.0 / q) * (lr**2 + dlr)
+    return out
+
+
 # pointwise phi(t, x) and its derivatives, for the step loop oracle
 def phi_value(phi, t, x):
-    return phi._b((t - phi.t0) / phi.rt) * phi._b((x - phi.x0) / phi.rx)
+    return bump_b((t - phi.t0) / phi.rt) * bump_b((x - phi.x0) / phi.rx)
 
 
 def phi_dt(phi, t, x):
-    return phi._db((t - phi.t0) / phi.rt) / phi.rt * phi._b((x - phi.x0) / phi.rx)
+    return bump_db((t - phi.t0) / phi.rt) / phi.rt * bump_b((x - phi.x0) / phi.rx)
 
 
 def phi_dx(phi, t, x):
-    return phi._b((t - phi.t0) / phi.rt) * phi._db((x - phi.x0) / phi.rx) / phi.rx
+    return bump_b((t - phi.t0) / phi.rt) * bump_db((x - phi.x0) / phi.rx) / phi.rx
 
 
 def phi_dxx(phi, t, x):
-    return phi._b((t - phi.t0) / phi.rt) * phi._d2b((x - phi.x0) / phi.rx) / phi.rx**2
+    return bump_b((t - phi.t0) / phi.rt) * bump_d2b((x - phi.x0) / phi.rx) / phi.rx**2
 
 
 class TestRelativeEnergy:
@@ -189,6 +222,21 @@ class TestBumpTestFunction:
         assert phi_dt(phi, t, x) == pytest.approx(dt_fd, rel=1e-5)
         assert phi_dx(phi, t, x) == pytest.approx(dx_fd, rel=1e-5)
         assert phi_dxx(phi, t, x) == pytest.approx(dxx_fd, rel=1e-3)
+
+    def test_b_parts_match_separate_functions(self):
+        # one evaluation of b, b' and b'' gives each order bit for bit as
+        # its own function does, on arrays and 0-d input, |s| = 1 included
+        oracles = (bump_b, bump_db, bump_d2b)
+        s = np.concatenate(([-1.5, -1.0, -0.0, 0.0, 1.0, 1.5], np.linspace(-1.0, 1.0, 39)))
+        for arg in (s, s.reshape(3, 3, 5), *map(np.float64, s)):
+            for order in range(3):
+                parts = BumpTestFunction._b_parts(arg, order)
+                assert len(parts) == order + 1
+                for got, oracle in zip(parts, oracles):
+                    want = oracle(arg)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+        assert not BumpTestFunction._b_parts(np.array([-1.0, 1.0]), 2)[2].any()
 
 
 class TestEntropyResidual:

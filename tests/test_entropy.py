@@ -47,11 +47,14 @@ def adaptive_pair(law, spec, rho, m):
     def weight(z):
         return (1.0 - z * z) ** lam
 
+    def psi(z, order=0):  # the order-th derivative of psi at u + K z
+        return spec.derivatives(u + K * z)[order]
+
     M0 = integ(weight)
-    eta = rho * integ(lambda z: spec.psi(u + K * z) * weight(z)) / M0
-    qf = rho * integ(lambda z: (u + theta * K * z) * spec.psi(u + K * z) * weight(z)) / M0
-    dm = integ(lambda z: spec.dpsi(u + K * z) * weight(z)) / M0
-    d2m = integ(lambda z: spec.d2psi(u + K * z) * weight(z)) / (rho * M0)
+    eta = rho * integ(lambda z: psi(z) * weight(z)) / M0
+    qf = rho * integ(lambda z: (u + theta * K * z) * psi(z) * weight(z)) / M0
+    dm = integ(lambda z: psi(z, 1) * weight(z)) / M0
+    d2m = integ(lambda z: psi(z, 2) * weight(z)) / (rho * M0)
     return eta, qf, dm, d2m
 
 
@@ -86,10 +89,11 @@ class TestEntropyPair:
         # the momentum itself (normalized kernel form).
         spec = EntropySpec(
             name="linear",
-            psi=lambda s: s,
-            dpsi=lambda s: np.ones_like(np.asarray(s, float)),
-            d2psi=lambda s: np.zeros_like(np.asarray(s, float)),
-            growth_class="subquadratic",
+            derivatives=lambda s: (
+                s,
+                np.ones_like(np.asarray(s, float)),
+                np.zeros_like(np.asarray(s, float)),
+            ),
         )
         pv = entropy_pair(law2, spec, np.array([1.0]), np.array([1.0]))
         assert pv.eta[0] == pytest.approx(1.0, rel=1e-12)
@@ -121,7 +125,8 @@ class TestEntropyPair:
         )
         for spec in specs:
             pv = entropy_pair(law, spec, rho, m, n_nodes=48)
-            q = rho[pos] * (((u[:, None] + law.theta * K[:, None] * z) * spec.psi(s)) @ w)
+            psi = spec.derivatives(s)[0]
+            q = rho[pos] * (((u[:, None] + law.theta * K[:, None] * z) * psi) @ w)
             q /= w.sum()
             assert np.max(np.abs(pv.q[pos] - q)) <= 1e-14 * np.max(np.abs(q))
             solid = entropy_pair(law, spec, rho[pos], m[pos], n_nodes=48)
@@ -207,7 +212,7 @@ class TestEntropyPair:
         spec = EntropySpec.compact_bump(0.0, 2.0)
         rho = np.geomspace(1e-3, 5.0, 40)
         pv = entropy_pair(law2, spec, rho, np.zeros_like(rho))
-        assert np.all(np.abs(pv.eta) <= 1.01 * rho * np.abs(spec.psi(0.0)))
+        assert np.all(np.abs(pv.eta) <= 1.01 * rho * np.abs(spec.derivatives(0.0)[0]))
 
     def test_pair_compatibility(self, law2):
         # grad q = grad eta . grad F, finite differences in (rho, m)
@@ -398,10 +403,9 @@ class TestFusedGenerators:
         s = u[:, None] + law2.k_integral(rho)[:, None] * z
         for spec, parts in separate_callables():
             expect = [f(s) for f in parts]
-            for got in (spec.derivatives(s), (spec.psi(s), spec.dpsi(s), spec.d2psi(s))):
-                for a, b in zip(got, expect):
-                    np.testing.assert_array_equal(a, b)
-            oracle = EntropySpec("oracle", *parts)
+            for a, b in zip(spec.derivatives(s), expect):
+                np.testing.assert_array_equal(a, b)
+            oracle = EntropySpec("oracle", lambda s, parts=parts: tuple(f(s) for f in parts))
             pv = entropy_pair(law2, spec, rho, rho * u, n_nodes=48)
             ref = entropy_pair(law2, oracle, rho, rho * u, n_nodes=48)
             for name in ("eta", "q", "deta_dm", "d2eta_dm2"):
@@ -419,11 +423,11 @@ class TestFusedGenerators:
         calls = []
         base = EntropySpec.compact_bump(0.0, 4.0)
 
-        def fused(s):
+        def derivatives(s):
             calls.append(s.shape)
-            return base.fused(s)
+            return base.derivatives(s)
 
-        spec = EntropySpec("counted", base.psi, base.dpsi, base.d2psi, fused=fused)
+        spec = EntropySpec("counted", derivatives)
         entropy_pair(law2, spec, np.ones(5), np.zeros(5), n_nodes=48)
         assert calls == [(5, 48)]
 

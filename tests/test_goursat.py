@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svvlab.entropy import EntropySpec, entropy_pair
+from svvlab import goursat
 from svvlab.goursat import goursat_flux, goursat_solve
 from svvlab.pressure import PressureLaw
 
@@ -79,6 +80,23 @@ class TestCompositeLaw:
         # interior value finite and odd
         v = t.eval(np.array([1.5]), np.array([0.2]))
         assert np.isfinite(v[0])
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        PressureLaw.polytropic(1.4),
+        PressureLaw.composite(2.2, 1.6, 0.15, 0.2, 1.0, 2.5),
+    ],
+    ids=["polytropic", "composite"],
+)
+def test_k_second_from_one_pressure_call(law):
+    # K'' from one (P, P', P'') evaluation has the bits of the formula with
+    # P' and P'' evaluated separately
+    rho = np.concatenate((np.geomspace(1e-12, 1e-3, 7), np.linspace(0.5, 4.0, 29)))
+    pp = law.dpressure(rho)
+    want = law.d2pressure(rho) / (2.0 * np.sqrt(pp) * rho) - np.sqrt(pp) / rho**2
+    assert np.array_equal(goursat._k_second(law, rho), want)
 
 
 class TestFlux:

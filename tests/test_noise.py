@@ -74,6 +74,14 @@ class TestTruncateMollify:
         with pytest.raises(ConfigError):
             single.truncate_mollify(0.01, 1.0, 0.6, rho_inf=1.0)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_trans_width_rejected(self, single, width):
+        # -1 would zero the forcing everywhere, 0 would divide by zero
+        with pytest.raises(ConfigError, match="trans_width"):
+            single.truncate_mollify(0.05, 3.0, 0.25, rho_inf=1.0, trans_width=width)
+        with pytest.raises(ConfigError, match="trans_width"):
+            single.truncate_mollify([0.05, 0.02], 3.0, 0.25, rho_inf=1.0, trans_width=width)
+
 
 class TestSampling:
     def test_determinism(self, single):
@@ -278,3 +286,23 @@ class TestGrowth:
     def test_empty_states(self, single):
         rep = single.growth_check([])
         assert rep.n_states == 0
+
+    def test_per_row_model(self, law2):
+        # a model mollified per row takes eps^2 row by row: its B0 is the
+        # largest of the lone models' on their own rows
+        template = NoiseModel.mode_family(0.5, 0.5, 60, law2, seed=1, dt_base=1e-3)
+        eps = [0.05, 0.02]
+        rows = template.truncate_mollify(eps, 3.0, 0.25, rho_inf=1.0)
+        lone = [template.truncate_mollify(e, 3.0, 0.25, rho_inf=1.0) for e in eps]
+        x = np.linspace(-2.0, 2.0, 65)
+        rho = 1.0 + 0.4 * np.cos(np.arange(2)[:, None] + 2.0 * x)
+        m = 0.5 * np.sin(x - np.arange(2)[:, None]) * rho
+        rho[1, 3] = m[1, 3] = 0.0  # a vacuum node contributes zero
+        states = [(x, rho, m), (x, rho[::-1].copy(), m[::-1].copy())]
+        got = rows.growth_check(states, B0=1.0)
+        want = [
+            model.growth_check([(x, r[i], q[i]) for _, r, q in states]).empirical_B0
+            for i, model in enumerate(lone)
+        ]
+        assert got.empirical_B0 == max(want) > 0.0
+        assert got.n_states == 2 and got.passed

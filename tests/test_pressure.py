@@ -338,6 +338,142 @@ def scipy_integrand_series(f, a, b, floor, name):
     return None
 
 
+# ---------------------------------------------------------------------------
+# P, P', P'' and the blend's smoothstep against one function per order
+# ---------------------------------------------------------------------------
+
+# The smoothstep and its two derivatives as separate functions, each with
+# its own masks and exponentials: the oracles of pressure._smoothstep.
+
+
+def smoothstep_value(t):
+    t = np.asarray(t, dtype=float)
+    lo = t <= 0.0
+    hi = t >= 1.0
+    mid = ~(lo | hi)
+    out = np.zeros_like(t)
+    out[hi] = 1.0
+    tm = t[mid]
+    f = np.exp(-1.0 / tm)
+    g = np.exp(-1.0 / (1.0 - tm))
+    out[mid] = f / (f + g)
+    return out
+
+
+def _smoothstep_d1(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    f = np.exp(-1.0 / tm)
+    g = np.exp(-1.0 / (1.0 - tm))
+    fp = f / tm**2
+    gp = -g / (1.0 - tm) ** 2
+    out[mid] = (fp * g - f * gp) / (f + g) ** 2
+    return out
+
+
+def _smoothstep_d2(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
+    f = np.exp(-1.0 / tm)
+    g = np.exp(-1.0 / (1.0 - tm))
+    fp = f / tm**2
+    gp = -g / (1.0 - tm) ** 2
+    fpp = f * (1.0 - 2.0 * tm) / tm**4
+    gpp = g * (1.0 - 2.0 * (1.0 - tm)) / (1.0 - tm) ** 4
+    s = f + g
+    num1 = (fpp * g - f * gpp) * s
+    num2 = 2.0 * (fp * g - f * gp) * (fp + gp)
+    out[mid] = (num1 - num2) / s**3
+    return out
+
+
+def _logP_oracle(law, rho):
+    """(L, L', L'') of log P of a composite law at rho > 0, from the
+    separate smoothstep functions."""
+    rho = np.asarray(rho, dtype=float)
+    L1 = np.log(law.kappa1) + law.gamma1 * np.log(rho)
+    L2 = np.log(law.kappa2) + law.gamma2 * np.log(rho)
+    d = law.rho_hi - law.rho_lo
+    t = (rho - law.rho_lo) / d
+    w, wp, wpp = smoothstep_value(t), _smoothstep_d1(t) / d, _smoothstep_d2(t) / d**2
+    dL1, dL2 = law.gamma1 / rho, law.gamma2 / rho
+    d2L1, d2L2 = -law.gamma1 / rho**2, -law.gamma2 / rho**2
+    L = (1.0 - w) * L1 + w * L2
+    Lp = (1.0 - w) * dL1 + w * dL2 + wp * (L2 - L1)
+    Lpp = (1.0 - w) * d2L1 + w * d2L2 + 2.0 * wp * (dL2 - dL1) + wpp * (L2 - L1)
+    return L, Lp, Lpp
+
+
+def _pressure_oracle(law, rho):
+    """(P, P') at rho >= 0, each from its own evaluation."""
+    if law.is_polytropic:
+        return law.kappa * rho**law.gamma, law.kappa * law.gamma * rho ** (law.gamma - 1.0)
+    safe = np.where(rho > 0.0, rho, 1.0)
+    P = np.where(rho > 0.0, np.exp(_logP_oracle(law, safe)[0]), 0.0)
+    L, Lp, _ = _logP_oracle(law, safe)
+    dP = np.where(rho > 0.0, np.exp(L) * Lp, 0.0)
+    return (P, dP) if P.ndim else (float(P), float(dP))
+
+
+def _d2pressure_oracle(law, rho):
+    """P'' at rho > 0."""
+    if law.is_polytropic:
+        g = law.gamma
+        return law.kappa * g * (g - 1.0) * rho ** (g - 2.0)
+    L, Lp, Lpp = _logP_oracle(law, rho)
+    out = np.exp(L) * (Lpp + Lp**2)
+    return out if np.ndim(out) else float(out)
+
+
+class TestOneEvaluationPath:
+    def test_smoothstep_orders_match_separate_functions(self):
+        oracles = (smoothstep_value, _smoothstep_d1, _smoothstep_d2)
+        t = np.concatenate(
+            ([-2.0, -0.0, 0.0, 1.0, 2.0, 1e-2, 1.0 - 2**-53], np.linspace(-0.5, 1.5, 38))
+        )
+        for arg in (t, t.reshape(5, 9), *map(np.float64, t)):
+            for order in range(3):
+                parts = pressure._smoothstep(arg, order)
+                assert len(parts) == order + 1
+                for got, oracle in zip(parts, oracles):
+                    want = oracle(arg)
+                    assert got.shape == want.shape and np.array_equal(got, want)
+        w, dw, d2w = pressure._smoothstep(np.array([0.0, 1.0]), 2)
+        assert list(w) == [0.0, 1.0] and not dw.any() and not d2w.any()
+
+    @pytest.mark.parametrize("law_name", ["gamma=1.4", "gamma=2", *sorted(LAWS)])
+    def test_pressure_parts_match_separate_evaluations(self, law_name):
+        if law_name.startswith("gamma="):
+            law = PressureLaw.polytropic(float(law_name[6:]))
+            rho = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 31), [1.0]))
+        else:
+            law = PressureLaw.composite(*LAWS[law_name])
+            rho = np.concatenate(([0.0], _oracle_points(law.rho_lo, law.rho_hi)))
+        for arg in (rho, rho.reshape(-1, 11), *map(float, rho)):
+            P, dP = _pressure_oracle(law, arg)
+            for got, want in ((law.pressure(arg), P), (law.dpressure(arg), dP)):
+                assert type(got) is type(want) and np.array_equal(got, want)
+            pos = arg[arg > 0.0] if np.ndim(arg) else arg
+            if np.ndim(pos) or pos > 0.0:
+                got, want = law.d2pressure(pos), _d2pressure_oracle(law, pos)
+                assert type(got) is type(want) and np.array_equal(got, want)
+
+    def test_vacuum_scalars_skip_the_second_derivative(self):
+        # for gamma < 2, P'' is singular at rho = 0: 0.0 ** -0.6 raises
+        # ZeroDivisionError, so P and P' must not compute it
+        law = PressureLaw.polytropic(1.4)
+        assert law.pressure(0.0) == 0.0 and law.dpressure(0.0) == 0.0
+        assert law.pressure_pair(0.0) == (0.0, 0.0)
+        with pytest.raises(DomainError):
+            law.d2pressure(0.0)
+        with pytest.raises(DomainError):
+            law.d2pressure(np.array([1.0, 0.0]))
+
+
 FITS = ("_e_fit", "_k_fit", "_gp_fit", "_g_fit")
 
 

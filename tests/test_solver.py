@@ -534,13 +534,12 @@ def afresh_forcing(noise, x, rho, m, dW):
     rp = np.where(pos, rho, 1.0)
     u = np.where(pos, m / rp, 0.0)
     K = np.where(pos, noise.law.k_integral(rp), 0.0)
-    width = noise.trans_width or 1e-3
-    upper = (noise.H - (u + K)) / width
-    lower = ((u - K) + noise.H) / width
-    indicator = np.where(pos, _smoothstep(upper) * _smoothstep(lower), 0.0)
+    upper = (noise.H - (u + K)) / noise.trans_width
+    lower = ((u - K) + noise.H) / noise.trans_width
+    indicator = np.where(pos, _smoothstep(upper)[0] * _smoothstep(lower)[0], 0.0)
     cutoff = np.ones_like(x)
     if noise.support_kind == "whole_line":
-        cutoff = _smoothstep(2.0 * (1.0 - np.abs(noise.epsilon * x)))
+        cutoff = _smoothstep(2.0 * (1.0 - np.abs(noise.epsilon * x)))[0]
     out = np.zeros_like(rho)
     for k, mode in enumerate(noise.modes):
         out = out + mode.a * (mode(x, rho, m) * indicator * cutoff) * dW[:, k, None]
