@@ -212,8 +212,12 @@ def sweep_cmd(config_path, seed, output_dir):
 @click.option("--output-dir", type=click.Path(), default=None)
 def entropy_table_cmd(gamma, psi, rho_range, u_range, output_dir):
     """Dump (rho, u, eta, q, d_m eta, d2_m eta) over a grid."""
-    if not gamma > 1.0:
-        click.echo(f"gamma must exceed 1, got {gamma}", err=True)
+    if not (rho_range[0] >= 0.0 and rho_range[1] >= 0.0 and rho_range[2] >= 1):
+        click.echo(
+            "--rho-range needs densities >= 0 and a count >= 1, got "
+            + " ".join(f"{v:g}" for v in rho_range),
+            err=True,
+        )
         sys.exit(2)
     try:
         law = PressureLaw.polytropic(gamma)

@@ -1,19 +1,19 @@
 """Run configuration: YAML schema, initial data, and cross-validation.
 
 A run file is a key-value tree with blocks: law, grid, solver, initial,
-noise, diagnostics, sweep, plus a seed and an output directory.  All
+noise, diagnostics, sweep, plus a seed, a sample count and an output
+directory.  All
 violations are collected and reported together before anything runs.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .diagnostics import BumpTestFunction
 from .entropy import EntropySpec
 from .errors import ConfigError
 from .noise import NoiseModel
@@ -81,13 +81,10 @@ class RunConfig:
     noise_c1: float = 1.0
     noise_alpha1: float = 0.25
     window: tuple = (-1.0, 1.0)
-    moment_p: tuple = (1.0, 2.0)
     cells: tuple = (8, 8)
     sweep_epsilons: tuple = ()
     samples: int = 1
-    phi: BumpTestFunction | None = None
     psis: tuple = ("energy",)
-    raw: dict = field(default_factory=dict)
 
 
 def _law_from(block, errs):
@@ -197,7 +194,6 @@ def config_from_dict(raw: dict) -> RunConfig:
             record_steps=bool(sb.get("record_steps", False)),
             record_forcing=bool(sb.get("record_forcing", False)),
         )
-        solver.n_steps  # validates T/dt divisibility
     except (ConfigError, ValueError) as exc:
         errs.append(f"solver block invalid: {exc}")
 
@@ -252,24 +248,6 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     db = raw.get("diagnostics", {})
     window = tuple(db.get("window", (-1.0, 1.0)))
-    moment_p = tuple(float(p) for p in db.get("moment_p", (1.0, 2.0)))
-    if any(p > 6.0 for p in moment_p):
-        errs.append("moment exponents above 6 are rejected (variance blow-up)")
-    if any(p < 1.0 for p in moment_p):
-        errs.append("moment exponents must be >= 1")
-    phi = None
-    if "phi" in db:
-        pb = db["phi"]
-        try:
-            phi = BumpTestFunction(
-                float(pb["t0"]), float(pb["rt"]), float(pb["x0"]), float(pb["rx"])
-            )
-            if solver is not None and grid is not None and not phi.supported_in(
-                solver.T, grid.L
-            ):
-                errs.append("phi support must stay inside (0, T) x (-L, L)")
-        except (ConfigError, KeyError, ValueError) as exc:
-            errs.append(f"phi block invalid: {exc}")
     psis = tuple(db.get("psis", ("energy",)))
     for name in psis:
         try:
@@ -281,7 +259,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     sweep_eps = tuple(float(e) for e in wb.get("epsilons", ()))
     if sweep_eps and any(b >= a for a, b in zip(sweep_eps, sweep_eps[1:])):
         errs.append("sweep.epsilons must be strictly decreasing")
-    samples = int(wb.get("samples", raw.get("samples", 1)))
+    samples = int(raw.get("samples", 1))
     if samples < 1:
         errs.append("sample count must be >= 1")
     cells = tuple(int(c) for c in wb.get("cells", (8, 8)))
@@ -305,11 +283,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         noise_c1=noise_c1,
         noise_alpha1=noise_alpha1,
         window=window,
-        moment_p=moment_p,
         cells=cells,
         sweep_epsilons=sweep_eps,
         samples=samples,
-        phi=phi,
         psis=psis,
-        raw=raw,
     )

@@ -121,12 +121,10 @@ def psi_cutoff(R, s):
 @dataclass(frozen=True)
 class EntropySpec:
     """A generating function psi: derivatives(s) returns (psi, psi', psi'')
-    at s from one call.  kinks lists s-locations where psi is not smooth,
-    where an adaptive quadrature would split."""
+    at s from one call."""
 
     name: str
     derivatives: callable
-    kinks: tuple = ()
 
     @staticmethod
     def energy() -> "EntropySpec":
@@ -138,11 +136,7 @@ class EntropySpec:
 
     @staticmethod
     def cutoff_energy(R: float) -> "EntropySpec":
-        return EntropySpec(
-            f"cutoff_energy(R={R:g})",
-            lambda s: psi_cutoff(R, s),
-            kinks=(-2.0 * R, -R, R, 2.0 * R),
-        )
+        return EntropySpec(f"cutoff_energy(R={R:g})", lambda s: psi_cutoff(R, s))
 
     @staticmethod
     def signed_square() -> "EntropySpec":
@@ -153,7 +147,7 @@ class EntropySpec:
             a = np.abs(s)
             return 0.5 * s * a, a, np.sign(s)
 
-        return EntropySpec("signed_square", derivatives, kinks=(0.0,))
+        return EntropySpec("signed_square", derivatives)
 
     @staticmethod
     def constant(c: float = 1.0) -> "EntropySpec":
@@ -195,11 +189,7 @@ class EntropySpec:
             d2psi[outside] = 0.0
             return psi.reshape(shape), dpsi.reshape(shape), d2psi.reshape(shape)
 
-        return EntropySpec(
-            f"compact_bump({center:g},{width:g})",
-            derivatives,
-            kinks=(center - width, center + width),
-        )
+        return EntropySpec(f"compact_bump({center:g},{width:g})", derivatives)
 
 
 @dataclass(frozen=True)
@@ -315,9 +305,11 @@ def mechanical_energy_pair(law: PressureLaw, rho, m) -> EntropyPairValue:
     dm = np.zeros(rho.shape)
     d2m = np.zeros(rho.shape)
     rp, mp = rho[pos], m[pos]
-    e = law.internal_energy(rp)
+    # rho was checked above: e and P unchecked, each evaluated once
+    e = law._internal_energy(rp)
+    (P,) = law._pressure_parts(rp, 0)
     eta[pos] = 0.5 * mp**2 / rp + rp * e
-    qf[pos] = 0.5 * mp**3 / rp**2 + mp * law.rho_e_prime(rp)
+    qf[pos] = 0.5 * mp**3 / rp**2 + mp * (e + P / rp)  # (rho e)' = e + P / rho
     dm[pos] = mp / rp
     d2m[pos] = 1.0 / rp
 

@@ -32,12 +32,12 @@ def _column(value):
     return np.asarray(value, dtype=float)[:, None] if isinstance(value, tuple) else value
 
 
-def bump(x, center=0.0, width=1.0, amplitude=1.0):
-    """C-infinity bump, equal to amplitude at the center, 0 outside."""
+def bump(x, center=0.0, width=1.0):
+    """C-infinity bump, equal to 1 at the center, 0 outside."""
     t = (np.asarray(x, dtype=float) - center) / width
     inside = np.abs(t) < 1.0
     safe = np.where(inside, t, 0.0)
-    out = np.where(inside, amplitude * np.exp(1.0 - 1.0 / (1.0 - safe**2)), 0.0)
+    out = np.where(inside, np.exp(1.0 - 1.0 / (1.0 - safe**2)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -66,7 +66,6 @@ class NoiseModel:
     epsilon: float | tuple | None = None
     mode_cap: int | tuple | None = None
     H: float | tuple | None = None  # invariant-region half-width
-    trans_width: float | tuple | None = None
     # sample id -> (Generator, initial Philox state) of its stream; every
     # draw restores that state, so no draw depends on the ones before it
     _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -83,14 +82,13 @@ class NoiseModel:
         dt_base: float,
         center: float = 0.0,
         width: float = 1.0,
-        amplitude: float = 1.0,
     ) -> "NoiseModel":
         """zeta_1(x, rho, m) = alpha(x) rho with a compactly supported bump alpha."""
         if width <= 0.0:
             raise ConfigError("bump width must be positive (compact support)")
 
         def alpha(x):
-            return bump(x, center, width, amplitude)
+            return bump(x, center, width)
 
         return NoiseModel(
             modes=(NoiseMode(a1, alpha),), law=law, seed=seed, dt_base=dt_base
@@ -141,13 +139,13 @@ class NoiseModel:
         c1: float,
         alpha1: float,
         rho_inf: float,
-        trans_width: float | None = None,
     ) -> "NoiseModel":
-        """Keep floor(1/eps) modes and confine them to Gamma_H smoothly.
+        """Keep floor(1/eps) modes and confine them to Gamma_H smoothly,
+        with a transition of width eps at its edge.
 
         epsilon is one viscosity, or a sequence of them, one per row of a
         batch: each row is then mollified for its own epsilon, and
-        epsilon, mode_cap, H and trans_width hold one value per row.  The
+        epsilon, mode_cap and H hold one value per row.  The
         model keeps the largest cap's modes; a row gets exactly zero from
         the modes beyond its own cap.
         """
@@ -156,12 +154,8 @@ class NoiseModel:
         for eps in eps_rows:
             if not (0.0 < eps <= 1.0):
                 raise ConfigError(f"epsilon must lie in (0, 1], got {eps}")
-        if c1 <= 0.0:
-            raise ConfigError("c1 must be positive")
-        if trans_width is not None and not (0.0 < trans_width < np.inf):
-            raise ConfigError(
-                f"trans_width must be positive and finite, got {trans_width}"
-            )
+        if not 0.0 < c1 < np.inf:
+            raise ConfigError(f"c1 must be positive and finite, got {c1}")
         law = self.law
         th2 = law.theta2
         alpha_max = th2 if law.gamma1 <= 2.0 else min(0.5, th2)
@@ -184,7 +178,6 @@ class NoiseModel:
                 )
             H_rows.append(H)
             caps.append(int(np.floor(1.0 / eps)))
-        widths = [float(trans_width) if trans_width is not None else e for e in eps_rows]
         pack = tuple if per_row else (lambda rows: rows[0])
         return replace(
             self,
@@ -192,7 +185,6 @@ class NoiseModel:
             epsilon=pack(eps_rows),
             mode_cap=pack(caps),
             H=pack(H_rows),
-            trans_width=pack(widths),
         )
 
     def rows(self, index) -> "NoiseModel":
@@ -209,7 +201,6 @@ class NoiseModel:
             epsilon=pick(self.epsilon),
             mode_cap=pick(self.mode_cap),
             H=pick(self.H),
-            trans_width=pick(self.trans_width),
         )
 
     @property
@@ -228,7 +219,7 @@ class NoiseModel:
         pos, u = fields.pos, fields.u
         K = np.where(pos, self.law._k_integral(fields.rp), 0.0)
         H = _column(self.H)
-        width = _column(self.trans_width)
+        width = _column(self.epsilon)  # the transition width
         upper = (H - (u + K)) / width  # (H - w2) / width
         lower = ((u - K) + H) / width  # (w1 + H) / width
         if (upper >= 1.0).all() and (lower >= 1.0).all():  # both steps are exactly 1

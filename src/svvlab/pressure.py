@@ -234,12 +234,13 @@ class PressureLaw:
 
     @staticmethod
     def polytropic(gamma: float, kappa: float | None = None) -> "PressureLaw":
-        if gamma <= 1.0:
-            raise ConfigError(f"polytropic law needs gamma > 1, got {gamma}")
+        # each check is written so that a NaN fails it
+        if not 1.0 < gamma < np.inf:
+            raise ConfigError(f"polytropic law needs a finite gamma > 1, got {gamma}")
         if kappa is None:
             kappa = default_kappa(gamma)
-        if kappa <= 0.0:
-            raise ConfigError(f"kappa must be positive, got {kappa}")
+        if not 0.0 < kappa < np.inf:
+            raise ConfigError(f"kappa must be positive and finite, got {kappa}")
         return PressureLaw("polytropic", gamma, gamma, kappa, kappa)
 
     @staticmethod
@@ -251,16 +252,18 @@ class PressureLaw:
         rho_lo: float,
         rho_hi: float,
     ) -> "PressureLaw":
-        violations = []
+        violations = []  # each check is written so that a NaN fails it
         if not (1.0 < gamma2 <= gamma1 < 3.0):
             violations.append(
                 f"composite law needs 1 < gamma2 <= gamma1 < 3, got ({gamma1}, {gamma2})"
             )
-        if kappa1 <= 0.0 or kappa2 <= 0.0:
-            violations.append("kappa1 and kappa2 must be positive")
-        if not (0.0 < rho_lo < rho_hi):
+        if not (0.0 < kappa1 < np.inf and 0.0 < kappa2 < np.inf):
             violations.append(
-                f"blend window needs 0 < rho_lo < rho_hi, got ({rho_lo}, {rho_hi})"
+                f"kappa1 and kappa2 must be positive and finite, got ({kappa1}, {kappa2})"
+            )
+        if not (0.0 < rho_lo < rho_hi < np.inf):
+            violations.append(
+                f"blend window needs 0 < rho_lo < rho_hi < inf, got ({rho_lo}, {rho_hi})"
             )
         if violations:
             raise ConfigError("; ".join(violations), violations)
@@ -397,8 +400,7 @@ class PressureLaw:
 
     def sound_speed(self, rho):
         """c(rho) = sqrt(P'(rho)), rho > 0."""
-        rho = self._check_pos(rho)
-        return np.sqrt(self.dpressure(rho))
+        return np.sqrt(self._pressure_parts(self._check_pos(rho), 1)[1])
 
     def k_integral(self, rho):
         """K(rho) = int_0^rho sqrt(P'(y))/y dy.

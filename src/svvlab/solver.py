@@ -31,6 +31,11 @@ from .errors import (
 )
 from .pressure import PressureLaw
 
+# stability numbers of the CFL guard: dt <= CFL_NUMBER dx / max(|u| + c),
+# and for explicit diffusion also dt <= DIFFUSION_NUMBER dx^2 / (2 eps)
+CFL_NUMBER = 0.4
+DIFFUSION_NUMBER = 0.4
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -42,8 +47,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 16:
             raise ConfigError(f"grid needs at least 16 cells, got {self.n}")
-        if self.L <= 0.0:
-            raise ConfigError("half-width L must be positive")
+        if not 0.0 < self.L < np.inf:
+            raise ConfigError(f"half-width L must be positive and finite, got {self.L}")
 
     @property
     def dx(self) -> float:
@@ -120,31 +125,37 @@ class SolverConfig:
     n_saves: int = 10
     scheme: str = "imex"  # or "explicit"
     density_floor: float = 1e-12
-    cfl_conv: float = 0.4
-    cfl_diff: float = 0.4
     check_cfl: bool = True
     record_steps: bool = False
     record_forcing: bool = False
 
     def __post_init__(self):
+        # each check is written so that a NaN fails it
         violations = []
         if not (0.0 < self.epsilon <= 1.0):
             violations.append(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.T <= 0.0 or self.dt <= 0.0:
-            violations.append("T and dt must be positive")
+        if not (0.0 < self.T < np.inf and 0.0 < self.dt < np.inf):
+            violations.append(f"T and dt must be finite and > 0, got {self.T}, {self.dt}")
+        elif abs(self.n_steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
+            violations.append(f"T = {self.T} is not a multiple of dt = {self.dt}")
+        elif not self.n_saves >= 1:
+            violations.append(f"n_saves must be >= 1, got {self.n_saves}")
+        elif self.n_steps % self.n_saves != 0:
+            violations.append(
+                f"n_steps = {self.n_steps} is not a multiple of n_saves = {self.n_saves}"
+            )
         if self.scheme not in ("imex", "explicit"):
             violations.append(f"unknown scheme {self.scheme!r}")
-        if self.rho_inf <= 0.0:
-            violations.append("rho_inf must be positive")
+        if not 0.0 < self.rho_inf < np.inf:
+            violations.append(f"rho_inf must be positive and finite, got {self.rho_inf}")
+        if not self.density_floor >= 0.0:
+            violations.append(f"density_floor must be >= 0, got {self.density_floor}")
         if violations:
             raise ConfigError("; ".join(violations), violations)
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.T / self.dt))
-        if abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
-            raise ConfigError(f"T = {self.T} is not a multiple of dt = {self.dt}")
-        return n
+        return int(round(self.T / self.dt))
 
 
 class Stepper:
@@ -211,9 +222,9 @@ class Stepper:
         c = np.sqrt(fields.dP)
         speed = np.where(fields.pos, np.abs(fields.u) + c, -np.inf).max(axis=-1)
         speed[~(speed > 0.0)] = 1e-30  # no positive cell, or all at rest
-        dt_max = cfg.cfl_conv * dx / speed
+        dt_max = CFL_NUMBER * dx / speed
         if cfg.scheme == "explicit":
-            dt_max = np.minimum(dt_max, cfg.cfl_diff * dx**2 / (2.0 * self.epsilon))
+            dt_max = np.minimum(dt_max, DIFFUSION_NUMBER * dx**2 / (2.0 * self.epsilon))
         return dt_max
 
     def step(self, state: GridState, forcing_increment=None, fields=None):
@@ -361,10 +372,6 @@ def simulate(
     batched = not isinstance(sample_id, (int, np.integer))
     ids = [int(s) for s in sample_id] if batched else [int(sample_id)]
     n_steps = config.n_steps
-    if n_steps % config.n_saves != 0:
-        raise ConfigError(
-            f"n_steps = {n_steps} is not a multiple of n_saves = {config.n_saves}"
-        )
     if not ids:
         return []
     save_every = n_steps // config.n_saves
@@ -505,9 +512,8 @@ def epsilon_sweep(
     eps_list,
     c1: float = 1.0,
     alpha1: float = 0.25,
-    sample_id: int = 0,
 ):
-    """Run one sample at each epsilon with shared Brownian streams, the
+    """Run sample 0 at each epsilon with shared Brownian streams, the
     members stepped together as one batch.
 
     eps_list must be strictly decreasing.  Each member mollifies the raw
@@ -530,7 +536,7 @@ def epsilon_sweep(
         grid,
         config_template,
         noise,
-        [sample_id] * len(eps_list),
+        [0] * len(eps_list),
         epsilon=eps_list,
         keep_failures=True,
     )

@@ -30,7 +30,7 @@ from svvlab.entropy import (
 from svvlab.goursat import goursat_solve
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
-from svvlab.solver import Grid, GridState, SolverConfig, epsilon_sweep, simulate
+from svvlab.solver import Grid, GridState, SolverConfig, simulate
 from svvlab.young import CellPartition, build_measure, measure_from_atoms, tartar_residual
 
 LAW2 = PressureLaw.polytropic(2.0)
@@ -225,11 +225,14 @@ def viscosity_sweep():
     cfg = SolverConfig(epsilon=0.05, T=0.5, dt=1e-3, n_saves=50)
     noise = NoiseModel.single_mode(0.3, LAW2, seed=5, dt_base=1e-3)
     eps_list = (0.05, 0.02, 0.01)
+    # sample sid at every viscosity on its one Brownian path: the batch
+    # epsilon_sweep runs for sample 0
+    members = noise.truncate_mollify(eps_list, 3.0, 0.25, cfg.rho_inf)
     runs = [
-        epsilon_sweep(
-            bump_init(grid), LAW2, grid, cfg, noise, eps_list,
-            c1=3.0, alpha1=0.25, sample_id=sid,
-        )
+        list(zip(eps_list, simulate(
+            bump_init(grid), LAW2, grid, cfg, members, [sid] * len(eps_list),
+            epsilon=eps_list, keep_failures=True,
+        )))
         for sid in range(4)
     ]
     return grid, eps_list, runs

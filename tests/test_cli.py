@@ -105,6 +105,16 @@ class TestSimulate:
         assert r.exit_code == 2
         assert "grid" in r.output
 
+    @pytest.mark.parametrize("n_saves", [3, 0])
+    def test_bad_n_saves_exits_2(self, runner, tmp_path, n_saves):
+        # T / dt = 50 steps: 3 saves do not divide them, 0 saves none
+        cfg = write_cfg(tmp_path, {"solver": {"T": 0.05, "n_saves": n_saves}})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 2
+        assert "n_saves" in r.output
+        assert not os.path.exists(out)
+
     def test_runtime_failure_exits_1(self, runner, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -288,6 +298,27 @@ class TestEntropyTable:
             main, ["entropy-table", "--gamma", "0.9", "--output-dir", str(tmp_path)]
         )
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exits_2(self, runner, tmp_path, gamma):
+        # rejected by PressureLaw.polytropic, as every run file's gamma is
+        r = runner.invoke(
+            main, ["entropy-table", "--gamma", gamma, "--output-dir", str(tmp_path)]
+        )
+        assert r.exit_code == 2
+        assert "gamma" in r.output
+
+    @pytest.mark.parametrize(
+        "rho_range", [("-1", "5", "4"), ("0.5", "-2", "4"), ("0.1", "5", "0"), ("0.1", "5", "nan")]
+    )
+    def test_bad_rho_range_exits_2(self, runner, tmp_path, rho_range):
+        out = str(tmp_path / "out")
+        r = runner.invoke(
+            main, ["entropy-table", "--rho-range", *rho_range, "--output-dir", out]
+        )
+        assert r.exit_code == 2
+        assert "--rho-range" in r.output
+        assert not os.path.exists(out)
 
     def test_gamma_next_to_one_gives_a_finite_table(self, runner, tmp_path):
         # lam ~ 1e6: the Gauss-Jacobi rule must stay finite

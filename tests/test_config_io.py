@@ -63,8 +63,8 @@ class TestLoadConfig:
             "solver": {"epsilon": -1.0, "T": 0.1, "dt": 1e-3},
             "initial": {"kind": "vortex"},
             "noise": {"kind": "magic"},
-            "diagnostics": {"moment_p": [0.5, 8.0]},
-            "sweep": {"epsilons": [0.01, 0.05], "samples": 0},
+            "sweep": {"epsilons": [0.01, 0.05]},
+            "samples": 0,
         }
         with pytest.raises(ConfigError) as exc:
             config_from_dict(bad)
@@ -83,14 +83,24 @@ class TestLoadConfig:
             config_from_dict(bad)
         assert any("mollification" in v for v in exc.value.violations)
 
-    def test_phi_support_checked(self):
-        bad = dict(GOOD)
-        bad["diagnostics"] = {
-            "phi": {"t0": 0.05, "rt": 0.2, "x0": 0.0, "rx": 2.0}
-        }
+    @pytest.mark.parametrize(
+        "block, key, named",
+        [
+            ("law", "gamma", "gamma"),
+            ("grid", "L", "half-width L"),
+            ("solver", "rho_inf", "rho_inf"),
+            ("solver", "density_floor", "density_floor"),
+        ],
+    )
+    def test_nan_rejected_when_loaded(self, tmp_path, block, key, named):
+        # `.nan` in the run file; each was accepted, and a NaN density floor
+        # turned the positivity guard off
+        p = tmp_path / "run.yaml"
+        p.write_text(yaml.safe_dump({**GOOD, block: {**GOOD[block], key: float("nan")}}))
+        assert ".nan" in p.read_text()
         with pytest.raises(ConfigError) as exc:
-            config_from_dict(bad)
-        assert any("phi support" in v for v in exc.value.violations)
+            load_config(str(p))
+        assert any(named in v for v in exc.value.violations)
 
     def test_output_dir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("SVV_OUTPUT_DIR", "/tmp/svv-test-out")

@@ -28,15 +28,21 @@ def law2():
     return PressureLaw.polytropic(2.0)
 
 
+# s-locations where a generator is not smooth, by EntropySpec name: where
+# the adaptive oracle splits its quadrature
+KINKS = {"signed_square": (0.0,)}
+
+
 def adaptive_pair(law, spec, rho, m):
     """(eta, q, d eta/dm, d^2 eta/dm^2) at one state by adaptive quadrature
-    split at the spec's kinks: the high-accuracy scalar oracle of the Gauss
-    rule.  The weight (1 - z^2)^lam stays in the integrand (lam > -1/2
+    split at the spec's kinks (KINKS): the high-accuracy scalar oracle of
+    the Gauss rule.  The weight (1 - z^2)^lam stays in the integrand (lam > -1/2
     keeps it integrable); the adaptive rule handles the endpoints."""
     lam, theta = law.lam, law.theta
     u = m / rho
     K = float(law.k_integral(rho))
-    pts = sorted(float((k - u) / K) for k in spec.kinks if abs((k - u) / K) < 1.0)
+    kinks = KINKS.get(spec.name, ())
+    pts = sorted(float((k - u) / K) for k in kinks if abs((k - u) / K) < 1.0)
 
     def integ(f):
         val, _ = quad(
@@ -251,6 +257,41 @@ class TestMechanicalEnergy:
     def test_vacuum_with_momentum_rejected(self, law2):
         with pytest.raises(DomainError):
             mechanical_energy_pair(law2, np.array([0.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            PressureLaw.polytropic(1.4),
+            PressureLaw.polytropic(2.0, kappa=0.5),
+            PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4),
+        ],
+        ids=["gamma=1.4", "unscaled", "composite"],
+    )
+    def test_one_check_and_one_evaluation(self, law, monkeypatch):
+        rng = np.random.default_rng(8)
+        rho = np.concatenate(([0.0], rng.uniform(0.05, 3.0, 40), [0.9, 1.4]))
+        m = rng.standard_normal(rho.size)
+        m[0] = 0.0
+        me = mechanical_energy_pair(law, rho, m)
+        # the separate calls: e(rho) from internal_energy and again inside
+        # rho_e_prime, with rho checked by each
+        pos = rho > 0.0
+        rp, mp = rho[pos], m[pos]
+        eta = 0.5 * mp**2 / rp + rp * law.internal_energy(rp)
+        q = 0.5 * mp**3 / rp**2 + mp * law.rho_e_prime(rp)
+        assert np.array_equal(me.eta[pos], eta) and np.array_equal(me.q[pos], q)
+        assert me.eta[0] == me.q[0] == me.deta_dm[0] == me.d2eta_dm2[0] == 0.0
+        r, v = float(rho[5]), float(m[5])
+        one = mechanical_energy_pair(law, r, v)  # floats for floats
+        assert one.q == float(0.5 * v**3 / r**2 + v * law.rho_e_prime(np.array([r]))[0])
+        calls = []
+        for name in ("_check_pos", "_check_nonneg"):
+            check = getattr(PressureLaw, name)
+            monkeypatch.setattr(
+                PressureLaw, name, staticmethod(lambda r, _c=check: calls.append(1) or _c(r))
+            )
+        mechanical_energy_pair(law, rho, m)
+        assert not calls  # its own density check is the only one
 
 
 class TestRelativeEnergy:

@@ -74,13 +74,11 @@ class TestTruncateMollify:
         with pytest.raises(ConfigError):
             single.truncate_mollify(0.01, 1.0, 0.6, rho_inf=1.0)
 
-    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_trans_width_rejected(self, single, width):
-        # -1 would zero the forcing everywhere, 0 would divide by zero
-        with pytest.raises(ConfigError, match="trans_width"):
-            single.truncate_mollify(0.05, 3.0, 0.25, rho_inf=1.0, trans_width=width)
-        with pytest.raises(ConfigError, match="trans_width"):
-            single.truncate_mollify([0.05, 0.02], 3.0, 0.25, rho_inf=1.0, trans_width=width)
+    @pytest.mark.parametrize("c1", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_c1_rejected(self, single, c1):
+        # a NaN H would make every forcing NaN, an infinite one never truncates
+        with pytest.raises(ConfigError, match="c1"):
+            single.truncate_mollify(0.05, c1, 0.25, rho_inf=1.0)
 
 
 class TestSampling:
@@ -197,11 +195,13 @@ class TestForcing:
         model = NoiseModel.mode_family(
             0.5, 0.5, 20, law2, seed=1, dt_base=1e-3, support_kind="whole_line"
         )
-        model = model.truncate_mollify(0.04, 1.5, 0.25, rho_inf=1.0, trans_width=0.5)
+        model = model.truncate_mollify(0.04, 1.5, 0.25, rho_inf=1.0)
         assert model.n_modes == 20
-        x = np.linspace(-30.0, 30.0, 257)
+        # nodes finer than the transition width eps = 0.04, so that some
+        # fall inside it where the mode profiles are nonzero
+        x = np.linspace(-30.0, 30.0, 8193)
         rho = 1.0 + 0.5 * np.exp(-(x**2))
-        m = 2.0 * np.sin(x) * rho  # crosses the edge of Gamma_H
+        m = 3.0 * np.sin(x) * rho  # crosses the edge of Gamma_H
         dW = np.random.default_rng(0).standard_normal(20)
         force = np.zeros_like(x)
         quad = 0.0
@@ -214,7 +214,9 @@ class TestForcing:
             )
             force = force + mode.a * z * dW[k]
             quad = quad + (mode.a * z) ** 2
-        assert 0.0 < model._region_indicator(rho, m).min() < 1.0
+        indicator = model._region_indicator(rho, m)
+        within = (indicator > 0.0) & (indicator < 1.0)  # strictly inside the transition
+        assert within.any() and np.abs(x[within]).min() < 1.0
         assert model._spatial_cutoff(x).min() == 0.0
         assert np.array_equal(model.apply_forcing(x, rho, m, dW), force)
         assert np.array_equal(model.forcing_quadratic(x, rho, m), quad)
@@ -242,7 +244,7 @@ class TestForcing:
         lone = [template.truncate_mollify(e, 3.0, 0.25, rho_inf=1.0) for e in eps]
         assert rows.n_modes == 10 and rows.mode_cap == (2, 4, 10)
         assert rows.H == tuple(m.H for m in lone)
-        assert rows.epsilon == tuple(eps) and rows.trans_width == tuple(eps)
+        assert rows.epsilon == tuple(eps)
         x = np.linspace(-5.0, 5.0, 65)
         rho = 1.0 + 0.3 * np.cos(np.arange(3)[:, None] + x)
         m = 3.0 * np.sin(x) * rho  # leaves Gamma_H in the first row

@@ -40,6 +40,20 @@ class TestPressure:
         with pytest.raises(DomainError):
             law2.pressure(-1.0)
 
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            ((float("nan"),), "gamma"),
+            ((float("inf"),), "gamma"),
+            ((2.0, float("nan")), "kappa"),
+            ((2.0, float("inf")), "kappa"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, args, key):
+        # a NaN gamma or kappa would give P = nan everywhere
+        with pytest.raises(ConfigError, match=key):
+            PressureLaw.polytropic(*args)
+
     def test_strictly_increasing(self, comp):
         rho = np.linspace(0.01, 10.0, 400)
         assert np.all(np.diff(comp.pressure(rho)) > 0)
@@ -213,6 +227,22 @@ class TestComposite:
             PressureLaw.composite(
                 gamma1=2.0, gamma2=1.4, kappa1=1.0, kappa2=1.0, rho_lo=2.0, rho_hi=1.0
             )
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"kappa1": float("nan")}, "kappa1"),
+            ({"kappa2": float("inf")}, "kappa1"),
+            ({"rho_hi": float("inf")}, "blend window"),
+            ({"rho_lo": float("nan")}, "blend window"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, change, key):
+        # named by their own check, not by the hyperbolicity check behind it
+        args = dict(gamma1=2.0, gamma2=1.6, kappa1=0.125, kappa2=0.15, rho_lo=0.9, rho_hi=1.4)
+        with pytest.raises(ConfigError, match=key) as exc:
+            PressureLaw.composite(**{**args, **change})
+        assert "hyperbolic" not in str(exc.value)
 
     def test_blend_smoothness(self, comp):
         # C^2 at least: second differences of P stay bounded through the blend
@@ -461,6 +491,27 @@ class TestOneEvaluationPath:
             if np.ndim(pos) or pos > 0.0:
                 got, want = law.d2pressure(pos), _d2pressure_oracle(law, pos)
                 assert type(got) is type(want) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("law_name", ["gamma=1.4", "gamma=2", *sorted(LAWS)])
+    def test_sound_speed_checks_rho_once(self, law_name, monkeypatch):
+        if law_name.startswith("gamma="):
+            law = PressureLaw.polytropic(float(law_name[6:]))
+            rho = np.geomspace(1e-6, 1e3, 31)
+        else:
+            law = PressureLaw.composite(*LAWS[law_name])
+            rho = _oracle_points(law.rho_lo, law.rho_hi)
+        for arg in (rho, rho.reshape(-1, 1), *map(float, rho)):
+            got = law.sound_speed(arg)
+            want = np.sqrt(law.dpressure(law._check_pos(arg)))  # the two-check form
+            assert type(got) is type(want) and np.array_equal(got, want)
+        calls = []
+        for name in ("_check_pos", "_check_nonneg"):
+            check = getattr(PressureLaw, name)
+            monkeypatch.setattr(
+                PressureLaw, name, staticmethod(lambda r, _c=check: calls.append(1) or _c(r))
+            )
+        law.sound_speed(rho)
+        assert len(calls) == 1
 
     def test_vacuum_scalars_skip_the_second_derivative(self):
         # for gamma < 2, P'' is singular at rho = 0: 0.0 ** -0.6 raises

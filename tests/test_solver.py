@@ -19,6 +19,8 @@ from svvlab.errors import (
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw, _smoothstep
 from svvlab.solver import (
+    CFL_NUMBER,
+    DIFFUSION_NUMBER,
     Grid,
     GridState,
     SolverConfig,
@@ -107,8 +109,9 @@ class TestTypes:
     def test_grid_invariants(self):
         with pytest.raises(ConfigError):
             Grid(L=5.0, n=8)
-        with pytest.raises(ConfigError):
-            Grid(L=-1.0, n=64)
+        for L in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="half-width L"):
+                Grid(L=L, n=64)
         g = Grid(L=2.0, n=64)
         assert g.dx == pytest.approx(2 * 2.0 / 64)
         assert g.x[0] == -2.0 and g.x[-1] == 2.0
@@ -122,6 +125,31 @@ class TestTypes:
         assert cfg.n_steps == 1000
         with pytest.raises(ConfigError):
             SolverConfig(epsilon=0.1, T=1.0, dt=3e-4).n_steps
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("T", float("nan")),
+            ("dt", float("inf")),
+            ("rho_inf", float("nan")),
+            ("rho_inf", float("inf")),
+            ("density_floor", float("nan")),
+            ("density_floor", -1.0),
+        ],
+    )
+    def test_non_finite_values_rejected(self, key, value):
+        # a NaN density floor would disable the positivity guard: rho < nan
+        # is never true
+        args = dict(epsilon=0.1, T=1.0, dt=1e-3)
+        with pytest.raises(ConfigError, match=key):
+            SolverConfig(**{**args, key: value})
+
+    @pytest.mark.parametrize("n_saves", [0, -2, 3, 7])
+    def test_n_saves_checked_when_made(self, n_saves):
+        # T / dt = 50 steps: n_saves must be >= 1 and divide them
+        with pytest.raises(ConfigError, match="n_saves"):
+            SolverConfig(epsilon=0.1, T=0.05, dt=1e-3, n_saves=n_saves)
+        assert SolverConfig(epsilon=0.1, T=0.05, dt=1e-3, n_saves=25).n_steps == 50
 
 
 class TestEquilibrium:
@@ -521,9 +549,9 @@ def dpressure_dt_max(stepper, rho, m):
     c = np.sqrt(stepper.law.dpressure(np.where(pos, rho, 1.0)))
     speed = np.where(pos, np.abs(u) + c, -np.inf).max(axis=-1)
     speed[~(speed > 0.0)] = 1e-30
-    dt_max = cfg.cfl_conv * dx / speed
+    dt_max = CFL_NUMBER * dx / speed
     if cfg.scheme == "explicit":
-        dt_max = np.minimum(dt_max, cfg.cfl_diff * dx**2 / (2.0 * stepper.epsilon))
+        dt_max = np.minimum(dt_max, DIFFUSION_NUMBER * dx**2 / (2.0 * stepper.epsilon))
     return dt_max
 
 
@@ -534,8 +562,8 @@ def afresh_forcing(noise, x, rho, m, dW):
     rp = np.where(pos, rho, 1.0)
     u = np.where(pos, m / rp, 0.0)
     K = np.where(pos, noise.law.k_integral(rp), 0.0)
-    upper = (noise.H - (u + K)) / noise.trans_width
-    lower = ((u - K) + noise.H) / noise.trans_width
+    upper = (noise.H - (u + K)) / noise.epsilon
+    lower = ((u - K) + noise.H) / noise.epsilon
     indicator = np.where(pos, _smoothstep(upper)[0] * _smoothstep(lower)[0], 0.0)
     cutoff = np.ones_like(x)
     if noise.support_kind == "whole_line":
