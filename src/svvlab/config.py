@@ -2,8 +2,9 @@
 
 A run file is a key-value tree with blocks: law, grid, solver, initial,
 noise, diagnostics, sweep, plus a seed, a sample count and an output
-directory.  All
-violations are collected and reported together before anything runs.
+directory.  A key that nothing reads is rejected, so that a typo or a key
+of an older version does not run with a default.  All violations are
+collected and reported together before anything runs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,24 @@ from .errors import ConfigError
 from .noise import NoiseModel
 from .pressure import PressureLaw
 from .solver import Grid, GridState, SolverConfig
+
+
+# the keys read from each block of a run file (for any of its kinds), and
+# at the top level
+BLOCK_KEYS = {
+    "law": ("kind", "gamma", "kappa", "gamma1", "gamma2", "kappa1", "kappa2",
+            "rho_lo", "rho_hi"),
+    "grid": ("L", "n"),
+    "solver": ("epsilon", "T", "dt", "dt_base", "rho_inf", "n_saves", "scheme",
+               "density_floor", "record_steps", "record_forcing"),
+    "initial": ("kind", "amplitude", "center", "width", "m_amplitude", "left",
+                "right", "path", "c0"),
+    "noise": ("kind", "amplitude", "center", "width", "decay_p", "n_modes",
+              "support", "c1", "alpha1"),
+    "diagnostics": ("window", "psis"),
+    "sweep": ("epsilons", "cells"),
+}
+TOP_KEYS = (*BLOCK_KEYS, "seed", "samples", "output_dir")
 
 
 @dataclass(frozen=True)
@@ -58,7 +77,10 @@ class InitialData:
             m = np.interp(x, data[:, 0], data[:, 2])
         else:
             raise ConfigError(f"unknown initial-data kind {self.kind!r}")
-        if rho.min() < self.c0:
+        # each check is written so that a NaN fails it
+        if not (np.isfinite(rho).all() and np.isfinite(m).all()):
+            raise ConfigError("initial data are not finite")
+        if not rho.min() >= self.c0:
             raise ConfigError(
                 f"initial density dips to {rho.min():g}, below the required "
                 f"lower bound c0 = {self.c0:g}"
@@ -166,10 +188,24 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
+def _unknown_keys(raw, errs):
+    """raw without the blocks that are not mappings; each unknown key, as
+    block.key, and each such block go to errs."""
+    for name, value in raw.items():
+        if name not in TOP_KEYS:
+            errs.append(f"unknown key {name}")
+        elif name in BLOCK_KEYS and not isinstance(value, dict):
+            errs.append(f"{name} must be a block of keys, got {value!r}")
+        elif name in BLOCK_KEYS:
+            errs += [f"unknown key {name}.{k}" for k in value if k not in BLOCK_KEYS[name]]
+    return {k: v for k, v in raw.items() if k not in BLOCK_KEYS or isinstance(v, dict)}
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     errs = []
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("empty configuration", ["configuration file is empty"])
+    raw = _unknown_keys(raw, errs)
 
     law = _law_from(raw.get("law", {}), errs)
 

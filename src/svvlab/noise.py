@@ -32,6 +32,15 @@ def _column(value):
     return np.asarray(value, dtype=float)[:, None] if isinstance(value, tuple) else value
 
 
+def _check_bump(center, width):
+    """A mode bump needs a finite center and a positive, finite width
+    (compact support); each check is written so that a NaN fails it."""
+    if not abs(center) < np.inf:
+        raise ConfigError(f"bump center must be finite, got {center}")
+    if not 0.0 < width < np.inf:
+        raise ConfigError(f"bump width must be positive and finite, got {width}")
+
+
 def bump(x, center=0.0, width=1.0):
     """C-infinity bump, equal to 1 at the center, 0 outside."""
     t = (np.asarray(x, dtype=float) - center) / width
@@ -84,8 +93,7 @@ class NoiseModel:
         width: float = 1.0,
     ) -> "NoiseModel":
         """zeta_1(x, rho, m) = alpha(x) rho with a compactly supported bump alpha."""
-        if width <= 0.0:
-            raise ConfigError("bump width must be positive (compact support)")
+        _check_bump(center, width)
 
         def alpha(x):
             return bump(x, center, width)
@@ -107,8 +115,9 @@ class NoiseModel:
         support_kind: str = "compact_x",
     ) -> "NoiseModel":
         """Modes a_k = a1 k^(-decay), zeta_k = shifted bumps times rho."""
-        if decay < 0.0:
-            raise ConfigError("a_k decay exponent must be nonnegative")
+        if not decay >= 0.0:
+            raise ConfigError(f"a_k decay exponent must be nonnegative, got {decay}")
+        _check_bump(center, width)
         modes = []
         for k in range(1, n_modes + 1):
             shift = center + 0.25 * width * ((k - 1) % 3 - 1)
@@ -127,8 +136,11 @@ class NoiseModel:
         )
 
     def __post_init__(self):
+        # each check is written so that a NaN fails it
         amps = [abs(m.a) for m in self.modes]
-        if any(a2 > a1 + 1e-15 for a1, a2 in zip(amps, amps[1:])):
+        if not all(a < np.inf for a in amps):
+            raise ConfigError(f"mode amplitudes must be finite, got {amps}")
+        if not all(a2 <= a1 + 1e-15 for a1, a2 in zip(amps, amps[1:])):
             raise ConfigError("|a_k| must be nonincreasing in k")
 
     # -- truncation / mollification ----------------------------------------
@@ -216,15 +228,15 @@ class NoiseModel:
             fields = StateFields(
                 self.law, np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
             )
-        pos, u = fields.pos, fields.u
-        K = np.where(pos, self.law._k_integral(fields.rp), 0.0)
+        u = fields.u
+        K = fields.masked(self.law._k_integral(fields.rp))
         H = _column(self.H)
         width = _column(self.epsilon)  # the transition width
         upper = (H - (u + K)) / width  # (H - w2) / width
         lower = ((u - K) + H) / width  # (w1 + H) / width
         if (upper >= 1.0).all() and (lower >= 1.0).all():  # both steps are exactly 1
-            return np.where(pos, 1.0, 0.0)
-        return np.where(pos, _smoothstep(upper)[0] * _smoothstep(lower)[0], 0.0)
+            return fields.masked(np.ones_like(u))
+        return fields.masked(_smoothstep(upper)[0] * _smoothstep(lower)[0])
 
     def _spatial_cutoff(self, x):
         """The whole-line cutoff on |x| < 1/eps, or None where there is

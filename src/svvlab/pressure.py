@@ -19,9 +19,11 @@ energy (g'' = 2 P' e / rho, g(0) = g'(0) = 0) with its derivative g'.
 For the composite law each of e, K, g' and g has one vectorized
 evaluation path over three regimes: the gamma1 power law in closed form
 below rho_lo, a Chebyshev model of the integral from rho_lo on the blend
-window (evaluated only on the points inside it), and a closed-form tail
-above rho_hi, where P = kappa2 rho**gamma2 exactly.  The models are built
-lazily, on first use, by _WindowFit.
+window (evaluated only on the points inside it, from a table of local
+polynomials in log rho), and a closed-form tail above rho_hi, where
+P = kappa2 rho**gamma2 exactly.  The models are built lazily, on first
+use, by _WindowFit.  A number is evaluated as a 1-element array, so that
+it gets the bits an array gives.
 """
 
 from __future__ import annotations
@@ -44,6 +46,19 @@ _FIT_TOL = 1e-15
 _PIECE_MAX_NODES = 256
 _PIECE_GROWTH = 4.0
 _MAX_SPLITS = 20
+# A fit is evaluated cell by cell, each cell of a piece holding a
+# polynomial of degree _CELL_DEGREE in s.  A cell is kept when the
+# Chebyshev coefficients of the piece on it beyond that degree, from
+# _CELL_SAMPLES samples, sum to at most _CELL_TOL times its mean value, and
+# is halved otherwise, up to _MAX_SPLITS times.
+_CELL_DEGREE = 7
+_CELL_SAMPLES = 12
+_CELL_TOL = 1e-14
+# row j: the power-series coefficients of T_j, lowest first
+_CHEB_TO_POWER = np.array(
+    [np.pad(chebyshev.cheb2poly(row), (0, _CELL_DEGREE - j))
+     for j, row in enumerate(np.eye(_CELL_DEGREE + 1))]
+)
 # points of the blend window on which a composite law must have P' > 0
 _HYPERBOLICITY_SAMPLES = 257
 
@@ -62,22 +77,28 @@ def _smoothstep(t, order=0):
     mid = ~(lo | hi)
     out = [np.zeros_like(t) for _ in range(order + 1)]
     out[0][hi] = 1.0
-    tm = t[mid]
-    f = np.exp(-1.0 / tm)
-    g = np.exp(-1.0 / (1.0 - tm))
+    for part, inside in zip(out, _smoothstep_inside(t[mid], order)):
+        part[mid] = inside
+    return tuple(out)
+
+
+def _smoothstep_inside(t, order):
+    """_smoothstep(t, order) for t in (0, 1), where no mask is needed."""
+    f = np.exp(-1.0 / t)
+    g = np.exp(-1.0 / (1.0 - t))
     s = f + g
-    out[0][mid] = f / s
+    out = [f / s]
     if order >= 1:
-        fp = f / tm**2
-        gp = -g / (1.0 - tm) ** 2
-        out[1][mid] = (fp * g - f * gp) / s**2
+        fp = f / t**2
+        gp = -g / (1.0 - t) ** 2
+        out.append((fp * g - f * gp) / s**2)
     if order >= 2:
-        fpp = f * (1.0 - 2.0 * tm) / tm**4
-        gpp = g * (1.0 - 2.0 * (1.0 - tm)) / (1.0 - tm) ** 4
+        fpp = f * (1.0 - 2.0 * t) / t**4
+        gpp = g * (1.0 - 2.0 * (1.0 - t)) / (1.0 - t) ** 4
         num1 = (fpp * g - f * gpp) * s
         num2 = 2.0 * (fp * g - f * gp) * (fp + gp)
-        out[2][mid] = (num1 - num2) / s**3
-    return tuple(out)
+        out.append((num1 - num2) / s**3)
+    return out
 
 
 class _WindowFit:
@@ -90,6 +111,12 @@ class _WindowFit:
     than _PIECE_GROWTH across it; the growth bound keeps rounding relative
     to the value.  Past that the fit raises NumericalError.  f must be
     vectorized; the integral must be positive and increasing.
+
+    A fit is evaluated from a table of cells (_cells), built on first use:
+    one searchsorted finds each point's cell, one gather takes its
+    coefficients and a fixed Horner loop sums them.  exact() evaluates the
+    pieces themselves; the fits built on this one integrate that, so that
+    they see no cell edges.
     """
 
     def __init__(self, f, lo, hi, base, name):
@@ -98,6 +125,7 @@ class _WindowFit:
         floor = max(100.0 * _FIT_TOL, 100.0 * np.finfo(float).eps * hi / (hi - lo))
         todo = [(np.log(lo), np.log(hi), 0)]
         self._pieces = []
+        self._name = name
         while todo:  # left to right, each piece starting from the last one's top
             a, b, splits = todo.pop()
             c = _integrand_series(f, a, b, floor, name)
@@ -116,7 +144,52 @@ class _WindowFit:
         self._inner_edges = np.array([p.a for p in self._pieces[1:]])
         self.top = base  # the value at hi
 
-    def __call__(self, rho):
+    @cached_property
+    def _cells(self):
+        """(inner cell edges, table) in s.  Column j of the table holds
+        cell j's power-series coefficients in x = (s - mid) scale, lowest
+        first, then its mid and scale, so that x runs over [-1, 1].
+
+        A piece of n nodes starts as n // 4 equal cells, about twice the
+        piece's coefficients, which on the test laws leaves most cells
+        converged after one round (and builds fastest); each round samples
+        every open cell of the piece at _CELL_SAMPLES Chebyshev points at
+        once and halves the cells whose series has not converged.
+        """
+        k = np.arange(_CELL_SAMPLES)
+        nodes = 0.5 * (np.cos(np.pi * (k + 0.5) / _CELL_SAMPLES) + 1.0)  # on [0, 1]
+        lo, hi, coef = [], [], []
+        for piece in self._pieces:
+            count = max(1, piece.size // 4)
+            edges = np.linspace(piece.a, piece.b, count + 1)
+            a, b = edges[:-1], edges[1:]
+            for _ in range(_MAX_SPLITS + 1):
+                s = a[:, None] + (b - a)[:, None] * nodes
+                c = _dct2(piece(s.ravel()).reshape(s.shape))
+                tail = np.abs(c[:, _CELL_DEGREE + 1 :]).sum(axis=1)
+                ok = tail <= _CELL_TOL * np.abs(c[:, 0])
+                lo.append(a[ok])
+                hi.append(b[ok])
+                coef.append(c[ok, : _CELL_DEGREE + 1])
+                if ok.all():
+                    break
+                a, b = a[~ok], b[~ok]
+                mid = 0.5 * (a + b)
+                a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+            else:
+                raise NumericalError(
+                    f"{self._name}: no cell of degree {_CELL_DEGREE} fits near "
+                    f"rho = {np.exp(a[0]):.6g}"
+                )
+        lo, hi, coef = (np.concatenate(v) for v in (lo, hi, coef))
+        order = np.argsort(lo)
+        lo, hi, coef = lo[order], hi[order], coef[order]
+        table = np.vstack(((coef @ _CHEB_TO_POWER).T, 0.5 * (lo + hi), 2.0 / (hi - lo)))
+        return lo[1:], table
+
+    def exact(self, rho):
+        """The fit at rho in [lo, hi], each point by its piece's barycentric
+        formula."""
         s = np.log(rho)
         out = np.empty_like(s)
         which = np.searchsorted(self._inner_edges, s)
@@ -126,26 +199,46 @@ class _WindowFit:
                 out[mask] = piece(s[mask])
         return out
 
+    def __call__(self, rho):
+        s = np.log(rho)
+        edges, table = self._cells
+        t = table.take(np.searchsorted(edges, s, side="right"), axis=1)
+        x = s - t[-2]
+        x *= t[-1]
+        out = t[_CELL_DEGREE]
+        for j in range(_CELL_DEGREE - 1, -1, -1):
+            out *= x
+            out += t[j]
+        return out
+
+
+def _dct2(g):
+    """Chebyshev coefficients of the samples g (..., n) taken at the n
+    Chebyshev points cos(pi (k + 1/2) / n): one DCT-II along the last axis,
+    taken as one FFT of the samples reordered evens up, odds down
+    (Makhoul)."""
+    n = g.shape[-1]
+    k = np.arange(n)
+    c = np.fft.fft(np.concatenate((g[..., ::2], g[..., ::-2]), axis=-1))
+    c = 2.0 * (np.exp(-0.5j * np.pi * k / n) * c).real / n
+    c[..., 0] *= 0.5
+    return c
+
 
 def _integrand_series(f, a, b, floor, name):
     """Chebyshev coefficients on [a, b] of f(e^s) e^s, or None.
 
     The integrand is sampled at n Chebyshev nodes and the coefficients come
-    from one DCT-II, taken as one FFT of the samples reordered evens up,
-    odds down (Makhoul).  n doubles until the trailing coefficients have
+    from one DCT-II (_dct2).  n doubles until the trailing coefficients have
     decayed below _FIT_TOL, or below floor at _PIECE_MAX_NODES; None when
     they have not.
     """
     n = 16
     while n < _PIECE_MAX_NODES:
         n *= 2
-        k = np.arange(n)
-        x = np.cos(np.pi * (k + 0.5) / n)
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
         y = np.exp(0.5 * (b - a) * (x + 1.0) + a)
-        g = f(y) * y
-        c = np.fft.fft(np.concatenate((g[::2], g[::-2])))
-        c = 2.0 * (np.exp(-0.5j * np.pi * k / n) * c).real / n
-        c[0] *= 0.5
+        c = _dct2(f(y) * y)
         if not np.all(np.isfinite(c)):
             raise NumericalError(f"{name}: non-finite integrand on the blend window")
         tail = np.abs(c[-n // 8 :]).max() / np.abs(c).max()
@@ -160,7 +253,8 @@ class _ChebPiece:
 
     The series is integrated term by term (Clenshaw-Curtis quadrature at
     every point at once) and evaluated by the barycentric formula on
-    Chebyshev nodes, a few matrix products however many terms it has.
+    Chebyshev nodes, a few matrix products however many terms it has;
+    the fit's cells are sampled that way.
     """
 
     def __init__(self, c, a, b, base):
@@ -175,7 +269,8 @@ class _ChebPiece:
         values = chebyshev.chebval(self._nodes, coef[:n])
         self._weighted = np.stack([weights * values, weights], axis=1)
         self._values = values
-        self.a = a
+        self.a, self.b = a, b
+        self.size = n
         self._mid = a + b
         self._width = b - a
         self.top = float(chebyshev.chebval(1.0, coef[:n]))
@@ -327,12 +422,38 @@ class PressureLaw:
     # -- blend helper (composite) ------------------------------------------
 
     def _logP_parts(self, rho, order):
-        """Return (L, L', L'')[: order + 1] of log P for the composite law (rho > 0)."""
-        rho = np.asarray(rho, dtype=float)
-        L1 = np.log(self.kappa1) + self.gamma1 * np.log(rho)
-        L2 = np.log(self.kappa2) + self.gamma2 * np.log(rho)
+        """Return (L, L', L'')[: order + 1] of log P for the composite law
+        (rho > 0).  Outside the blend window the blend weight is exactly 0
+        or 1, so L is the gamma1 or gamma2 power law's log there, and the
+        blend is evaluated only on the points inside it."""
+        shape = np.shape(rho)
+        rho = np.asarray(rho, dtype=float).reshape(-1)
+        t = (rho - self.rho_lo) / (self.rho_hi - self.rho_lo)
+        s = np.log(rho)
+        inside = (t > 0.0) & (t < 1.0)
+        if inside.all():
+            parts = self._blend_parts(rho, s, t, order)
+        else:
+            far = t >= 1.0
+            g = np.where(far, self.gamma2, self.gamma1)
+            parts = [np.where(far, np.log(self.kappa2), np.log(self.kappa1)) + g * s]
+            if order >= 1:
+                parts.append(g / rho)
+            if order >= 2:
+                parts.append(-g / rho**2)
+            if inside.any():
+                blend = self._blend_parts(rho[inside], s[inside], t[inside], order)
+                for p, b in zip(parts, blend):
+                    p[inside] = b
+        return tuple(p.reshape(shape) for p in parts)
+
+    def _blend_parts(self, rho, s, t, order):
+        """(L, L', L'')[: order + 1] of the blend at window points: rho in
+        (rho_lo, rho_hi), s = log rho, t the blend variable in (0, 1)."""
+        L1 = np.log(self.kappa1) + self.gamma1 * s
+        L2 = np.log(self.kappa2) + self.gamma2 * s
         d = self.rho_hi - self.rho_lo
-        w, *dw = _smoothstep((rho - self.rho_lo) / d, order)
+        w, *dw = _smoothstep_inside(t, order)
         L = (1.0 - w) * L1 + w * L2
         if order == 0:
             return (L,)
@@ -387,15 +508,17 @@ class PressureLaw:
             if order >= 2:
                 parts.append(k * g * (g - 1.0) * rho ** (g - 2.0))
             return tuple(parts)
-        pos = rho > 0.0
-        L, *dL = self._logP_parts(np.where(pos, rho, 1.0), order)
+        pos = np.asarray(rho > 0.0)
+        vacuum = not pos.all()  # else no mask is needed
+        L, *dL = self._logP_parts(np.where(pos, rho, 1.0) if vacuum else rho, order)
         P = np.exp(L)
         parts = [P]
         if order >= 1:
             parts.append(P * dL[0])
         if order >= 2:
             parts.append(P * (dL[1] + dL[0] ** 2))
-        parts = [np.where(pos, p, 0.0) for p in parts]
+        if vacuum:
+            parts = [np.where(pos, p, 0.0) for p in parts]
         return tuple(p if p.ndim else float(p) for p in parts)
 
     def sound_speed(self, rho):
@@ -506,16 +629,11 @@ class PressureLaw:
         rho_hi), and on [rho_hi, inf) the fit's value at rho_hi plus the far
         (gamma2) power law's change from rho_hi, plus extra(rho) where that
         is not all of it.  Each regime is evaluated only on its own points;
-        near, far and extra are unchecked."""
+        near, far and extra are unchecked.  A number gives a float, the
+        value of the same number in an array."""
         rho = np.asarray(rho, dtype=float)
-        if not rho.ndim:  # one number, which the power laws take as a float
-            r = float(rho)
-            if r <= self.rho_lo:
-                return float(near(r))
-            if r < self.rho_hi:
-                return float(fit(rho[None])[0])
-            tail = fit.top + far(r) - far(self.rho_hi)
-            return float(tail if extra is None else tail + extra(r))
+        if not rho.ndim:  # one number: the bits of a 1-element array
+            return float(self._regimes(rho[None], near, fit, far, extra)[0])
         out = np.empty_like(rho)
         below = rho <= self.rho_lo
         inside = (rho > self.rho_lo) & (rho < self.rho_hi)
@@ -565,17 +683,20 @@ class PressureLaw:
             self._near_law.k_integral,
         )
 
+    # the g' and g integrands take e and g' on the window from the fits'
+    # pieces (_WindowFit.exact), whose samples all lie inside it
+
     @cached_property
     def _gp_fit(self):
         return self._window_fit(
-            lambda y: 2.0 * self.dpressure(y) * self.internal_energy(y) / y,
+            lambda y: 2.0 * self.dpressure(y) * self._e_fit.exact(y) / y,
             self._near_law.dhigh_order_potential,
         )
 
     @cached_property
     def _g_fit(self):
         return self._window_fit(
-            self.dhigh_order_potential,
+            self._gp_fit.exact,
             self._near_law.high_order_potential,
         )
 

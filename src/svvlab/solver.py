@@ -83,11 +83,15 @@ class StateFields:
     shared by every per-step consumer: the CFL guard, the flux, the
     relative energy, the dissipation and the noise's Gamma_H indicator.
 
-    pos is rho > 0; rp is rho where positive and 1 elsewhere, safe to
-    divide by; u is m / rho, 0 on vacuum; P and dP are P(rho) and P'(rho).
-    Given rho_inf, estar is e*(rho, rho_inf), which the relative energy
-    reads, else None.  rho >= 0 is checked once (DomainError otherwise):
-    by e*(rho, rho_inf) when it is made, else by (P, P').
+    pos is rho > 0, or None when every rho > 0 (as the density floor
+    guard makes every stepped state when the floor is positive); rp is rho
+    where positive and 1 elsewhere, safe to divide by; u is m / rho, 0 on
+    vacuum; P and dP are P(rho) and P'(rho).  Readers mask a vacuum
+    through masked(), which does nothing when pos is None: the values are
+    those of the masked formulas, bit for bit.  Given rho_inf, estar is
+    e*(rho, rho_inf), which the relative energy reads, else None.  rho >= 0
+    is checked once (DomainError otherwise): by e*(rho, rho_inf) when it is
+    made, else by (P, P').
     """
 
     __slots__ = ("estar", "P", "dP", "pos", "rp", "u")
@@ -99,9 +103,17 @@ class StateFields:
         else:
             self.estar = law.relative_internal_energy(rho, rho_inf)
             self.P, self.dP = law._pressure_parts(rho, 1)
-        self.pos = rho > 0.0
-        self.rp = np.where(self.pos, rho, 1.0)
-        self.u = np.where(self.pos, m / self.rp, 0.0)
+        pos = rho > 0.0
+        if pos.all():
+            self.pos, self.rp, self.u = None, rho, m / rho
+        else:
+            self.pos = pos
+            self.rp = np.where(pos, rho, 1.0)
+            self.u = np.where(pos, m / self.rp, 0.0)
+
+    def masked(self, values, fill=0.0):
+        """values where rho > 0 and fill on vacuum."""
+        return values if self.pos is None else np.where(self.pos, values, fill)
 
 
 def _central_difference(f, dx):
@@ -164,7 +176,9 @@ class Stepper:
     A step advances a batch of S independent samples held as (S, n+1)
     arrays; every operation acts row by row, so a row's values are those of
     a batch of one.  epsilon gives each row its own viscosity, in place of
-    config.epsilon, and so its own implicit matrix.
+    config.epsilon, and so its own implicit matrix.  The implicit solve
+    writes into workspaces the stepper keeps, so one stepper must not step
+    in two threads at once.
     """
 
     def __init__(self, law: PressureLaw, grid: Grid, config: SolverConfig, epsilon=None):
@@ -186,6 +200,9 @@ class Stepper:
             # one row per mu, at k = 0..n of the odd extension's rfft
             k = np.arange(n + 1)
             self._inv_eig = 1.0 / (1.0 + 2.0 * self.mu * (1.0 - np.cos(np.pi * k / n)))
+            # field shape -> (odd extension, spectrum, back transform) of the
+            # DST; the odd extension's zeros at 0 and n are never written
+            self._dst = {}
 
     def _diffuse(self, f, boundary):
         """One diffusion substep of the fields f (..., n+1), clamped to
@@ -194,7 +211,9 @@ class Stepper:
         The implicit solve acts on f - boundary, which has zero ends, so a
         field at its boundary value stays there exactly.  It is a DST-I:
         the odd extension over 2n nodes goes through one rfft, is divided
-        by its row's eigenvalues and comes back through one irfft.
+        by its row's eigenvalues and comes back through one irfft, each
+        written into a workspace kept per field shape.  The result is a new
+        array, never a workspace.
         """
         mu = self.mu
         n = self.grid.n
@@ -205,12 +224,21 @@ class Stepper:
                 f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
             )
         else:
-            odd = np.zeros(f.shape[:-1] + (2 * n,))
-            odd[..., 1:n] = f[..., 1:-1] - boundary
-            odd[..., n + 1 :] = -odd[..., n - 1 : 0 : -1]
-            spec = np.fft.rfft(odd)
+            work = self._dst.get(f.shape)
+            if work is None:
+                lead = f.shape[:-1]
+                work = self._dst[f.shape] = (
+                    np.zeros(lead + (2 * n,)),
+                    np.empty(lead + (n + 1,), dtype=complex),
+                    np.empty(lead + (2 * n,)),
+                )
+            odd, spec, back = work
+            np.subtract(f[..., 1:-1], boundary, out=odd[..., 1:n])
+            np.negative(odd[..., n - 1 : 0 : -1], out=odd[..., n + 1 :])
+            np.fft.rfft(odd, out=spec)
             spec *= self._inv_eig
-            out[..., 1:-1] = np.fft.irfft(spec, 2 * n)[..., 1:n] + boundary
+            np.fft.irfft(spec, 2 * n, out=back)
+            np.add(back[..., 1:n], boundary, out=out[..., 1:-1])
         out[..., :1] = boundary
         out[..., -1:] = boundary
         return out
@@ -220,7 +248,7 @@ class Stepper:
         cfg = self.config
         dx = self.grid.dx
         c = np.sqrt(fields.dP)
-        speed = np.where(fields.pos, np.abs(fields.u) + c, -np.inf).max(axis=-1)
+        speed = fields.masked(np.abs(fields.u) + c, -np.inf).max(axis=-1)
         speed[~(speed > 0.0)] = 1e-30  # no positive cell, or all at rest
         dt_max = CFL_NUMBER * dx / speed
         if cfg.scheme == "explicit":
@@ -250,7 +278,7 @@ class Stepper:
             dt_max = self._dt_max(fields)
             unstable = dt > dt_max * (1.0 + 1e-9)
 
-        flux_m = np.where(fields.pos, m**2 / fields.rp, 0.0) + fields.P
+        flux_m = fields.masked(m**2 / fields.rp) + fields.P
 
         new = np.stack((rho, m))  # (rho, m) stacked, ends kept
         new[0, ..., 1:-1] = rho[..., 1:-1] - dt * (m[..., 2:] - m[..., :-2]) / (2.0 * dx)
@@ -320,7 +348,7 @@ def relative_energy(law, grid, rho, m, rho_inf, fields=None):
     (checking rho) if not given."""
     if fields is None:
         fields = StateFields(law, rho, m, rho_inf)
-    kin = np.where(fields.pos, 0.5 * m**2 / fields.rp, 0.0)
+    kin = fields.masked(0.5 * m**2 / fields.rp)
     return np.trapezoid(kin + fields.estar, dx=grid.dx, axis=-1)
 
 
@@ -334,7 +362,7 @@ def dissipation_rate(law, grid, rho, m, fields=None):
         fields = StateFields(law, rho, m)
     dx = grid.dx
     rho_x, u_x = _central_difference(np.stack((rho, fields.u)), dx)
-    w = np.where(fields.pos, fields.dP / fields.rp, 0.0)
+    w = fields.masked(fields.dP / fields.rp)
     return np.trapezoid(w * rho_x**2 + rho * u_x**2, dx=dx, axis=-1)
 
 

@@ -105,6 +105,23 @@ class TestSimulate:
         assert r.exit_code == 2
         assert "grid" in r.output
 
+    def test_unknown_key_exits_2(self, runner, tmp_path):
+        cfg = write_cfg(tmp_path, {"solver": {"n_save": 5}, "sweep": {"samples": 5}})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 2
+        assert "unknown key solver.n_save" in r.output
+        assert "unknown key sweep.samples" in r.output
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key", ["amplitude", "width"])
+    def test_nan_noise_exits_2(self, runner, tmp_path, key):
+        cfg = write_cfg(tmp_path, {"noise": {key: float("nan")}})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 2, r.output
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("n_saves", [3, 0])
     def test_bad_n_saves_exits_2(self, runner, tmp_path, n_saves):
         # T / dt = 50 steps: 3 saves do not divide them, 0 saves none

@@ -1,10 +1,13 @@
 """YAML run files, collected validation errors, and artifact round-trips."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
-from svvlab.config import InitialData, config_from_dict, load_config
+from svvlab.config import BLOCK_KEYS, TOP_KEYS, InitialData, config_from_dict, load_config
 from svvlab.errors import ConfigError, DomainError
 from svvlab.io import (
     fmt,
@@ -16,6 +19,8 @@ from svvlab.io import (
 )
 from svvlab.pressure import PressureLaw
 from svvlab.solver import Grid, GridState, SolverConfig, simulate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD = {
     "law": {"kind": "polytropic", "gamma": 2.0},
@@ -101,6 +106,98 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(str(p))
         assert any(named in v for v in exc.value.violations)
+
+    def test_unknown_keys_listed_together(self):
+        # keys nothing reads: an old alias, a typo and a top-level stray
+        bad = {
+            **GOOD,
+            "solver": {**GOOD["solver"], "n_save": 3},
+            "sweep": {"samples": 5, "epsilons": [0.05, 0.02]},
+            "noise": {**GOOD["noise"], "ampltude": 0.1},
+            "sweeps": {},
+        }
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(bad)
+        assert sorted(exc.value.violations) == [
+            "unknown key noise.ampltude",
+            "unknown key solver.n_save",
+            "unknown key sweep.samples",
+            "unknown key sweeps",
+        ]
+
+    def test_block_that_is_not_a_mapping_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict({**GOOD, "diagnostics": ["energy"]})
+        assert exc.value.violations == ["diagnostics must be a block of keys, got ['energy']"]
+
+    def test_every_read_key_accepted(self):
+        # one run file with every key of config.BLOCK_KEYS, each block's
+        # kind picking its reader (the others' keys are accepted unread)
+        every = {
+            "law": {"kind": "composite", "gamma": 2.0, "kappa": 0.125, "gamma1": 2.0,
+                    "gamma2": 1.6, "kappa1": 0.125, "kappa2": 0.15, "rho_lo": 0.9,
+                    "rho_hi": 1.4},
+            "grid": {"L": 5.0, "n": 64},
+            "solver": {"epsilon": 0.05, "T": 0.1, "dt": 1e-3, "dt_base": 1e-3,
+                       "rho_inf": 1.0, "n_saves": 5, "scheme": "imex",
+                       "density_floor": 1e-12, "record_steps": False,
+                       "record_forcing": False},
+            "initial": {"kind": "bump", "amplitude": 0.3, "center": 0.0, "width": 0.5,
+                        "m_amplitude": 0.0, "left": [1.0, 0.0], "right": [1.0, 0.0],
+                        "path": "", "c0": 0.1},
+            "noise": {"kind": "mode_family", "amplitude": 0.3, "center": 0.0,
+                      "width": 1.0, "decay_p": 2.0, "n_modes": 4,
+                      "support": "compact_x", "c1": 3.0, "alpha1": 0.25},
+            "diagnostics": {"window": [-2.0, 2.0], "psis": ["energy"]},
+            "sweep": {"epsilons": [0.05, 0.02], "cells": [4, 4]},
+            "seed": 7,
+            "samples": 2,
+            "output_dir": "out",
+        }
+        assert {k: sorted(v) for k, v in every.items() if isinstance(v, dict)} == {
+            k: sorted(v) for k, v in BLOCK_KEYS.items()
+        }
+        assert sorted(every) == sorted(TOP_KEYS)
+        assert config_from_dict(every).samples == 2
+
+    def test_benchmark_and_readme_run_files_load(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            config_from_dict(workload.run_file(7))
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Example run file\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        assert config_from_dict(yaml.safe_load(block)).samples == 1
+
+    @pytest.mark.parametrize(
+        "block, key, named",
+        [
+            ("noise", "amplitude", "amplitude"),
+            ("noise", "width", "width"),
+            ("noise", "center", "center"),
+            ("mode_family", "amplitude", "amplitude"),
+            ("mode_family", "width", "width"),
+            ("initial", "amplitude", "not finite"),
+            ("initial", "width", "not finite"),
+            ("initial", "c0", "c0"),
+        ],
+    )
+    def test_nan_noise_and_initial_data_rejected(self, tmp_path, block, key, named):
+        # each loaded, and simulate then failed at t = 0.001 (a NaN center
+        # instead gave every mode a zero profile: a run without noise)
+        run = {**GOOD, "noise": dict(GOOD["noise"]), "initial": dict(GOOD["initial"])}
+        if block == "mode_family":
+            block = "noise"
+            run["noise"].update(kind="mode_family", n_modes=3)
+        run[block][key] = float("nan")
+        p = tmp_path / "run.yaml"
+        p.write_text(yaml.safe_dump(run))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(p))
+        assert any(named in v for v in exc.value.violations), exc.value.violations
 
     def test_output_dir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("SVV_OUTPUT_DIR", "/tmp/svv-test-out")

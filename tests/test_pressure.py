@@ -572,7 +572,8 @@ class TestCompositeWindowFits:
     def test_regimes_on_their_own_points(self, law_name, monkeypatch):
         # each regime evaluated only on its own points, without the power
         # laws' input checks, gives the bits of both power laws evaluated,
-        # checked, on every point; the fits are built afresh either way
+        # checked, on every point; the fits are built afresh either way.  A
+        # number is evaluated as a 1-element array on both sides.
         def every_point(law):
             rho = np.concatenate(([0.0], _oracle_points(law.rho_lo, law.rho_hi)))
             scalars = (0.0, law.rho_lo, 0.5 * (law.rho_lo + law.rho_hi), law.rho_hi, 3.0)
@@ -585,7 +586,8 @@ class TestCompositeWindowFits:
         def checked_regimes(self, rho, near, fit, far, extra=None):
             near, far = (getattr(law, f.__name__.lstrip("_")) for law, f in (
                 (self._near_law, near), (self._far_law, far)))
-            rho = np.asarray(rho, dtype=float)
+            number = not np.ndim(rho)
+            rho = np.atleast_1d(np.asarray(rho, dtype=float))
             above = fit.top + far(rho) - far(self.rho_hi)
             if extra is not None:
                 above = above + extra(rho)
@@ -593,7 +595,7 @@ class TestCompositeWindowFits:
             inside = (rho > self.rho_lo) & (rho < self.rho_hi)
             if inside.any():
                 out[inside] = fit(rho[inside])
-            return out if out.ndim else float(out)
+            return float(out[0]) if number else out
 
         got = every_point(PressureLaw.composite(*LAWS[law_name]))
         monkeypatch.setattr(PressureLaw, "_regimes", checked_regimes)
@@ -712,3 +714,143 @@ class TestCompositeHyperbolicity:
         for c, (_, lo, hi) in zip(report, expected):
             assert c.ratio_min == pytest.approx(lo, rel=1e-10)
             assert c.ratio_max == pytest.approx(hi, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the table of a window fit against the barycentric evaluation of its pieces
+# (_WindowFit.exact, the evaluation before the table)
+# ---------------------------------------------------------------------------
+
+
+def _table_points(law, fit):
+    """Dense points of the window, every cell and piece edge with its two
+    neighbouring floats, and rho_lo and rho_hi +- 5e-13."""
+    lo, hi = law.rho_lo, law.rho_hi
+    edges = np.exp(np.concatenate((fit._cells[0], [p.a for p in fit._pieces])))
+    rho = np.concatenate((
+        np.linspace(lo, hi, 4001),
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, np.inf),
+        [lo + 5e-13, hi - 5e-13, np.nextafter(lo, np.inf), np.nextafter(hi, 0.0)],
+    ))
+    return rho[(rho > lo) & (rho < hi)]
+
+
+class TestWindowFitTable:
+    @pytest.mark.parametrize("law_name", sorted(LAWS))
+    @pytest.mark.parametrize("fit_name", FITS)
+    def test_matches_barycentric_pieces(self, law_name, fit_name):
+        # measured at most 1.0e-14 over the 16 fits: each cell drops
+        # Chebyshev terms that sum to at most 1e-14 of its mean value
+        law = PressureLaw.composite(*LAWS[law_name])
+        fit = getattr(law, fit_name)
+        rho = _table_points(law, fit)
+        got, want = fit(rho), fit.exact(rho)
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 1e-13, (rho[np.argmax(rel)], rel.max())
+
+    @pytest.mark.parametrize("law_name", sorted(LAWS))
+    def test_cells_tile_the_pieces(self, law_name):
+        law = PressureLaw.composite(*LAWS[law_name])
+        for fit_name in FITS:
+            fit = getattr(law, fit_name)
+            inner, table = fit._cells
+            lo = np.concatenate(([fit._pieces[0].a], inner))
+            hi = np.concatenate((inner, [fit._pieces[-1].b]))
+            assert np.all(hi > lo) and table.shape == (pressure._CELL_DEGREE + 3, lo.size)
+            # every piece edge is a cell edge, and the cells are not of one size
+            assert {p.a for p in fit._pieces} <= set(lo)
+            assert np.ptp(hi - lo) > 0.0
+            np.testing.assert_allclose(table[-2], 0.5 * (lo + hi), rtol=1e-15)
+
+    def test_table_built_on_first_call_without_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table build called numpy.linalg")
+
+        for name in ("lstsq", "solve", "inv", "qr", "svd", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        law = PressureLaw.composite(*LAWS["composite-workload"])
+        fit = law._e_fit
+        assert "_cells" not in fit.__dict__
+        fit(np.array([1.0, 1.2]))
+        assert "_cells" in fit.__dict__
+
+    def test_fits_built_on_pieces_not_tables(self):
+        # g' integrates e, and g integrates g', from their pieces: the
+        # pieces of every fit are those of the evaluation before the table
+        law = PressureLaw.composite(*LAWS["fixture"])
+        law._g_fit
+        assert all("_cells" not in getattr(law, name).__dict__ for name in FITS)
+
+    def test_blend_runs_on_window_points_only(self, monkeypatch):
+        law = PressureLaw.composite(*LAWS["composite-workload"])
+        rho = np.array([0.5, 0.9, 1.0, 1.1, 1.4, 2.0, 1.2])
+        sizes = []
+        inside = pressure._smoothstep_inside
+        monkeypatch.setattr(
+            pressure, "_smoothstep_inside", lambda t, order: sizes.append(t.size) or inside(t, order)
+        )
+        law.pressure_pair(rho)
+        law.d2pressure(rho)
+        assert sizes == [3, 3]
+        sizes.clear()
+        law.pressure_pair(np.array([0.5, 2.0]))
+        assert sizes == []
+
+
+class TestNumbersAtAndAboveRhoHi:
+    @pytest.mark.parametrize("law_name", sorted(LAWS))
+    def test_number_equals_array(self, law_name):
+        # a number is evaluated as a 1-element array: before, the tail took
+        # Python's ** for a number and numpy's for an array, and the
+        # wide-window law's g(5.0) differed by one ulp
+        law = PressureLaw.composite(*LAWS[law_name])
+        hi = law.rho_hi
+        points = [hi, hi - 5e-13, hi + 5e-13, 3.0 * hi, law.rho_lo, 0.5 * law.rho_lo]
+        for quantity in sorted(QUANTITIES):
+            f = getattr(law, quantity)
+            together = f(np.array(points))
+            for r, in_array in zip(points, together):
+                got = f(r)
+                assert type(got) is float
+                assert got == f(np.array([r]))[0] == in_array, (quantity, r)
+
+    def test_polytropic_numbers_keep_python_power(self):
+        law = PressureLaw.polytropic(1.4)
+        k, g, th = law.kappa, law.gamma, law.theta
+        for r in (0.3, 1.0, 5.0):
+            assert law.internal_energy(r) == k / (g - 1.0) * r ** (g - 1.0)
+            assert law.k_integral(r) == np.sqrt(k * g) / th * r**th
+
+
+class TestNoisyCompositeRun:
+    def test_table_run_within_tolerance_of_barycentric_run(self, monkeypatch):
+        # the momentum leaves Gamma_H, so the forcing reads K through its
+        # window fit on half the steps' nodes, and the table moves the
+        # states in their last bits: measured at most 4.9e-15 of each
+        # record's largest value over three samples of 100 steps
+        from svvlab.noise import NoiseModel
+        from svvlab.solver import Grid, GridState, SolverConfig, simulate
+
+        def run():
+            law = PressureLaw.composite(*LAWS["composite-workload"])
+            grid = Grid(L=5.0, n=64)
+            rho = 1.0 + 0.6 * np.exp(-(grid.x**2) / 0.5)
+            init = GridState(0.0, rho, 3.0 * np.sin(grid.x) * rho)
+            cfg = SolverConfig(epsilon=0.5, T=0.1, dt=1e-3, n_saves=4,
+                               record_steps=True, record_forcing=True)
+            noise = NoiseModel.mode_family(0.4, 1.0, 3, law, seed=3, dt_base=1e-3)
+            noise = noise.truncate_mollify(0.5, 3.0, 0.25, 1.0)
+            trajs = simulate(init, law, grid, cfg, noise, [0, 1, 2])
+            steps = trajs[0].step_states
+            assert noise._region_indicator(steps[:, 0], steps[:, 1]).min() < 1.0
+            return trajs
+
+        table = run()
+        monkeypatch.setattr(_WindowFit, "__call__", _WindowFit.exact)
+        oracle = run()
+        for got, want in zip(table, oracle):
+            for name in ("step_states", "forcing_increments", "energy", "dissipation"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name

@@ -723,3 +723,137 @@ class TestSharedStatePass:
             assert energy == quotient_energy(law, grid, rho, m, 1.0)
             assert rate == gradient_dissipation(law, grid, rho, m)
         assert np.isfinite(energy) and np.isfinite(rate) and rate > 0.0
+
+
+def masked_fields(law, rho, m, rho_inf=None):
+    """StateFields of (rho, m) made to take the vacuum masks, as every
+    state did before the mask-free pass."""
+    fields = StateFields(law, rho, m, rho_inf)
+    fields.pos = rho > 0.0
+    fields.rp = np.where(fields.pos, rho, 1.0)
+    fields.u = np.where(fields.pos, m / fields.rp, 0.0)
+    return fields
+
+
+class TestMaskFreePass:
+    """A state with every rho > 0 skips the vacuum masks; its readers give
+    the masked formulas' values, bitwise."""
+
+    @pytest.mark.parametrize("kind", ["polytropic", "composite"])
+    def test_readers_equal_masked_formulas(self, grid, kind):
+        law = PressureLaw.polytropic(2.0)
+        if kind == "composite":
+            law = PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4)
+        cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1)
+        stepper = Stepper(law, grid, cfg)
+        rows = [bump_state(grid, amp=a) for a in (0.3, 0.6, -0.5)]
+        rho = np.stack([s.rho for s in rows])
+        m = np.stack([(0.2 + 2.5 * r) * np.sin(grid.x) * s.rho for r, s in enumerate(rows)])
+        fields, masked = StateFields(law, rho, m, 1.0), masked_fields(law, rho, m, 1.0)
+        assert fields.pos is None and fields.rp is rho and masked.pos.all()
+        assert np.array_equal(fields.u, masked.u)
+        for f in (relative_energy, dissipation_rate):
+            args = (law, grid, rho, m) + ((1.0,) if f is relative_energy else ())
+            assert np.array_equal(f(*args, fields), f(*args, masked))
+        assert np.array_equal(stepper._dt_max(fields), stepper._dt_max(masked))
+        noise = NoiseModel.mode_family(0.4, 1.0, 3, law, seed=3, dt_base=1e-3)
+        # a wide Gamma_H, where both steps are exactly 1, and a narrow one
+        for c1 in (30.0, 3.0):
+            model = noise.truncate_mollify([0.05, 0.2, 0.5], c1, 0.25, 1.0)
+            a = model._region_indicator(rho, m, fields)
+            b = model._region_indicator(rho, m, masked)
+            assert np.array_equal(a, b)
+            assert (a.min() < 1.0) == (c1 == 3.0)
+            dW = model.sample_increments([0, 1, 2], 0, cfg.dt)
+            forcing = model.apply_forcing(grid.x, rho, m, dW, fields)
+            assert np.array_equal(forcing, model.apply_forcing(grid.x, rho, m, dW, masked))
+            (got, _), (want, _) = (
+                stepper.step(GridState(0.0, rho, m), forcing, f) for f in (fields, masked)
+            )
+            assert np.array_equal(got.rho, want.rho) and np.array_equal(got.mom, want.mom)
+
+    def test_vacuum_with_momentum_is_masked(self, law2, grid):
+        # m = 0.3 on a vacuum node: every reader must zero it there
+        state = bump_state(grid)
+        rho, m = state.rho[None].copy(), 0.1 * np.sin(grid.x)[None] * state.rho
+        rho[0, 60], m[0, 60] = 0.0, 0.3
+        fields = StateFields(law2, rho, m, 1.0)
+        assert fields.pos is not None and fields.u[0, 60] == 0.0
+        assert relative_energy(law2, grid, rho, m, 1.0, fields) == quotient_energy(
+            law2, grid, rho, m, 1.0
+        )
+        assert dissipation_rate(law2, grid, rho, m, fields) == gradient_dissipation(
+            law2, grid, rho, m
+        )
+        cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1)
+        stepper = Stepper(law2, grid, cfg)
+        assert np.array_equal(stepper._dt_max(fields), dpressure_dt_max(stepper, rho, m))
+        noise = NoiseModel.single_mode(0.3, law2, seed=7, dt_base=1e-3)
+        indicator = noise.truncate_mollify(0.05, 3.0, 0.25, 1.0)._region_indicator(
+            rho, m, fields
+        )
+        assert indicator[0, 60] == 0.0 and indicator[0, 59] == 1.0
+
+    def test_vacuum_batch_takes_the_masks(self, grid):
+        # density_floor 0 lets a vacuum node start the run: the batch's
+        # first state takes the masks, every later one (the diffusion fills
+        # the node) and the lone run of the other row do not
+        law = PressureLaw.polytropic(2.0)
+        cfg = SolverConfig(epsilon=0.05, T=0.02, dt=1e-3, n_saves=2, density_floor=0.0,
+                           record_steps=True, record_forcing=True)
+        noise = NoiseModel.single_mode(0.3, law, seed=7, dt_base=1e-3)
+        noise = noise.truncate_mollify(cfg.epsilon, 3.0, 0.25, cfg.rho_inf)
+        init = bump_state(grid)
+        rho, m = np.stack([init.rho, init.rho]), np.zeros((2, grid.n + 1))
+        rho[1, 128] = 0.0
+        assert StateFields(law, rho, m).pos is not None
+        assert StateFields(law, rho[:1], m[:1]).pos is None
+        batch = simulate(GridState(0.0, rho, m), law, grid, cfg, noise, [3, 4])
+        for traj in batch:
+            assert_matches_oracle(traj, noise)
+            assert traj.step_states[1:, 0].min() > 0.0
+        lone = simulate(GridState(0.0, rho[0], m[0]), law, grid, cfg, noise, 3)
+        for name in ("energy", "dissipation", "step_states", "forcing_increments"):
+            assert np.array_equal(getattr(batch[0], name), getattr(lone, name)), name
+
+
+class TestDstWorkspaces:
+    """The DST keeps its arrays per field shape; a returned state never
+    shares memory with them and is not changed by later steps."""
+
+    def test_returned_states_unchanged_by_later_steps(self, law2, grid):
+        cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1, density_floor=0.9)
+        stepper = Stepper(law2, grid, cfg)
+        init = bump_state(grid)
+        rho = np.stack([init.rho] * 3)
+        rho[1, 100] = 0.85  # below the floor after one step: the batch shrinks
+        state = GridState(0.0, rho, np.zeros_like(rho))
+        kept = []
+        for n in range(4):
+            state, failures = stepper.step(state)
+            assert [row for row, _ in failures] == ([1] if n == 0 else [])
+            assert state.rho.shape == (2, grid.n + 1)
+            kept.append((state, state.copy()))
+            for odd, spec, back in stepper._dst.values():
+                for work in (odd, spec, back):
+                    assert not np.shares_memory(work, state.rho)
+                    assert not np.shares_memory(work, state.mom)
+        assert set(stepper._dst) == {(2, 3, grid.n + 1), (2, 2, grid.n + 1)}
+        for state, copy in kept:
+            assert np.array_equal(state.rho, copy.rho) and np.array_equal(state.mom, copy.mom)
+
+    def test_workspaces_give_the_fresh_transform(self, law2, grid):
+        cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1)
+        stepper = Stepper(law2, grid, cfg)
+        n = grid.n
+        rng = np.random.default_rng(5)
+        for _ in range(3):  # the workspaces are reused and must not leak
+            f = rng.normal(size=(2, 4, n + 1))
+            boundary = np.array([[1.0], [0.0]])[..., None]
+            odd = np.zeros((2, 4, 2 * n))
+            odd[..., 1:n] = f[..., 1:-1] - boundary
+            odd[..., n + 1 :] = -odd[..., n - 1 : 0 : -1]
+            want = np.fft.irfft(np.fft.rfft(odd) * stepper._inv_eig, 2 * n)[..., 1:n] + boundary
+            got = stepper._diffuse(f, stepper._far)
+            assert np.array_equal(got[..., 1:-1], want)
+            assert (got[0, :, [0, -1]] == 1.0).all() and (got[1, :, [0, -1]] == 0.0).all()
