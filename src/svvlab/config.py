@@ -78,6 +78,8 @@ class InitialData:
         else:
             raise ConfigError(f"unknown initial-data kind {self.kind!r}")
         # each check is written so that a NaN fails it
+        if not self.c0 > 0.0:
+            raise ConfigError(f"initial.c0 must be positive, got {self.c0:g}")
         if not (np.isfinite(rho).all() and np.isfinite(m).all()):
             raise ConfigError("initial data are not finite")
         if not rho.min() >= self.c0:

@@ -18,12 +18,14 @@ energy (g'' = 2 P' e / rho, g(0) = g'(0) = 0) with its derivative g'.
 
 For the composite law each of e, K, g' and g has one vectorized
 evaluation path over three regimes: the gamma1 power law in closed form
-below rho_lo, a Chebyshev model of the integral from rho_lo on the blend
-window (evaluated only on the points inside it, from a table of local
-polynomials in log rho), and a closed-form tail above rho_hi, where
-P = kappa2 rho**gamma2 exactly.  The models are built lazily, on first
-use, by _WindowFit.  A number is evaluated as a 1-element array, so that
-it gets the bits an array gives.
+below rho_lo, a table of polynomial cells in log rho of the integral from
+rho_lo on the blend window (evaluated only on the points inside it), and a
+closed-form tail above rho_hi, where P = kappa2 rho**gamma2 exactly.  Each
+table is built lazily, on first use, by _WindowFit: cells sampled from the
+integrand and halved until its series converges, each series integrated
+exactly and the constants chained left to right.  g' reads e, and g reads
+g', through that table, from its cell edges.  A number is evaluated as a
+1-element array, so that it gets the bits an array gives.
 """
 
 from __future__ import annotations
@@ -36,24 +38,17 @@ from numpy.polynomial import chebyshev
 
 from .errors import ConfigError, DomainError, NumericalError
 
-# A piece of a window fit has converged when its trailing Chebyshev
-# coefficients fall below _FIT_TOL times the largest.  Its node count
-# doubles up to _PIECE_MAX_NODES, where the rounding floor of the sampled
-# integrand is accepted instead; a piece that has not converged by then, or
-# whose value grows by more than _PIECE_GROWTH, is halved, up to
-# _MAX_SPLITS times.
-_FIT_TOL = 1e-15
-_PIECE_MAX_NODES = 256
-_PIECE_GROWTH = 4.0
-_MAX_SPLITS = 20
-# A fit is evaluated cell by cell, each cell of a piece holding a
-# polynomial of degree _CELL_DEGREE in s.  A cell is kept when the
-# Chebyshev coefficients of the piece on it beyond that degree, from
-# _CELL_SAMPLES samples, sum to at most _CELL_TOL times its mean value, and
-# is halved otherwise, up to _MAX_SPLITS times.
+# A window fit is a table of cells in s = log rho, each holding a
+# polynomial of degree _CELL_DEGREE.  The integrand is sampled at
+# _CELL_SAMPLES Chebyshev points of a cell; the cell is kept when the
+# coefficients of the samples' series beyond degree _CELL_DEGREE - 1 sum to
+# at most _CELL_TOL times its largest one, and halved otherwise, up to
+# _MAX_SPLITS times.  A fit of its own starts from _START_CELLS equal cells.
 _CELL_DEGREE = 7
 _CELL_SAMPLES = 12
 _CELL_TOL = 1e-14
+_START_CELLS = 4
+_MAX_SPLITS = 20
 # row j: the power-series coefficients of T_j, lowest first
 _CHEB_TO_POWER = np.array(
     [np.pad(chebyshev.cheb2poly(row), (0, _CELL_DEGREE - j))
@@ -102,107 +97,69 @@ def _smoothstep_inside(t, order):
 
 
 class _WindowFit:
-    """base + int_lo^rho f(y) dy for rho in [lo, hi], piecewise Chebyshev.
+    """base + int_lo^rho f(y) dy for rho in [lo, hi], as a table of cells.
 
-    The pieces are built from lo upwards, each in s = log(rho), which keeps
-    the vacuum singularity of the power laws away from the window.  A
-    piece is halved, at most _MAX_SPLITS times, while its integrand series
-    has not converged with _PIECE_MAX_NODES nodes or its value grows by more
-    than _PIECE_GROWTH across it; the growth bound keeps rounding relative
-    to the value.  Past that the fit raises NumericalError.  f must be
-    vectorized; the integral must be positive and increasing.
+    The cells lie in s = log rho, which keeps the vacuum singularity of the
+    power laws away from the window.  Each round samples the integrand
+    f(e^s) e^s at _CELL_SAMPLES Chebyshev points of every open cell at once,
+    takes the series of each by one DCT-II (_dct2) and halves the cells
+    whose series has not converged; past _MAX_SPLITS rounds the fit raises
+    NumericalError.  Each kept series is integrated exactly, and the cells'
+    constants are chained left to right from base.  f must be vectorized.
 
-    A fit is evaluated from a table of cells (_cells), built on first use:
-    one searchsorted finds each point's cell, one gather takes its
-    coefficients and a fixed Horner loop sums them.  exact() evaluates the
-    pieces themselves; the fits built on this one integrate that, so that
-    they see no cell edges.
+    The cells start from edges when given, else from _START_CELLS equal
+    cells: a fit whose integrand reads another fit starts from that fit's
+    edges, where the one it reads is not smooth, so that no cell of its own
+    spans one of them.
+
+    One searchsorted finds each point's cell, one gather takes its
+    coefficients and a fixed Horner loop sums them.
     """
 
-    def __init__(self, f, lo, hi, base, name):
+    def __init__(self, f, lo, hi, base, name, edges=None):
         # the blend variable t = (rho - lo) / (hi - lo) carries a rounding
         # error of eps hi / (hi - lo), and so does every sample of f
-        floor = max(100.0 * _FIT_TOL, 100.0 * np.finfo(float).eps * hi / (hi - lo))
-        todo = [(np.log(lo), np.log(hi), 0)]
-        self._pieces = []
-        self._name = name
-        while todo:  # left to right, each piece starting from the last one's top
-            a, b, splits = todo.pop()
-            c = _integrand_series(f, a, b, floor, name)
-            piece = None if c is None else _ChebPiece(c, a, b, base)
-            if piece is None or piece.top > _PIECE_GROWTH * base:
-                if splits == _MAX_SPLITS:
-                    raise NumericalError(
-                        f"{name}: Chebyshev fit near rho = {np.exp(a):.6g} did not "
-                        f"converge on [{lo:g}, {hi:g}]"
-                    )
-                mid = 0.5 * (a + b)
-                todo += [(mid, b, splits + 1), (a, mid, splits + 1)]
-                continue
-            self._pieces.append(piece)
-            base = piece.top
-        self._inner_edges = np.array([p.a for p in self._pieces[1:]])
-        self.top = base  # the value at hi
-
-    @cached_property
-    def _cells(self):
-        """(inner cell edges, table) in s.  Column j of the table holds
-        cell j's power-series coefficients in x = (s - mid) scale, lowest
-        first, then its mid and scale, so that x runs over [-1, 1].
-
-        A piece of n nodes starts as n // 4 equal cells, about twice the
-        piece's coefficients, which on the test laws leaves most cells
-        converged after one round (and builds fastest); each round samples
-        every open cell of the piece at _CELL_SAMPLES Chebyshev points at
-        once and halves the cells whose series has not converged.
-        """
+        tol = max(_CELL_TOL, 100.0 * np.finfo(float).eps * hi / (hi - lo))
+        if edges is None:
+            edges = np.linspace(np.log(lo), np.log(hi), _START_CELLS + 1)
+        a, b = edges[:-1], edges[1:]
         k = np.arange(_CELL_SAMPLES)
         nodes = 0.5 * (np.cos(np.pi * (k + 0.5) / _CELL_SAMPLES) + 1.0)  # on [0, 1]
-        lo, hi, coef = [], [], []
-        for piece in self._pieces:
-            count = max(1, piece.size // 4)
-            edges = np.linspace(piece.a, piece.b, count + 1)
-            a, b = edges[:-1], edges[1:]
-            for _ in range(_MAX_SPLITS + 1):
-                s = a[:, None] + (b - a)[:, None] * nodes
-                c = _dct2(piece(s.ravel()).reshape(s.shape))
-                tail = np.abs(c[:, _CELL_DEGREE + 1 :]).sum(axis=1)
-                ok = tail <= _CELL_TOL * np.abs(c[:, 0])
-                lo.append(a[ok])
-                hi.append(b[ok])
-                coef.append(c[ok, : _CELL_DEGREE + 1])
-                if ok.all():
-                    break
-                a, b = a[~ok], b[~ok]
-                mid = 0.5 * (a + b)
-                a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-            else:
-                raise NumericalError(
-                    f"{self._name}: no cell of degree {_CELL_DEGREE} fits near "
-                    f"rho = {np.exp(a[0]):.6g}"
-                )
-        lo, hi, coef = (np.concatenate(v) for v in (lo, hi, coef))
-        order = np.argsort(lo)
-        lo, hi, coef = lo[order], hi[order], coef[order]
-        table = np.vstack(((coef @ _CHEB_TO_POWER).T, 0.5 * (lo + hi), 2.0 / (hi - lo)))
-        return lo[1:], table
-
-    def exact(self, rho):
-        """The fit at rho in [lo, hi], each point by its piece's barycentric
-        formula."""
-        s = np.log(rho)
-        out = np.empty_like(s)
-        which = np.searchsorted(self._inner_edges, s)
-        for i, piece in enumerate(self._pieces):
-            mask = which == i
-            if mask.any():
-                out[mask] = piece(s[mask])
-        return out
+        cells = []
+        for _ in range(_MAX_SPLITS + 1):
+            y = np.exp(a[:, None] + (b - a)[:, None] * nodes)
+            c = _dct2(f(y.ravel()).reshape(y.shape) * y)
+            if not np.all(np.isfinite(c)):
+                raise NumericalError(f"{name}: non-finite integrand on the blend window")
+            tail = np.abs(c[:, _CELL_DEGREE:]).sum(axis=1)
+            ok = tail <= tol * np.abs(c).max(axis=1)
+            cells.append((a[ok], b[ok], c[ok, :_CELL_DEGREE]))
+            if ok.all():
+                break
+            a, b = a[~ok], b[~ok]
+            mid = 0.5 * (a + b)
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        else:
+            raise NumericalError(
+                f"{name}: no cell of degree {_CELL_DEGREE} fits near "
+                f"rho = {np.exp(a[0]):.6g} on [{lo:g}, {hi:g}]"
+            )
+        a, b, c = (np.concatenate(v) for v in zip(*cells))
+        order = np.argsort(a)
+        a, b, c = a[order], b[order], c[order]
+        # int over [a, s] of each series: zero at x = -1, its cell integral at 1
+        coef = chebyshev.chebint(c, lbnd=-1.0, axis=1) * (0.5 * (b - a))[:, None]
+        start = np.cumsum(np.concatenate(([base], coef.sum(axis=1))))
+        coef[:, 0] += start[:-1]
+        self.top = float(start[-1])  # the value at hi
+        self.edges = np.append(a, b[-1])
+        # column j: cell j's power-series coefficients in x = (s - mid) scale,
+        # lowest first, then its mid and scale, so that x runs over [-1, 1]
+        self._table = np.vstack(((coef @ _CHEB_TO_POWER).T, 0.5 * (a + b), 2.0 / (b - a)))
 
     def __call__(self, rho):
         s = np.log(rho)
-        edges, table = self._cells
-        t = table.take(np.searchsorted(edges, s, side="right"), axis=1)
+        t = self._table.take(np.searchsorted(self.edges[1:-1], s, side="right"), axis=1)
         x = s - t[-2]
         x *= t[-1]
         out = t[_CELL_DEGREE]
@@ -223,68 +180,6 @@ def _dct2(g):
     c = 2.0 * (np.exp(-0.5j * np.pi * k / n) * c).real / n
     c[..., 0] *= 0.5
     return c
-
-
-def _integrand_series(f, a, b, floor, name):
-    """Chebyshev coefficients on [a, b] of f(e^s) e^s, or None.
-
-    The integrand is sampled at n Chebyshev nodes and the coefficients come
-    from one DCT-II (_dct2).  n doubles until the trailing coefficients have
-    decayed below _FIT_TOL, or below floor at _PIECE_MAX_NODES; None when
-    they have not.
-    """
-    n = 16
-    while n < _PIECE_MAX_NODES:
-        n *= 2
-        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        y = np.exp(0.5 * (b - a) * (x + 1.0) + a)
-        c = _dct2(f(y) * y)
-        if not np.all(np.isfinite(c)):
-            raise NumericalError(f"{name}: non-finite integrand on the blend window")
-        tail = np.abs(c[-n // 8 :]).max() / np.abs(c).max()
-        if tail <= _FIT_TOL or (n == _PIECE_MAX_NODES and tail <= floor):
-            return c
-    return None
-
-
-class _ChebPiece:
-    """base + int_{e^a}^{e^s} f(y) dy for s in [a, b], from the Chebyshev
-    coefficients c of f(e^s) e^s.
-
-    The series is integrated term by term (Clenshaw-Curtis quadrature at
-    every point at once) and evaluated by the barycentric formula on
-    Chebyshev nodes, a few matrix products however many terms it has;
-    the fit's cells are sampled that way.
-    """
-
-    def __init__(self, c, a, b, base):
-        coef = chebyshev.chebint(c, lbnd=-1.0, scl=0.5 * (b - a))
-        coef[0] += base
-        # drop the trailing terms whose sum is below rounding of the largest
-        tail = np.cumsum(np.abs(coef[::-1]))[::-1]
-        n = max(2, int(np.count_nonzero(tail > np.finfo(float).eps * np.abs(coef).max())))
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        self._nodes = np.cos(theta)
-        weights = np.where(np.arange(n) % 2, -1.0, 1.0) * np.sin(theta)
-        values = chebyshev.chebval(self._nodes, coef[:n])
-        self._weighted = np.stack([weights * values, weights], axis=1)
-        self._values = values
-        self.a, self.b = a, b
-        self.size = n
-        self._mid = a + b
-        self._width = b - a
-        self.top = float(chebyshev.chebval(1.0, coef[:n]))
-
-    def __call__(self, s):
-        x = np.clip((2.0 * s - self._mid) / self._width, -1.0, 1.0)
-        diff = np.subtract.outer(x, self._nodes)
-        hit = diff == 0.0  # x on a node: the node's value, not 1/0
-        diff[hit] = np.inf
-        num, den = ((1.0 / diff) @ self._weighted).T
-        out = num / den
-        rows = hit.any(axis=1)
-        out[rows] = self._values[hit[rows].argmax(axis=1)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -563,8 +458,8 @@ class PressureLaw:
     def relative_internal_energy(self, rho, rho_inf):
         """e*(rho, rho_inf): Bregman gap of the convex function rho*e(rho)."""
         rho = self._check_nonneg(rho)
-        if rho_inf <= 0.0:
-            raise DomainError(f"rho_inf must be positive, got {rho_inf}")
+        if not 0.0 < rho_inf < np.inf:  # written so that a NaN fails it
+            raise DomainError(f"rho_inf must be positive and finite, got {rho_inf}")
         constants = self._bregman.get(rho_inf)
         if constants is None:
             e_inf = self.internal_energy(rho_inf)
@@ -663,10 +558,11 @@ class PressureLaw:
         """C with e = C + e_far above rho_hi."""
         return self._e_fit.top - self._far_law.internal_energy(self.rho_hi)
 
-    def _window_fit(self, integrand, near):
-        """Window fit of the quantity the near-law method `near` gives below rho_lo."""
+    def _window_fit(self, integrand, near, edges=None):
+        """Window fit of the quantity the near-law method `near` gives below
+        rho_lo, its cells starting from edges (see _WindowFit)."""
         return _WindowFit(
-            integrand, self.rho_lo, self.rho_hi, near(self.rho_lo), near.__name__
+            integrand, self.rho_lo, self.rho_hi, near(self.rho_lo), near.__name__, edges
         )
 
     @cached_property
@@ -683,22 +579,22 @@ class PressureLaw:
             self._near_law.k_integral,
         )
 
-    # the g' and g integrands take e and g' on the window from the fits'
-    # pieces (_WindowFit.exact), whose samples all lie inside it
+    # the g' integrand reads e, and the g integrand g', through that fit's
+    # table, starting from its cell edges: each cell sees one polynomial
 
     @cached_property
     def _gp_fit(self):
+        e = self._e_fit
         return self._window_fit(
-            lambda y: 2.0 * self.dpressure(y) * self._e_fit.exact(y) / y,
+            lambda y: 2.0 * self.dpressure(y) * e(y) / y,
             self._near_law.dhigh_order_potential,
+            e.edges,
         )
 
     @cached_property
     def _g_fit(self):
-        return self._window_fit(
-            self._gp_fit.exact,
-            self._near_law.high_order_potential,
-        )
+        gp = self._gp_fit
+        return self._window_fit(gp, self._near_law.high_order_potential, gp.edges)
 
     # -- empirical bound checks --------------------------------------------
 

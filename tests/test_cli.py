@@ -122,6 +122,17 @@ class TestSimulate:
         assert r.exit_code == 2, r.output
         assert not os.path.exists(out)
 
+    def test_nonpositive_c0_exits_2(self, runner, tmp_path):
+        # the dip to -0.5 passed c0 = -10, and the run ended in an uncaught
+        # DomainError traceback
+        initial = {"kind": "bump", "amplitude": -1.5, "width": 0.5, "c0": -10}
+        cfg = write_cfg(tmp_path, {"initial": initial})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 2, r.output
+        assert "c0" in r.output
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("n_saves", [3, 0])
     def test_bad_n_saves_exits_2(self, runner, tmp_path, n_saves):
         # T / dt = 50 steps: 3 saves do not divide them, 0 saves none

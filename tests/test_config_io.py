@@ -217,6 +217,16 @@ class TestInitialData:
         with pytest.raises(ConfigError):
             InitialData("bump", amplitude=-0.95).build(grid, 1.0)
 
+    @pytest.mark.parametrize("amplitude", [0.3, -1.5])
+    @pytest.mark.parametrize("c0", [0.0, -10.0])
+    def test_nonpositive_c0_rejected(self, c0, amplitude):
+        # a dip to -0.5 passed c0 = -10, and simulate then failed on a
+        # negative density
+        grid = Grid(L=5.0, n=64)
+        init = InitialData("bump", amplitude=amplitude, width=0.5, c0=c0)
+        with pytest.raises(ConfigError, match="c0 must be positive"):
+            init.build(grid, 1.0)
+
     def test_riemann_smoothed_limits(self):
         grid = Grid(L=5.0, n=64)
         init = InitialData(
