@@ -206,7 +206,9 @@ def sweep_cmd(config_path, seed, output_dir):
 
 @main.command("entropy-table")
 @click.option("--gamma", type=float, default=2.0)
-@click.option("--psi", default="energy", help="energy | signed_square | cutoff:R")
+@click.option(
+    "--psi", default="energy", help="energy | signed_square | cutoff:R | bump:c,w"
+)
 @click.option("--rho-range", nargs=3, type=float, default=(0.1, 5.0, 20))
 @click.option("--u-range", nargs=3, type=float, default=(-3.0, 3.0, 20))
 @click.option("--output-dir", type=click.Path(), default=None)

@@ -167,15 +167,22 @@ def _noise_from(block, law, seed, dt_base, errs):
 
 
 def _psi_spec(name) -> EntropySpec:
+    """The generator a psis entry names: energy, signed_square, cutoff:R or
+    bump:c,w; ConfigError for any other entry, a malformed one, or one whose
+    R, c or w is out of range (a finite centre, finite positive R and w)."""
     if name == "energy":
         return EntropySpec.energy()
-    if isinstance(name, str) and name.startswith("cutoff:"):
-        return EntropySpec.cutoff_energy(float(name.split(":", 1)[1]))
     if name == "signed_square":
         return EntropySpec.signed_square()
-    if isinstance(name, str) and name.startswith("bump:"):
-        c, w = (float(v) for v in name.split(":", 1)[1].split(","))
-        return EntropySpec.compact_bump(c, w)
+    kind, _, args = str(name).partition(":")
+    try:
+        if kind == "cutoff":
+            return EntropySpec.cutoff_energy(float(args))
+        if kind == "bump":
+            c, w = (float(v) for v in args.split(","))
+            return EntropySpec.compact_bump(c, w)
+    except ValueError as exc:  # ConfigError is a ValueError too
+        raise ConfigError(f"entropy generator spec {name!r}: {exc}") from None
     raise ConfigError(f"unknown entropy generator spec {name!r}")
 
 

@@ -18,8 +18,8 @@ from .pressure import PressureLaw
 from .solver import Grid, GridState, Trajectory, dissipation_rate, relative_energy
 
 # Node-points of one block of steps (steps x nodes, times the quadrature
-# nodes for an entropy pair): each temporary of a block evaluation holds at
-# most 0.5 MB, whatever the grid.
+# nodes per state for an entropy pair, EntropySpec.pair_nodes): each
+# temporary of a block evaluation holds at most 0.5 MB, whatever the grid.
 BLOCK_POINTS = 2**16
 
 
@@ -224,7 +224,6 @@ def entropy_inequality_residual(
     spec: EntropySpec,
     phi: BumpTestFunction,
     noise=None,
-    n_nodes: int = 48,
 ) -> EntropyResidualReport:
     """Discrete weak form of the entropy inequality for one path.
 
@@ -239,8 +238,8 @@ def entropy_inequality_residual(
 
     The sums run over the steps and nodes inside phi's support, in blocks
     of consecutive steps of at most BLOCK_POINTS node-points (steps x
-    nodes x n_nodes), with one entropy_pair and one forcing_quadratic call
-    per block; phi = b_t b_x is the outer product of its time and space
+    nodes x spec.pair_nodes), with one entropy_pair and one forcing_quadratic
+    call per block; phi = b_t b_x is the outer product of its time and space
     factors.  The block size bounds the working memory to a few MB on any
     grid.  The per-step sums are added in step order, and the result agrees
     with a step-by-step loop to |dS| <= 1e-12 (|transport| + |martingale| +
@@ -272,9 +271,9 @@ def entropy_inequality_residual(
         bx, dbx, d2bx = phi.space_factors(xa)
         span = slice(steps[0], steps[-1] + 1)
         states = traj.step_states[span]
-        for blk in _step_blocks(steps.size, xa.size * n_nodes):
+        for blk in _step_blocks(steps.size, xa.size * spec.pair_nodes):
             rho, m = states[blk, 0][:, active], states[blk, 1][:, active]
-            pv = entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
+            pv = entropy_pair(law, spec, rho, m)
             b, db = bt[blk, None], dbt[blk, None]
             sums[0, blk] = np.sum(pv.eta * (db * bx) + pv.q * (b * dbx), axis=-1)
             sums[1, blk] = np.sum(pv.eta * (b * d2bx), axis=-1)

@@ -9,10 +9,23 @@ lambda = (3 - gamma) / (2 (gamma - 1)):
 
 with K(rho) the wave integral and M0 = int (1 - z^2)^lambda dz.  The
 normalization M0 is fixed so that psi(s) = s^2/2 reproduces the mechanical
-energy pair exactly (and psi = 1 gives eta = rho).  Quadrature is
-Gauss-Jacobi in z with the weight (1 - z^2)^lambda, which also covers
-gamma > 3 where lambda is negative and the raw kernel is endpoint-singular,
-and gamma near 1 where lambda is large and the weight is a narrow peak.
+energy pair exactly (and psi = 1 gives eta = rho).
+
+Every generator declares its pieces: the s-locations where it stops being
+one polynomial (its kinks) and the degree of each piece.  A state whose
+kernel support [u - K, u + K] lies inside one piece is integrated by the
+Gauss-Jacobi rule for (1 - z^2)^lambda of ceil((d + 2) / 2) nodes, d the
+largest degree, which is exact for all four fields (the flux integrand
+z psi has degree d + 1).  A state whose support straddles a kink is split
+there, and each piece takes a SPLIT_NODES-point Gauss rule that holds the
+endpoint factor of the weight at -1 or +1 it touches (none for an interior
+piece).  The other factor stays in the integrand; where a kink lies near a
+support end, that factor's singularity is close, so the piece is cut
+further in a geometric progression toward that end.  Where lambda is large
+(gamma near 1) the weight is a narrow peak at 0, and the support is also
+cut at 0 and along the peak's flanks.  All rules are Golub-Welsch (Golub &
+Welsch, Math. Comp. 1969), which also covers gamma > 3 where lambda is
+negative and the raw kernel is endpoint-singular.
 
 Momentum derivatives of eta are obtained by differentiating under the
 integral (quadrature of psi' and psi''), not by numerical differencing.
@@ -22,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lgamma, log, log1p, pi
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .pressure import PressureLaw
 
 
@@ -120,11 +134,44 @@ def psi_cutoff(R, s):
 
 @dataclass(frozen=True)
 class EntropySpec:
-    """A generating function psi: derivatives(s) returns (psi, psi', psi'')
-    at s from one call."""
+    """A piecewise polynomial generating function psi.
+
+    derivatives(s) returns (psi, psi', psi'') at s from one call.  kinks
+    are the strictly increasing, finite s-locations where psi stops being
+    one polynomial; degrees holds the degree of each of the len(kinks) + 1
+    pieces, left to right.  entropy_pair's rules follow from them.  Checking
+    the kinks also rejects a cutoff scale or bump width that is not positive
+    and finite, and a bump centre that is not finite (ConfigError).
+    """
 
     name: str
     derivatives: callable
+    kinks: tuple
+    degrees: tuple
+
+    def __post_init__(self):
+        kinks = np.asarray(self.kinks, dtype=float)
+        if kinks.ndim != 1 or not np.isfinite(kinks).all() or np.any(np.diff(kinks) <= 0.0):
+            raise ConfigError(
+                f"{self.name}: kinks must be finite and strictly increasing, got "
+                f"{self.kinks!r} (R and a bump width finite and positive, a centre "
+                "finite)"
+            )
+        if len(self.degrees) != kinks.size + 1 or any(
+            int(d) != d or d < 0 for d in self.degrees
+        ):
+            raise ConfigError(
+                f"{self.name}: need one nonnegative integer degree per piece "
+                f"({kinks.size + 1}), got {self.degrees!r}"
+            )
+
+    @property
+    def pair_nodes(self) -> int:
+        """Nodes per state of entropy_pair's exact rule for a state whose
+        kernel support lies inside one piece, ceil((d + 2) / 2) for d the
+        largest degree.  Callers size their blocks by it; entropy_pair
+        chunks the pieces of states that straddle a kink itself."""
+        return (max(self.degrees) + 3) // 2
 
     @staticmethod
     def energy() -> "EntropySpec":
@@ -132,11 +179,16 @@ class EntropySpec:
             s = np.asarray(s, dtype=float)
             return 0.5 * s**2, s, np.ones_like(s)
 
-        return EntropySpec("energy", derivatives)
+        return EntropySpec("energy", derivatives, (), (2,))
 
     @staticmethod
     def cutoff_energy(R: float) -> "EntropySpec":
-        return EntropySpec(f"cutoff_energy(R={R:g})", lambda s: psi_cutoff(R, s))
+        return EntropySpec(
+            f"cutoff_energy(R={R:g})",
+            lambda s: psi_cutoff(R, s),
+            (-2.0 * R, -R, R, 2.0 * R),
+            (1, 3, 2, 3, 1),
+        )
 
     @staticmethod
     def signed_square() -> "EntropySpec":
@@ -147,7 +199,7 @@ class EntropySpec:
             a = np.abs(s)
             return 0.5 * s * a, a, np.sign(s)
 
-        return EntropySpec("signed_square", derivatives)
+        return EntropySpec("signed_square", derivatives, (0.0,), (2, 2))
 
     @staticmethod
     def constant(c: float = 1.0) -> "EntropySpec":
@@ -155,7 +207,7 @@ class EntropySpec:
             s = np.asarray(s, dtype=float)
             return np.full_like(s, c), np.zeros_like(s), np.zeros_like(s)
 
-        return EntropySpec(f"constant({c:g})", derivatives)
+        return EntropySpec(f"constant({c:g})", derivatives, (), (0,))
 
     @staticmethod
     def compact_bump(center: float = 0.0, width: float = 1.0) -> "EntropySpec":
@@ -189,7 +241,12 @@ class EntropySpec:
             d2psi[outside] = 0.0
             return psi.reshape(shape), dpsi.reshape(shape), d2psi.reshape(shape)
 
-        return EntropySpec(f"compact_bump({center:g},{width:g})", derivatives)
+        return EntropySpec(
+            f"compact_bump({center:g},{width:g})",
+            derivatives,
+            (center - width, center + width),
+            (0, 6, 0),
+        )
 
 
 @dataclass(frozen=True)
@@ -206,18 +263,50 @@ class EntropyPairValue:
 # quadrature-based entropy pairs (polytropic only)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _jacobi_rule(n_nodes: int, lam: float):
-    """Nodes, weights and weight sum of the n-node Gauss rule for
-    (1 - z^2)^lam, by Golub-Welsch: the nodes are the eigenvalues of the
-    symmetric Jacobi matrix of the Gegenbauer recurrence, the weights the
-    squared first components of its eigenvectors (normalized to sum 1).
-    It stays finite however large lam is."""
-    k = np.arange(1.0, n_nodes)
-    off = np.sqrt(k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0))
-    z, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+# Nodes of each Gauss rule on a piece of a support that straddles a kink.
+# Every piece is at most seven times as long as its distance from an end of
+# [-1, 1] that it does not touch, so the weight factors that stay in the
+# integrand are analytic on a fixed neighbourhood of every piece; the
+# accuracy test of the split pairs (tests/test_entropy.py) pins the count.
+SPLIT_NODES = 20
+_GRADING = 4.0
+# Node-points of one derivatives call of the split rule (0.5 MB an array)
+_SPLIT_POINTS = 2**16
+# Above _PEAK_LAM the weight (1 - z^2)^lam is a peak of width ~lam^-1/2 at 0
+# that an end rule, with the other endpoint factor in its integrand, cannot
+# resolve.  A straddling support is then also cut at 0 and where the weight
+# has fallen by e^-16, e^-32 and e^-48, so that the weight changes by at
+# most e^16 along an interior piece and an end piece holds at most e^-48 of
+# the peak.  From lam = 11.1 on, the first cut is within 7/8 of 1, so these
+# pieces keep the seven-times bound.
+_PEAK_LAM = 12.0
+_PEAK_STEP = 16.0
+_PEAK_CUTS = 3
+
+
+@lru_cache(maxsize=64)
+def _jacobi_rule(n: int, alpha: float, beta: float):
+    """Nodes and weights (summing to 1) of the n-node Gauss rule for
+    (1 - t)^alpha (1 + t)^beta on [-1, 1], by Golub-Welsch: the nodes are
+    the eigenvalues of the symmetric Jacobi matrix of the Jacobi-polynomial
+    recurrence, the weights the squared first components of its
+    eigenvectors.  It stays finite however large alpha and beta are.  Built
+    on first use, never at import."""
+    ab = alpha + beta
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + ab
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta - alpha) * (beta + alpha) / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(
+        4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s**2 * (s + 1.0) * (s - 1.0))
+    )
+    t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = vecs[0] ** 2
-    return z, w, float(w.sum())
+    w /= w.sum()
+    t.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return t, w
 
 
 def _require_polytropic(law: PressureLaw):
@@ -229,17 +318,119 @@ def _require_polytropic(law: PressureLaw):
         )
 
 
-def entropy_pair(
-    law: PressureLaw,
-    spec: EntropySpec,
-    rho,
-    m,
-    n_nodes: int = 64,
-) -> EntropyPairValue:
+def _node_sums(spec, u, K, z, w):
+    """Weighted sums over the nodes z (a row per state) of psi, z psi, psi'
+    and psi'' at s = u + K z, from one derivatives call.  w is one rule
+    shared by every row, or a weight per node."""
+    pv, dpv, d2pv = spec.derivatives(u[:, None] + K[:, None] * z)
+    if w.ndim == 1:
+        return pv @ w, pv @ (z * w), dpv @ w, d2pv @ w
+    pairs = ((pv, w), (pv, z * w), (dpv, w), (d2pv, w))
+    return tuple(np.einsum("ij,ij->i", f, g) for f, g in pairs)
+
+
+def _peak_cuts(lam: float):
+    """The cuts in z of every straddling support that resolve the weight's
+    peak at 0 when lam > _PEAK_LAM (none otherwise)."""
+    if lam <= _PEAK_LAM:
+        return np.empty(0)
+    z = np.sqrt(-np.expm1(-_PEAK_STEP / lam * np.arange(1.0, 1.0 + _PEAK_CUTS)))
+    return np.concatenate((-z[::-1], [0.0], z))
+
+
+def _split_pieces(kinks, u, K, cuts):
+    """Ends (a, b) in z of every piece of the supports [u - K, u + K] cut
+    at the kinks inside them and at cuts, and the state each piece belongs
+    to, in state order.  A kink at distance d from the support end +-1 also
+    cuts at +-(1 - d 4^k), for every k >= 1 with d 4^k < 1: d >= 2^-53, so
+    at most 27 cuts per kink."""
+    c = (kinks - u[:, None]) / K[:, None]
+    inside = np.abs(c) < 1.0
+    state = np.nonzero(inside)[0]
+    c = c[inside]
+    d = 1.0 - np.abs(c)
+    n = np.ceil(-np.log(d) / log(_GRADING)).astype(int)
+    g = np.repeat(np.arange(c.size), n)
+    k = np.arange(g.size) - np.repeat(np.cumsum(n) - n, n) + 1.0
+    gap = d[g] * _GRADING**k
+    g, gap = g[gap < 1.0], gap[gap < 1.0]
+    ends = np.concatenate(([-1.0], cuts, [1.0]))
+    z = np.concatenate((np.tile(ends, u.size), c, np.sign(c[g]) * (1.0 - gap)))
+    owner = np.concatenate((np.repeat(np.arange(u.size), ends.size), state, state[g]))
+    order = np.lexsort((z, owner))
+    z, owner = z[order], owner[order]
+    live = (owner[1:] == owner[:-1]) & (z[1:] > z[:-1])
+    return z[:-1][live], z[1:][live], owner[:-1][live]
+
+
+def _log_m0(lam: float) -> float:
+    """log M0 = log int (1 - z^2)^lam dz = log(sqrt(pi) Gamma(lam + 1) /
+    Gamma(lam + 3/2)).  From lam = 20 on, the difference of the two
+    log-gammas is taken from Stirling's series term by term: as a difference
+    of two values ~lam log lam it would lose their rounding (5e-7 at
+    lam = 1e9)."""
+    if lam < 20.0:
+        return 0.5 * log(pi) + lgamma(lam + 1.0) - lgamma(lam + 1.5)
+    z1, z2 = lam + 1.0, lam + 1.5
+    diff = 0.5 - 0.5 * log(z1) - z1 * log1p(0.5 / z1)
+    for c, k in ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7), (1 / 1188, 9)):
+        diff += c * (z1**-k - z2**-k)
+    return 0.5 * log(pi) + diff
+
+
+def _split_rules(n: int, lam: float):
+    """Nodes and log weights of the n-node rules of _split_sums, one row per
+    kind of piece (0 interior, 1 touching -1, 2 touching +1); each weight
+    is times its rule's mass and divided by M0 = int (1 - z^2)^lam dz."""
+    t_end, w_end = _jacobi_rule(n, lam, 0.0)
+    t_int, w_int = _jacobi_rule(n, 0.0, 0.0)
+    log_m0 = _log_m0(lam)
+    log_end = (lam + 1.0) * log(2.0) - log1p(lam) - log_m0  # int (1 - t)^lam dt / M0
+    with np.errstate(divide="ignore"):  # a weight that underflowed to 0 stays 0
+        log_w = np.log(np.stack((w_int, w_end, w_end)))
+    log_w += np.array([[log(2.0) - log_m0], [log_end], [log_end]])
+    return np.stack((t_int, -t_end, t_end)), log_w
+
+
+def _split_sums(spec, lam, u, K):
+    """The sums of _node_sums over [-1, 1] for states whose support
+    straddles a kink, piece by piece (_split_pieces), at most _SPLIT_POINTS
+    nodes per derivatives call.  A piece [a, 1] takes the Gauss rule for
+    (1 - z)^lam, with (1 + z)^lam in the integrand; [-1, b] the mirror rule;
+    an interior piece Gauss-Legendre, with the whole weight in the
+    integrand.  The weights are formed in logarithms, so that no factor
+    overflows for large lam, and log(1 - z^2) by log1p within 1/2 of 0, so
+    that lam times its rounding stays small where the weight peaks."""
+    a, b, owner = _split_pieces(np.asarray(spec.kinks), u, K, _peak_cuts(lam))
+    kind = (a == -1.0) + 2 * (b == 1.0)
+    nodes, log_w = _split_rules(SPLIT_NODES, lam)
+    sums = np.empty((4, a.size))
+    chunk = _SPLIT_POINTS // SPLIT_NODES
+    for lo in range(0, a.size, chunk):
+        p = slice(lo, lo + chunk)
+        t, lw, k = nodes[kind[p]], log_w[kind[p]], kind[p, None]
+        pa, pb = a[p, None], b[p, None]
+        h = 0.5 * (pb - pa)
+        z = 0.5 * (pa + pb) + h * t
+        lp = np.log((1.0 + pa) + h * (1.0 + t))  # log(1 + z), without cancellation
+        lm = np.log((1.0 - pb) + h * (1.0 - t))  # log(1 - z)
+        both = np.where(np.abs(z) < 0.5, np.log1p(-np.minimum(z * z, 0.25)), lp + lm)
+        # the factors of (1 - z^2)^lam that the piece's rule does not hold
+        free = np.where(k == 1, lm, np.where(k == 2, lp, both))
+        w = np.exp(lw + np.log(h) * np.where(k > 0, 1.0 + lam, 1.0) + lam * free)
+        sums[:, p] = _node_sums(spec, u[owner[p]], K[owner[p]], z, w)
+    return tuple(np.bincount(owner, v, minlength=u.size) for v in sums)
+
+
+def entropy_pair(law: PressureLaw, spec: EntropySpec, rho, m) -> EntropyPairValue:
     """Evaluate (eta, q, d eta/dm, d^2 eta/dm^2) for a gamma-law gas.
 
-    Vectorized over (rho, m), with a fixed n_nodes-point Gauss-Jacobi rule
-    (exact for polynomial psi).
+    Vectorized over (rho, m).  A state whose kernel support lies inside one
+    polynomial piece of psi takes the ceil((d + 2) / 2)-node Gauss-Jacobi
+    rule, d the largest degree of the spec's pieces: exact for all four
+    fields.  A state whose support straddles a kink is split there
+    (_split_sums), in calls of at most _SPLIT_POINTS node-points.  Vacuum
+    states give zeros.
     """
     _require_polytropic(law)
     lam = law.lam
@@ -261,16 +452,19 @@ def entropy_pair(
     up = mp / rp
     Kp = law.k_integral(rp)  # half-width of the kernel support in s around u
 
-    z, w, M0 = _jacobi_rule(n_nodes, lam)
-    s_nodes = up[:, None] + Kp[:, None] * z
-    pv, dpv, d2pv = spec.derivatives(s_nodes)
-    pw = pv @ w
-    vals = (
-        rp * pw / M0,
-        rp / M0 * (up * pw + theta * Kp * (pv @ (z * w))),
-        (dpv @ w) / M0,
-        (d2pv @ w) / (rp * M0),
-    )
+    z, w = _jacobi_rule(spec.pair_nodes, lam, lam)
+    kinks = np.asarray(spec.kinks)
+    split = (np.abs(kinks - up[:, None]) < Kp[:, None]).any(axis=1)
+    if not split.any():
+        sums = _node_sums(spec, up, Kp, z, w)
+    else:
+        sums = np.empty((4, up.size))
+        one = ~split
+        if one.any():
+            sums[:, one] = _node_sums(spec, up[one], Kp[one], z, w)
+        sums[:, split] = _split_sums(spec, lam, up[split], Kp[split])
+    A0, A1, B, C = sums
+    vals = (rp * A0, rp * (up * A0 + theta * Kp * A1), B, C / rp)
     if not solid:
         full = np.zeros((4, rho.size))
         full[:, pos] = vals

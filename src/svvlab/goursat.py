@@ -180,7 +180,7 @@ def goursat_solve(law: PressureLaw, rho_max: float, resolution: int) -> GoursatT
             u = 0.5 * (a - b)
             K = 0.5 * (a + b)
             rho = _k_inverse(vac_law, K, rho_max)
-            pv = entropy_pair(vac_law, seed_spec, rho, rho * u, n_nodes=96)
+            pv = entropy_pair(vac_law, seed_spec, rho, rho * u)
             eta[i, j] = pv.eta
             seeded += int(len(i))
             continue

@@ -123,9 +123,10 @@ def _segments(measure: EmpiricalYoungMeasure):
     return np.concatenate(measure.samples), starts, counts
 
 
-def _atom_pairs(law, spec, atoms, n_nodes):
+def _atom_pairs(law, spec, atoms):
     """(eta, q) of every atom, vacuum atoms zeroed, from one entropy_pair
-    call per block of at most BLOCK_POINTS node-points."""
+    call per block of at most BLOCK_POINTS node-points (atoms x
+    spec.pair_nodes)."""
     rho = atoms[:, 0].copy()
     m = atoms[:, 1].copy()
     vac = rho < VACUUM_TOL
@@ -133,8 +134,8 @@ def _atom_pairs(law, spec, atoms, n_nodes):
     m[vac] = 0.0
     eta = np.empty(rho.size)
     q = np.empty(rho.size)
-    for block in _step_blocks(rho.size, n_nodes):
-        pv = entropy_pair(law, spec, rho[block], m[block], n_nodes=n_nodes)
+    for block in _step_blocks(rho.size, spec.pair_nodes):
+        pv = entropy_pair(law, spec, rho[block], m[block])
         eta[block] = pv.eta
         q[block] = pv.q
     return eta, q
@@ -144,12 +145,11 @@ def pair_average(
     measure: EmpiricalYoungMeasure,
     law: PressureLaw,
     spec: EntropySpec,
-    n_nodes: int = 48,
 ):
     """Cell-averaged (eta, q) arrays of shape (n_t, n_x)."""
     c = measure.cells
     atoms, starts, counts = _segments(measure)
-    eta, q = _atom_pairs(law, spec, atoms, n_nodes)
+    eta, q = _atom_pairs(law, spec, atoms)
     return (
         (np.add.reduceat(eta, starts) / counts).reshape(c.n_t, c.n_x),
         (np.add.reduceat(q, starts) / counts).reshape(c.n_t, c.n_x),
@@ -161,7 +161,6 @@ def tartar_residual(
     law: PressureLaw,
     spec1: EntropySpec,
     spec2: EntropySpec,
-    n_nodes: int = 48,
 ) -> np.ndarray:
     """Per-cell commutation residual, shape (n_t, n_x).
 
@@ -170,8 +169,8 @@ def tartar_residual(
     """
     c = measure.cells
     atoms, starts, counts = _segments(measure)
-    eta1, q1 = _atom_pairs(law, spec1, atoms, n_nodes)
-    eta2, q2 = _atom_pairs(law, spec2, atoms, n_nodes)
+    eta1, q1 = _atom_pairs(law, spec1, atoms)
+    eta2, q2 = _atom_pairs(law, spec2, atoms)
 
     def mean(v):
         return np.add.reduceat(v, starts) / counts

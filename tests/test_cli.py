@@ -393,6 +393,24 @@ class TestYoungMeasure:
         assert "polytropic" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("psi", ["bump:1", "cutoff:0", "bump:0,-1", "bump:0,nan"])
+    def test_bad_generator_exits_2(self, runner, tmp_path, psi):
+        # each exited 1 with a traceback, or ran on a non-convex or NaN
+        # generator to exit 0
+        cfg = write_cfg(tmp_path, {"sweep": {"cells": [2, 2]}, "diagnostics": {"psis": [psi]}})
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["young-measure", "--config", cfg, "--output-dir", str(out)])
+        assert r.exit_code == 2, r.output
+        assert psi in r.output
+        assert not out.exists()
+
+    def test_bad_entropy_table_generator_exits_2(self, runner, tmp_path):
+        r = runner.invoke(
+            main, ["entropy-table", "--psi", "cutoff:-1", "--output-dir", str(tmp_path / "o")]
+        )
+        assert r.exit_code == 2
+        assert "cutoff" in r.output
+
 
 class TestValidate:
     def test_default_config_passes(self, runner, tmp_path):
@@ -454,14 +472,16 @@ class TestOptions:
 
 
 def test_runtime_loads_no_scipy():
-    # scipy serves only as the tests' oracle: a noisy batched IMEX run, an
-    # entropy pair and a composite law's window fit all run on numpy alone
+    # scipy serves only as the tests' oracle: a noisy batched IMEX run,
+    # entropy pairs on one piece and split at a kink, and a composite law's
+    # window fit all run on numpy alone; importing the CLI builds no rule
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = """
 import sys
 import numpy as np
 import svvlab.cli
-from svvlab.entropy import EntropySpec, entropy_pair
+from svvlab.entropy import EntropySpec, _jacobi_rule, entropy_pair
+print(_jacobi_rule.cache_info().currsize)
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
 from svvlab.solver import Grid, GridState, SolverConfig, simulate
@@ -474,6 +494,7 @@ cfg = SolverConfig(epsilon=0.05, T=0.01, dt=1e-3, n_saves=1)
 init = GridState(0.0, 1.0 + 0.3 * np.exp(-grid.x**2), np.zeros(grid.n + 1))
 simulate(init, law, grid, cfg, noise, [0, 1])
 entropy_pair(law, EntropySpec.compact_bump(0.0, 4.0), [1.0, 2.0], [0.5, -0.5])
+entropy_pair(law, EntropySpec.compact_bump(0.0, 1.0), [1.0, 2.0], [0.5, -0.5])
 PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4).internal_energy(np.array([1.1]))
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
@@ -485,4 +506,4 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["0", "[]"]

@@ -107,6 +107,26 @@ class TestLoadConfig:
             load_config(str(p))
         assert any(named in v for v in exc.value.violations)
 
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            "bump:1", "bump:1,2,3", "cutoff:", "cutoff:0", "cutoff:-1", "bump:0,-1",
+            "bump:0,nan", "bump:nan,1", "cutoff:nan", "cutoff:inf", "bump:0,inf", 7,
+        ],
+    )
+    def test_bad_generator_rejected(self, psi):
+        # malformed entries raised a raw ValueError out of config_from_dict;
+        # out-of-range ones loaded, then failed later or gave zero or NaN
+        # pairs (a negative width ran on a non-convex generator)
+        run = {**GOOD, "diagnostics": {"psis": ["energy", psi]}}
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(run)
+        assert any(repr(psi) in v for v in exc.value.violations), exc.value.violations
+
+    def test_good_generators_accepted(self):
+        psis = ["energy", "signed_square", "cutoff:2.5", "bump:-0.5,0.25"]
+        assert config_from_dict({**GOOD, "diagnostics": {"psis": psis}}).psis == tuple(psis)
+
     def test_unknown_keys_listed_together(self):
         # keys nothing reads: an old alias, a typo and a top-level stray
         bad = {

@@ -291,7 +291,7 @@ def balance_loop(traj, noise):
     return mart, ito
 
 
-def residual_loop(traj, law, spec, phi, noise, n_nodes=48):
+def residual_loop(traj, law, spec, phi, noise):
     """(transport, martingale, Ito, viscous) sums of
     entropy_inequality_residual, one step at a time."""
     cfg = traj.config
@@ -304,7 +304,7 @@ def residual_loop(traj, law, spec, phi, noise, n_nodes=48):
         active = np.abs(x - phi.x0) < phi.rx
         w = phi_value(phi, t, x)
         rho, m = traj.step_states[n]
-        pv = entropy_pair(law, spec, rho[active], m[active], n_nodes=n_nodes)
+        pv = entropy_pair(law, spec, rho[active], m[active])
         xa = x[active]
         transport += dt * dx * float(
             np.sum(pv.eta * phi_dt(phi, t, xa) + pv.q * phi_dx(phi, t, xa))
@@ -365,7 +365,7 @@ class TestBlockOracles:
     def test_residual_matches_step_loop(self, law2, noisy_run, psi):
         traj, noise = noisy_run
         n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
-        rows = diagnostics.BLOCK_POINTS // (n_active * 48)
+        rows = diagnostics.BLOCK_POINTS // (n_active * PSIS[psi].pair_nodes)
         t = np.arange(len(traj.step_states) - 1) * traj.dt
         n_steps = int(np.sum(np.abs(t - PHI11.t0) < PHI11.rt))
         assert rows > 1 and n_steps % rows != 0  # a short last block
@@ -376,8 +376,9 @@ class TestBlockOracles:
     def test_one_and_five_step_blocks(self, law2, noisy_run, rows, monkeypatch):
         traj, noise = noisy_run
         n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
-        monkeypatch.setattr(diagnostics, "BLOCK_POINTS", rows * n_active * 48)
-        assert_residual_matches_loop(traj, law2, PSIS["cutoff:5"], PHI11, noise)
+        spec = PSIS["cutoff:5"]
+        monkeypatch.setattr(diagnostics, "BLOCK_POINTS", rows * n_active * spec.pair_nodes)
+        assert_residual_matches_loop(traj, law2, spec, PHI11, noise)
         assert_balance_matches_loop(traj, law2, noise)
 
     def test_phi_over_a_few_steps(self, law2, noisy_run):

@@ -1,5 +1,9 @@
 """Entropy kernels, generated pairs, energies, cutoffs, Riemann invariants."""
 
+import math
+import re
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from scipy.special import roots_jacobi
 
 from svvlab import entropy
 from svvlab.entropy import (
+    SPLIT_NODES,
     EntropySpec,
     entropy_pair,
     high_order_energy,
@@ -19,8 +24,11 @@ from svvlab.entropy import (
     relative_energy,
     riemann_invariants,
 )
-from svvlab.errors import DomainError
+from svvlab.errors import ConfigError, DomainError
 from svvlab.pressure import PressureLaw
+
+FIELDS = ("eta", "q", "deta_dm", "d2eta_dm2")
+GAMMAS = (1.05, 1.4, 2.0, 3.0, 4.0)
 
 
 @pytest.fixture(scope="module")
@@ -28,47 +36,137 @@ def law2():
     return PressureLaw.polytropic(2.0)
 
 
-# s-locations where a generator is not smooth, by EntropySpec name: where
-# the adaptive oracle splits its quadrature
-KINKS = {"signed_square": (0.0,)}
+# s-locations where a generator is not smooth, from its EntropySpec name
+# alone: where the adaptive oracle splits its quadrature
+KINKS = {
+    r"signed_square": lambda: (0.0,),
+    r"compact_bump\((.+),(.+)\)": lambda c, w: (c - w, c + w),
+    r"cutoff_energy\(R=(.+)\)": lambda R: (-2.0 * R, -R, R, 2.0 * R),
+}
+
+
+def oracle_kinks(name):
+    for pattern, kinks in KINKS.items():
+        hit = re.fullmatch(pattern, name)
+        if hit:
+            return kinks(*map(float, hit.groups()))
+    return ()
 
 
 def adaptive_pair(law, spec, rho, m):
-    """(eta, q, d eta/dm, d^2 eta/dm^2) at one state by adaptive quadrature
-    split at the spec's kinks (KINKS): the high-accuracy scalar oracle of
-    the Gauss rule.  The weight (1 - z^2)^lam stays in the integrand (lam > -1/2
-    keeps it integrable); the adaptive rule handles the endpoints."""
+    """(eta, q, d eta/dm, d^2 eta/dm^2) at one state by adaptive quadrature,
+    the high-accuracy scalar oracle of the Gauss rules.  [-1, 1] is split at
+    the kinks (KINKS) and at 0.  Up to lam = 20, a piece touching -1 or +1
+    takes that end's factor of (1 - z^2)^lam as QUADPACK's algebraic
+    endpoint weight; any other piece is integrated in y = log(1 -+ z) toward
+    its nearer end, where (1 -+ z)^lam dz = e^((lam + 1) y) dy is smooth
+    however close the piece comes to the end.  Above lam = 20 the weight is
+    smooth at the ends and a peak of width lam^-1/2 at 0: [-1, 1] is also
+    cut at every multiple of lam^-1/2 up to 12 of them, each piece within
+    them is integrated with the weight in the integrand, and the weight
+    beyond them (below e^-143 of its peak) is left out.  M0 is integrated
+    the same way, so the oracle shares no formula with entropy_pair."""
     lam, theta = law.lam, law.theta
     u = m / rho
     K = float(law.k_integral(rho))
-    kinks = KINKS.get(spec.name, ())
-    pts = sorted(float((k - u) / K) for k in kinks if abs((k - u) / K) < 1.0)
+    cuts = {(k - u) / K for k in oracle_kinks(spec.name) if abs(k - u) < K}
+    peak = lam > 20.0
+    if peak:
+        width = 1.0 / math.sqrt(lam)
+        cuts |= {  # no sliver piece next to a kink
+            j * width for j in range(-12, 13)
+            if all(abs(j * width - c) > 1e-6 * width for c in cuts)
+        }
+    edges = sorted(c for c in cuts | {-1.0, 0.0, 1.0} if abs(c) <= 1.0)
+    @lru_cache(maxsize=None)
+    def fields(z):  # the four integrands and M0's at z, without the weight
+        p, dp, d2p = (float(v) for v in spec.derivatives(u + K * z))
+        return p, (u + theta * K * z) * p, dp, d2p, 1.0
 
-    def integ(f):
-        val, _ = quad(
-            f, -1.0, 1.0, points=pts or None, epsabs=1e-13, epsrel=1e-13, limit=400
-        )
-        return val
+    def integ(i, a, b):
+        opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+        if peak:
+            if a * math.sqrt(lam) >= 11.5 or b * math.sqrt(lam) <= -11.5:
+                return 0.0  # beyond 12 peak widths, where the weight is < e^-143
+            return quad(  # times lam^1/2, so that M0 and the integrals are O(1)
+                lambda z: fields(z)[i] * math.exp(lam * math.log1p(-z * z)) * math.sqrt(lam),
+                a, b, **opts,
+            )[0]
+        if a == -1.0:
+            return quad(lambda z: fields(z)[i] * (1.0 - z) ** lam, a, b,
+                        weight="alg", wvar=(lam, 0.0), **opts)[0]
+        if b == 1.0:
+            return quad(lambda z: fields(z)[i] * (1.0 + z) ** lam, a, b,
+                        weight="alg", wvar=(0.0, lam), **opts)[0]
+        sign = 1.0 if b <= 0.0 else -1.0  # 1 + z = e^y, or 1 - z = e^y
 
-    def weight(z):
-        return (1.0 - z * z) ** lam
+        def f(y):
+            return (fields(sign * math.expm1(y))[i] * (1.0 - math.expm1(y)) ** lam
+                    * math.exp((lam + 1.0) * y))
 
-    def psi(z, order=0):  # the order-th derivative of psi at u + K z
-        return spec.derivatives(u + K * z)[order]
+        lo, hi = sorted((math.log1p(sign * a), math.log1p(sign * b)))
+        return quad(f, lo, hi, **opts)[0]
 
-    M0 = integ(weight)
-    eta = rho * integ(lambda z: psi(z) * weight(z)) / M0
-    qf = rho * integ(lambda z: (u + theta * K * z) * psi(z) * weight(z)) / M0
-    dm = integ(lambda z: psi(z, 1) * weight(z)) / M0
-    d2m = integ(lambda z: psi(z, 2) * weight(z)) / (rho * M0)
-    return eta, qf, dm, d2m
+    eta, q, dm, d2m, m0 = (
+        sum(integ(i, a, b) for a, b in zip(edges[:-1], edges[1:])) for i in range(5)
+    )
+    eta, q, dm, d2m = (v / m0 for v in (eta, q, dm, d2m))
+    return rho * eta, rho * q, dm, d2m / rho
 
 
-def roots_jacobi_rule(n_nodes, lam):
+def fixed_rule_pair(law, spec, rho, m, n_nodes):
+    """The four fields from the fixed n_nodes-point Gauss-Jacobi rule (the
+    symmetric Golub-Welsch rule) on every state, as entropy_pair evaluated
+    them before the generators declared their pieces: the oracle of the
+    short exact rule on in-piece states.  Vacuum states give zeros."""
+    k = np.arange(1.0, n_nodes)
+    lam = law.lam
+    off = np.sqrt(k * (k + 2.0 * lam) / (4.0 * (k + lam) ** 2 - 1.0))
+    z, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
+    M0 = w.sum()
+    rho, m = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, m))
+    pos = rho > 0.0
+    rp, mp = rho[pos], m[pos]
+    u = mp / rp
+    K = law.k_integral(rp)
+    pv, dpv, d2pv = spec.derivatives(u[:, None] + K[:, None] * z)
+    pw = pv @ w
+    out = np.zeros((4, rho.size))
+    out[:, pos] = (
+        rp * pw / M0,
+        rp / M0 * (u * pw + law.theta * K * (pv @ (z * w))),
+        (dpv @ w) / M0,
+        (d2pv @ w) / (rp * M0),
+    )
+    return out
+
+
+def in_one_piece(law, spec, rho, m):
+    """Where each state's kernel support [u - K, u + K] holds no kink."""
+    u = m / rho
+    K = law.k_integral(rho)
+    kinks = np.array(oracle_kinks(spec.name))
+    return ~(np.abs(kinks - u[:, None]) < K[:, None]).any(axis=1)
+
+
+def roots_jacobi_rule(n, alpha, beta):
     """scipy's Gauss-Jacobi rule in the shape of entropy._jacobi_rule: the
     oracle of the Golub-Welsch rule, where it is finite."""
-    z, w = roots_jacobi(n_nodes, lam, lam)
-    return z, w, float(w.sum())
+    z, w = roots_jacobi(n, alpha, beta)
+    return z, w / w.sum()
+
+
+def builtin_specs():
+    return (
+        EntropySpec.energy(),
+        EntropySpec.cutoff_energy(1.0),
+        EntropySpec.cutoff_energy(5.0),
+        EntropySpec.signed_square(),
+        EntropySpec.constant(2.0),
+        EntropySpec.compact_bump(0.0, 1.0),
+        EntropySpec.compact_bump(0.5, 4.0),
+    )
 
 
 class TestKernels:
@@ -100,6 +198,8 @@ class TestEntropyPair:
                 np.ones_like(np.asarray(s, float)),
                 np.zeros_like(np.asarray(s, float)),
             ),
+            kinks=(),
+            degrees=(1,),
         )
         pv = entropy_pair(law2, spec, np.array([1.0]), np.array([1.0]))
         assert pv.eta[0] == pytest.approx(1.0, rel=1e-12)
@@ -110,36 +210,35 @@ class TestEntropyPair:
 
     @pytest.mark.parametrize("gamma", [1.4, 2.0, 3.5])
     def test_gauss_kernel_matches_per_node_form(self, gamma):
-        # q = rho/M0 (u psi@w + theta K psi@(z w)) against the per-node
-        # integrand (u + theta K z) psi(u + K z) it replaces, on the same
-        # rule; vacuum nodes give zeros and leave the other nodes' values
-        # as they are
+        # q = rho (u psi@w + theta K psi@(z w)) against the per-node
+        # integrand (u + theta K z) psi(u + K z) it replaces, on the short
+        # rule of the in-piece states; vacuum nodes give zeros and leave the
+        # other nodes' values, in-piece or split, as they are
         law = PressureLaw.polytropic(gamma)
         rng = np.random.default_rng(5)
         rho = rng.uniform(0.05, 3.0, 300)
         m = rng.standard_normal(300)
         rho[::17] = m[::17] = 0.0
         pos = rho > 0.0
-        z, w, _ = entropy._jacobi_rule(48, law.lam)
-        u = m[pos] / rho[pos]
-        K = law.k_integral(rho[pos])
-        s = u[:, None] + K[:, None] * z
         specs = (
             EntropySpec.energy(),
             EntropySpec.cutoff_energy(1.0),
             EntropySpec.compact_bump(0.0, 4.0),
         )
         for spec in specs:
-            pv = entropy_pair(law, spec, rho, m, n_nodes=48)
-            psi = spec.derivatives(s)[0]
-            q = rho[pos] * (((u[:, None] + law.theta * K[:, None] * z) * psi) @ w)
-            q /= w.sum()
-            assert np.max(np.abs(pv.q[pos] - q)) <= 1e-14 * np.max(np.abs(q))
-            solid = entropy_pair(law, spec, rho[pos], m[pos], n_nodes=48)
-            for a, b in zip(
-                (pv.eta, pv.q, pv.deta_dm, pv.d2eta_dm2),
-                (solid.eta, solid.q, solid.deta_dm, solid.d2eta_dm2),
-            ):
+            one = pos.copy()
+            one[pos] = in_one_piece(law, spec, rho[pos], m[pos])
+            assert one.sum() >= 20 and (pos & ~one).sum() >= (spec.name != "energy")
+            z, w = entropy._jacobi_rule((max(spec.degrees) + 3) // 2, law.lam, law.lam)
+            u = m[one] / rho[one]
+            K = law.k_integral(rho[one])
+            psi = spec.derivatives(u[:, None] + K[:, None] * z)[0]
+            q = rho[one] * (((u[:, None] + law.theta * K[:, None] * z) * psi) @ w)
+            pv = entropy_pair(law, spec, rho, m)
+            assert np.max(np.abs(pv.q[one] - q)) <= 1e-14 * np.max(np.abs(q))
+            solid = entropy_pair(law, spec, rho[pos], m[pos])
+            for name in FIELDS:
+                a, b = getattr(pv, name), getattr(solid, name)
                 np.testing.assert_array_equal(a[pos], b)
                 assert not a[~pos].any()
 
@@ -165,40 +264,41 @@ class TestEntropyPair:
         assert np.allclose(pv.q, me.q, rtol=1e-10)
 
     def test_adaptive_method_agrees(self, law2):
-        # the kink at s = 0 slows the fixed rule; 1024 nodes reach 2e-9
-        pv_g = entropy_pair(
-            law2, EntropySpec.signed_square(), np.array([1.3]), np.array([0.5]),
-            n_nodes=1024,
-        )
-        eta, q, _, _ = adaptive_pair(law2, EntropySpec.signed_square(), 1.3, 0.5)
-        assert eta == pytest.approx(pv_g.eta[0], rel=1e-8)
-        assert q == pytest.approx(pv_g.q[0], rel=1e-8)
+        # the kink at s = 0 is a cut of the split rule; a fixed rule of 1024
+        # nodes came only to 2e-9
+        pv = entropy_pair(law2, EntropySpec.signed_square(), 1.3, 0.5)
+        ref = adaptive_pair(law2, EntropySpec.signed_square(), 1.3, 0.5)
+        for name, want in zip(FIELDS, ref):
+            assert getattr(pv, name) == pytest.approx(want, rel=1e-12), name
 
     def test_golub_welsch_matches_roots_jacobi(self, monkeypatch):
+        # every rule entropy_pair takes, short, end and interior, against
+        # scipy's; then the pairs of in-piece and split states on scipy's
+        for gamma in (1.05, 1.4, 5.0 / 3.0, 2.0, 3.0, 4.0, 7.0):
+            lam = PressureLaw.polytropic(gamma).lam
+            for n, alpha, beta in (
+                *((n, lam, lam) for n in (1, 2, 3, 4)),
+                (SPLIT_NODES, lam, 0.0),
+                (SPLIT_NODES, 0.0, 0.0),
+            ):
+                got, want = entropy._jacobi_rule(n, alpha, beta), roots_jacobi_rule(n, alpha, beta)
+                assert np.max(np.abs(got[0] - want[0])) <= 1e-13, (gamma, n, alpha, beta)
+                assert np.max(np.abs(got[1] - want[1])) <= 1e-12 * want[1].max()
         rng = np.random.default_rng(21)
         rho = rng.uniform(0.05, 3.0, 2000)
         m = rng.standard_normal(2000)
-        specs = (
-            EntropySpec.energy(),
-            EntropySpec.cutoff_energy(1.0),
-            EntropySpec.compact_bump(0.0, 4.0),
-            EntropySpec.signed_square(),
-            EntropySpec.constant(2.0),
-        )
-        fields = ("eta", "q", "deta_dm", "d2eta_dm2")
         for gamma in (1.05, 1.4, 5.0 / 3.0, 2.0, 3.0, 4.0, 7.0):
             law = PressureLaw.polytropic(gamma)
-            for n_nodes in (48, 64, 96):
-                for spec in specs:
-                    got = entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
-                    with monkeypatch.context() as mp:
-                        mp.setattr(entropy, "_jacobi_rule", roots_jacobi_rule)
-                        want = entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
-                    for name in fields:
-                        a, b = getattr(got, name), getattr(want, name)
-                        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b)), (
-                            gamma, n_nodes, spec.name, name,
-                        )
+            for spec in builtin_specs():
+                got = entropy_pair(law, spec, rho, m)
+                with monkeypatch.context() as mp:
+                    mp.setattr(entropy, "_jacobi_rule", roots_jacobi_rule)
+                    want = entropy_pair(law, spec, rho, m)
+                for name in FIELDS:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b)), (
+                        gamma, spec.name, name,
+                    )
 
     def test_energy_pair_for_gamma_next_to_one(self):
         # lam = (3 - gamma) / (2 (gamma - 1)) ~ 1e9: a Gauss rule that
@@ -226,9 +326,7 @@ class TestEntropyPair:
         h = 1e-5
 
         def eta_q(rho, m):
-            pv = entropy_pair(
-                law2, spec, np.atleast_1d(rho), np.atleast_1d(m), n_nodes=96
-            )
+            pv = entropy_pair(law2, spec, np.atleast_1d(rho), np.atleast_1d(m))
             return pv.eta[0], pv.q[0]
 
         for rho, u in [(1.0, 0.3), (2.0, -0.5), (0.8, 0.0)]:
@@ -446,9 +544,12 @@ class TestFusedGenerators:
             expect = [f(s) for f in parts]
             for a, b in zip(spec.derivatives(s), expect):
                 np.testing.assert_array_equal(a, b)
-            oracle = EntropySpec("oracle", lambda s, parts=parts: tuple(f(s) for f in parts))
-            pv = entropy_pair(law2, spec, rho, rho * u, n_nodes=48)
-            ref = entropy_pair(law2, oracle, rho, rho * u, n_nodes=48)
+            oracle = EntropySpec(
+                "oracle", lambda s, parts=parts: tuple(f(s) for f in parts),
+                spec.kinks, spec.degrees,
+            )
+            pv = entropy_pair(law2, spec, rho, rho * u)
+            ref = entropy_pair(law2, oracle, rho, rho * u)
             for name in ("eta", "q", "deta_dm", "d2eta_dm2"):
                 np.testing.assert_array_equal(getattr(pv, name), getattr(ref, name))
         for spec, parts in separate_callables():  # scalar nodes
@@ -461,16 +562,227 @@ class TestFusedGenerators:
         assert cut[where]
 
     def test_one_call_per_evaluation(self, law2):
+        # the short rule on in-piece states: one call on (N, <= 4) nodes, so
+        # that a silent fall-back to a long fixed rule fails here; straddling
+        # states add one call on the split pieces' nodes
         calls = []
-        base = EntropySpec.compact_bump(0.0, 4.0)
+
+        def counted(spec):
+            def derivatives(s):
+                calls.append(s.shape)
+                return spec.derivatives(s)
+
+            return EntropySpec("counted", derivatives, spec.kinks, spec.degrees)
+
+        bump = EntropySpec.compact_bump(0.0, 4.0)
+        entropy_pair(law2, counted(bump), np.ones(5), np.zeros(5))
+        assert calls == [(5, 4)]
+        rho = np.full(3, 0.04)  # K = 0.2 about u = 0.5, 3.5 and 30
+        m = rho * np.array([0.5, 3.5, 30.0])
+        for spec in builtin_specs():
+            assert in_one_piece(law2, spec, rho, m).all()
+            calls.clear()
+            entropy_pair(law2, counted(spec), rho, m)
+            assert len(calls) == 1 and calls[0][0] == 3 and calls[0][1] <= 4, spec.name
+        calls.clear()
+        entropy_pair(law2, counted(bump), np.full(2, 16.0), np.array([0.0, 64.0]))  # u = 0, 4
+        assert len(calls) == 2 and calls[0] == (1, 4)
+        assert calls[1][1] == SPLIT_NODES and calls[1][0] >= 2
+
+
+    def test_split_pieces_in_bounded_calls(self, law2, monkeypatch):
+        # the pieces of straddling states reach derivatives in calls of at
+        # most _SPLIT_POINTS node-points, and the pairs do not depend on
+        # how they are chunked; in-piece states take pair_nodes nodes
+        assert [s.pair_nodes for s in builtin_specs()] == [2, 3, 3, 2, 1, 4, 4]
+        bump = EntropySpec.compact_bump(0.0, 1.0)
+        rng = np.random.default_rng(5)
+        rho = rng.uniform(1.0, 1.3, 50)
+        m = rng.uniform(-0.3, 0.3, 50)
+        assert not in_one_piece(law2, bump, rho, m).any()
+        whole = entropy_pair(law2, bump, rho, m)
+        calls = []
 
         def derivatives(s):
             calls.append(s.shape)
-            return base.derivatives(s)
+            return bump.derivatives(s)
 
-        spec = EntropySpec("counted", derivatives)
-        entropy_pair(law2, spec, np.ones(5), np.zeros(5), n_nodes=48)
-        assert calls == [(5, 48)]
+        counted = EntropySpec("counted", derivatives, bump.kinks, bump.degrees)
+        monkeypatch.setattr(entropy, "_SPLIT_POINTS", 7 * entropy.SPLIT_NODES)
+        chunked = entropy_pair(law2, counted, rho, m)
+        assert len(calls) > 10 and all(c[0] <= 7 and c[1] == entropy.SPLIT_NODES for c in calls)
+        for name in FIELDS:
+            a, b = getattr(chunked, name), getattr(whole, name)
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), name
+
+
+class TestPieceRules:
+    """The pieces each generator declares, the short exact rule on states
+    inside one piece and the split rule on states that straddle a kink."""
+
+    @pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.name)
+    def test_declared_pieces(self, spec):
+        # the kinks are the oracle's, and psi on each piece is a polynomial
+        # of the declared degree: a least-squares fit of that degree through
+        # points inside the piece leaves rounding residuals only
+        assert spec.kinks == oracle_kinks(spec.name)
+        assert len(spec.degrees) == len(spec.kinks) + 1
+        edges = (-50.0, *spec.kinks, 50.0)
+        for lo, hi, deg in zip(edges[:-1], edges[1:], spec.degrees):
+            s = np.linspace(lo, hi, 19)[1:-1]
+            psi = spec.derivatives(s)[0]
+            fit = np.polyval(np.polyfit(s, psi, deg), s)
+            assert np.max(np.abs(fit - psi)) <= 1e-9 * max(1.0, np.max(np.abs(psi))), (lo, hi)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_in_piece_matches_fixed_rule(self, gamma):
+        # the short rule against the fixed 48- and 64-node rules it replaced
+        # (measured <= 4.3e-15 of each field's largest value), with vacuum
+        # nodes and 0-d input
+        law = PressureLaw.polytropic(gamma)
+        rng = np.random.default_rng(31)
+        rho = rng.uniform(0.01, 3.0, 4000)
+        m = rho * rng.uniform(-25.0, 25.0, 4000)
+        for spec in builtin_specs():
+            keep = np.nonzero(in_one_piece(law, spec, rho, m))[0][:300]
+            assert keep.size >= 40, spec.name
+            r, v = rho[keep], m[keep]
+            r[::13] = v[::13] = 0.0
+            pv = entropy_pair(law, spec, r, v)
+            got = np.array([getattr(pv, name) for name in FIELDS])
+            for n_nodes in (48, 64):
+                want = fixed_rule_pair(law, spec, r, v, n_nodes)
+                scale = np.max(np.abs(want), axis=1)
+                err = np.max(np.abs(got - want), axis=1)
+                assert np.all(err <= 1e-13 * np.maximum(scale, 1e-300)), (spec.name, n_nodes, err)
+                assert not got[:, ::13].any()
+            one = entropy_pair(law, spec, float(r[1]), float(v[1]))
+            for name, want in zip(FIELDS, got[:, 1]):
+                value = getattr(one, name)
+                assert isinstance(value, float) and value == pytest.approx(want, rel=1e-14, abs=0)
+
+    @staticmethod
+    def straddling_states(law, spec):
+        """Eight states of rho in [1, 1.3], |m| <= 0.3 whose support
+        straddles a kink; eight whose kink lies within 1e-3 of a support
+        end (1e-3, 1e-9, on either end, at two densities); and six whose
+        kink lies where the weight peaks for large lam (at 0.5, 0.3 w and
+        -3 w of the support, w = max(lam, 16)^-1/2, at two densities).  All
+        straddle."""
+        rng = np.random.default_rng(17)
+        rho = rng.uniform(1.0, 1.3, 60)
+        m = rng.uniform(-0.3, 0.3, 60)
+        split = ~in_one_piece(law, spec, rho, m)
+        rho, m = rho[split][:8], m[split][:8]
+        assert rho.size == 8
+        k = oracle_kinks(spec.name)[-1]
+        w = 1.0 / math.sqrt(max(law.lam, 16.0))
+        at = [
+            (r, r * (k - c * float(law.k_integral(r))))
+            for c in (1.0 - 1e-3, -1.0 + 1e-3, 1.0 - 1e-9, -1.0 + 1e-9, 0.5, 0.3 * w, -3.0 * w)
+            for r in (0.6, 1.3)
+        ]
+        at_rho, at_m = np.array(at).T
+        rho, m = np.concatenate((rho, at_rho)), np.concatenate((m, at_m))
+        assert not in_one_piece(law, spec, rho, m).any()
+        return rho, m
+
+    @pytest.mark.parametrize("gamma", (*GAMMAS, 1.08, 1.01, 1.001, 1.0 + 1e-9))
+    def test_straddling_states_match_adaptive(self, gamma):
+        # the split rule against the adaptive oracle, all four fields within
+        # 1e-12 of each field's largest value (measured <= 1.2e-14 for
+        # every gamma here, lam ~ 1e9 at gamma = 1 + 1e-9 included; the
+        # fixed 64-node rule was off by up to 6.2e-2).  Where the kink lies within
+        # 1e-3 of a support end, the split rule is no worse than the fixed
+        # rule on any state and field, or both are at rounding
+        law = PressureLaw.polytropic(gamma)
+        specs = (
+            EntropySpec.compact_bump(0.0, 1.0),
+            EntropySpec.cutoff_energy(1.0),
+            EntropySpec.signed_square(),
+        )
+        for spec in specs:
+            rho, m = self.straddling_states(law, spec)
+            want = np.array([adaptive_pair(law, spec, r, v) for r, v in zip(rho, m)]).T
+            pv = entropy_pair(law, spec, rho, m)
+            got = np.array([getattr(pv, name) for name in FIELDS])
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            err = np.abs(got - want) / scale
+            assert np.all(err <= 1e-12), (spec.name, err.max(axis=1))
+            old = np.abs(fixed_rule_pair(law, spec, rho, m, 64) - want) / scale
+            assert np.all(err[:, 8:16] <= np.maximum(old[:, 8:16], 1e-13)), spec.name
+
+    @pytest.mark.parametrize("gamma", (2.0, 1.05, 1.0 + 1e-9))
+    def test_split_pieces_tile_and_grade(self, gamma):
+        # the pieces of each state tile [-1, 1], every kink inside the
+        # support and every peak cut is a piece end, and no piece is more
+        # than seven times as long as its distance from an end of [-1, 1]
+        # that it does not touch; where the weight peaks (lam > 12), it
+        # changes by at most e^16 along a piece that touches no end of
+        # [-1, 1], and an end piece holds at most e^-48 of the peak
+        law = PressureLaw.polytropic(gamma)
+        lam = law.lam
+        rng = np.random.default_rng(3)
+        kinks = np.array([-2.0, -1.0, 1.0, 2.0])
+        u = rng.uniform(-2.5, 2.5, 400)
+        K = rng.uniform(0.1, 3.0, 400)
+        d = np.geomspace(1e-16, 0.5, 100)
+        u[:100] = 1.0 - (1.0 - d) * K[:100]  # kink +1 at d from the right end
+        u[100:200] = -2.0 + (1.0 - d) * K[100:200]  # kink -2 near the left end
+        keep = (np.abs(kinks - u[:, None]) < K[:, None]).any(axis=1)
+        u, K = u[keep], K[keep]
+        cuts = entropy._peak_cuts(lam)
+        assert cuts.size == (7 if lam > 12.0 else 0)
+        a, b, owner = entropy._split_pieces(kinks, u, K, cuts)
+        assert np.array_equal(np.unique(owner), np.arange(u.size))
+        starts = np.searchsorted(owner, np.arange(u.size))
+        ends = np.append(starts[1:], owner.size) - 1
+        assert np.all(a[starts] == -1.0) and np.all(b[ends] == 1.0)
+        inner = np.ones(owner.size, dtype=bool)
+        inner[ends] = False
+        assert np.array_equal(b[inner], a[np.nonzero(inner)[0] + 1])
+        assert np.all(b > a)
+        c = (kinks - u[:, None]) / K[:, None]
+        for i in range(u.size):
+            cut = set(a[owner == i])
+            assert all(v in cut for v in (*c[i][np.abs(c[i]) < 1.0], *cuts))
+        far = np.minimum(np.where(a > -1.0, 1.0 + a, np.inf), np.where(b < 1.0, 1.0 - b, np.inf))
+        assert np.all(b - a <= 7.0 * far)
+        if cuts.size:
+            lo = np.where(a * b > 0.0, np.minimum(np.abs(a), np.abs(b)), 0.0)
+            drop = -lam * np.log1p(-lo**2)  # the weight's fall from its peak
+            tol = 1.0 + 1e-9
+            assert np.all(drop[starts] * tol >= 48.0) and np.all(drop[ends] * tol >= 48.0)
+            mid = (a > -1.0) & (b < 1.0)
+            hi = np.maximum(np.abs(a[mid]), np.abs(b[mid]))
+            span = -lam * np.log1p(-hi**2) - drop[mid]
+            assert np.all((span <= 16.0 * tol) | (drop[mid] * tol >= 48.0))
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EntropySpec.cutoff_energy(0.0),
+            lambda: EntropySpec.cutoff_energy(-1.0),
+            lambda: EntropySpec.cutoff_energy(float("nan")),
+            lambda: EntropySpec.cutoff_energy(float("inf")),
+            lambda: EntropySpec.compact_bump(0.0, -1.0),
+            lambda: EntropySpec.compact_bump(0.0, 0.0),
+            lambda: EntropySpec.compact_bump(0.0, float("nan")),
+            lambda: EntropySpec.compact_bump(float("nan"), 1.0),
+            lambda: EntropySpec.compact_bump(float("inf"), 1.0),
+            lambda: EntropySpec("x", None, (1.0, 0.0), (2, 2, 2)),
+            lambda: EntropySpec("x", None, (0.0, 0.0), (2, 2, 2)),
+            lambda: EntropySpec("x", None, (float("nan"),), (2, 2)),
+            lambda: EntropySpec("x", None, (0.0,), (2,)),
+            lambda: EntropySpec("x", None, (), (-1,)),
+            lambda: EntropySpec("x", None, (), (1.5,)),
+        ],
+    )
+    def test_bad_generator_rejected(self, make):
+        with pytest.raises(ConfigError):
+            make()
 
 
 class TestRiemannInvariants:

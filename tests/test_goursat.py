@@ -20,7 +20,7 @@ def table(law2):
 
 
 def _oracle(law, rho, u):
-    pv = entropy_pair(law, EntropySpec.signed_square(), rho, rho * u, n_nodes=96)
+    pv = entropy_pair(law, EntropySpec.signed_square(), rho, rho * u)
     return pv.eta
 
 

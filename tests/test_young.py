@@ -48,11 +48,11 @@ def build_measure_loop(traj, cells):
     return [np.array(b, dtype=float) for b in buckets]
 
 
-def cell_pairs_loop(law, spec, atoms, n_nodes=48):
+def cell_pairs_loop(law, spec, atoms):
     rho, m = atoms[:, 0].copy(), atoms[:, 1].copy()
     vac = rho < VACUUM_TOL
     rho[vac] = m[vac] = 0.0
-    return entropy_pair(law, spec, rho, m, n_nodes=n_nodes)
+    return entropy_pair(law, spec, rho, m)
 
 
 def pair_average_loop(measure, law, spec):
