@@ -3,7 +3,7 @@
 
 Submodules:
     pressure    -- pressure laws (polytropic / composite) and derived thermodynamics
-    entropy     -- entropy kernels, generating-function entropy pairs, energies
+    entropy     -- generating-function entropy pairs, the high-order energy
     goursat     -- characteristic-coordinate solver for the special entropy
     noise       -- finite-mode multiplicative forcing with truncation/mollification
     solver      -- IMEX Euler-Maruyama integration of the viscous system

@@ -25,8 +25,8 @@ from .errors import ConfigError, DivergenceError, NumericalError, PositivityLoss
 from .goursat import goursat_solve
 from .io import diagnostics_csv, fmt, save_trajectory, write_csv, write_json
 from .pressure import PressureLaw
-from .solver import epsilon_sweep, simulate
-from .young import CellPartition, build_measure, concentration_metric, tartar_residual
+from .solver import _save_times, epsilon_sweep, simulate
+from .young import CellPartition, _bin, build_measure, concentration_metric, tartar_residual
 
 RUNTIME_ERRORS = (PositivityLoss, DivergenceError, NumericalError)
 
@@ -70,6 +70,31 @@ def _psi_pair(cfg: RunConfig):
     return _psi_spec(names[0]), _psi_spec(names[1])
 
 
+def _cell_partition(cfg: RunConfig) -> CellPartition:
+    """The cells of [0, T] x diagnostics.window; before any step, exit 2 if
+    they are malformed, leave the grid or leave a cell without a save value."""
+    try:
+        part = CellPartition(0.0, cfg.solver.T, *cfg.window, *cfg.cells)
+        _bin(part, _save_times(cfg.solver), cfg.grid.x)
+    except ConfigError as exc:
+        click.echo(f"diagnostics.window, sweep.cells rejected: {exc}", err=True)
+        sys.exit(2)
+    return part
+
+
+def _grid_range(ctx, param, value):
+    """A (first, last, count) option of entropy-table: finite bounds, >= 0
+    for densities, and a whole count >= 1, which comes back as an int."""
+    lo, hi, count = value
+    sign_ok = param.name == "u_range" or min(lo, hi) >= 0.0
+    if not (np.isfinite([lo, hi]).all() and sign_ok and count >= 1 and count.is_integer()):
+        raise click.BadParameter(
+            "needs finite bounds (>= 0 for densities) and a whole count >= 1, got "
+            + " ".join(f"{v:g}" for v in value)
+        )
+    return lo, hi, int(count)
+
+
 def _fail_runtime(out_dir, exc):
     payload = {
         "error": type(exc).__name__,
@@ -109,7 +134,7 @@ def main():
 
 @main.command()
 @with_common
-@click.option("--samples", type=int, default=None, help="override the config sample count")
+@click.option("--samples", type=click.IntRange(1), help="override the config sample count")
 def simulate_cmd(config_path, seed, output_dir, samples):
     """Run an ensemble of samples, stepped together as one batch; write
     frames and diagnostics per sample.
@@ -147,21 +172,23 @@ def sweep_cmd(config_path, seed, output_dir):
         click.echo("sweep.epsilons missing from config", err=True)
         sys.exit(2)
     psi1, psi2 = _psi_pair(cfg)
-    _prepare_outdir(cfg, config_path)
+    part = _cell_partition(cfg)
     init = cfg.initial.build(cfg.grid, cfg.solver.rho_inf)
-    results = epsilon_sweep(
-        init,
-        cfg.law,
-        cfg.grid,
-        cfg.solver,
-        cfg.noise_template,
-        cfg.sweep_epsilons,
-        c1=cfg.noise_c1,
-        alpha1=cfg.noise_alpha1,
-    )
-    a, b = cfg.window
-    T = cfg.solver.T
-    part = CellPartition(0.0, T, a, b, cfg.cells[0], cfg.cells[1])
+    try:  # the sweep checks each viscosity and mollifies for it before a step
+        results = epsilon_sweep(
+            init,
+            cfg.law,
+            cfg.grid,
+            cfg.solver,
+            cfg.noise_template,
+            cfg.sweep_epsilons,
+            c1=cfg.noise_c1,
+            alpha1=cfg.noise_alpha1,
+        )
+    except ConfigError as exc:
+        click.echo(f"sweep.epsilons {list(cfg.sweep_epsilons)} rejected: {exc}", err=True)
+        sys.exit(2)
+    _prepare_outdir(cfg, config_path)
     rows = []
     measures = []
     for eps, traj in results:
@@ -209,18 +236,11 @@ def sweep_cmd(config_path, seed, output_dir):
 @click.option(
     "--psi", default="energy", help="energy | signed_square | cutoff:R | bump:c,w"
 )
-@click.option("--rho-range", nargs=3, type=float, default=(0.1, 5.0, 20))
-@click.option("--u-range", nargs=3, type=float, default=(-3.0, 3.0, 20))
+@click.option("--rho-range", nargs=3, type=float, default=(0.1, 5.0, 20), callback=_grid_range)
+@click.option("--u-range", nargs=3, type=float, default=(-3.0, 3.0, 20), callback=_grid_range)
 @click.option("--output-dir", type=click.Path(), default=None)
 def entropy_table_cmd(gamma, psi, rho_range, u_range, output_dir):
     """Dump (rho, u, eta, q, d_m eta, d2_m eta) over a grid."""
-    if not (rho_range[0] >= 0.0 and rho_range[1] >= 0.0 and rho_range[2] >= 1):
-        click.echo(
-            "--rho-range needs densities >= 0 and a count >= 1, got "
-            + " ".join(f"{v:g}" for v in rho_range),
-            err=True,
-        )
-        sys.exit(2)
     try:
         law = PressureLaw.polytropic(gamma)
         spec = _psi_spec(psi)
@@ -229,8 +249,8 @@ def entropy_table_cmd(gamma, psi, rho_range, u_range, output_dir):
         sys.exit(2)
     out_dir = output_dir or os.environ.get("SVV_OUTPUT_DIR", "out")
     os.makedirs(out_dir, exist_ok=True)
-    rhos = np.linspace(rho_range[0], rho_range[1], int(rho_range[2]))
-    us = np.linspace(u_range[0], u_range[1], int(u_range[2]))
+    rhos = np.linspace(*rho_range)
+    us = np.linspace(*u_range)
     rows = []
     for rho in rhos:
         pv = entropy_pair(law, spec, np.full(us.size, rho), rho * us)
@@ -249,14 +269,13 @@ def young_cmd(config_path, seed, output_dir):
     """Per-cell commutation residuals for a fresh run of the config."""
     cfg = _load(config_path, seed, output_dir)
     psi1, psi2 = _psi_pair(cfg)
+    part = _cell_partition(cfg)
     _prepare_outdir(cfg, config_path)
     init = cfg.initial.build(cfg.grid, cfg.solver.rho_inf)
     try:
         traj = simulate(init, cfg.law, cfg.grid, cfg.solver, cfg.noise, 0)
     except RUNTIME_ERRORS as exc:
         _fail_runtime(cfg.output_dir, exc)
-    a, b = cfg.window
-    part = CellPartition(0.0, cfg.solver.T, a, b, cfg.cells[0], cfg.cells[1])
     mu = build_measure(traj, part)
     res = tartar_residual(mu, cfg.law, psi1, psi2)
     rows = []

@@ -186,6 +186,23 @@ def _psi_spec(name) -> EntropySpec:
     raise ConfigError(f"unknown entropy generator spec {name!r}")
 
 
+def _pair(value, kind=float):
+    """value, a list of two numbers, as a tuple of kind."""
+    a, b = value
+    return kind(a), kind(b)
+
+
+def _read(block, key, default, convert, errs):
+    """The block's value for key (named block.key; the default if absent)
+    through convert, or the default, with the rejection in errs, if it fails."""
+    value = block.get(key.rpartition(".")[2], default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        errs.append(f"{key} malformed: {value!r}")
+        return default
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and fully validate a YAML run file.
 
@@ -245,21 +262,21 @@ def config_from_dict(raw: dict) -> RunConfig:
     ib = raw.get("initial", {"kind": "constant"})
     initial = InitialData(
         kind=ib.get("kind", "constant"),
-        amplitude=float(ib.get("amplitude", 0.0)),
-        center=float(ib.get("center", 0.0)),
-        width=float(ib.get("width", 1.0)),
-        m_amplitude=float(ib.get("m_amplitude", 0.0)),
-        left=tuple(ib.get("left", (1.0, 0.0))),
-        right=tuple(ib.get("right", (1.0, 0.0))),
+        amplitude=_read(ib, "initial.amplitude", 0.0, float, errs),
+        center=_read(ib, "initial.center", 0.0, float, errs),
+        width=_read(ib, "initial.width", 1.0, float, errs),
+        m_amplitude=_read(ib, "initial.m_amplitude", 0.0, float, errs),
+        left=_read(ib, "initial.left", (1.0, 0.0), _pair, errs),
+        right=_read(ib, "initial.right", (1.0, 0.0), _pair, errs),
         path=ib.get("path", ""),
-        c0=float(ib.get("c0", 0.1)),
+        c0=_read(ib, "initial.c0", 0.1, float, errs),
     )
     if initial.kind not in ("constant", "bump", "riemann_smoothed", "from_file"):
         errs.append(f"initial.kind {initial.kind!r} not recognized")
 
-    seed = int(raw.get("seed", 0))
+    seed = _read(raw, "seed", 0, int, errs)
     nb = raw.get("noise", {"kind": "none"})
-    dt_base = float(sb.get("dt_base", sb.get("dt", 1e-3)))
+    dt_base = _read(sb, "solver.dt_base", solver.dt if solver else 1e-3, float, errs)
     if law is not None:
         noise = _noise_from(nb, law, seed, dt_base, errs)
     else:
@@ -269,8 +286,8 @@ def config_from_dict(raw: dict) -> RunConfig:
                 f"noise.kind must be none, single_mode or mode_family, "
                 f"got {nb.get('kind')!r}"
             )
-    noise_c1 = float(nb.get("c1", 1.0))
-    noise_alpha1 = float(nb.get("alpha1", 0.25))
+    noise_c1 = _read(nb, "noise.c1", 1.0, float, errs)
+    noise_alpha1 = _read(nb, "noise.alpha1", 0.25, float, errs)
 
     # cross-constraints; runs use the truncated, mollified noise, and a
     # sweep re-mollifies the raw template for each of its viscosities
@@ -292,8 +309,8 @@ def config_from_dict(raw: dict) -> RunConfig:
             del state
 
     db = raw.get("diagnostics", {})
-    window = tuple(db.get("window", (-1.0, 1.0)))
-    psis = tuple(db.get("psis", ("energy",)))
+    window = _read(db, "diagnostics.window", (-1.0, 1.0), _pair, errs)
+    psis = _read(db, "diagnostics.psis", ("energy",), tuple, errs)
     for name in psis:
         try:
             _psi_spec(name)
@@ -301,13 +318,13 @@ def config_from_dict(raw: dict) -> RunConfig:
             errs.append(str(exc))
 
     wb = raw.get("sweep", {})
-    sweep_eps = tuple(float(e) for e in wb.get("epsilons", ()))
-    if sweep_eps and any(b >= a for a, b in zip(sweep_eps, sweep_eps[1:])):
+    sweep_eps = _read(wb, "sweep.epsilons", (), lambda v: tuple(float(e) for e in v), errs)
+    if any(b >= a for a, b in zip(sweep_eps, sweep_eps[1:])):
         errs.append("sweep.epsilons must be strictly decreasing")
-    samples = int(raw.get("samples", 1))
+    samples = _read(raw, "samples", 1, int, errs)
     if samples < 1:
         errs.append("sample count must be >= 1")
-    cells = tuple(int(c) for c in wb.get("cells", (8, 8)))
+    cells = _read(wb, "sweep.cells", (8, 8), lambda v: _pair(v, int), errs)
 
     output_dir = raw.get("output_dir") or os.environ.get("SVV_OUTPUT_DIR", "out")
 

@@ -1,9 +1,10 @@
 """Pathwise and ensemble functionals of simulated trajectories.
 
-Relative energy and its viscous dissipation, the discrete Ito energy
-balance, Riemann-invariant region confinement, compact-window moment
-integrals, the weak-form entropy-inequality residual, and Monte Carlo
-moment estimates with bootstrap intervals.
+The discrete Ito energy balance of the relative energy and dissipation
+that the solver records (solver.relative_energy, solver.dissipation_rate),
+Riemann-invariant region confinement, compact-window moment integrals, the
+weak-form entropy-inequality residual, and Monte Carlo moment estimates
+with bootstrap intervals.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .entropy import EntropySpec, entropy_pair, riemann_invariants
 from .errors import ConfigError, DomainError
 from .pressure import PressureLaw
-from .solver import Grid, GridState, Trajectory, dissipation_rate, relative_energy
+from .solver import Trajectory
 
 # Node-points of one block of steps (steps x nodes, times the quadrature
 # nodes per state for an entropy pair, EntropySpec.pair_nodes): each
@@ -35,26 +36,6 @@ def _stepwise_total(scale: float, per_step) -> float:
     adds it, so that sums that cancel (a transport sum ~1e-4 of terms ~1)
     keep the rounding of a step-by-step loop."""
     return float(np.cumsum(scale * per_step)[-1]) if per_step.size else 0.0
-
-
-def total_relative_energy(
-    grid: Grid, state: GridState, law: PressureLaw, rho_inf: float
-) -> float:
-    """Trapezoid integral of 1/2 m^2/rho + e*(rho, rho_inf) over the grid."""
-    if np.any(~(state.rho > 0.0) & (state.mom != 0.0)):
-        raise DomainError("momentum on vacuum has infinite kinetic energy")
-    return float(relative_energy(law, grid, state.rho, state.mom, rho_inf))
-
-
-def dissipation_increment(
-    grid: Grid, state: GridState, law: PressureLaw, epsilon: float, dt: float
-) -> float:
-    """eps dt int ((rho e)'' rho_x^2 + rho u_x^2) dx, central differences.
-
-    (rho e)'' = P'(rho)/rho, so the integrand is a positive-weighted sum of
-    squares and the increment is never negative.
-    """
-    return epsilon * dt * float(dissipation_rate(law, grid, state.rho, state.mom))
 
 
 @dataclass(frozen=True)

@@ -44,47 +44,6 @@ from .pressure import PressureLaw
 
 
 # ---------------------------------------------------------------------------
-# raw kernels (paper normalization, scaled-kappa polytropic form)
-# ---------------------------------------------------------------------------
-
-def _lam_theta(gamma):
-    if gamma <= 1.0:
-        raise DomainError(f"kernel requires gamma > 1, got {gamma}")
-    theta = 0.5 * (gamma - 1.0)
-    lam = (3.0 - gamma) / (2.0 * (gamma - 1.0))
-    return lam, theta
-
-
-def kernel_chi(gamma, rho, u, s):
-    """Entropy kernel [rho^(2 theta) - (s-u)^2]_+^lambda.
-
-    For gamma > 3 (lambda < 0) the value on the support boundary is
-    +inf; it is flagged, not raised, and only ever consumed by the
-    weighted quadrature which absorbs the singularity into the weight.
-    """
-    lam, theta = _lam_theta(gamma)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
-        raise DomainError("density must be nonnegative")
-    bracket = rho ** (2.0 * theta) - (np.asarray(s, dtype=float) - u) ** 2
-    with np.errstate(divide="ignore"):
-        out = np.where(
-            bracket > 0.0,
-            np.where(bracket > 0.0, bracket, 1.0) ** lam,
-            np.where((bracket == 0.0) & (lam < 0.0), np.inf, 0.0),
-        )
-    return out if out.ndim else float(out)
-
-
-def kernel_sigma(gamma, rho, u, s):
-    """Entropy flux kernel (theta s + (1 - theta) u) [rho^(2 theta) - (u-s)^2]_+^lambda."""
-    _, theta = _lam_theta(gamma)
-    pref = theta * np.asarray(s, dtype=float) + (1.0 - theta) * np.asarray(u)
-    out = pref * kernel_chi(gamma, rho, u, s)
-    return out if np.ndim(out) else float(out)
-
-
-# ---------------------------------------------------------------------------
 # generating functions
 # ---------------------------------------------------------------------------
 
@@ -510,21 +469,6 @@ def mechanical_energy_pair(law: PressureLaw, rho, m) -> EntropyPairValue:
     if scalar:
         return EntropyPairValue(float(eta[0]), float(qf[0]), float(dm[0]), float(d2m[0]))
     return EntropyPairValue(eta, qf, dm, d2m)
-
-
-def relative_energy(law: PressureLaw, rho, m, rho_inf):
-    """m^2/(2 rho) + e*(rho, rho_inf); the natural finiteness functional."""
-    rho = np.asarray(rho, dtype=float)
-    m = np.asarray(m, dtype=float)
-    scalar = rho.ndim == 0 and m.ndim == 0
-    rho, m = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(m))
-    if np.any((rho == 0.0) & (m != 0.0)):
-        raise DomainError("vacuum with nonzero momentum has infinite energy")
-    kin = np.zeros(rho.shape)
-    pos = rho > 0.0
-    kin[pos] = 0.5 * m[pos] ** 2 / rho[pos]
-    out = kin + law.relative_internal_energy(rho, rho_inf)
-    return float(out[0]) if scalar else out
 
 
 def high_order_energy(law: PressureLaw, rho, m, rho_inf):

@@ -190,33 +190,3 @@ def goursat_solve(law: PressureLaw, rho_max: float, resolution: int) -> GoursatT
 
     return GoursatTable(law=law, h=h, n=n, eta=eta, rho_max=rho_max, seeded_cells=seeded)
 
-
-def goursat_flux(table: GoursatTable, rho_grid, u_count: int = 129):
-    """Entropy flux of the special entropy on a regular (rho, u) grid.
-
-    Integrates q_u = rho eta_rho + u eta_u from the a = 0 characteristic,
-    where the flux equals that of -eta_E.  Returns (u_grids, eta, q) as
-    lists over rho_grid (the u-extent depends on rho).
-    """
-    law = table.law
-    out = []
-    for rho in np.asarray(rho_grid, dtype=float):
-        K = float(law.k_integral(rho))
-        u = np.linspace(-K, K, u_count)
-        du = u[1] - u[0]
-        eta_v = table.eval(np.full_like(u, rho), u)
-        # eta_rho via central differences of the table
-        drho = 1e-4 * max(rho, 1.0)
-        if rho - drho <= 0:
-            drho = 0.5 * rho
-        eta_p = table.eval(np.full_like(u, rho + drho), u)
-        eta_m = table.eval(np.full_like(u, rho - drho), u)
-        eta_rho = (eta_p - eta_m) / (2.0 * drho)
-        eta_u = np.gradient(eta_v, du)
-        integrand = rho * eta_rho + u * eta_u
-        q0 = -(0.5 * rho * (-K) ** 3 + rho * (-K) * law.rho_e_prime(rho))
-        q = q0 + np.concatenate(
-            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * du)]
-        )
-        out.append((u, eta_v, q))
-    return out

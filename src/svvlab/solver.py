@@ -366,6 +366,14 @@ def dissipation_rate(law, grid, rho, m, fields=None):
     return np.trapezoid(w * rho_x**2 + rho * u_x**2, dx=dx, axis=-1)
 
 
+def _save_times(config: SolverConfig) -> np.ndarray:
+    """The n_saves + 1 save times, each the sum of the steps' dt so far,
+    added one step after another as the stepper adds them."""
+    every = config.n_steps // config.n_saves
+    t = np.cumsum(np.full(config.n_steps, config.dt))
+    return np.concatenate(([0.0], t[every - 1 :: every]))
+
+
 def simulate(
     init: GridState,
     law: PressureLaw,
@@ -429,7 +437,7 @@ def simulate(
     )
     start = state
 
-    times = np.zeros(config.n_saves + 1)
+    times = _save_times(config)
     saves = np.empty((n_samples, config.n_saves + 1, 2, n_nodes))
     energy = np.empty((n_samples, n_steps + 1))
     diss = np.empty((n_samples, n_steps + 1))
@@ -496,7 +504,6 @@ def simulate(
         diss[rows, n + 1] = diss[rows, n] + diss_inc
         if (n + 1) % save_every == 0:
             j = (n + 1) // save_every
-            times[j] = state.t
             saves[rows, j, 0] = state.rho
             saves[rows, j, 1] = state.mom
     if not keep_failures:

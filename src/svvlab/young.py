@@ -2,8 +2,8 @@
 
 A trajectory's (rho, m) samples are binned into an n_t x n_x partition of
 a compact analysis window; each cell becomes an equal-weight empirical
-measure.  On these we evaluate entropy-pair averages, the bilinear
-commutation residual
+measure.  On these we evaluate the bilinear commutation residual of two
+entropy pairs
 
     R = <eta1 q2 - eta2 q1> - (<eta1><q2> - <q1><eta2>),
 
@@ -59,41 +59,24 @@ class EmpiricalYoungMeasure:
     def cell(self, it: int, ix: int) -> np.ndarray:
         return self.samples[it * self.cells.n_x + ix]
 
-    @property
-    def n_cells(self) -> int:
-        return self.cells.n_t * self.cells.n_x
 
-
-def build_measure(traj: Trajectory, cells: CellPartition) -> EmpiricalYoungMeasure:
-    """Bin the trajectory's save-time grid values into the cell partition.
-
-    The atoms are ordered by save time, then by node, and binned by one
-    stable sort of their cell indices, so each cell keeps that order."""
-    x = traj.grid.x
-    t = traj.times
+def _bin(cells: CellPartition, t, x):
+    """The cell of each (save time, node) pair in the window, the window's
+    save and node positions ks and js, and each cell's atom count;
+    ConfigError if the window exceeds t or x, or a cell receives no atom."""
     if cells.a < x[0] - 1e-12 or cells.b > x[-1] + 1e-12:
         raise ConfigError("cell window exceeds the spatial domain")
     if cells.t0 < t[0] - 1e-12 or cells.t1 > t[-1] + 1e-12:
         raise ConfigError("cell window exceeds the simulated time range")
 
-    it_of = np.clip(
-        ((t - cells.t0) / (cells.t1 - cells.t0) * cells.n_t).astype(int),
-        0,
-        cells.n_t - 1,
-    )
-    ix_of = np.clip(
-        ((x - cells.a) / (cells.b - cells.a) * cells.n_x).astype(int),
-        0,
-        cells.n_x - 1,
-    )
-    (ks,) = np.nonzero((t >= cells.t0 - 1e-12) & (t <= cells.t1 + 1e-12))
-    (js,) = np.nonzero((x >= cells.a - 1e-12) & (x <= cells.b + 1e-12))
+    def bins(v, lo, hi, n):
+        """The positions of the values v in [lo, hi], and the bin of each."""
+        (inside,) = np.nonzero((v >= lo - 1e-12) & (v <= hi + 1e-12))
+        return inside, np.clip(((v[inside] - lo) / (hi - lo) * n).astype(int), 0, n - 1)
 
-    cell = (it_of[ks, None] * cells.n_x + ix_of[js]).ravel()
-    atoms = np.array(
-        [np.column_stack((traj.states[k].rho[js], traj.states[k].mom[js])) for k in ks],
-        dtype=float,
-    ).reshape(-1, 2)
+    ks, it_of = bins(t, cells.t0, cells.t1, cells.n_t)
+    js, ix_of = bins(x, cells.a, cells.b, cells.n_x)
+    cell = (it_of[:, None] * cells.n_x + ix_of).ravel()
     counts = np.bincount(cell, minlength=cells.n_t * cells.n_x)
     (empty,) = np.nonzero(counts == 0)
     if empty.size:
@@ -101,6 +84,19 @@ def build_measure(traj: Trajectory, cells: CellPartition) -> EmpiricalYoungMeasu
         raise ConfigError(
             f"cell ({it}, {ix}) received no samples; refine saves or coarsen cells"
         )
+    return cell, ks, js, counts
+
+
+def build_measure(traj: Trajectory, cells: CellPartition) -> EmpiricalYoungMeasure:
+    """Bin the trajectory's save-time grid values into the cell partition.
+
+    The atoms are ordered by save time, then by node, and binned by one
+    stable sort of their cell indices, so each cell keeps that order."""
+    cell, ks, js, counts = _bin(cells, traj.times, traj.grid.x)
+    atoms = np.array(
+        [np.column_stack((traj.states[k].rho[js], traj.states[k].mom[js])) for k in ks],
+        dtype=float,
+    ).reshape(-1, 2)
     binned = atoms[np.argsort(cell, kind="stable")]
     samples = np.split(binned, np.cumsum(counts)[:-1])
     return EmpiricalYoungMeasure(cells=cells, samples=samples, epsilon=traj.config.epsilon)
@@ -139,21 +135,6 @@ def _atom_pairs(law, spec, atoms):
         eta[block] = pv.eta
         q[block] = pv.q
     return eta, q
-
-
-def pair_average(
-    measure: EmpiricalYoungMeasure,
-    law: PressureLaw,
-    spec: EntropySpec,
-):
-    """Cell-averaged (eta, q) arrays of shape (n_t, n_x)."""
-    c = measure.cells
-    atoms, starts, counts = _segments(measure)
-    eta, q = _atom_pairs(law, spec, atoms)
-    return (
-        (np.add.reduceat(eta, starts) / counts).reshape(c.n_t, c.n_x),
-        (np.add.reduceat(q, starts) / counts).reshape(c.n_t, c.n_x),
-    )
 
 
 def tartar_residual(

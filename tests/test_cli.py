@@ -133,6 +133,39 @@ class TestSimulate:
         assert "c0" in r.output
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"initial": {"amplitude": "abc"}}, "initial.amplitude"),
+            ({"samples": "abc"}, "samples"),
+            ({"seed": "x"}, "seed"),
+            ({"initial": {"kind": "riemann_smoothed", "left": 1.0}}, "initial.left"),
+            ({"diagnostics": {"window": 3}}, "diagnostics.window"),
+            ({"sweep": {"cells": "abc"}}, "sweep.cells"),
+            ({"sweep": {"epsilons": 0.05}}, "sweep.epsilons"),
+        ],
+    )
+    def test_unreadable_value_exits_2(self, runner, tmp_path, overrides, key):
+        cfg = write_cfg(tmp_path, overrides)
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert key in r.output
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_option_exits_2(self, runner, tmp_path, samples):
+        # rejected as the run file's samples: 0 is
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        r = runner.invoke(
+            main, ["simulate", "--config", cfg, "--samples", samples, "--output-dir", out]
+        )
+        assert r.exit_code == 2
+        assert "--samples" in r.output
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("n_saves", [3, 0])
     def test_bad_n_saves_exits_2(self, runner, tmp_path, n_saves):
         # T / dt = 50 steps: 3 saves do not divide them, 0 saves none
@@ -300,6 +333,60 @@ class TestSweep:
         r = runner.invoke(main, ["sweep-epsilon", "--config", cfg])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            ([2.0, 0.05], "got 2.0"),
+            ([0.05, -0.02], "got -0.02"),
+            ([float("nan"), 0.01], "got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("noise", ["single_mode", "none"])
+    def test_bad_epsilon_exits_2(self, runner, tmp_path, epsilons, message, noise):
+        # rejected by the sweep's mollification, or by its per-member
+        # configs when there is no noise to mollify
+        cfg = write_cfg(
+            tmp_path,
+            {"noise": {"kind": noise}, "sweep": {"epsilons": epsilons, "cells": [2, 2]}},
+        )
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["sweep-epsilon", "--config", cfg, "--output-dir", str(out)])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert "sweep.epsilons" in r.output and message in r.output
+        assert not out.exists()
+
+
+# window and cells that only sweep-epsilon and young-measure read, each
+# rejected before the first step with the message of the check it fails
+BAD_CELLS = [
+    ({"diagnostics": {"window": [-9, 2]}}, "exceeds the spatial domain"),
+    ({"diagnostics": {"window": [2, -2]}}, "positive extent"),
+    ({"sweep": {"cells": [0, 2]}}, "cell counts must be positive"),
+    # 6 save times cannot fill 16 time cells
+    ({"sweep": {"cells": [16, 64]}}, "cell (0, 0) received no samples"),
+]
+
+
+@pytest.mark.parametrize("command", ["sweep-epsilon", "young-measure"])
+@pytest.mark.parametrize("overrides, message", BAD_CELLS)
+def test_bad_cells_exit_2_before_stepping(
+    runner, tmp_path, monkeypatch, command, overrides, message
+):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(cli, "simulate", no_step)
+    monkeypatch.setattr(cli, "epsilon_sweep", no_step)
+    sweep = {"epsilons": [0.05, 0.02], "cells": [2, 2], **overrides.get("sweep", {})}
+    cfg = write_cfg(tmp_path, {**overrides, "sweep": sweep})
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command, "--config", cfg, "--output-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert message in r.output
+    assert not out.exists()
+
 
 class TestEntropyTable:
     def test_energy_table_matches_mechanical(self, runner, tmp_path):
@@ -337,7 +424,9 @@ class TestEntropyTable:
         assert "gamma" in r.output
 
     @pytest.mark.parametrize(
-        "rho_range", [("-1", "5", "4"), ("0.5", "-2", "4"), ("0.1", "5", "0"), ("0.1", "5", "nan")]
+        "rho_range",
+        [("-1", "5", "4"), ("0.5", "-2", "4"), ("0.1", "5", "0"), ("0.1", "5", "nan"),
+         ("0.1", "5", "2.5"), ("0.1", "inf", "4")],
     )
     def test_bad_rho_range_exits_2(self, runner, tmp_path, rho_range):
         out = str(tmp_path / "out")
@@ -346,6 +435,19 @@ class TestEntropyTable:
         )
         assert r.exit_code == 2
         assert "--rho-range" in r.output
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "u_range",
+        [("-1", "1", "-1"), ("nan", "1", "3"), ("-1", "inf", "3"), ("-1", "1", "0"),
+         ("-1", "1", "2.5")],
+    )
+    def test_bad_u_range_exits_2(self, runner, tmp_path, u_range):
+        # the check of --rho-range, but for velocities of either sign
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["entropy-table", "--u-range", *u_range, "--output-dir", out])
+        assert r.exit_code == 2
+        assert "--u-range" in r.output
         assert not os.path.exists(out)
 
     def test_gamma_next_to_one_gives_a_finite_table(self, runner, tmp_path):

@@ -10,18 +10,23 @@ from svvlab import diagnostics
 from svvlab.diagnostics import (
     BumpTestFunction,
     compact_moments,
-    dissipation_increment,
     energy_balance_check,
     ensemble_moments,
     entropy_inequality_residual,
     invariant_region_check,
-    total_relative_energy,
 )
 from svvlab.entropy import EntropySpec, entropy_pair, riemann_invariants
 from svvlab.errors import ConfigError, DomainError
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
-from svvlab.solver import Grid, GridState, SolverConfig, simulate
+from svvlab.solver import (
+    Grid,
+    GridState,
+    SolverConfig,
+    dissipation_rate,
+    relative_energy,
+    simulate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +96,11 @@ def phi_dxx(phi, t, x):
 
 
 class TestRelativeEnergy:
+    """solver.relative_energy, the one implementation of the functional."""
+
     def test_equilibrium_is_zero(self, law2, grid):
         state = GridState(0.0, np.ones(grid.n + 1), np.zeros(grid.n + 1))
-        assert total_relative_energy(grid, state, law2, 1.0) == 0.0
+        assert relative_energy(law2, grid, state.rho, state.mom, 1.0) == 0.0
 
     def test_pure_kinetic(self, law2, grid):
         # rho == rho_inf leaves only m^2/(2 rho); use a unit-L2 momentum bump
@@ -101,36 +108,39 @@ class TestRelativeEnergy:
         m = np.exp(-(x**2))
         m /= np.sqrt(np.trapezoid(m**2, dx=grid.dx))
         state = GridState(0.0, np.ones(grid.n + 1), m)
-        val = total_relative_energy(grid, state, law2, 1.0)
+        val = relative_energy(law2, grid, state.rho, state.mom, 1.0)
         assert val == pytest.approx(0.5, rel=1e-10)
 
     def test_resolution_stability(self, law2):
         vals = []
         for n in (128, 256, 512):
             g = Grid(L=5.0, n=n)
-            vals.append(total_relative_energy(g, bump_state(g), law2, 1.0))
+            state = bump_state(g)
+            vals.append(relative_energy(law2, g, state.rho, state.mom, 1.0))
         assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[1])
         assert abs(vals[2] - vals[1]) < 1e-6
 
 
 class TestDissipation:
+    """eps dt solver.dissipation_rate, the dissipation of one step."""
+
     def test_constant_state_zero(self, law2, grid):
         state = GridState(0.0, np.ones(grid.n + 1), np.zeros(grid.n + 1))
-        assert dissipation_increment(grid, state, law2, 0.05, 1e-3) == 0.0
+        assert 0.05 * 1e-3 * dissipation_rate(law2, grid, state.rho, state.mom) == 0.0
 
     def test_linear_velocity(self, law2, grid):
         # rho = 1, u = c x: integrand is eps * c^2 over the domain
         c = 0.3
         rho = np.ones(grid.n + 1)
         state = GridState(0.0, rho, c * grid.x * rho)
-        val = dissipation_increment(grid, state, law2, 0.05, 1e-3)
+        val = 0.05 * 1e-3 * dissipation_rate(law2, grid, state.rho, state.mom)
         assert val == pytest.approx(0.05 * 1e-3 * c**2 * 2 * grid.L, rel=1e-10)
 
     def test_nonnegative(self, law2, grid):
         rng = np.random.default_rng(7)
         rho = 1.0 + 0.3 * rng.random(grid.n + 1)
         state = GridState(0.0, rho, rng.standard_normal(grid.n + 1) * 0.1)
-        assert dissipation_increment(grid, state, law2, 0.05, 1e-3) >= 0.0
+        assert 0.05 * 1e-3 * dissipation_rate(law2, grid, state.rho, state.mom) >= 0.0
 
 
 class TestEnergyBalance:

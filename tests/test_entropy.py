@@ -1,4 +1,4 @@
-"""Entropy kernels, generated pairs, energies, cutoffs, Riemann invariants."""
+"""Generated entropy pairs, the high-order energy, cutoffs, Riemann invariants."""
 
 import math
 import re
@@ -17,11 +17,8 @@ from svvlab.entropy import (
     EntropySpec,
     entropy_pair,
     high_order_energy,
-    kernel_chi,
-    kernel_sigma,
     mechanical_energy_pair,
     psi_cutoff,
-    relative_energy,
     riemann_invariants,
 )
 from svvlab.errors import ConfigError, DomainError
@@ -167,24 +164,6 @@ def builtin_specs():
         EntropySpec.compact_bump(0.0, 1.0),
         EntropySpec.compact_bump(0.5, 4.0),
     )
-
-
-class TestKernels:
-    def test_chi_values(self):
-        assert kernel_chi(2.0, 1.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert kernel_chi(2.0, 1.0, 0.0, 1.5) == 0.0
-        assert kernel_chi(2.0, 1.0, 0.0, 0.5) == pytest.approx(np.sqrt(0.75))
-
-    def test_sigma_values(self):
-        assert kernel_sigma(2.0, 1.0, 0.0, 0.0) == 0.0
-        assert kernel_sigma(2.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-        assert kernel_sigma(2.0, 1.0, 0.0, 0.5) == pytest.approx(0.25 * np.sqrt(0.75))
-
-    def test_chi_support(self):
-        s = np.linspace(-3, 3, 101)
-        vals = kernel_chi(2.0, 1.0, 0.5, s)
-        assert np.all(vals[np.abs(s - 0.5) > 1.0] == 0.0)
-        assert np.all(vals[np.abs(s - 0.5) < 1.0] > 0.0)
 
 
 class TestEntropyPair:
@@ -390,13 +369,6 @@ class TestMechanicalEnergy:
             )
         mechanical_energy_pair(law, rho, m)
         assert not calls  # its own density check is the only one
-
-
-class TestRelativeEnergy:
-    def test_values(self, law2):
-        assert relative_energy(law2, 2.0, 0.0, 1.0) == pytest.approx(0.125)
-        assert relative_energy(law2, 1.0, 0.0, 1.0) == 0.0
-        assert relative_energy(law2, 1.0, 2.0, 1.0) == pytest.approx(2.0)
 
 
 class TestHighOrderEnergy:

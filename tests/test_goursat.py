@@ -5,7 +5,7 @@ import pytest
 
 from svvlab.entropy import EntropySpec, entropy_pair
 from svvlab import goursat
-from svvlab.goursat import goursat_flux, goursat_solve
+from svvlab.goursat import goursat_solve
 from svvlab.pressure import PressureLaw
 
 
@@ -97,18 +97,3 @@ def test_k_second_from_one_pressure_call(law):
     pp = law.dpressure(rho)
     want = law.d2pressure(rho) / (2.0 * np.sqrt(pp) * rho) - np.sqrt(pp) / rho**2
     assert np.array_equal(goursat._k_second(law, rho), want)
-
-
-class TestFlux:
-    def test_flux_boundary_value(self, law2, table):
-        # on u = -K(rho) (a = 0) the flux equals -q_E of the boundary state
-        rho_grid = np.linspace(0.5, 3.0, 6)
-        flux = goursat_flux(table, rho_grid)
-        for (u, eta, q), rho in zip(flux, rho_grid):
-            K = law2.k_integral(rho)
-            m = -rho * K
-            qE = 0.5 * m**3 / rho**2 + m * law2.rho_e_prime(rho)
-            assert q[0] == pytest.approx(-qE, rel=1e-6, abs=1e-8)
-            assert eta[0] == pytest.approx(
-                -(0.5 * rho * K**2 + rho * law2.internal_energy(rho)), rel=1e-10
-            )

@@ -26,6 +26,7 @@ from svvlab.solver import (
     SolverConfig,
     StateFields,
     Stepper,
+    _save_times,
     dissipation_rate,
     epsilon_sweep,
     relative_energy,
@@ -260,6 +261,24 @@ class TestGuards:
             simulate(GridState(0.0, rho, m), law2, grid, cfg)
         assert exc.value.rho_min < 1e-2
         assert exc.value.t > 0.0
+
+
+@pytest.mark.parametrize("T, dt, n_saves", [(0.3, 1e-3, 6), (0.7, 0.07, 5), (0.05, 1e-3, 5)])
+def test_save_times_are_the_stepped_times(law2, T, dt, n_saves):
+    # sweep-epsilon and young-measure bin these times into cells before
+    # any step: they must be the stepper's times bit for bit, since a save
+    # time can sit on a cell edge
+    grid = Grid(L=5.0, n=32)
+    cfg = SolverConfig(epsilon=0.05, T=T, dt=dt, n_saves=n_saves, check_cfl=False)
+    stepper = Stepper(law2, grid, cfg)
+    state = init = GridState(0.0, np.ones((1, grid.n + 1)), np.zeros((1, grid.n + 1)))
+    times = [0.0]
+    for n in range(cfg.n_steps):
+        state, _ = stepper.step(state)
+        if (n + 1) % (cfg.n_steps // n_saves) == 0:
+            times.append(state.t)
+    assert np.array_equal(_save_times(cfg), times)
+    assert np.array_equal(simulate(init, law2, grid, cfg).times, times)
 
 
 def batch_case(kind):

@@ -15,7 +15,6 @@ from svvlab.young import (
     build_measure,
     concentration_metric,
     measure_from_atoms,
-    pair_average,
     tartar_residual,
 )
 
@@ -53,13 +52,6 @@ def cell_pairs_loop(law, spec, atoms):
     vac = rho < VACUUM_TOL
     rho[vac] = m[vac] = 0.0
     return entropy_pair(law, spec, rho, m)
-
-
-def pair_average_loop(measure, law, spec):
-    pvs = [cell_pairs_loop(law, spec, atoms) for atoms in measure.samples]
-    shape = (measure.cells.n_t, measure.cells.n_x)
-    return (np.array([pv.eta.mean() for pv in pvs]).reshape(shape),
-            np.array([pv.q.mean() for pv in pvs]).reshape(shape))
 
 
 def tartar_loop(measure, law, spec1, spec2):
@@ -129,12 +121,6 @@ class TestSegmentOracles:
         for a, b in zip(mu.samples, loop):
             assert a.shape == b.shape and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("spec", [ENERGY, CUTOFF])
-    def test_pair_average_equals_loop(self, law2, noisy_measure, spec):
-        for mu in (noisy_measure[2], degenerate_measure()):
-            for new, old in zip(pair_average(mu, law2, spec), pair_average_loop(mu, law2, spec)):
-                np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
-
     def test_tartar_equals_loop(self, law2, noisy_measure):
         for mu in (noisy_measure[2], degenerate_measure()):
             for specs in ((ENERGY, CUTOFF), (CUTOFF, EntropySpec.cutoff_energy(1.0))):
@@ -176,10 +162,9 @@ class TestBuildMeasure:
         traj = simulate(init, law2, grid, cfg)
         cells = CellPartition(0.0, 0.2, -2.0, 2.0, 2, 2)
         mu = build_measure(traj, cells)
-        assert mu.n_cells == 4
+        assert len(mu.samples) == 4
         assert mu.epsilon == 0.05
-        for idx in range(mu.n_cells):
-            atoms = mu.samples[idx]
+        for atoms in mu.samples:
             assert np.all(atoms[:, 0] == 1.0)
             assert np.all(atoms[:, 1] == 0.0)
 
@@ -196,30 +181,6 @@ class TestBuildMeasure:
     def test_refine_doubles_counts(self):
         c = CellPartition(0.0, 1.0, -1.0, 1.0, 2, 3).refine()
         assert (c.n_t, c.n_x) == (4, 6)
-
-
-class TestPairAverage:
-    def test_dirac_matches_pointwise(self, law2):
-        mu = measure_from_atoms([(1.5, 0.6)])
-        eta, q = pair_average(mu, law2, ENERGY)
-        pv = entropy_pair(law2, ENERGY, 1.5, 0.6)
-        assert eta[0, 0] == pytest.approx(float(pv.eta), rel=1e-12)
-        assert q[0, 0] == pytest.approx(float(pv.q), rel=1e-12)
-
-    def test_two_atoms_arithmetic_mean(self, law2):
-        a, b = (1.0, 0.2), (2.0, -0.4)
-        mu = measure_from_atoms([a, b])
-        eta, q = pair_average(mu, law2, ENERGY)
-        pa = entropy_pair(law2, ENERGY, *a)
-        pb = entropy_pair(law2, ENERGY, *b)
-        assert eta[0, 0] == pytest.approx(0.5 * (float(pa.eta) + float(pb.eta)), rel=1e-12)
-        assert q[0, 0] == pytest.approx(0.5 * (float(pa.q) + float(pb.q)), rel=1e-12)
-
-    def test_vacuum_atom_contributes_zero(self, law2):
-        mu = measure_from_atoms([(0.0, 0.0), (1.0, 0.0)])
-        eta, _ = pair_average(mu, law2, ENERGY)
-        pv = entropy_pair(law2, ENERGY, 1.0, 0.0)
-        assert eta[0, 0] == pytest.approx(0.5 * float(pv.eta), rel=1e-12)
 
 
 class TestTartarResidual:
