@@ -2,9 +2,13 @@
 
 A run file is a key-value tree with blocks: law, grid, solver, initial,
 noise, diagnostics, sweep, plus a seed, a sample count and an output
-directory.  A key that nothing reads is rejected, so that a typo or a key
-of an older version does not run with a default.  All violations are
-collected and reported together before anything runs.
+directory.  `KEYS` declares every key once, with the reader of its value.
+An unknown key, a block that is not a mapping and a value that its reader
+refuses (null among them) are rejected, never replaced by a default, and a
+block with a refused value builds nothing, so no cross-check runs on a
+stand-in.  An absent key takes the default of what its block builds, or
+the one in `DEFAULTS` where that has none.  All violations are collected
+and reported together before anything runs.
 """
 
 from __future__ import annotations
@@ -17,27 +21,86 @@ import yaml
 
 from .entropy import EntropySpec
 from .errors import ConfigError
-from .noise import NoiseModel
+from .noise import NoiseModel, _base_steps
 from .pressure import PressureLaw
 from .solver import Grid, GridState, SolverConfig
 
 
-# the keys read from each block of a run file (for any of its kinds), and
-# at the top level
-BLOCK_KEYS = {
-    "law": ("kind", "gamma", "kappa", "gamma1", "gamma2", "kappa1", "kappa2",
-            "rho_lo", "rho_hi"),
-    "grid": ("L", "n"),
-    "solver": ("epsilon", "T", "dt", "dt_base", "rho_inf", "n_saves", "scheme",
-               "density_floor", "record_steps", "record_forcing"),
-    "initial": ("kind", "amplitude", "center", "width", "m_amplitude", "left",
-                "right", "path", "c0"),
-    "noise": ("kind", "amplitude", "center", "width", "decay_p", "n_modes",
-              "support", "c1", "alpha1"),
-    "diagnostics": ("window", "psis"),
-    "sweep": ("epsilons", "cells"),
+def _must(ok, read=None):
+    """The reader that refuses a value unless ok(value), then reads it by
+    read (if given)."""
+
+    def reader(value):
+        if not ok(value):
+            raise ValueError(value)
+        return value if read is None else read(value)
+
+    return reader
+
+
+def _choice(*names):
+    return _must(lambda v: v in names)
+
+
+def _items(item, count=None):
+    """The reader of a list (of count values, if given), each read by item,
+    as a tuple; a bare string is refused, not read as its characters."""
+    return _must(
+        lambda v: isinstance(v, (list, tuple)) and count in (None, len(v)),
+        lambda v: tuple(map(item, v)),
+    )
+
+
+# a whole number (64 and 64.0, not 64.7, true or NaN), a YAML boolean, a string
+_whole = _must(lambda v: not isinstance(v, bool) and float(v).is_integer(), int)
+_flag = _must(lambda v: isinstance(v, bool))
+_text = _must(lambda v: isinstance(v, str))
+
+# every key of a run file, with the reader of its value: a block maps its
+# keys to theirs (a block's kind picks what it builds, and the keys of its
+# other kinds are read but not used)
+KEYS = {
+    "law": {
+        "kind": _choice("polytropic", "composite"),
+        "gamma": float, "kappa": float,
+        "gamma1": float, "gamma2": float, "kappa1": float, "kappa2": float,
+        "rho_lo": float, "rho_hi": float,
+    },
+    "grid": {"L": float, "n": _whole},
+    "solver": {
+        "epsilon": float, "T": float, "dt": float, "dt_base": float, "rho_inf": float,
+        "n_saves": _whole, "scheme": _choice("imex", "explicit"),
+        "density_floor": float, "record_steps": _flag, "record_forcing": _flag,
+    },
+    "initial": {
+        "kind": _choice("constant", "bump", "riemann_smoothed", "from_file"),
+        "amplitude": float, "center": float, "width": float, "m_amplitude": float,
+        "left": _items(float, 2), "right": _items(float, 2), "path": _text, "c0": float,
+    },
+    "noise": {
+        "kind": _choice("none", "single_mode", "mode_family"),
+        "amplitude": float, "center": float, "width": float, "decay_p": float,
+        "n_modes": _whole, "support": _choice("compact_x", "whole_line"),
+        "c1": float, "alpha1": float,
+    },
+    "diagnostics": {"window": _items(float, 2), "psis": _items(_text)},
+    "sweep": {"epsilons": _items(float), "cells": _items(_whole, 2)},
+    "seed": _whole,
+    "samples": _whole,
+    "output_dir": _text,
 }
-TOP_KEYS = (*BLOCK_KEYS, "seed", "samples", "output_dir")
+
+# the defaults of the keys whose block builds something without one
+# (solver.dt_base defaults to solver.dt)
+DEFAULTS = {
+    "law": {"kind": "polytropic", "gamma": 2.0,
+            "kappa1": 1.0, "kappa2": 1.0, "rho_lo": 1.0, "rho_hi": 2.0},
+    "grid": {"L": 5.0, "n": 256},
+    "solver": {"epsilon": 0.05, "T": 1.0, "dt": 1e-3},
+    "initial": {"kind": "constant"},
+    "noise": {"kind": "none", "amplitude": 0.1, "decay_p": 2.0, "n_modes": 8},
+    "seed": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -111,61 +174,6 @@ class RunConfig:
     psis: tuple = ("energy",)
 
 
-def _law_from(block, errs):
-    kind = block.get("kind", "polytropic")
-    try:
-        if kind == "polytropic":
-            return PressureLaw.polytropic(
-                float(block.get("gamma", 2.0)),
-                None if block.get("kappa") is None else float(block["kappa"]),
-            )
-        if kind == "composite":
-            return PressureLaw.composite(
-                gamma1=float(block["gamma1"]),
-                gamma2=float(block["gamma2"]),
-                kappa1=float(block.get("kappa1", 1.0)),
-                kappa2=float(block.get("kappa2", 1.0)),
-                rho_lo=float(block.get("rho_lo", 1.0)),
-                rho_hi=float(block.get("rho_hi", 2.0)),
-            )
-        errs.append(f"law.kind must be polytropic or composite, got {kind!r}")
-    except (ConfigError, ValueError, KeyError) as exc:
-        errs.append(f"law block invalid: {exc}")
-    return None
-
-
-def _noise_from(block, law, seed, dt_base, errs):
-    kind = block.get("kind", "none")
-    if kind == "none":
-        return None
-    try:
-        if kind == "single_mode":
-            return NoiseModel.single_mode(
-                float(block.get("amplitude", 0.1)),
-                law,
-                seed=seed,
-                dt_base=dt_base,
-                center=float(block.get("center", 0.0)),
-                width=float(block.get("width", 1.0)),
-            )
-        if kind == "mode_family":
-            return NoiseModel.mode_family(
-                float(block.get("amplitude", 0.1)),
-                float(block.get("decay_p", 2.0)),
-                int(block.get("n_modes", 8)),
-                law,
-                seed=seed,
-                dt_base=dt_base,
-                center=float(block.get("center", 0.0)),
-                width=float(block.get("width", 1.0)),
-                support_kind=block.get("support", "compact_x"),
-            )
-        errs.append(f"noise.kind must be none, single_mode or mode_family, got {kind!r}")
-    except (ConfigError, ValueError) as exc:
-        errs.append(f"noise block invalid: {exc}")
-    return None
-
-
 def _psi_spec(name) -> EntropySpec:
     """The generator a psis entry names: energy, signed_square, cutoff:R or
     bump:c,w; ConfigError for any other entry, a malformed one, or one whose
@@ -186,23 +194,6 @@ def _psi_spec(name) -> EntropySpec:
     raise ConfigError(f"unknown entropy generator spec {name!r}")
 
 
-def _pair(value, kind=float):
-    """value, a list of two numbers, as a tuple of kind."""
-    a, b = value
-    return kind(a), kind(b)
-
-
-def _read(block, key, default, convert, errs):
-    """The block's value for key (named block.key; the default if absent)
-    through convert, or the default, with the rejection in errs, if it fails."""
-    value = block.get(key.rpartition(".")[2], default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        errs.append(f"{key} malformed: {value!r}")
-        return default
-
-
 def load_config(path: str) -> RunConfig:
     """Parse and fully validate a YAML run file.
 
@@ -214,139 +205,118 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
-def _unknown_keys(raw, errs):
-    """raw without the blocks that are not mappings; each unknown key, as
-    block.key, and each such block go to errs."""
-    for name, value in raw.items():
-        if name not in TOP_KEYS:
+def _read(keys, given, defaults, where, errs):
+    """given read against keys, a reader or a table of them: a table's
+    values over defaults, with the given ones read by their readers.  Each
+    unknown key, block that is not a mapping and refused value goes to errs
+    as where.key, and is None; so is a block (not the file) with a refused
+    value."""
+    if not isinstance(keys, dict):
+        try:
+            return keys(given)
+        except (TypeError, ValueError, OverflowError):
+            errs.append(f"{where} malformed: {given!r}")
+            return None
+    if not isinstance(given, dict):
+        errs.append(f"{where} must be a block of keys, got {given!r}")
+        return None
+    values = dict(defaults)
+    for key, value in given.items():
+        name = f"{where}.{key}" if where else str(key)
+        if key in keys:
+            values[key] = _read(keys[key], value, defaults.get(key, {}), name, errs)
+        else:
             errs.append(f"unknown key {name}")
-        elif name in BLOCK_KEYS and not isinstance(value, dict):
-            errs.append(f"{name} must be a block of keys, got {value!r}")
-        elif name in BLOCK_KEYS:
-            errs += [f"unknown key {name}.{k}" for k in value if k not in BLOCK_KEYS[name]]
-    return {k: v for k, v in raw.items() if k not in BLOCK_KEYS or isinstance(v, dict)}
+    return None if where and None in values.values() else values
+
+
+def _given(values, **fields):
+    """{field: value} of each key=field that values (or None) gives."""
+    values = values or {}
+    return {f: values[key] for key, f in fields.items() if values.get(key) is not None}
+
+
+def _build(errs, label, make, *args):
+    """make(*args), or None: when an arg is None (refused, or not built), or
+    with `label: fault` in errs when make rejects them."""
+    if any(arg is None for arg in args):
+        return None
+    try:
+        return make(*args)
+    except (ValueError, OSError, KeyError) as exc:  # ConfigError is a ValueError too
+        errs.append(f"{label}: {exc}")
+        return None
+
+
+def _law_from(v):
+    if v["kind"] == "polytropic":
+        return PressureLaw.polytropic(v["gamma"], v.get("kappa"))
+    return PressureLaw.composite(
+        v["gamma1"], v["gamma2"], v["kappa1"], v["kappa2"], v["rho_lo"], v["rho_hi"]
+    )
+
+
+def _noise_from(v, law, seed, dt_base):
+    """The raw noise model of the noise block, or None for kind none."""
+    shape = _given(v, center="center", width="width")
+    if v["kind"] == "single_mode":
+        return NoiseModel.single_mode(v["amplitude"], law, seed, dt_base, **shape)
+    if v["kind"] == "mode_family":
+        return NoiseModel.mode_family(
+            v["amplitude"], v["decay_p"], v["n_modes"], law, seed, dt_base,
+            **shape, **_given(v, support="support_kind"),
+        )
+    return None
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    errs = []
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("empty configuration", ["configuration file is empty"])
-    raw = _unknown_keys(raw, errs)
-
-    law = _law_from(raw.get("law", {}), errs)
-
-    grid = None
-    gb = raw.get("grid", {})
-    try:
-        grid = Grid(L=float(gb.get("L", 5.0)), n=int(gb.get("n", 256)))
-    except (ConfigError, ValueError) as exc:
-        errs.append(f"grid block invalid: {exc}")
-
-    solver = None
-    sb = raw.get("solver", {})
-    try:
-        solver = SolverConfig(
-            epsilon=float(sb.get("epsilon", 0.05)),
-            T=float(sb.get("T", 1.0)),
-            dt=float(sb.get("dt", 1e-3)),
-            rho_inf=float(sb.get("rho_inf", 1.0)),
-            n_saves=int(sb.get("n_saves", 10)),
-            scheme=sb.get("scheme", "imex"),
-            density_floor=float(sb.get("density_floor", 1e-12)),
-            record_steps=bool(sb.get("record_steps", False)),
-            record_forcing=bool(sb.get("record_forcing", False)),
-        )
-    except (ConfigError, ValueError) as exc:
-        errs.append(f"solver block invalid: {exc}")
-
-    ib = raw.get("initial", {"kind": "constant"})
-    initial = InitialData(
-        kind=ib.get("kind", "constant"),
-        amplitude=_read(ib, "initial.amplitude", 0.0, float, errs),
-        center=_read(ib, "initial.center", 0.0, float, errs),
-        width=_read(ib, "initial.width", 1.0, float, errs),
-        m_amplitude=_read(ib, "initial.m_amplitude", 0.0, float, errs),
-        left=_read(ib, "initial.left", (1.0, 0.0), _pair, errs),
-        right=_read(ib, "initial.right", (1.0, 0.0), _pair, errs),
-        path=ib.get("path", ""),
-        c0=_read(ib, "initial.c0", 0.1, float, errs),
+    errs = []
+    v = _read(KEYS, raw, DEFAULTS, "", errs)
+    sv = v["solver"]
+    cfg = RunConfig(
+        law=_build(errs, "law block invalid", _law_from, v["law"]),
+        grid=_build(errs, "grid block invalid", lambda g: Grid(**g), v["grid"]),
+        solver=_build(
+            errs, "solver block invalid",
+            lambda s: SolverConfig(**{k: x for k, x in s.items() if k != "dt_base"}), sv,
+        ),
+        initial=None if v["initial"] is None else InitialData(**v["initial"]),
+        noise=None,
+        seed=v["seed"],
+        output_dir=v.get("output_dir") or os.environ.get("SVV_OUTPUT_DIR", "out"),
+        **_given(v["noise"], c1="noise_c1", alpha1="noise_alpha1"),
+        **_given(v.get("diagnostics"), window="window", psis="psis"),
+        **_given(v.get("sweep"), epsilons="sweep_epsilons", cells="cells"),
+        **_given(v, samples="samples"),
     )
-    if initial.kind not in ("constant", "bump", "riemann_smoothed", "from_file"):
-        errs.append(f"initial.kind {initial.kind!r} not recognized")
-
-    seed = _read(raw, "seed", 0, int, errs)
-    nb = raw.get("noise", {"kind": "none"})
-    dt_base = _read(sb, "solver.dt_base", solver.dt if solver else 1e-3, float, errs)
-    if law is not None:
-        noise = _noise_from(nb, law, seed, dt_base, errs)
-    else:
-        noise = None
-        if nb.get("kind", "none") not in ("none", "single_mode", "mode_family"):
-            errs.append(
-                f"noise.kind must be none, single_mode or mode_family, "
-                f"got {nb.get('kind')!r}"
-            )
-    noise_c1 = _read(nb, "noise.c1", 1.0, float, errs)
-    noise_alpha1 = _read(nb, "noise.alpha1", 0.25, float, errs)
+    solver = cfg.solver
 
     # cross-constraints; runs use the truncated, mollified noise, and a
     # sweep re-mollifies the raw template for each of its viscosities
-    noise_template = noise
-    if law is not None and solver is not None and noise is not None:
-        try:
-            noise = noise.truncate_mollify(
-                solver.epsilon, noise_c1, noise_alpha1, solver.rho_inf
-            )
-        except ConfigError as exc:
-            errs.append(f"noise mollification constraint violated: {exc}")
-
-    if solver is not None and grid is not None and law is not None:
-        try:
-            state = initial.build(grid, solver.rho_inf)
-        except (ConfigError, OSError, ValueError) as exc:
-            errs.append(f"initial data invalid: {exc}")
-        else:
-            del state
-
-    db = raw.get("diagnostics", {})
-    window = _read(db, "diagnostics.window", (-1.0, 1.0), _pair, errs)
-    psis = _read(db, "diagnostics.psis", ("energy",), tuple, errs)
-    for name in psis:
-        try:
-            _psi_spec(name)
-        except ConfigError as exc:
-            errs.append(str(exc))
-
-    wb = raw.get("sweep", {})
-    sweep_eps = _read(wb, "sweep.epsilons", (), lambda v: tuple(float(e) for e in v), errs)
-    if any(b >= a for a, b in zip(sweep_eps, sweep_eps[1:])):
-        errs.append("sweep.epsilons must be strictly decreasing")
-    samples = _read(raw, "samples", 1, int, errs)
-    if samples < 1:
-        errs.append("sample count must be >= 1")
-    cells = _read(wb, "sweep.cells", (8, 8), lambda v: _pair(v, int), errs)
-
-    output_dir = raw.get("output_dir") or os.environ.get("SVV_OUTPUT_DIR", "out")
-
-    if errs:
-        raise ConfigError(
-            "configuration rejected:\n  - " + "\n  - ".join(errs), errs
-        )
-
-    return RunConfig(
-        law=law,
-        grid=grid,
-        solver=solver,
-        initial=initial,
-        noise=noise,
-        seed=seed,
-        output_dir=output_dir,
-        noise_template=noise_template,
-        noise_c1=noise_c1,
-        noise_alpha1=noise_alpha1,
-        window=window,
-        cells=cells,
-        sweep_epsilons=sweep_eps,
-        samples=samples,
-        psis=psis,
+    dt_base = None if sv is None else sv["dt_base"] if "dt_base" in sv else sv["dt"]
+    noise = _build(
+        errs, "noise block invalid", _noise_from, v["noise"], cfg.law, cfg.seed, dt_base
     )
+    if noise is not None and solver is not None:
+        _build(errs, "solver.dt_base rejected", _base_steps, solver.dt, dt_base)
+        cfg.noise = _build(
+            errs, "noise mollification constraint violated", noise.truncate_mollify,
+            solver.epsilon, cfg.noise_c1, cfg.noise_alpha1, solver.rho_inf,
+        )
+    cfg.noise_template = noise
+    _build(
+        errs, "initial data invalid", lambda i, g, s: i.build(g, s.rho_inf),
+        cfg.initial, cfg.grid, solver,
+    )
+    for name in cfg.psis:
+        _build(errs, "diagnostics.psis rejected", _psi_spec, name)
+    eps = cfg.sweep_epsilons
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        errs.append("sweep.epsilons must be strictly decreasing")
+    if cfg.samples < 1:
+        errs.append("sample count must be >= 1")
+    if errs:
+        raise ConfigError("configuration rejected:\n  - " + "\n  - ".join(errs), errs)
+    return cfg

@@ -41,6 +41,19 @@ def _check_bump(center, width):
         raise ConfigError(f"bump width must be positive and finite, got {width}")
 
 
+def _base_steps(dt, dt_base) -> int:
+    """Base-grid steps per step of dt: ConfigError unless dt_base is
+    positive and finite and dt a whole multiple of it (a NaN fails)."""
+    k = dt / dt_base if 0.0 < dt_base < np.inf else np.nan
+    ki = round(k) if k < np.inf else 0
+    if not (ki >= 1 and abs(k - ki) <= 1e-9):
+        raise ConfigError(
+            f"dt_base must be positive and finite, and dt = {dt:g} an integer "
+            f"multiple of it, got {dt_base:g}"
+        )
+    return ki
+
+
 def bump(x, center=0.0, width=1.0):
     """C-infinity bump, equal to 1 at the center, 0 outside."""
     t = (np.asarray(x, dtype=float) - center) / width
@@ -342,12 +355,7 @@ class NoiseModel:
         multiple of dt_base; the increments are sums of base-grid draws, so
         coarse and fine runs share one path.
         """
-        k = dt / self.dt_base
-        ki = int(round(k))
-        if abs(k - ki) > 1e-9 or ki < 1:
-            raise ConfigError(
-                f"dt = {dt:g} must be an integer multiple of dt_base = {self.dt_base:g}"
-            )
+        ki = _base_steps(dt, self.dt_base)
         batched = not isinstance(sample_id, (int, np.integer))
         ids = [int(s) for s in sample_id] if batched else [int(sample_id)]
         nm = self.n_modes

@@ -143,6 +143,26 @@ class TestSimulate:
             ({"diagnostics": {"window": 3}}, "diagnostics.window"),
             ({"sweep": {"cells": "abc"}}, "sweep.cells"),
             ({"sweep": {"epsilons": 0.05}}, "sweep.epsilons"),
+            # counts that were truncated and ran: 2 samples, a 64-cell grid
+            ({"samples": 2.5}, "samples"),
+            ({"grid": {"n": 64.7}}, "grid.n"),
+            ({"solver": {"n_saves": 10.9}}, "solver.n_saves"),
+            ({"sweep": {"cells": [4.5, 4]}}, "sweep.cells"),
+            ({"noise": {"kind": "mode_family", "n_modes": 2.5}}, "noise.n_modes"),
+            ({"seed": 7.9}, "seed"),
+            # values that ended in a TypeError traceback
+            ({"solver": {"T": None}}, "solver.T"),
+            ({"grid": {"n": None}}, "grid.n"),
+            ({"noise": {"amplitude": None}}, "noise.amplitude"),
+            ({"law": {"gamma": [2]}}, "law.gamma"),
+            ({"solver": {"epsilon": {"a": 1}}}, "solver.epsilon"),
+            ({"output_dir": 5}, "output_dir"),
+            # values that ran with another meaning: recording on, six
+            # one-character generators, compact_x support, the scaled kappa
+            ({"solver": {"record_steps": "false"}}, "solver.record_steps"),
+            ({"diagnostics": {"psis": "energy"}}, "diagnostics.psis"),
+            ({"noise": {"kind": "mode_family", "support": "bogus"}}, "noise.support"),
+            ({"law": {"kappa": None}}, "law.kappa"),
         ],
     )
     def test_unreadable_value_exits_2(self, runner, tmp_path, overrides, key):
@@ -151,7 +171,19 @@ class TestSimulate:
         r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
         assert r.exit_code == 2, r.output
         assert isinstance(r.exception, SystemExit)
-        assert key in r.output
+        assert f"{key} malformed: " in r.output
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("dt_base", [float("nan"), 0.0007, -1e-3])
+    def test_bad_dt_base_exits_2(self, runner, tmp_path, dt_base):
+        # NaN ended in a ValueError traceback; the others in a ConfigError
+        # traceback at the first step, with the output directory written
+        cfg = write_cfg(tmp_path, {"solver": {"dt_base": dt_base}})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert "solver.dt_base rejected" in r.output
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])

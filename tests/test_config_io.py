@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from svvlab.config import BLOCK_KEYS, TOP_KEYS, InitialData, config_from_dict, load_config
+from svvlab.config import KEYS, InitialData, config_from_dict, load_config
 from svvlab.errors import ConfigError, DomainError
 from svvlab.io import (
     fmt,
@@ -151,8 +151,8 @@ class TestLoadConfig:
         assert exc.value.violations == ["diagnostics must be a block of keys, got ['energy']"]
 
     def test_every_read_key_accepted(self):
-        # one run file with every key of config.BLOCK_KEYS, each block's
-        # kind picking its reader (the others' keys are accepted unread)
+        # one run file with every key of config.KEYS, each block's kind
+        # picking what it builds (the others' keys are accepted unread)
         every = {
             "law": {"kind": "composite", "gamma": 2.0, "kappa": 0.125, "gamma1": 2.0,
                     "gamma2": 1.6, "kappa1": 0.125, "kappa2": 0.15, "rho_lo": 0.9,
@@ -175,10 +175,42 @@ class TestLoadConfig:
             "output_dir": "out",
         }
         assert {k: sorted(v) for k, v in every.items() if isinstance(v, dict)} == {
-            k: sorted(v) for k, v in BLOCK_KEYS.items()
+            k: sorted(v) for k, v in KEYS.items() if isinstance(v, dict)
         }
-        assert sorted(every) == sorted(TOP_KEYS)
+        assert sorted(every) == sorted(KEYS)
         assert config_from_dict(every).samples == 2
+
+    @pytest.mark.parametrize(
+        "overrides, violations",
+        [
+            # a refused c1 builds no noise, so no mollification check runs
+            # on the c1 = 1 that stood in for it
+            ({"noise": {"c1": "abc"}}, ["noise.c1 malformed: 'abc'"]),
+            ({"grid": {"n": "abc", "L": "x"}},
+             ["grid.L malformed: 'x'", "grid.n malformed: 'abc'"]),
+            ({"initial": {"kind": ["x"]}}, ["initial.kind malformed: ['x']"]),
+        ],
+    )
+    def test_one_violation_per_fault(self, overrides, violations):
+        run = {**GOOD, **{b: {**GOOD[b], **v} for b, v in overrides.items()}}
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(run)
+        assert exc.value.violations == violations
+
+    def test_run_file_keys_documented(self):
+        # the README's table of run-file keys names exactly the keys of KEYS
+        readme = (ROOT / "README.md").read_text()
+        table = readme.split("## Run-file keys\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("|")]
+        documented = {  # a top-level key's block cell is "(top level)"
+            (b.strip(" `") if "`" in b else "", k.strip(" `")) for b, k in rows if "`" in k
+        }
+        declared = {
+            (block, key) if isinstance(keys, dict) else ("", block)
+            for block, keys in KEYS.items()
+            for key in (keys if isinstance(keys, dict) else [None])
+        }
+        assert documented == declared
 
     def test_benchmark_and_readme_run_files_load(self):
         spec = importlib.util.spec_from_file_location(

@@ -100,6 +100,14 @@ class TestSampling:
         )
         assert np.allclose(coarse, fine, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("dt_base", [float("nan"), 7e-4, -1e-3, 0.0, float("inf"), 5e-324])
+    def test_dt_base_must_divide_dt(self, law2, dt_base):
+        # a NaN dt_base ended in a ValueError of int(round(nan)); the
+        # increments and the run-file check share the one rule
+        model = NoiseModel.single_mode(0.1, law2, seed=7, dt_base=dt_base)
+        with pytest.raises(ConfigError, match="integer multiple"):
+            model.sample_increments(0, 0, 1e-3)
+
     def test_mode_subset_shared_across_truncations(self, law2):
         model = NoiseModel.mode_family(0.2, 1.5, 10, law2, seed=3, dt_base=1e-3)
         big = model.truncate_mollify(0.2, 10.0, 0.4, rho_inf=1.0)  # 5 modes
