@@ -251,6 +251,9 @@ def _build(errs, label, make, *args):
 def _law_from(v):
     if v["kind"] == "polytropic":
         return PressureLaw.polytropic(v["gamma"], v.get("kappa"))
+    missing = [f"law.{key}" for key in ("gamma1", "gamma2") if key not in v]
+    if missing:
+        raise ConfigError(f"kind: composite requires {' and '.join(missing)}")
     return PressureLaw.composite(
         v["gamma1"], v["gamma2"], v["kappa1"], v["kappa2"], v["rho_lo"], v["rho_hi"]
     )

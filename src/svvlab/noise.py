@@ -24,6 +24,9 @@ from .pressure import PressureLaw, _smoothstep
 from .solver import StateFields
 
 _U64 = (1 << 64) - 1
+# the most base-grid steps one step of dt may span: each is one Philox draw
+# per sample and step
+MAX_BASE_STEPS = 2**10
 
 
 def _column(value):
@@ -43,13 +46,19 @@ def _check_bump(center, width):
 
 def _base_steps(dt, dt_base) -> int:
     """Base-grid steps per step of dt: ConfigError unless dt_base is
-    positive and finite and dt a whole multiple of it (a NaN fails)."""
+    positive and finite and dt a whole multiple of it (a NaN fails), of at
+    most MAX_BASE_STEPS base steps."""
     k = dt / dt_base if 0.0 < dt_base < np.inf else np.nan
     ki = round(k) if k < np.inf else 0
     if not (ki >= 1 and abs(k - ki) <= 1e-9):
         raise ConfigError(
             f"dt_base must be positive and finite, and dt = {dt:g} an integer "
             f"multiple of it, got {dt_base:g}"
+        )
+    if ki > MAX_BASE_STEPS:
+        raise ConfigError(
+            f"dt = {dt:g} spans {ki} base steps of dt_base = {dt_base:g}, "
+            f"more than {MAX_BASE_STEPS}"
         )
     return ki
 

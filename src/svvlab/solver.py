@@ -12,6 +12,13 @@ explicit; the noise is explicit and evaluated at the step start as the Ito
 integral requires.  An ensemble is stepped as one batch, its samples the
 rows of (S, n+1) arrays; a single run is a batch of one.
 
+The step loop evaluates each state's pointwise quantities once.  The
+recorded relative energy, dissipation and minimum density, which no step
+reads, are evaluated from them a block of steps at a time, with one call
+of each functional per block (per state when a block would hold too few
+steps to pay for its copies), bitwise the values of a per-step
+evaluation.
+
 Positivity is never repaired: a density-floor violation raises
 PositivityLoss with the failing time, location and sample.
 """
@@ -35,6 +42,12 @@ from .pressure import PressureLaw
 # and for explicit diffusion also dt <= DIFFUSION_NUMBER dx^2 / (2 eps)
 CFL_NUMBER = 0.4
 DIFFUSION_NUMBER = 0.4
+# simulate evaluates the per-step functionals on blocks of at most
+# BLOCK_POINTS node-points (rows x steps x nodes): few enough that the
+# block's buffers stay in cache.  A block of fewer than MIN_BLOCK_STEPS
+# steps is not made: each state is then evaluated on its own
+BLOCK_POINTS = 2**13
+MIN_BLOCK_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,11 @@ class GridState:
 
 class StateFields:
     """The pointwise quantities of one state (rho, m), computed once and
-    shared by every per-step consumer: the CFL guard, the flux, the
-    relative energy, the dissipation and the noise's Gamma_H indicator.
+    read by its step: the CFL guard, the flux and the noise's Gamma_H
+    indicator.  simulate copies its u and P' into a block of states,
+    whose fields, made by recorded() with e* evaluated once over the
+    block, the relative energy and the dissipation read (or, without a
+    block, these read the state's own, made with rho_inf).
 
     pos is rho > 0, or None when every rho > 0 (as the density floor
     guard makes every stepped state when the floor is positive); rp is rho
@@ -103,13 +119,24 @@ class StateFields:
         else:
             self.estar = law.relative_internal_energy(rho, rho_inf)
             self.P, self.dP = law._pressure_parts(rho, 1)
+        self._mask(rho)
+        self.u = m / rho if self.pos is None else np.where(self.pos, m / self.rp, 0.0)
+
+    @classmethod
+    def recorded(cls, rho, u, dP, estar) -> "StateFields":
+        """The fields of states whose own passes made u and P' (and checked
+        rho), with their estar, laid out like rho; P is None."""
+        fields = cls.__new__(cls)
+        fields._mask(rho)
+        fields.P, fields.dP, fields.u, fields.estar = None, dP, u, estar
+        return fields
+
+    def _mask(self, rho):
         pos = rho > 0.0
         if pos.all():
-            self.pos, self.rp, self.u = None, rho, m / rho
+            self.pos, self.rp = None, rho
         else:
-            self.pos = pos
-            self.rp = np.where(pos, rho, 1.0)
-            self.u = np.where(pos, m / self.rp, 0.0)
+            self.pos, self.rp = pos, np.where(pos, rho, 1.0)
 
     def masked(self, values, fill=0.0):
         """values where rho > 0 and fill on vacuum."""
@@ -449,27 +476,79 @@ def simulate(
         np.zeros((n_samples, n_steps, n_nodes)) if config.record_forcing else None
     )
 
-    def record(rows, column):
-        """Record the state's functionals and return its StateFields, made
-        once per state: they serve the next step too."""
-        rho, m = state.rho, state.mom
-        fields = StateFields(law, rho, m, config.rho_inf)
-        energy[rows, column] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
-        min_rho[rows, column] = rho.min(axis=-1)
-        if step_states is not None:
-            step_states[rows, column, 0] = rho
-            step_states[rows, column, 1] = m
+    # the block: the rho, m, u and P' of each state since the last flush,
+    # laid out (rows, steps, nodes) each.  A block of fewer than
+    # MIN_BLOCK_STEPS steps saves less than the copies into it cost; each
+    # state is then recorded from its own arrays and StateFields, which
+    # then carry e*
+    steps = min(n_steps + 1, BLOCK_POINTS // (n_samples * n_nodes))
+    block = np.empty((4, n_samples, steps, n_nodes)) if steps >= MIN_BLOCK_STEPS else None
+    state_rho_inf = config.rho_inf if block is None else None
+    filled = head = 0
+
+    def push():
+        """Make the state's StateFields, which its step reads, and record
+        the state or copy it and its u and P' into the block, flushing a
+        full one."""
+        nonlocal filled
+        fields = StateFields(law, state.rho, state.mom, state_rho_inf)
+        if block is None:
+            record(state.rho, state.mom, fields)
+            return fields
+        for buffer, v in zip(block, (state.rho, state.mom, fields.u, fields.dP)):
+            buffer[: alive.size, filled] = v
+        filled += 1
+        if filled == steps:
+            flush()
         return fields
+
+    def flush():
+        """Record the block's states, with e* from one call on them all."""
+        nonlocal filled
+        if filled:
+            rho, m, u, dP = block[:, : alive.size, :filled]
+            filled = 0
+            estar = law.relative_internal_energy(rho, config.rho_inf)
+            record(rho, m, StateFields.recorded(rho, u, dP, estar))
+
+    def record(rho, m, fields):
+        """Record the relative energies, minimum densities and states of
+        the states (rows, k, nodes) of rho and m, or of the one state
+        (rows, nodes), the first that of step head, and the dissipation
+        that they add, each from one call on them all; the additions are
+        made step after step."""
+        nonlocal head
+        c, k = head, rho.size // (alive.size * n_nodes)
+        head += k
+        shape = (alive.size, k)
+        energy[rows, c : c + k] = relative_energy(
+            law, grid, rho, m, config.rho_inf, fields
+        ).reshape(shape)
+        min_rho[rows, c : c + k] = rho.min(axis=-1).reshape(shape)
+        if step_states is not None:
+            step_states[rows, c : c + k, 0] = rho.reshape(*shape, n_nodes)
+            step_states[rows, c : c + k, 1] = m.reshape(*shape, n_nodes)
+        if c + k > n_steps:  # the run's last state begins no step
+            k -= 1
+            if not k:
+                return
+            rho, m, u, dP = rho[:, :k], m[:, :k], fields.u[:, :k], fields.dP[:, :k]
+            fields = StateFields.recorded(rho, u, dP, None)
+            shape = (alive.size, k)
+        rate = dissipation_rate(law, grid, rho, m, fields).reshape(shape)
+        added = alive_eps[:, None] * config.dt * rate
+        added[:, 0] += diss[rows, c]
+        diss[rows, c + 1 : c + k + 1] = np.cumsum(added, axis=1)
 
     # the samples still stepped, by position; rows indexes the batch arrays
     # with them, a slice until the first failure
     alive, rows = np.arange(n_samples), np.s_[:]
     alive_ids, alive_eps, alive_noise = ids, row_eps, noise
     errors = [None] * n_samples
-    fields = record(rows, 0)
     diss[:, 0] = 0.0
     saves[:, 0, 0] = state.rho
     saves[:, 0, 1] = state.mom
+    fields = push()
     x = grid.x
     for n in range(n_steps):
         forcing = None
@@ -478,11 +557,9 @@ def simulate(
             forcing = alive_noise.apply_forcing(x, state.rho, state.mom, dW, fields)
             if forcing_rec is not None:
                 forcing_rec[rows, n] = forcing
-        diss_inc = alive_eps * config.dt * dissipation_rate(
-            law, grid, state.rho, state.mom, fields
-        )
         state, failures = stepper.step(state, forcing, fields)
         if failures:
+            flush()  # the block's states are those of every row stepped
             dropped = [row for row, _ in failures]
             for row, exc in failures:
                 exc.sample = ids[alive[row]]
@@ -494,18 +571,17 @@ def simulate(
             alive = rows = np.delete(alive, dropped)
             if not alive.size:
                 break
-            diss_inc = np.delete(diss_inc, dropped)
             alive_ids = [ids[s] for s in alive]
             alive_eps = row_eps[alive]
             stepper = Stepper(law, grid, config, alive_eps)
             if noise is not None:
                 alive_noise = noise.rows(alive)
-        fields = record(rows, n + 1)
-        diss[rows, n + 1] = diss[rows, n] + diss_inc
+        fields = push()
         if (n + 1) % save_every == 0:
             j = (n + 1) // save_every
             saves[rows, j, 0] = state.rho
             saves[rows, j, 1] = state.mom
+    flush()
     if not keep_failures:
         for exc in errors:
             if exc is not None:

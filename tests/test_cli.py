@@ -174,16 +174,34 @@ class TestSimulate:
         assert f"{key} malformed: " in r.output
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("dt_base", [float("nan"), 0.0007, -1e-3])
+    @pytest.mark.parametrize("dt_base", [float("nan"), 0.0007, -1e-3, 1e-8])
     def test_bad_dt_base_exits_2(self, runner, tmp_path, dt_base):
-        # NaN ended in a ValueError traceback; the others in a ConfigError
-        # traceback at the first step, with the output directory written
+        # NaN ended in a ValueError traceback; 0.0007 and -1e-3 in a
+        # ConfigError traceback at the first step, with the output directory
+        # written; 1e-8 ran, drawing 100,000 base steps per step and sample
         cfg = write_cfg(tmp_path, {"solver": {"dt_base": dt_base}})
         out = str(tmp_path / "out")
         r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
         assert r.exit_code == 2, r.output
         assert isinstance(r.exception, SystemExit)
         assert "solver.dt_base rejected" in r.output
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "law, missing",
+        [
+            ({"kind": "composite"}, "law.gamma1 and law.gamma2"),
+            ({"kind": "composite", "gamma1": 2.0}, "law.gamma2"),
+            ({"kind": "composite", "gamma2": 1.6}, "law.gamma1"),
+        ],
+    )
+    def test_composite_law_without_exponents_exits_2(self, runner, tmp_path, law, missing):
+        # was "law block invalid: 'gamma1'", the text of a KeyError
+        cfg = write_cfg(tmp_path, {"law": law})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["simulate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 2, r.output
+        assert f"law block invalid: kind: composite requires {missing}\n" in r.output
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])

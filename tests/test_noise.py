@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svvlab.errors import ConfigError, DomainError
-from svvlab.noise import NoiseModel, bump
+from svvlab.noise import MAX_BASE_STEPS, NoiseModel, bump
 from svvlab.pressure import PressureLaw
 
 
@@ -107,6 +107,16 @@ class TestSampling:
         model = NoiseModel.single_mode(0.1, law2, seed=7, dt_base=dt_base)
         with pytest.raises(ConfigError, match="integer multiple"):
             model.sample_increments(0, 0, 1e-3)
+
+    def test_base_steps_bounded(self, law2):
+        # dt_base = 1e-8 drew 100,000 base steps per step and sample
+        dt = 1e-3
+        fine = NoiseModel.single_mode(0.1, law2, seed=7, dt_base=dt / MAX_BASE_STEPS)
+        assert np.isfinite(fine.sample_increments(0, 0, dt)).all()
+        for dt_base in (dt / (2 * MAX_BASE_STEPS), 1e-8):
+            model = NoiseModel.single_mode(0.1, law2, seed=7, dt_base=dt_base)
+            with pytest.raises(ConfigError, match=f"more than {MAX_BASE_STEPS}"):
+                model.sample_increments(0, 0, dt)
 
     def test_mode_subset_shared_across_truncations(self, law2):
         model = NoiseModel.mode_family(0.2, 1.5, 10, law2, seed=3, dt_base=1e-3)

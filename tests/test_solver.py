@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from svvlab import noise as noise_module
+from svvlab import solver
 from svvlab.config import config_from_dict
 from svvlab.errors import (
     ConfigError,
@@ -295,6 +296,16 @@ def batch_case(kind):
     return bump_state(grid), law, grid, SolverConfig(scheme=kind, **common), noise
 
 
+def assert_same_run(traj, one):
+    """traj's saves and per-step records are one's, bit for bit."""
+    assert np.array_equal(traj.times, one.times)
+    for a, b in zip(traj.states, one.states):
+        assert a.t == b.t
+        assert np.array_equal(a.rho, b.rho) and np.array_equal(a.mom, b.mom)
+    for name in ("energy", "dissipation", "min_rho", "step_states", "forcing_increments"):
+        assert np.array_equal(getattr(traj, name), getattr(one, name)), name
+
+
 class TestBatch:
     """A batched run is the one-sample run of each of its ids, bitwise."""
 
@@ -306,14 +317,7 @@ class TestBatch:
         batch = simulate(init, law, grid, cfg, noise, ids)
         assert [traj.sample_id for traj in batch] == ids
         for sid, traj in zip(ids, batch):
-            one = simulate(init, law, grid, cfg, noise, sid)
-            assert np.array_equal(traj.times, one.times)
-            for a, b in zip(traj.states, one.states):
-                assert a.t == b.t
-                assert np.array_equal(a.rho, b.rho) and np.array_equal(a.mom, b.mom)
-            for name in ("energy", "dissipation", "min_rho", "step_states",
-                         "forcing_increments"):
-                assert np.array_equal(getattr(traj, name), getattr(one, name)), name
+            assert_same_run(traj, simulate(init, law, grid, cfg, noise, sid))
         if noise is not None and n_samples > 1:
             assert not np.array_equal(batch[0].final.mom, batch[1].final.mom)
 
@@ -742,6 +746,133 @@ class TestSharedStatePass:
             assert energy == quotient_energy(law, grid, rho, m, 1.0)
             assert rate == gradient_dissipation(law, grid, rho, m)
         assert np.isfinite(energy) and np.isfinite(rate) and rate > 0.0
+
+
+def block_sizes(monkeypatch, steps, rows, grid):
+    """Blocks of `steps` steps for a batch of `rows` rows; returns the list
+    that then gets the number of states of each block simulate evaluates,
+    or "state" for a state evaluated on its own."""
+    monkeypatch.setattr(solver, "BLOCK_POINTS", steps * rows * (grid.n + 1))
+    sizes = []
+    energy = solver.relative_energy
+
+    def counted(law, grid, rho, *a):
+        sizes.append(rho.shape[1] if rho.ndim == 3 else "state")
+        return energy(law, grid, rho, *a)
+
+    monkeypatch.setattr(solver, "relative_energy", counted)
+    return sizes
+
+
+class TestBlocks:
+    """simulate evaluates the per-step functionals a block of steps at a
+    time.  Runs over several blocks, the last one partial, and rows that
+    fail inside a block give the stand-alone formulas' values and those of
+    lone runs, bitwise, and the lone run's error."""
+
+    @pytest.mark.parametrize("kind", ["imex", "explicit", "composite"])
+    def test_run_spans_several_blocks(self, kind, monkeypatch):
+        init, law, grid, cfg, noise = batch_case(kind)
+        ids = [1, 6, 11]
+        sizes = block_sizes(monkeypatch, 7, len(ids), grid)
+        batch = simulate(init, law, grid, cfg, noise, ids)
+        assert sizes == [7] * 5 + [6]  # the 41 states of 40 steps
+        for sid, traj in zip(ids, batch):
+            assert_matches_oracle(traj, noise)
+            sizes.clear()
+            assert_same_run(traj, simulate(init, law, grid, cfg, noise, sid))
+            assert sizes == [21, 20]
+
+    @pytest.mark.parametrize("short", [True, False])
+    def test_blocks_start_at_min_block_steps(self, short, monkeypatch):
+        # a block of MIN_BLOCK_STEPS - 1 steps is not made: each state of
+        # the batch is evaluated on its own, a lone run (a third of the
+        # points) in blocks.  The far field is not 1: e* carries rho_inf
+        init, law, grid, cfg, noise = batch_case("imex")
+        cfg = replace(cfg, rho_inf=1.2)
+        init = GridState(0.0, init.rho + 0.2, init.mom)
+        ids = [1, 6, 11]
+        steps = solver.MIN_BLOCK_STEPS - short
+
+        def split(k):  # the 41 states of 40 steps in blocks of k
+            return [k] * (41 // k) + [41 % k] * (41 % k > 0)
+
+        sizes = block_sizes(monkeypatch, steps, len(ids), grid)
+        batch = simulate(init, law, grid, cfg, noise, ids)
+        assert sizes == (["state"] * 41 if short else split(steps))
+        for sid, traj in zip(ids, batch):
+            assert_matches_oracle(traj, noise)
+            sizes.clear()
+            assert_same_run(traj, simulate(init, law, grid, cfg, noise, sid))
+            assert sizes == split(3 * steps)
+
+    def test_each_state_evaluated_once(self, monkeypatch):
+        # the step's pass checks each state's density, e* is evaluated by
+        # the public method once per block (which checks the block's signs
+        # again), the dissipation rate only of the states that begin a step
+        init, law, grid, cfg, _ = batch_case("composite")
+        block_sizes(monkeypatch, 7, 1, grid)
+        estar, rates, checks = [], [], []
+        public = PressureLaw.relative_internal_energy
+        monkeypatch.setattr(
+            PressureLaw, "relative_internal_energy",
+            lambda self, rho, rho_inf: estar.append(rho.shape) or public(self, rho, rho_inf),
+        )
+        rate = solver.dissipation_rate
+        monkeypatch.setattr(
+            solver, "dissipation_rate",
+            lambda law, grid, rho, *a: rates.append(rho.shape[1]) or rate(law, grid, rho, *a),
+        )
+        check = PressureLaw._check_nonneg
+        monkeypatch.setattr(
+            PressureLaw, "_check_nonneg",
+            staticmethod(lambda rho: checks.append(np.shape(rho)) or check(rho)),
+        )
+        simulate(init, law, grid, cfg)
+        blocks = [(1, 7, grid.n + 1)] * 5 + [(1, 6, grid.n + 1)]
+        assert estar == blocks
+        assert rates == [7] * 5 + [5]  # the 40 steps; the last state begins none
+        assert checks.count((1, grid.n + 1)) == cfg.n_steps + 1
+        assert [c for c in checks if len(c) == 3] == blocks
+
+    @pytest.mark.parametrize("keep_failures", [False, True])
+    def test_rows_failing_inside_a_block(self, keep_failures, monkeypatch):
+        # outflows drain the density of rows 1 and 3 below the floor, at
+        # the steps from 10 and 34: inside the blocks of states 7-13 and,
+        # once the blocks restart after the first failure, 32-38
+        init, law, grid, cfg, noise = batch_case("imex")
+        cfg = replace(cfg, density_floor=0.99)
+        rho = np.stack([init.rho, np.ones(grid.n + 1), init.rho, np.ones(grid.n + 1)])
+        m = np.array([0.0, 0.5, 0.3, 0.15])[:, None] * np.tanh(2.0 * grid.x) * rho
+        ids = [2, 4, 6, 8]
+        sizes = block_sizes(monkeypatch, 7, len(ids), grid)
+        lone = []
+        for r, sid in enumerate(ids):
+            try:
+                lone.append(simulate(GridState(0.0, rho[r], m[r]), law, grid, cfg, noise, sid))
+            except PositivityLoss as exc:
+                lone.append(exc)
+        assert [round(lone[r].t / cfg.dt) for r in (1, 3)] == [11, 35]
+        sizes.clear()
+        if not keep_failures:
+            with pytest.raises(PositivityLoss) as caught:
+                simulate(GridState(0.0, rho, m), law, grid, cfg, noise, ids)
+            exc, want = caught.value, lone[1]
+            assert exc.sample == want.sample == 4 and str(exc) == str(want)
+            assert (exc.t, exc.x, exc.rho_min) == (want.t, want.x, want.rho_min)
+            assert sizes == [7, 4, 7, 7, 7, 7, 2]  # row 0 goes on alone
+            return
+        batch = simulate(GridState(0.0, rho, m), law, grid, cfg, noise, ids,
+                         keep_failures=True)
+        assert sizes == [7, 4, 7, 7, 7, 3, 6]
+        for traj, one in zip(batch, lone):
+            if isinstance(one, PositivityLoss):
+                assert traj.error.sample == one.sample and str(traj.error) == str(one)
+                assert (traj.error.t, traj.error.x) == (one.t, one.x)
+            else:
+                assert traj.error is None
+                assert_matches_oracle(traj, noise)
+                assert_same_run(traj, one)
 
 
 def masked_fields(law, rho, m, rho_inf=None):
