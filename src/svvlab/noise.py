@@ -389,7 +389,7 @@ class NoiseModel:
 
         states is an iterable of (x, rho, m) arrays.  Returns a GrowthReport
         with the max of G / (rho (1 + eps^2 + u^2 + e)^{1/2}); vacuum cells
-        contribute zero.
+        contribute zero, and a forcing too large to square gives inf.
         """
         eps2 = 0.0 if self.epsilon is None else _column(self.epsilon) ** 2
         worst = 0.0
@@ -397,7 +397,8 @@ class NoiseModel:
         for x, rho, m in states:
             rho = np.asarray(rho, dtype=float)
             m = np.asarray(m, dtype=float)
-            G = self.forcing_l2(x, rho, m)
+            with np.errstate(over="ignore"):
+                G = self.forcing_l2(x, rho, m)
             pos = rho > 0.0
             if pos.any():
                 rp = rho[pos]

@@ -12,11 +12,11 @@ explicit; the noise is explicit and evaluated at the step start as the Ito
 integral requires.  An ensemble is stepped as one batch, its samples the
 rows of (S, n+1) arrays; a single run is a batch of one.
 
-The step loop evaluates each state's pointwise quantities once.  The
-recorded relative energy, dissipation and minimum density, which no step
-reads, are evaluated from them a block of steps at a time, with one call
-of each functional per block (per state when a block would hold too few
-steps to pay for its copies), bitwise the values of a per-step
+The step loop evaluates each state's pointwise quantities once.  Each
+step writes its new state into a block of steps, and the state's pass
+writes u and P' beside it.  The recorded relative energy, dissipation and
+minimum density, which no step reads, are evaluated from the block, with
+one call of each functional per block, bitwise the values of a per-step
 evaluation.
 
 Positivity is never repaired: a density-floor violation raises
@@ -43,11 +43,9 @@ from .pressure import PressureLaw
 CFL_NUMBER = 0.4
 DIFFUSION_NUMBER = 0.4
 # simulate evaluates the per-step functionals on blocks of at most
-# BLOCK_POINTS node-points (rows x steps x nodes): few enough that the
-# block's buffers stay in cache.  A block of fewer than MIN_BLOCK_STEPS
-# steps is not made: each state is then evaluated on its own
+# BLOCK_POINTS node-points (rows x steps x nodes), one step at least: few
+# enough that the block's buffers stay in cache
 BLOCK_POINTS = 2**13
-MIN_BLOCK_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -94,41 +92,33 @@ class GridState:
 class StateFields:
     """The pointwise quantities of one state (rho, m), computed once and
     read by its step: the CFL guard, the flux and the noise's Gamma_H
-    indicator.  simulate copies its u and P' into a block of states,
-    whose fields, made by recorded() with e* evaluated once over the
-    block, the relative energy and the dissipation read (or, without a
-    block, these read the state's own, made with rho_inf).
+    indicator.  simulate writes its u and P' into a block of states, whose
+    fields, made by recorded(), the relative energy and the dissipation
+    read.
 
     pos is rho > 0, or None when every rho > 0 (as the density floor
     guard makes every stepped state when the floor is positive); rp is rho
     where positive and 1 elsewhere, safe to divide by; u is m / rho, 0 on
     vacuum; P and dP are P(rho) and P'(rho).  Readers mask a vacuum
     through masked(), which does nothing when pos is None: the values are
-    those of the masked formulas, bit for bit.  Given rho_inf, estar is
-    e*(rho, rho_inf), which the relative energy reads, else None.  rho >= 0
-    is checked once (DomainError otherwise): by e*(rho, rho_inf) when it is
-    made, else by (P, P').
+    those of the masked formulas, bit for bit.  rho >= 0 is checked once,
+    by (P, P') (DomainError otherwise).
     """
 
-    __slots__ = ("estar", "P", "dP", "pos", "rp", "u")
+    __slots__ = ("P", "dP", "pos", "rp", "u")
 
-    def __init__(self, law: PressureLaw, rho: np.ndarray, m: np.ndarray, rho_inf=None):
-        if rho_inf is None:
-            self.estar = None
-            self.P, self.dP = law.pressure_pair(rho)
-        else:
-            self.estar = law.relative_internal_energy(rho, rho_inf)
-            self.P, self.dP = law._pressure_parts(rho, 1)
+    def __init__(self, law: PressureLaw, rho: np.ndarray, m: np.ndarray):
+        self.P, self.dP = law.pressure_pair(rho)
         self._mask(rho)
         self.u = m / rho if self.pos is None else np.where(self.pos, m / self.rp, 0.0)
 
     @classmethod
-    def recorded(cls, rho, u, dP, estar) -> "StateFields":
+    def recorded(cls, rho, u, dP) -> "StateFields":
         """The fields of states whose own passes made u and P' (and checked
-        rho), with their estar, laid out like rho; P is None."""
+        rho), laid out like rho; P is None."""
         fields = cls.__new__(cls)
         fields._mask(rho)
-        fields.P, fields.dP, fields.u, fields.estar = None, dP, u, estar
+        fields.P, fields.dP, fields.u = None, dP, u
         return fields
 
     def _mask(self, rho):
@@ -231,21 +221,23 @@ class Stepper:
             # DST; the odd extension's zeros at 0 and n are never written
             self._dst = {}
 
-    def _diffuse(self, f, boundary):
+    def _diffuse(self, f, boundary, out=None):
         """One diffusion substep of the fields f (..., n+1), clamped to
-        boundary (broadcast over f's leading axes) at both ends.
+        boundary (broadcast over f's leading axes) at both ends, written
+        into out (f's shape, and not sharing memory with f) if given.
 
         The implicit solve acts on f - boundary, which has zero ends, so a
         field at its boundary value stays there exactly.  It is a DST-I:
         the odd extension over 2n nodes goes through one rfft, is divided
         by its row's eigenvalues and comes back through one irfft, each
-        written into a workspace kept per field shape.  The result is a new
-        array, never a workspace.
+        written into a workspace kept per field shape.  The result is out,
+        or else a new array, never a workspace.
         """
         mu = self.mu
         n = self.grid.n
         boundary = np.asarray(boundary, dtype=float)[..., None]
-        out = np.empty_like(f)
+        if out is None:
+            out = np.empty_like(f)
         if self.config.scheme == "explicit":
             out[..., 1:-1] = f[..., 1:-1] + mu * (
                 f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
@@ -282,16 +274,19 @@ class Stepper:
             dt_max = np.minimum(dt_max, DIFFUSION_NUMBER * dx**2 / (2.0 * self.epsilon))
         return dt_max
 
-    def step(self, state: GridState, forcing_increment=None, fields=None):
+    def step(self, state: GridState, forcing_increment=None, fields=None, out=None):
         """One Euler-Maruyama step of every row of state.
 
         forcing_increment is the momentum field sum_k a_k zeta_k dW_k of
         each row, already evaluated at the step start; fields is the
-        state's StateFields, made here if not given.  Returns (new
-        state, failures).  failures lists (row, error), by row, for every
-        row that broke the CFL bound at the step start, or diverged or
-        fell below the density floor at its end; the new state holds the
-        other rows, in order.
+        state's StateFields, made here if not given.  out, a (2, S, n+1)
+        array, receives the new (rho, m) of every row if given; it may be
+        the memory of state itself.  Returns (new state, failures).
+        failures lists (row, error), by row, for every row that broke the
+        CFL bound at the step start, or diverged or fell below the density
+        floor at its end; the new state holds the other rows, in order:
+        views of out (or of a new array) when no row failed, else new
+        arrays.
         """
         cfg = self.config
         dx = self.grid.dx
@@ -315,7 +310,7 @@ class Stepper:
         if forcing_increment is not None:
             new[1, ..., 1:-1] += forcing_increment[..., 1:-1]
 
-        new = self._diffuse(new, self._far)
+        new = self._diffuse(new, self._far, out)
         rho_new, m_new = new
 
         t_new = state.t + dt
@@ -371,12 +366,13 @@ class Trajectory:
 def relative_energy(law, grid, rho, m, rho_inf, fields=None):
     """Trapezoid integral over the last axis of 1/2 m^2/rho + e*(rho, rho_inf).
 
-    fields is the state's StateFields made with this rho_inf, made here
-    (checking rho) if not given."""
+    fields is the states' StateFields, made here (checking rho) if not
+    given; e* comes from one relative_internal_energy call on rho."""
     if fields is None:
-        fields = StateFields(law, rho, m, rho_inf)
+        fields = StateFields(law, rho, m)
     kin = fields.masked(0.5 * m**2 / fields.rp)
-    return np.trapezoid(kin + fields.estar, dx=grid.dx, axis=-1)
+    estar = law.relative_internal_energy(rho, rho_inf)
+    return np.trapezoid(kin + estar, dx=grid.dx, axis=-1)
 
 
 def dissipation_rate(law, grid, rho, m, fields=None):
@@ -477,65 +473,52 @@ def simulate(
     )
 
     # the block: the rho, m, u and P' of each state since the last flush,
-    # laid out (rows, steps, nodes) each.  A block of fewer than
-    # MIN_BLOCK_STEPS steps saves less than the copies into it cost; each
-    # state is then recorded from its own arrays and StateFields, which
-    # then carry e*
-    steps = min(n_steps + 1, BLOCK_POINTS // (n_samples * n_nodes))
-    block = np.empty((4, n_samples, steps, n_nodes)) if steps >= MIN_BLOCK_STEPS else None
-    state_rho_inf = config.rho_inf if block is None else None
+    # laid out (rows, steps, nodes) each, one step at least.  Each step
+    # writes its new state into the block's next free slot
+    steps = max(1, min(n_steps + 1, BLOCK_POINTS // (n_samples * n_nodes)))
+    block = np.empty((4, n_samples, steps, n_nodes))
     filled = head = 0
 
-    def push():
-        """Make the state's StateFields, which its step reads, and record
-        the state or copy it and its u and P' into the block, flushing a
-        full one."""
+    def push(copy):
+        """Make the state's StateFields, which its step reads, and write
+        its u and P' into the state's slot, and the state too if copy (it
+        is not a step's output there), flushing a full block."""
         nonlocal filled
-        fields = StateFields(law, state.rho, state.mom, state_rho_inf)
-        if block is None:
-            record(state.rho, state.mom, fields)
-            return fields
-        for buffer, v in zip(block, (state.rho, state.mom, fields.u, fields.dP)):
-            buffer[: alive.size, filled] = v
+        slot = block[:, : alive.size, filled]
+        if copy:
+            slot[0], slot[1] = state.rho, state.mom
+        fields = StateFields(law, state.rho, state.mom)
+        slot[2], slot[3] = fields.u, fields.dP
         filled += 1
         if filled == steps:
             flush()
         return fields
 
     def flush():
-        """Record the block's states, with e* from one call on them all."""
-        nonlocal filled
-        if filled:
-            rho, m, u, dP = block[:, : alive.size, :filled]
-            filled = 0
-            estar = law.relative_internal_energy(rho, config.rho_inf)
-            record(rho, m, StateFields.recorded(rho, u, dP, estar))
-
-    def record(rho, m, fields):
         """Record the relative energies, minimum densities and states of
-        the states (rows, k, nodes) of rho and m, or of the one state
-        (rows, nodes), the first that of step head, and the dissipation
-        that they add, each from one call on them all; the additions are
-        made step after step."""
-        nonlocal head
-        c, k = head, rho.size // (alive.size * n_nodes)
+        the block's states, the first that of step head, and the
+        dissipation that they add, each from one call on them all; the
+        additions are made step after step."""
+        nonlocal filled, head
+        if not filled:
+            return
+        rho, m, u, dP = block[:, : alive.size, :filled]
+        c, k = head, filled
         head += k
-        shape = (alive.size, k)
-        energy[rows, c : c + k] = relative_energy(
-            law, grid, rho, m, config.rho_inf, fields
-        ).reshape(shape)
-        min_rho[rows, c : c + k] = rho.min(axis=-1).reshape(shape)
+        filled = 0
+        fields = StateFields.recorded(rho, u, dP)
+        energy[rows, c : c + k] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
+        min_rho[rows, c : c + k] = rho.min(axis=-1)
         if step_states is not None:
-            step_states[rows, c : c + k, 0] = rho.reshape(*shape, n_nodes)
-            step_states[rows, c : c + k, 1] = m.reshape(*shape, n_nodes)
+            step_states[rows, c : c + k, 0] = rho
+            step_states[rows, c : c + k, 1] = m
         if c + k > n_steps:  # the run's last state begins no step
             k -= 1
             if not k:
                 return
-            rho, m, u, dP = rho[:, :k], m[:, :k], fields.u[:, :k], fields.dP[:, :k]
-            fields = StateFields.recorded(rho, u, dP, None)
-            shape = (alive.size, k)
-        rate = dissipation_rate(law, grid, rho, m, fields).reshape(shape)
+            rho, m, u, dP = rho[:, :k], m[:, :k], u[:, :k], dP[:, :k]
+            fields = StateFields.recorded(rho, u, dP)
+        rate = dissipation_rate(law, grid, rho, m, fields)
         added = alive_eps[:, None] * config.dt * rate
         added[:, 0] += diss[rows, c]
         diss[rows, c + 1 : c + k + 1] = np.cumsum(added, axis=1)
@@ -548,7 +531,7 @@ def simulate(
     diss[:, 0] = 0.0
     saves[:, 0, 0] = state.rho
     saves[:, 0, 1] = state.mom
-    fields = push()
+    fields = push(True)
     x = grid.x
     for n in range(n_steps):
         forcing = None
@@ -557,7 +540,8 @@ def simulate(
             forcing = alive_noise.apply_forcing(x, state.rho, state.mom, dW, fields)
             if forcing_rec is not None:
                 forcing_rec[rows, n] = forcing
-        state, failures = stepper.step(state, forcing, fields)
+        out = block[:2, : alive.size, filled]
+        state, failures = stepper.step(state, forcing, fields, out)
         if failures:
             flush()  # the block's states are those of every row stepped
             dropped = [row for row, _ in failures]
@@ -576,7 +560,7 @@ def simulate(
             stepper = Stepper(law, grid, config, alive_eps)
             if noise is not None:
                 alive_noise = noise.rows(alive)
-        fields = push()
+        fields = push(bool(failures))  # the rows that go on are new arrays
         if (n + 1) % save_every == 0:
             j = (n + 1) // save_every
             saves[rows, j, 0] = state.rho

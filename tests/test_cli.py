@@ -589,6 +589,17 @@ class TestValidate:
             "noise_growth": "pass",
         }
 
+    def test_overflowing_forcing_fails_growth_check(self, runner, tmp_path):
+        # the forcing's square overflows: the growth constant is inf, and
+        # the check fails without a RuntimeWarning
+        cfg = write_cfg(tmp_path, {"noise": {"amplitude": 1e300}})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["validate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+        assert "noise_growth: fail" in r.output
+        with open(os.path.join(out, "validate.json")) as fh:
+            assert json.load(fh)["noise_growth"] == "fail"
+
     def test_empty_config_exits_2(self, runner, tmp_path):
         p = tmp_path / "empty.yaml"
         p.write_text("")

@@ -706,9 +706,13 @@ class TestSharedStatePass:
             noise_module, "bump", lambda *a, **k: bumps.append(1) or plain_bump(*a, **k)
         )
         simulate(init, cfg.law, cfg.grid, sc, cfg.noise, list(range(n_samples)))
-        states = shapes.count((n_samples, cfg.grid.n + 1))
-        assert states == sc.n_steps + 1  # the initial state and one per step
-        assert len(shapes) - states <= 2  # the law's far-field constants, once
+        # the state's pass checks each state, the initial one and one per
+        # step; e* checks each block of 2 steps (the last state alone) in
+        # its shape, and e(rho_inf) and P(rho_inf) once per law; no other
+        nodes = cfg.grid.n + 1
+        states = [(n_samples, nodes)] * (sc.n_steps + 1)
+        blocks = [(n_samples, 2, nodes)] * (sc.n_steps // 2) + [(n_samples, 1, nodes)]
+        assert sorted(shapes, key=len) == [(), ()] + states + blocks
         # the mode's profile is evaluated once per grid, by every later run too
         simulate(init, cfg.law, cfg.grid, sc, cfg.noise, 3)
         assert len(bumps) == cfg.noise.n_modes == 1
@@ -748,16 +752,17 @@ class TestSharedStatePass:
         assert np.isfinite(energy) and np.isfinite(rate) and rate > 0.0
 
 
-def block_sizes(monkeypatch, steps, rows, grid):
-    """Blocks of `steps` steps for a batch of `rows` rows; returns the list
-    that then gets the number of states of each block simulate evaluates,
-    or "state" for a state evaluated on its own."""
-    monkeypatch.setattr(solver, "BLOCK_POINTS", steps * rows * (grid.n + 1))
+def block_sizes(monkeypatch, points=None):
+    """Blocks of at most `points` node-points, or of solver.BLOCK_POINTS if
+    None; returns the list that then gets the number of states of each
+    block simulate evaluates."""
+    if points is not None:
+        monkeypatch.setattr(solver, "BLOCK_POINTS", points)
     sizes = []
     energy = solver.relative_energy
 
     def counted(law, grid, rho, *a):
-        sizes.append(rho.shape[1] if rho.ndim == 3 else "state")
+        sizes.append(rho.shape[1])
         return energy(law, grid, rho, *a)
 
     monkeypatch.setattr(solver, "relative_energy", counted)
@@ -766,15 +771,16 @@ def block_sizes(monkeypatch, steps, rows, grid):
 
 class TestBlocks:
     """simulate evaluates the per-step functionals a block of steps at a
-    time.  Runs over several blocks, the last one partial, and rows that
-    fail inside a block give the stand-alone formulas' values and those of
-    lone runs, bitwise, and the lone run's error."""
+    time, each step writing its new state into the block.  Runs over
+    several blocks, the last one partial, blocks of one step, and rows
+    that fail inside a block give the stand-alone formulas' values and
+    those of lone runs, bitwise, and the lone run's error."""
 
     @pytest.mark.parametrize("kind", ["imex", "explicit", "composite"])
     def test_run_spans_several_blocks(self, kind, monkeypatch):
         init, law, grid, cfg, noise = batch_case(kind)
         ids = [1, 6, 11]
-        sizes = block_sizes(monkeypatch, 7, len(ids), grid)
+        sizes = block_sizes(monkeypatch, 7 * len(ids) * (grid.n + 1))
         batch = simulate(init, law, grid, cfg, noise, ids)
         assert sizes == [7] * 5 + [6]  # the 41 states of 40 steps
         for sid, traj in zip(ids, batch):
@@ -783,35 +789,57 @@ class TestBlocks:
             assert_same_run(traj, simulate(init, law, grid, cfg, noise, sid))
             assert sizes == [21, 20]
 
-    @pytest.mark.parametrize("short", [True, False])
-    def test_blocks_start_at_min_block_steps(self, short, monkeypatch):
-        # a block of MIN_BLOCK_STEPS - 1 steps is not made: each state of
-        # the batch is evaluated on its own, a lone run (a third of the
-        # points) in blocks.  The far field is not 1: e* carries rho_inf
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_short_blocks(self, steps, monkeypatch):
+        # a batch in blocks of 2 or 3 steps, a lone run (a third of the
+        # points) in blocks of 6 or 9.  The far field is not 1: e* carries
+        # rho_inf
         init, law, grid, cfg, noise = batch_case("imex")
         cfg = replace(cfg, rho_inf=1.2)
         init = GridState(0.0, init.rho + 0.2, init.mom)
         ids = [1, 6, 11]
-        steps = solver.MIN_BLOCK_STEPS - short
 
         def split(k):  # the 41 states of 40 steps in blocks of k
             return [k] * (41 // k) + [41 % k] * (41 % k > 0)
 
-        sizes = block_sizes(monkeypatch, steps, len(ids), grid)
+        sizes = block_sizes(monkeypatch, steps * len(ids) * (grid.n + 1))
         batch = simulate(init, law, grid, cfg, noise, ids)
-        assert sizes == (["state"] * 41 if short else split(steps))
+        assert sizes == split(steps)
         for sid, traj in zip(ids, batch):
             assert_matches_oracle(traj, noise)
             sizes.clear()
             assert_same_run(traj, simulate(init, law, grid, cfg, noise, sid))
             assert sizes == split(3 * steps)
 
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_one_step_blocks(self, wide, monkeypatch):
+        # a block of one step, so each step writes its new state into the
+        # slot that its own state was just flushed from: three rows in
+        # blocks of rows x nodes, or eight rows at n = 1024, wider than
+        # BLOCK_POINTS.  A lone run takes blocks of 3 or 7 steps
+        init, law, grid, cfg, noise = batch_case("imex")
+        ids = [1, 6, 11]
+        points, lone = len(ids) * (grid.n + 1), [3] * 13 + [2]
+        if wide:
+            grid = Grid(L=5.0, n=1024)
+            init, ids = bump_state(grid), [1, 6, 11, 16, 21, 26, 31, 36]
+            points, lone = None, [7] * 5 + [6]
+            assert len(ids) * (grid.n + 1) > solver.BLOCK_POINTS
+        sizes = block_sizes(monkeypatch, points)
+        batch = simulate(init, law, grid, cfg, noise, ids)
+        assert sizes == [1] * 41
+        for sid, traj in zip(ids, batch):
+            assert_matches_oracle(traj, noise)
+            sizes.clear()
+            assert_same_run(traj, simulate(init, law, grid, cfg, noise, sid))
+            assert sizes == lone
+
     def test_each_state_evaluated_once(self, monkeypatch):
         # the step's pass checks each state's density, e* is evaluated by
         # the public method once per block (which checks the block's signs
         # again), the dissipation rate only of the states that begin a step
         init, law, grid, cfg, _ = batch_case("composite")
-        block_sizes(monkeypatch, 7, 1, grid)
+        block_sizes(monkeypatch, 7 * (grid.n + 1))
         estar, rates, checks = [], [], []
         public = PressureLaw.relative_internal_energy
         monkeypatch.setattr(
@@ -845,7 +873,7 @@ class TestBlocks:
         rho = np.stack([init.rho, np.ones(grid.n + 1), init.rho, np.ones(grid.n + 1)])
         m = np.array([0.0, 0.5, 0.3, 0.15])[:, None] * np.tanh(2.0 * grid.x) * rho
         ids = [2, 4, 6, 8]
-        sizes = block_sizes(monkeypatch, 7, len(ids), grid)
+        sizes = block_sizes(monkeypatch, 7 * len(ids) * (grid.n + 1))
         lone = []
         for r, sid in enumerate(ids):
             try:
@@ -865,20 +893,23 @@ class TestBlocks:
         batch = simulate(GridState(0.0, rho, m), law, grid, cfg, noise, ids,
                          keep_failures=True)
         assert sizes == [7, 4, 7, 7, 7, 3, 6]
-        for traj, one in zip(batch, lone):
+        for r, (traj, one) in enumerate(zip(batch, lone)):
             if isinstance(one, PositivityLoss):
                 assert traj.error.sample == one.sample and str(traj.error) == str(one)
                 assert (traj.error.t, traj.error.x) == (one.t, one.x)
+                # its initial state, which no later block overwrites
+                first = traj.states[0]
+                assert np.array_equal(first.rho, rho[r]) and np.array_equal(first.mom, m[r])
             else:
                 assert traj.error is None
                 assert_matches_oracle(traj, noise)
                 assert_same_run(traj, one)
 
 
-def masked_fields(law, rho, m, rho_inf=None):
+def masked_fields(law, rho, m):
     """StateFields of (rho, m) made to take the vacuum masks, as every
     state did before the mask-free pass."""
-    fields = StateFields(law, rho, m, rho_inf)
+    fields = StateFields(law, rho, m)
     fields.pos = rho > 0.0
     fields.rp = np.where(fields.pos, rho, 1.0)
     fields.u = np.where(fields.pos, m / fields.rp, 0.0)
@@ -899,7 +930,7 @@ class TestMaskFreePass:
         rows = [bump_state(grid, amp=a) for a in (0.3, 0.6, -0.5)]
         rho = np.stack([s.rho for s in rows])
         m = np.stack([(0.2 + 2.5 * r) * np.sin(grid.x) * s.rho for r, s in enumerate(rows)])
-        fields, masked = StateFields(law, rho, m, 1.0), masked_fields(law, rho, m, 1.0)
+        fields, masked = StateFields(law, rho, m), masked_fields(law, rho, m)
         assert fields.pos is None and fields.rp is rho and masked.pos.all()
         assert np.array_equal(fields.u, masked.u)
         for f in (relative_energy, dissipation_rate):
@@ -927,7 +958,7 @@ class TestMaskFreePass:
         state = bump_state(grid)
         rho, m = state.rho[None].copy(), 0.1 * np.sin(grid.x)[None] * state.rho
         rho[0, 60], m[0, 60] = 0.0, 0.3
-        fields = StateFields(law2, rho, m, 1.0)
+        fields = StateFields(law2, rho, m)
         assert fields.pos is not None and fields.u[0, 60] == 0.0
         assert relative_energy(law2, grid, rho, m, 1.0, fields) == quotient_energy(
             law2, grid, rho, m, 1.0
