@@ -221,22 +221,6 @@ class NoiseModel:
             H=pack(H_rows),
         )
 
-    def rows(self, index) -> "NoiseModel":
-        """The model of the given rows of a model mollified per row; any
-        other model serves every row as it is."""
-        if not isinstance(self.H, tuple):
-            return self
-
-        def pick(values):
-            return tuple(values[i] for i in index)
-
-        return replace(
-            self,
-            epsilon=pick(self.epsilon),
-            mode_cap=pick(self.mode_cap),
-            H=pick(self.H),
-        )
-
     @property
     def n_modes(self) -> int:
         return len(self.modes)
@@ -389,7 +373,9 @@ class NoiseModel:
 
         states is an iterable of (x, rho, m) arrays.  Returns a GrowthReport
         with the max of G / (rho (1 + eps^2 + u^2 + e)^{1/2}); vacuum cells
-        contribute zero, and a forcing too large to square gives inf.
+        contribute zero, and a forcing too large to square gives inf.  An
+        envelope too large to represent gives 0: a mollified forcing is 0
+        there, outside Gamma_H, and any other is below a_k alpha_k / sqrt(e).
         """
         eps2 = 0.0 if self.epsilon is None else _column(self.epsilon) ** 2
         worst = 0.0
@@ -397,15 +383,15 @@ class NoiseModel:
         for x, rho, m in states:
             rho = np.asarray(rho, dtype=float)
             m = np.asarray(m, dtype=float)
+            pos = rho > 0.0
             with np.errstate(over="ignore"):
                 G = self.forcing_l2(x, rho, m)
-            pos = rho > 0.0
-            if pos.any():
-                rp = rho[pos]
-                u = m[pos] / rp
-                e2 = np.broadcast_to(eps2, rho.shape)[pos]
-                env = rp * np.sqrt(1.0 + e2 + u**2 + self.law.internal_energy(rp))
-                worst = max(worst, float(np.max(G[pos] / env)))
+                if pos.any():
+                    rp = rho[pos]
+                    u = m[pos] / rp
+                    e2 = np.broadcast_to(eps2, rho.shape)[pos]
+                    env = rp * np.sqrt(1.0 + e2 + u**2 + self.law.internal_energy(rp))
+                    worst = max(worst, float(np.max(G[pos] / env)))
             count += 1
         passed = None if B0 is None else bool(worst <= B0)
         return GrowthReport(empirical_B0=worst, n_states=count, passed=passed)

@@ -20,7 +20,11 @@ one call of each functional per block, bitwise the values of a per-step
 evaluation.
 
 Positivity is never repaired: a density-floor violation raises
-PositivityLoss with the failing time, location and sample.
+PositivityLoss with the failing time, location and sample.  A failed
+sample keeps its row, so a run's batch has one shape from the first step
+to the last: the row is set to the far-field state (rho_inf, 0) with zero
+forcing, a fixed point of the step, and the sample's Trajectory reports
+only its initial state and its error.
 """
 
 from __future__ import annotations
@@ -154,7 +158,6 @@ class SolverConfig:
     n_saves: int = 10
     scheme: str = "imex"  # or "explicit"
     density_floor: float = 1e-12
-    check_cfl: bool = True
     record_steps: bool = False
     record_forcing: bool = False
 
@@ -281,12 +284,13 @@ class Stepper:
         each row, already evaluated at the step start; fields is the
         state's StateFields, made here if not given.  out, a (2, S, n+1)
         array, receives the new (rho, m) of every row if given; it may be
-        the memory of state itself.  Returns (new state, failures).
-        failures lists (row, error), by row, for every row that broke the
-        CFL bound at the step start, or diverged or fell below the density
-        floor at its end; the new state holds the other rows, in order:
-        views of out (or of a new array) when no row failed, else new
-        arrays.
+        the memory of state itself.  Returns (new state, failures).  The
+        new state holds every row, views of out (or of a new array), a
+        failed row as the step left it.  failures lists (row, error), by
+        row, for every row that broke the CFL bound at the step start, or
+        diverged or fell below the density floor at its end.  A row at
+        the far-field state (rho_inf, 0) with zero forcing comes back
+        bitwise unchanged.
         """
         cfg = self.config
         dx = self.grid.dx
@@ -295,10 +299,8 @@ class Stepper:
         if fields is None:
             fields = StateFields(self.law, rho, m)
 
-        unstable = np.zeros(rho.shape[:-1], dtype=bool)
-        if cfg.check_cfl:
-            dt_max = self._dt_max(fields)
-            unstable = dt > dt_max * (1.0 + 1e-9)
+        dt_max = self._dt_max(fields)
+        unstable = dt > dt_max * (1.0 + 1e-9)
 
         flux_m = fields.masked(m**2 / fields.rp) + fields.P
 
@@ -317,8 +319,6 @@ class Stepper:
         finite = np.isfinite(new).all(axis=-1).all(axis=0)
         rho_min = rho_new.min(axis=-1)
         bad = unstable | ~finite | (rho_min < cfg.density_floor)
-        if not bad.any():
-            return GridState(t_new, rho_new, m_new), []
         failures = []
         for row in np.flatnonzero(bad):
             if unstable[row]:
@@ -333,7 +333,7 @@ class Stepper:
                 i = int(np.argmin(rho_new[row]))
                 exc = PositivityLoss(t_new, self.grid.x[i], float(rho_min[row]))
             failures.append((int(row), exc))
-        return GridState(t_new, rho_new[~bad], m_new[~bad]), failures
+        return GridState(t_new, rho_new, m_new), failures
 
 
 @dataclass
@@ -421,11 +421,14 @@ def simulate(
     then mollified per row for the same list (NoiseModel.truncate_mollify).
 
     Step errors carry the failing time and sample id.  A failing sample
-    is dropped and the others are stepped on.  The run then raises the
-    error of the first failing sample in the order given, which a
-    one-at-a-time loop would raise, and so drops the samples after a
-    failing one with it: they cannot change which error that is.  With
-    keep_failures it steps every other sample to T and returns, and a
+    keeps its row, which from then on holds the far-field state
+    (rho_inf, 0) with zero forcing, a state the step leaves bitwise as it
+    is, so the batch keeps one shape; the others are stepped on.  The run
+    raises the error of the first failing sample in the order given,
+    which a one-at-a-time loop would raise, and stops once no sample
+    before the first failed one is left: the samples after it cannot
+    change which error that is.  With keep_failures it steps the samples
+    that have not failed to T, or until none is left, and returns, and a
     failed sample's Trajectory holds only its initial state and the error.
     """
     batched = not isinstance(sample_id, (int, np.integer))
@@ -453,12 +456,11 @@ def simulate(
 
     stepper = Stepper(law, grid, config, row_eps)
     shape = (n_samples, n_nodes)
-    state = GridState(
+    start = GridState(
         0.0,
         np.broadcast_to(init.rho, shape).copy(),
         np.broadcast_to(init.mom, shape).copy(),
     )
-    start = state
 
     times = _save_times(config)
     saves = np.empty((n_samples, config.n_saves + 1, 2, n_nodes))
@@ -479,16 +481,12 @@ def simulate(
     block = np.empty((4, n_samples, steps, n_nodes))
     filled = head = 0
 
-    def push(copy):
+    def push():
         """Make the state's StateFields, which its step reads, and write
-        its u and P' into the state's slot, and the state too if copy (it
-        is not a step's output there), flushing a full block."""
+        its u and P' into the state's slot, flushing a full block."""
         nonlocal filled
-        slot = block[:, : alive.size, filled]
-        if copy:
-            slot[0], slot[1] = state.rho, state.mom
         fields = StateFields(law, state.rho, state.mom)
-        slot[2], slot[3] = fields.u, fields.dP
+        block[2, :, filled], block[3, :, filled] = fields.u, fields.dP
         filled += 1
         if filled == steps:
             flush()
@@ -502,16 +500,16 @@ def simulate(
         nonlocal filled, head
         if not filled:
             return
-        rho, m, u, dP = block[:, : alive.size, :filled]
+        rho, m, u, dP = block[:, :, :filled]
         c, k = head, filled
         head += k
         filled = 0
         fields = StateFields.recorded(rho, u, dP)
-        energy[rows, c : c + k] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
-        min_rho[rows, c : c + k] = rho.min(axis=-1)
+        energy[:, c : c + k] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
+        min_rho[:, c : c + k] = rho.min(axis=-1)
         if step_states is not None:
-            step_states[rows, c : c + k, 0] = rho
-            step_states[rows, c : c + k, 1] = m
+            step_states[:, c : c + k, 0] = rho
+            step_states[:, c : c + k, 1] = m
         if c + k > n_steps:  # the run's last state begins no step
             k -= 1
             if not k:
@@ -519,52 +517,47 @@ def simulate(
             rho, m, u, dP = rho[:, :k], m[:, :k], u[:, :k], dP[:, :k]
             fields = StateFields.recorded(rho, u, dP)
         rate = dissipation_rate(law, grid, rho, m, fields)
-        added = alive_eps[:, None] * config.dt * rate
-        added[:, 0] += diss[rows, c]
-        diss[rows, c + 1 : c + k + 1] = np.cumsum(added, axis=1)
+        added = row_eps[:, None] * config.dt * rate
+        added[:, 0] += diss[:, c]
+        diss[:, c + 1 : c + k + 1] = np.cumsum(added, axis=1)
 
-    # the samples still stepped, by position; rows indexes the batch arrays
-    # with them, a slice until the first failure
-    alive, rows = np.arange(n_samples), np.s_[:]
-    alive_ids, alive_eps, alive_noise = ids, row_eps, noise
     errors = [None] * n_samples
+    failed = None  # the failed rows, once one has failed
     diss[:, 0] = 0.0
-    saves[:, 0, 0] = state.rho
-    saves[:, 0, 1] = state.mom
-    fields = push(True)
+    saves[:, 0, 0] = block[0, :, 0] = start.rho
+    saves[:, 0, 1] = block[1, :, 0] = start.mom
+    state = start
+    fields = push()
     x = grid.x
     for n in range(n_steps):
         forcing = None
         if noise is not None and noise.n_modes > 0:
-            dW = alive_noise.sample_increments(alive_ids, n, config.dt)
-            forcing = alive_noise.apply_forcing(x, state.rho, state.mom, dW, fields)
+            dW = noise.sample_increments(ids, n, config.dt)
+            forcing = noise.apply_forcing(x, state.rho, state.mom, dW, fields)
+            if failed is not None:
+                forcing[failed] = 0.0
             if forcing_rec is not None:
-                forcing_rec[rows, n] = forcing
-        out = block[:2, : alive.size, filled]
-        state, failures = stepper.step(state, forcing, fields, out)
+                forcing_rec[:, n] = forcing
+        state, failures = stepper.step(state, forcing, fields, block[:2, :, filled])
         if failures:
-            flush()  # the block's states are those of every row stepped
-            dropped = [row for row, _ in failures]
             for row, exc in failures:
-                exc.sample = ids[alive[row]]
-                errors[alive[row]] = exc
-            if not keep_failures:  # failures come in row order: the first is first
-                first = dropped[0]
-                dropped = range(first, alive.size)
-                state = GridState(state.t, state.rho[:first], state.mom[:first])
-            alive = rows = np.delete(alive, dropped)
-            if not alive.size:
+                # a row keeps its first error: held at the far field, it can
+                # break only its own diffusion bound again (explicit scheme)
+                if errors[row] is None:
+                    exc.sample = ids[row]
+                    errors[row] = exc
+            failed = np.array([exc is not None for exc in errors])
+            # a failed row holds the far field, a fixed point of the step
+            state.rho[failed], state.mom[failed] = config.rho_inf, 0.0
+            # stop once no row that can change the outcome steps: any row
+            # with keep_failures, else a row before the first failed one
+            if failed.all() if keep_failures else failed[0]:
                 break
-            alive_ids = [ids[s] for s in alive]
-            alive_eps = row_eps[alive]
-            stepper = Stepper(law, grid, config, alive_eps)
-            if noise is not None:
-                alive_noise = noise.rows(alive)
-        fields = push(bool(failures))  # the rows that go on are new arrays
+        fields = push()
         if (n + 1) % save_every == 0:
             j = (n + 1) // save_every
-            saves[rows, j, 0] = state.rho
-            saves[rows, j, 1] = state.mom
+            saves[:, j, 0] = state.rho
+            saves[:, j, 1] = state.mom
     flush()
     if not keep_failures:
         for exc in errors:

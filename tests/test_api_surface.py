@@ -1,4 +1,5 @@
-"""Every public top-level def and class in src/svvlab has a caller in src."""
+"""Every public top-level def and class in src/svvlab has a caller in src,
+and so does every public method and property of a public class."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,28 @@ ALLOWED = {
     ("young", "measure_from_atoms"),
     # the reader of the documented frame format
     ("io", "load_trajectory_states"),
+}
+
+# methods and properties uncalled on purpose, as (module, "Class.name")
+ALLOWED_MEMBERS = {
+    # the constant generator psi = c, whose entropy pair is a multiple of (rho, m)
+    ("entropy", "EntropySpec.constant"),
+    # the table's accuracy on its b = 0 boundary data
+    ("goursat", "GoursatTable.boundary_residual"),
+    # one mode's mollified coefficient, the term the forcing sums
+    ("noise", "NoiseModel.zeta_eff"),
+    # (gamma1 - 1) / 2, the exponent of the law's first branch, beside theta2
+    ("pressure", "PressureLaw.theta1"),
+    # P'', beside the P and P' that the pressure pair gives
+    ("pressure", "PressureLaw.d2pressure"),
+    # c = sqrt(P'), which the CFL guard takes from the state's P'
+    ("pressure", "PressureLaw.sound_speed"),
+    # (rho e)' = e + P / rho, which the energy flux m (u^2 / 2 + (rho e)') carries
+    ("pressure", "PressureLaw.rho_e_prime"),
+    # the last saved state of a run
+    ("solver", "Trajectory.final"),
+    # the partition with twice the cells in t and x, for a refinement study
+    ("young", "CellPartition.refine"),
 }
 
 
@@ -57,9 +80,35 @@ def uncalled_names(package=PACKAGE):
     return uncalled
 
 
+def uncalled_members(package=PACKAGE):
+    """(module, "Class.name") of each public method or property of a
+    public top-level class of the package whose name no attribute access
+    in the package uses."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    accessed = {
+        n.attr for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+    }
+    return {
+        (module, f"{cls.name}.{member.name}")
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in accessed
+    }
+
+
 def test_every_public_name_has_a_caller():
     # a name that gains a caller leaves ALLOWED too, so the list stays true
     assert uncalled_names() == ALLOWED
+
+
+def test_every_public_member_has_a_caller():
+    # likewise: a member that gains a caller leaves ALLOWED_MEMBERS
+    assert uncalled_members() == ALLOWED_MEMBERS
 
 
 def test_names_resolve_per_module(tmp_path):
@@ -70,3 +119,17 @@ def test_names_resolve_per_module(tmp_path):
         "from .b import relative_energy\n\n\ndef energy():\n    return relative_energy()\n"
     )
     assert uncalled_names(tmp_path) == {("a", "relative_energy"), ("c", "energy")}
+
+
+def test_members_resolve_by_attribute(tmp_path):
+    # a.Law.used is read as an attribute in b; a.Law.spare and the private
+    # class's method are not, and only the public class's member counts
+    (tmp_path / "a.py").write_text(
+        "class Law:\n"
+        "    def used(self):\n        pass\n\n"
+        "    @property\n    def spare(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n\n\n"
+        "class _Hidden:\n    def alone(self):\n        pass\n"
+    )
+    (tmp_path / "b.py").write_text("def f(law):\n    return law.used()\n")
+    assert uncalled_members(tmp_path) == {("a", "Law.spare")}

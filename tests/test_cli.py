@@ -589,16 +589,20 @@ class TestValidate:
             "noise_growth": "pass",
         }
 
-    def test_overflowing_forcing_fails_growth_check(self, runner, tmp_path):
-        # the forcing's square overflows: the growth constant is inf, and
-        # the check fails without a RuntimeWarning
-        cfg = write_cfg(tmp_path, {"noise": {"amplitude": 1e300}})
+    @pytest.mark.parametrize("block, status", [("noise", "fail"), ("initial", "pass")])
+    def test_overflowing_forcing_fails_growth_check(self, runner, tmp_path, block, status):
+        # an amplitude of 1e300 overflows without a RuntimeWarning.  Of the
+        # noise, the forcing's square: the growth constant is inf, and the
+        # check fails.  Of the density, the growth envelope: the mollified
+        # forcing is exactly 0 there, so the ratio is 0, and the check passes
+        cfg = write_cfg(tmp_path, {block: {"amplitude": 1e300}})
         out = str(tmp_path / "out")
         r = runner.invoke(main, ["validate", "--config", cfg, "--output-dir", out])
-        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
-        assert "noise_growth: fail" in r.output
+        assert r.exit_code == (1 if status == "fail" else 0), r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.output
+        assert f"noise_growth: {status}" in r.output
         with open(os.path.join(out, "validate.json")) as fh:
-            assert json.load(fh)["noise_growth"] == "fail"
+            assert json.load(fh)["noise_growth"] == status
 
     def test_empty_config_exits_2(self, runner, tmp_path):
         p = tmp_path / "empty.yaml"

@@ -276,12 +276,6 @@ class TestForcing:
             for k in range(cap, rows.n_modes):
                 assert not rows.zeta_eff(k, x, rho, m)[r].any()
         assert rows._region_indicator(rho, m)[0].min() < 1.0
-        picked = rows.rows([2, 0])
-        assert picked.H == (rows.H[2], rows.H[0]) and picked.mode_cap == (10, 2)
-        assert np.array_equal(
-            picked.apply_forcing(x, rho[[2, 0]], m[[2, 0]], dW[[2, 0]]), force[[2, 0]]
-        )
-        assert lone[0].rows([5, 7]) is lone[0]
 
     def test_wrong_increment_count(self, family):
         with pytest.raises(DomainError):

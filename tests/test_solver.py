@@ -201,7 +201,7 @@ class TestConvergence:
 
     def test_diffusion_substep_matches_heat_kernel(self, law2, grid):
         # repeated pure-diffusion substeps against the exact semigroup
-        cfg = SolverConfig(epsilon=0.05, T=1.0, dt=1e-3, check_cfl=False)
+        cfg = SolverConfig(epsilon=0.05, T=1.0, dt=1e-3)
         stepper = Stepper(law2, grid, cfg)
         f = bump_state(grid).rho
         out = f.copy()
@@ -249,15 +249,14 @@ class TestGuards:
         with pytest.raises(NumericalError):
             simulate(bump_state(grid), law2, grid, cfg)
 
-    def test_positivity_loss_reported(self, law2, grid):
-        # strong outflow drains the center density below the floor
+    def test_positivity_loss_reported(self, law2):
+        # strong outflow drains the center density below the floor, at
+        # t = 0.158, inside the CFL bound
+        grid = Grid(L=5.0, n=128)
         x = grid.x
         rho = np.full(x.size, 0.2)
         m = 2.0 * np.tanh(2.0 * x) * rho
-        cfg = SolverConfig(
-            epsilon=0.01, T=2.0, dt=2e-3, n_saves=1, density_floor=1e-2,
-            check_cfl=False,
-        )
+        cfg = SolverConfig(epsilon=0.01, T=0.2, dt=2e-3, n_saves=1, density_floor=1e-2)
         with pytest.raises(PositivityLoss) as exc:
             simulate(GridState(0.0, rho, m), law2, grid, cfg)
         assert exc.value.rho_min < 1e-2
@@ -270,7 +269,7 @@ def test_save_times_are_the_stepped_times(law2, T, dt, n_saves):
     # any step: they must be the stepper's times bit for bit, since a save
     # time can sit on a cell edge
     grid = Grid(L=5.0, n=32)
-    cfg = SolverConfig(epsilon=0.05, T=T, dt=dt, n_saves=n_saves, check_cfl=False)
+    cfg = SolverConfig(epsilon=0.05, T=T, dt=dt, n_saves=n_saves)
     stepper = Stepper(law2, grid, cfg)
     state = init = GridState(0.0, np.ones((1, grid.n + 1)), np.zeros((1, grid.n + 1)))
     times = [0.0]
@@ -363,6 +362,28 @@ class TestBatch:
         exc = caught.value
         assert exc.sample == 7
         assert (exc.t, exc.x, exc.rho_min) == (serial[r].t, serial[r].x, serial[r].rho_min)
+
+    @pytest.mark.parametrize("kind", ["imex", "explicit", "composite"])
+    def test_far_field_rows_are_a_fixed_point(self, kind):
+        # a failed sample's row holds (rho_inf, 0) with zero forcing: each
+        # step gives it back bitwise and reports no failure, beside a live
+        # row with its own viscosity and forcing
+        init, law, grid, cfg, _ = batch_case(kind)
+        cfg = replace(cfg, rho_inf=1.2)
+        stepper = Stepper(law, grid, cfg, np.array([0.05, 0.02, 0.08]))
+        far = np.full(grid.n + 1, 1.2)
+        rho = np.stack([far, init.rho + 0.2, far])
+        m = np.zeros_like(rho)
+        m[1] = 0.3 * np.sin(grid.x) * rho[1]
+        forcing = np.zeros_like(rho)
+        forcing[1] = 1e-3 * np.sin(grid.x)
+        state = GridState(0.0, rho, m)
+        for _ in range(5):
+            state, failures = stepper.step(state, forcing)
+            assert failures == []
+            assert np.array_equal(state.rho[[0, 2]], [far, far])
+            assert np.array_equal(state.mom[[0, 2]], np.zeros((2, grid.n + 1)))
+            assert not np.array_equal(state.mom[1], m[1])
 
     def test_samples_after_a_failing_one_stop_with_it(self, law2, monkeypatch):
         # sample 0 breaks the CFL bound at its first step; the run raises
@@ -467,6 +488,18 @@ class TestSweep:
         assert isinstance(swept[1][1].error, PositivityLoss)
         assert swept[1][1].error.sample == 0
 
+    def test_member_breaking_its_diffusion_bound(self):
+        # explicit diffusion at eps 0.5 needs dt <= 3.05e-4 on 256 cells:
+        # that member fails at t = 0, and its far-field row, whose bound is
+        # its viscosity's alone, breaks it at every later step too.  It
+        # keeps its first error, that of a lone run
+        init, law, _, cfg, _ = batch_case("explicit")
+        grid = Grid(L=5.0, n=256)
+        init = bump_state(grid)
+        swept = assert_sweep_matches_loop(init, law, grid, cfg, None, [0.5, 0.05])
+        assert isinstance(swept[0][1].error, NumericalError)
+        assert swept[0][1].error.t == 0.0 and swept[1][1].error is None
+
     def test_decreasing_enforced(self, law2, grid):
         cfg = SolverConfig(epsilon=0.05, T=0.1, dt=1e-3, n_saves=5)
         with pytest.raises(ConfigError):
@@ -495,10 +528,7 @@ class TestSweep:
         x = grid.x
         rho = np.full(x.size, 0.2)
         m = 2.0 * np.tanh(2.0 * x) * rho
-        cfg = SolverConfig(
-            epsilon=0.05, T=2.0, dt=2e-3, n_saves=1, density_floor=1e-2,
-            check_cfl=False,
-        )
+        cfg = SolverConfig(epsilon=0.05, T=2.0, dt=2e-3, n_saves=1, density_floor=1e-2)
         out = epsilon_sweep(GridState(0.0, rho, m), law2, grid, cfg, None, [0.05, 0.01])
         assert any(traj.error is not None for _, traj in out)
         assert len(out) == 2
@@ -865,9 +895,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("keep_failures", [False, True])
     def test_rows_failing_inside_a_block(self, keep_failures, monkeypatch):
-        # outflows drain the density of rows 1 and 3 below the floor, at
-        # the steps from 10 and 34: inside the blocks of states 7-13 and,
-        # once the blocks restart after the first failure, 32-38
+        # outflows drain the density of rows 1 and 3 below the floor, in
+        # states 11 and 35: inside the block of states 7-13, and in the
+        # first slot of that of states 35-40.  A failed row keeps its
+        # place in the batch, so the blocks are those of a run with none
         init, law, grid, cfg, noise = batch_case("imex")
         cfg = replace(cfg, density_floor=0.99)
         rho = np.stack([init.rho, np.ones(grid.n + 1), init.rho, np.ones(grid.n + 1)])
@@ -882,17 +913,37 @@ class TestBlocks:
                 lone.append(exc)
         assert [round(lone[r].t / cfg.dt) for r in (1, 3)] == [11, 35]
         sizes.clear()
+        inputs = []  # the (rho, m, forcing) of rows 1 and 3 that each step gets
+        step = Stepper.step
+
+        def spy(self, state, forcing, *a):
+            rows = [1, 3]
+            inputs.append((state.rho[rows].copy(), state.mom[rows].copy(), forcing[rows]))
+            return step(self, state, forcing, *a)
+
+        def assert_held():
+            # from its failed state on, a row steps the far field, unforced
+            assert len(inputs) == cfg.n_steps
+            for n, (rho_in, m_in, f_in) in enumerate(inputs):
+                for j, failed in enumerate((11, 35)):
+                    held = (rho_in[j] == cfg.rho_inf).all() and not m_in[j].any()
+                    assert held == (n >= failed)
+                    assert f_in[j].any() == (n < failed)
+
+        monkeypatch.setattr(Stepper, "step", spy)
         if not keep_failures:
             with pytest.raises(PositivityLoss) as caught:
                 simulate(GridState(0.0, rho, m), law, grid, cfg, noise, ids)
             exc, want = caught.value, lone[1]
             assert exc.sample == want.sample == 4 and str(exc) == str(want)
             assert (exc.t, exc.x, exc.rho_min) == (want.t, want.x, want.rho_min)
-            assert sizes == [7, 4, 7, 7, 7, 7, 2]  # row 0 goes on alone
+            assert sizes == [7] * 5 + [6]  # row 0 goes on to the end
+            assert_held()
             return
         batch = simulate(GridState(0.0, rho, m), law, grid, cfg, noise, ids,
                          keep_failures=True)
-        assert sizes == [7, 4, 7, 7, 7, 3, 6]
+        assert sizes == [7] * 5 + [6]
+        assert_held()
         for r, (traj, one) in enumerate(zip(batch, lone)):
             if isinstance(one, PositivityLoss):
                 assert traj.error.sample == one.sample and str(traj.error) == str(one)
@@ -1007,19 +1058,21 @@ class TestDstWorkspaces:
         stepper = Stepper(law2, grid, cfg)
         init = bump_state(grid)
         rho = np.stack([init.rho] * 3)
-        rho[1, 100] = 0.85  # below the floor after one step: the batch shrinks
+        rho[1, 100] = 0.85  # below the floor after one step
         state = GridState(0.0, rho, np.zeros_like(rho))
         kept = []
         for n in range(4):
             state, failures = stepper.step(state)
             assert [row for row, _ in failures] == ([1] if n == 0 else [])
-            assert state.rho.shape == (2, grid.n + 1)
+            assert state.rho.shape == (3, grid.n + 1)
+            for row, _ in failures:  # as simulate holds a failed row
+                state.rho[row], state.mom[row] = cfg.rho_inf, 0.0
             kept.append((state, state.copy()))
             for odd, spec, back in stepper._dst.values():
                 for work in (odd, spec, back):
                     assert not np.shares_memory(work, state.rho)
                     assert not np.shares_memory(work, state.mom)
-        assert set(stepper._dst) == {(2, 3, grid.n + 1), (2, 2, grid.n + 1)}
+        assert set(stepper._dst) == {(2, 3, grid.n + 1)}
         for state, copy in kept:
             assert np.array_equal(state.rho, copy.rho) and np.array_equal(state.mom, copy.mom)
 
