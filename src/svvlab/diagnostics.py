@@ -15,7 +15,7 @@ import numpy as np
 
 from .entropy import EntropySpec, entropy_pair, riemann_invariants
 from .errors import ConfigError, DomainError
-from .pressure import PressureLaw
+from .pressure import PressureLaw, StateFields
 from .solver import Trajectory
 
 # Node-points of one block of steps (steps x nodes, times the quadrature
@@ -80,12 +80,10 @@ def energy_balance_check(
         sums = np.empty((2, n_steps))  # per step: martingale, Ito
         for blk in _step_blocks(n_steps, x.size):
             rho, m = traj.step_states[blk, 0], traj.step_states[blk, 1]
-            pos = rho > 0.0
-            u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
-            sums[0, blk] = np.trapezoid(u * traj.forcing_increments[blk], dx=dx)
-            quad = noise.forcing_quadratic(x, rho, m)
-            inv_rho = np.where(pos, 1.0 / np.where(pos, rho, 1.0), 0.0)
-            sums[1, blk] = np.trapezoid(inv_rho * quad, dx=dx)
+            fields = StateFields(law, rho, m)
+            sums[0, blk] = np.trapezoid(fields.u * traj.forcing_increments[blk], dx=dx)
+            quad = noise.forcing_quadratic(x, rho, m, fields)
+            sums[1, blk] = np.trapezoid(fields.masked(1.0 / fields.rp) * quad, dx=dx)
         mart = _stepwise_total(1.0, sums[0])
         ito = _stepwise_total(0.5 * cfg.dt, sums[1])
 
@@ -131,10 +129,9 @@ def compact_moments(traj: Trajectory, law: PressureLaw, window) -> tuple:
     mask = (x >= a) & (x <= b)
     rho = np.array([s.rho[mask] for s in traj.states])
     m = np.array([s.mom[mask] for s in traj.states])
-    pos = rho > 0.0
-    u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
-    fp = np.trapezoid(rho * law.pressure(rho), x[mask])
-    fu = np.trapezoid(rho * np.abs(u) ** 3, x[mask])
+    fields = StateFields(law, rho, m)
+    fp = np.trapezoid(rho * fields.P, x[mask])
+    fu = np.trapezoid(rho * np.abs(fields.u) ** 3, x[mask])
     t = traj.times
     return float(np.trapezoid(fp, t)), float(np.trapezoid(fu, t))
 

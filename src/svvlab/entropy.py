@@ -40,7 +40,7 @@ from math import lgamma, log, log1p, pi
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .pressure import PressureLaw
+from .pressure import PressureLaw, StateFields
 
 
 # ---------------------------------------------------------------------------
@@ -449,22 +449,14 @@ def mechanical_energy_pair(law: PressureLaw, rho, m) -> EntropyPairValue:
     rho, m = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(m))
     if np.any((rho == 0.0) & (m != 0.0)):
         raise DomainError("vacuum with nonzero momentum has infinite energy")
-    if np.any(rho < 0.0):
-        raise DomainError("density must be nonnegative")
-
-    pos = rho > 0.0
-    eta = np.zeros(rho.shape)
-    qf = np.zeros(rho.shape)
-    dm = np.zeros(rho.shape)
-    d2m = np.zeros(rho.shape)
-    rp, mp = rho[pos], m[pos]
-    # rho was checked above: e and P unchecked, each evaluated once
+    fields = StateFields(law, rho, m)
+    rp, P = fields.rp, fields.P
+    # the pass checked rho: e unchecked, evaluated once
     e = law._internal_energy(rp)
-    (P,) = law._pressure_parts(rp, 0)
-    eta[pos] = 0.5 * mp**2 / rp + rp * e
-    qf[pos] = 0.5 * mp**3 / rp**2 + mp * (e + P / rp)  # (rho e)' = e + P / rho
-    dm[pos] = mp / rp
-    d2m[pos] = 1.0 / rp
+    eta = fields.masked(0.5 * m**2 / rp + rp * e)
+    qf = fields.masked(0.5 * m**3 / rp**2 + m * (e + P / rp))  # (rho e)' = e + P / rho
+    dm = fields.u
+    d2m = fields.masked(1.0 / rp)
 
     if scalar:
         return EntropyPairValue(float(eta[0]), float(qf[0]), float(dm[0]), float(d2m[0]))
@@ -483,11 +475,9 @@ def high_order_energy(law: PressureLaw, rho, m, rho_inf):
     rho, m = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(m))
     if np.any((rho == 0.0) & (m != 0.0)):
         raise DomainError("vacuum with nonzero momentum has infinite energy")
-    pos = rho > 0.0
-    kin = np.zeros(rho.shape)
-    kin[pos] = m[pos] ** 4 / (12.0 * rho[pos] ** 3) + law.internal_energy(
-        rho[pos]
-    ) * m[pos] ** 2 / rho[pos]
+    fields = StateFields(law, rho, m)
+    rp = fields.rp
+    kin = fields.masked(m**4 / (12.0 * rp**3) + law._internal_energy(rp) * m**2 / rp)
     g = law.high_order_potential(rho)
     g_inf = law.high_order_potential(rho_inf)
     gp_inf = law.dhigh_order_potential(rho_inf)

@@ -82,9 +82,7 @@ class GoursatTable:
         u = np.asarray(u, dtype=float)
         scalar = rho.ndim == 0 and u.ndim == 0
         rho, u = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(u))
-        if np.any(rho < 0.0):
-            raise DomainError("density must be nonnegative")
-        K = np.where(rho > 0.0, self.law.k_integral(np.maximum(rho, 1e-300)), 0.0)
+        K = self.law.k_integral(rho)  # checks rho >= 0; K(0) = 0
         if np.any(K > self.k_max * (1.0 + 1e-12)):
             raise DomainError("state outside the tabulated density range")
         energy = 0.5 * rho * u**2 + rho * self.law.internal_energy(rho)

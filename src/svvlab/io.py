@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .solver import Grid, GridState, Trajectory
 
 MAGIC = b"SVV1"
@@ -44,20 +44,29 @@ def write_frame(path, grid: Grid, state: GridState):
 
 
 def read_frame(path):
-    """Returns (grid, state); raises DomainError on a bad magic or size."""
+    """Returns (grid, state); raises DomainError on a bad magic, header or
+    size."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise DomainError(f"{path}: not a field frame (magic {magic!r})")
-        n_f, L, t = struct.unpack("<ddd", fh.read(24))
-        n = int(n_f)
+        header = fh.read(24)
         body = fh.read()
-    expect = 2 * (n + 1) * 8
+    if len(header) != 24:
+        raise DomainError(f"{path}: truncated header ({len(header)} != 24 bytes)")
+    n_f, L, t = struct.unpack("<ddd", header)
+    # is_integer fails a NaN and an infinity, and so does isfinite
+    if not (n_f.is_integer() and np.isfinite(t)):
+        raise DomainError(f"{path}: bad header (n, L, t) = ({n_f!r}, {L!r}, {t!r})")
+    try:
+        grid = Grid(L=L, n=int(n_f))
+    except ConfigError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    expect = 2 * (grid.n + 1) * 8
     if len(body) != expect:
         raise DomainError(f"{path}: truncated frame ({len(body)} != {expect} bytes)")
     arr = np.frombuffer(body, dtype="<f8")
-    grid = Grid(L=L, n=n)
-    return grid, GridState(t, arr[: n + 1].copy(), arr[n + 1 :].copy())
+    return grid, GridState(t, arr[: grid.n + 1].copy(), arr[grid.n + 1 :].copy())
 
 
 def save_trajectory(traj: Trajectory, out_dir, prefix="frame"):

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .pressure import PressureLaw, _smoothstep
-from .solver import StateFields
+from .pressure import PressureLaw, StateFields, _smoothstep
 
 _U64 = (1 << 64) - 1
 # the most base-grid steps one step of dt may span: each is one Philox draw
@@ -288,13 +287,10 @@ class NoiseModel:
         """Mollified coefficient of mode k (0-based) at the given states."""
         return self._mollified(x, rho, m)(k)
 
-    def forcing_l2(self, x, rho, m):
-        """Pointwise sqrt(sum_k (a_k zeta_k)^2), the growth functional."""
-        return np.sqrt(self.forcing_quadratic(x, rho, m))
-
-    def forcing_quadratic(self, x, rho, m):
-        """sum_k (a_k zeta_k)^2, the Ito-correction integrand numerator."""
-        zeta = self._mollified(x, rho, m)
+    def forcing_quadratic(self, x, rho, m, fields=None):
+        """sum_k (a_k zeta_k)^2, the Ito-correction integrand numerator.
+        fields is the states' StateFields, made here if not given."""
+        zeta = self._mollified(x, rho, m, fields)
         total = 0.0
         for k, mode in enumerate(self.modes):
             z = mode.a * zeta(k)
@@ -383,15 +379,13 @@ class NoiseModel:
         for x, rho, m in states:
             rho = np.asarray(rho, dtype=float)
             m = np.asarray(m, dtype=float)
-            pos = rho > 0.0
+            # P = kappa rho^gamma may overflow where the envelope does
             with np.errstate(over="ignore"):
-                G = self.forcing_l2(x, rho, m)
-                if pos.any():
-                    rp = rho[pos]
-                    u = m[pos] / rp
-                    e2 = np.broadcast_to(eps2, rho.shape)[pos]
-                    env = rp * np.sqrt(1.0 + e2 + u**2 + self.law.internal_energy(rp))
-                    worst = max(worst, float(np.max(G[pos] / env)))
+                fields = StateFields(self.law, rho, m)
+                G = np.sqrt(self.forcing_quadratic(x, rho, m, fields))
+                rp, u = fields.rp, fields.u
+                env = rp * np.sqrt(1.0 + eps2 + u**2 + self.law._internal_energy(rp))
+                worst = max(worst, float(np.max(fields.masked(G / env), initial=0.0)))
             count += 1
         passed = None if B0 is None else bool(worst <= B0)
         return GrowthReport(empirical_B0=worst, n_states=count, passed=passed)

@@ -26,6 +26,10 @@ integrand and halved until its series converges, each series integrated
 exactly and the constants chained left to right.  g' reads e, and g reads
 g', through that table, from its cell edges.  A number is evaluated as a
 1-element array, so that it gets the bits an array gives.
+
+StateFields is a law's pass over states (rho, m): one (P, P') call, which
+checks rho >= 0, the positivity mask, a safe divisor and u = m / rho.  It
+holds the vacuum rule, and every functional of a state reads it.
 """
 
 from __future__ import annotations
@@ -371,7 +375,7 @@ class PressureLaw:
     #
     # A public method checks rho >= 0 once; where it has an unchecked twin
     # _name, callers that have checked rho already (the composite regimes,
-    # relative_internal_energy, the solver's pass over a state) call the
+    # relative_internal_energy, the readers of a StateFields pass) call the
     # twin.  P, P' and P'' share one twin, _pressure_parts.
 
     def pressure(self, rho):
@@ -685,3 +689,51 @@ class PressureLaw:
         if np.any(arr <= 0.0):
             raise DomainError("density must be strictly positive")
         return arr if arr.ndim else float(arr)
+
+
+class StateFields:
+    """The law's pointwise pass over states (rho, m), and the lab's one
+    vacuum rule: where rho = 0, u = 0, 1/rho counts as 0 and every energy
+    density is 0.  Every functional of a state reads it rather than mask a
+    vacuum itself: the solver's step (the CFL guard and the flux), the
+    noise's Gamma_H indicator and growth check, the mechanical and
+    high-order energies and the diagnostics' energy balance and moments.
+    simulate writes a state's u and P' into a block of states, whose
+    fields, made by recorded(), the relative energy and the dissipation
+    read.
+
+    pos is rho > 0, or None when every rho > 0 (as the density floor
+    guard makes every stepped state when the floor is positive); rp is rho
+    where positive and 1 elsewhere, safe to divide by; u is m / rho, 0 on
+    vacuum; P and dP are P(rho) and P'(rho).  Readers mask a vacuum
+    through masked(), which does nothing when pos is None: the values are
+    those of the masked formulas, bit for bit.  rho >= 0 is checked once,
+    by (P, P') (DomainError otherwise).
+    """
+
+    __slots__ = ("P", "dP", "pos", "rp", "u")
+
+    def __init__(self, law: PressureLaw, rho: np.ndarray, m: np.ndarray):
+        self.P, self.dP = law.pressure_pair(rho)
+        self._mask(rho)
+        self.u = m / rho if self.pos is None else np.where(self.pos, m / self.rp, 0.0)
+
+    @classmethod
+    def recorded(cls, rho, u, dP) -> "StateFields":
+        """The fields of states whose own passes made u and P' (and checked
+        rho), laid out like rho; P is None."""
+        fields = cls.__new__(cls)
+        fields._mask(rho)
+        fields.P, fields.dP, fields.u = None, dP, u
+        return fields
+
+    def _mask(self, rho):
+        pos = rho > 0.0
+        if pos.all():
+            self.pos, self.rp = None, rho
+        else:
+            self.pos, self.rp = pos, np.where(pos, rho, 1.0)
+
+    def masked(self, values, fill=0.0):
+        """values where rho > 0 and fill on vacuum."""
+        return values if self.pos is None else np.where(self.pos, values, fill)

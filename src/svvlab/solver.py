@@ -12,12 +12,12 @@ explicit; the noise is explicit and evaluated at the step start as the Ito
 integral requires.  An ensemble is stepped as one batch, its samples the
 rows of (S, n+1) arrays; a single run is a batch of one.
 
-The step loop evaluates each state's pointwise quantities once.  Each
-step writes its new state into a block of steps, and the state's pass
-writes u and P' beside it.  The recorded relative energy, dissipation and
-minimum density, which no step reads, are evaluated from the block, with
-one call of each functional per block, bitwise the values of a per-step
-evaluation.
+The step loop evaluates each state's pointwise quantities once, in the
+law's pass over it (pressure.StateFields).  Each step writes its new state
+into a block of steps, and the state's pass writes u and P' beside it.
+The recorded relative energy, dissipation and minimum density, which no
+step reads, are evaluated from the block, with one call of each
+functional per block, bitwise the values of a per-step evaluation.
 
 Positivity is never repaired: a density-floor violation raises
 PositivityLoss with the failing time, location and sample.  A failed
@@ -40,7 +40,7 @@ from .errors import (
     NumericalError,
     PositivityLoss,
 )
-from .pressure import PressureLaw
+from .pressure import PressureLaw, StateFields
 
 # stability numbers of the CFL guard: dt <= CFL_NUMBER dx / max(|u| + c),
 # and for explicit diffusion also dt <= DIFFUSION_NUMBER dx^2 / (2 eps)
@@ -91,50 +91,6 @@ class GridState:
 
     def copy(self) -> "GridState":
         return GridState(self.t, self.rho.copy(), self.mom.copy())
-
-
-class StateFields:
-    """The pointwise quantities of one state (rho, m), computed once and
-    read by its step: the CFL guard, the flux and the noise's Gamma_H
-    indicator.  simulate writes its u and P' into a block of states, whose
-    fields, made by recorded(), the relative energy and the dissipation
-    read.
-
-    pos is rho > 0, or None when every rho > 0 (as the density floor
-    guard makes every stepped state when the floor is positive); rp is rho
-    where positive and 1 elsewhere, safe to divide by; u is m / rho, 0 on
-    vacuum; P and dP are P(rho) and P'(rho).  Readers mask a vacuum
-    through masked(), which does nothing when pos is None: the values are
-    those of the masked formulas, bit for bit.  rho >= 0 is checked once,
-    by (P, P') (DomainError otherwise).
-    """
-
-    __slots__ = ("P", "dP", "pos", "rp", "u")
-
-    def __init__(self, law: PressureLaw, rho: np.ndarray, m: np.ndarray):
-        self.P, self.dP = law.pressure_pair(rho)
-        self._mask(rho)
-        self.u = m / rho if self.pos is None else np.where(self.pos, m / self.rp, 0.0)
-
-    @classmethod
-    def recorded(cls, rho, u, dP) -> "StateFields":
-        """The fields of states whose own passes made u and P' (and checked
-        rho), laid out like rho; P is None."""
-        fields = cls.__new__(cls)
-        fields._mask(rho)
-        fields.P, fields.dP, fields.u = None, dP, u
-        return fields
-
-    def _mask(self, rho):
-        pos = rho > 0.0
-        if pos.all():
-            self.pos, self.rp = None, rho
-        else:
-            self.pos, self.rp = pos, np.where(pos, rho, 1.0)
-
-    def masked(self, values, fill=0.0):
-        """values where rho > 0 and fill on vacuum."""
-        return values if self.pos is None else np.where(self.pos, values, fill)
 
 
 def _central_difference(f, dx):

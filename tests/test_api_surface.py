@@ -1,5 +1,6 @@
 """Every public top-level def and class in src/svvlab has a caller in src,
-and so does every public method and property of a public class."""
+and so does every public method and property of a public class; and each
+module imports only the package modules its row of IMPORTS names."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,28 @@ ALLOWED_MEMBERS = {
     ("solver", "Trajectory.final"),
     # the partition with twice the cells in t and x, for a refinement study
     ("young", "CellPartition.refine"),
+}
+
+
+# each module's relative imports ("__init__" is the package itself): the
+# layers of the package, lowest first, so that a lower module that comes to
+# import a higher one fails here
+IMPORTS = {
+    "errors": set(),
+    "pressure": {"errors"},
+    "entropy": {"errors", "pressure"},
+    "noise": {"errors", "pressure"},
+    "solver": {"errors", "pressure"},
+    "goursat": {"entropy", "errors", "pressure"},
+    "io": {"errors", "solver"},
+    "diagnostics": {"entropy", "errors", "pressure", "solver"},
+    "young": {"diagnostics", "entropy", "errors", "pressure", "solver"},
+    "config": {"entropy", "errors", "noise", "pressure", "solver"},
+    "__init__": {"entropy", "noise", "pressure", "solver"},
+    "cli": {
+        "__init__", "config", "diagnostics", "entropy", "errors", "goursat", "io",
+        "pressure", "solver", "young",
+    },
 }
 
 
@@ -133,3 +156,48 @@ def test_members_resolve_by_attribute(tmp_path):
     )
     (tmp_path / "b.py").write_text("def f(law):\n    return law.used()\n")
     assert uncalled_members(tmp_path) == {("a", "Law.spare")}
+
+
+def relative_imports(package=PACKAGE):
+    """module -> the package modules that its relative imports name,
+    anywhere in the module; "from . import name" names the module name
+    if there is one, else the package's __init__."""
+    graph = {}
+    for path in sorted(package.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(
+                    a.name if (package / f"{a.name}.py").exists() else "__init__"
+                    for a in node.names
+                )
+        graph[path.stem] = names
+    return graph
+
+
+def test_import_graph():
+    assert relative_imports() == IMPORTS
+
+
+def test_import_table_is_layered():
+    # some order of the modules puts each after every module it imports
+    placed, left = set(), dict(IMPORTS)
+    while left:
+        ready = {m for m, names in left.items() if names <= placed}
+        assert ready, f"import cycle among {sorted(left)}"
+        placed |= ready
+        left = {m: names for m, names in left.items() if m not in ready}
+
+
+def test_imports_resolve_per_module(tmp_path):
+    (tmp_path / "__init__.py").write_text("__version__ = '0'\n")
+    (tmp_path / "a.py").write_text("from . import b, __version__\n")
+    (tmp_path / "b.py").write_text("def f():\n    from .c import g\n    return g\n")
+    (tmp_path / "c.py").write_text("import json\n")
+    assert relative_imports(tmp_path) == {
+        "__init__": set(), "a": {"b", "__init__"}, "b": {"c"}, "c": set(),
+    }

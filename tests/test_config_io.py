@@ -1,6 +1,7 @@
 """YAML run files, collected validation errors, and artifact round-trips."""
 
 import importlib.util
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import yaml
 from svvlab.config import KEYS, InitialData, config_from_dict, load_config
 from svvlab.errors import ConfigError, DomainError
 from svvlab.io import (
+    MAGIC,
     fmt,
     load_trajectory_states,
     read_frame,
@@ -21,6 +23,15 @@ from svvlab.pressure import PressureLaw
 from svvlab.solver import Grid, GridState, SolverConfig, simulate
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def frame_header(n, L, t):
+    """A frame's magic and header (n, L, t), as write_frame writes them."""
+    return MAGIC + struct.pack("<ddd", n, L, t)
+
+
+# the rho and m of a frame with n = 64
+FRAME_BODY = np.concatenate((np.ones(65), np.zeros(65))).astype("<f8").tobytes()
 
 GOOD = {
     "law": {"kind": "polytropic", "gamma": 2.0},
@@ -308,18 +319,27 @@ class TestIO:
         assert np.array_equal(s2.rho, state.rho)
         assert np.array_equal(s2.mom, state.mom)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b"NOPE" + b"\0" * 48,
+            frame_header(64.0, 5.0, 0.0) + FRAME_BODY[:-8],
+            frame_header(64.0, 5.0, 0.0)[:20],
+            frame_header(float("nan"), 5.0, 0.0) + FRAME_BODY,
+            frame_header(float("inf"), 5.0, 0.0) + FRAME_BODY,
+            frame_header(16.5, 5.0, 0.0) + FRAME_BODY[: 2 * 17 * 8],
+            frame_header(64.0, 5.0, float("nan")) + FRAME_BODY,
+            frame_header(64.0, -1.0, 0.0) + FRAME_BODY,
+            frame_header(8.0, 5.0, 0.0) + FRAME_BODY[: 2 * 9 * 8],
+        ],
+        ids=[
+            "bad-magic", "truncated-body", "short-header", "n-nan", "n-inf",
+            "n-fractional", "t-nan", "L-negative", "n-too-small",
+        ],
+    )
+    def test_malformed_frame_rejected(self, tmp_path, frame):
         path = tmp_path / "bad.svv"
-        path.write_bytes(b"NOPE" + b"\0" * 48)
-        with pytest.raises(DomainError):
-            read_frame(str(path))
-
-    def test_truncated_frame_rejected(self, tmp_path):
-        grid = Grid(L=5.0, n=64)
-        state = GridState(0.0, np.ones(65), np.zeros(65))
-        path = tmp_path / "t.svv"
-        write_frame(str(path), grid, state)
-        path.write_bytes(path.read_bytes()[:-8])
+        path.write_bytes(frame)
         with pytest.raises(DomainError):
             read_frame(str(path))
 

@@ -370,6 +370,20 @@ def noisy_run(law2, grid):
     return traj, noise
 
 
+def masked_compact_moments(traj, law, window):
+    """compact_moments with its own vacuum mask and P call: the oracle of
+    its evaluation on the states' pass."""
+    x = traj.grid.x
+    mask = (x >= window[0]) & (x <= window[1])
+    rho = np.array([s.rho[mask] for s in traj.states])
+    m = np.array([s.mom[mask] for s in traj.states])
+    pos = rho > 0.0
+    u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
+    fp = np.trapezoid(rho * law.pressure(rho), x[mask])
+    fu = np.trapezoid(rho * np.abs(u) ** 3, x[mask])
+    return float(np.trapezoid(fp, traj.times)), float(np.trapezoid(fu, traj.times))
+
+
 class TestBlockOracles:
     @pytest.mark.parametrize("psi", list(PSIS))
     def test_residual_matches_step_loop(self, law2, noisy_run, psi):
@@ -455,6 +469,20 @@ class TestBlockOracles:
         assert m_p == pytest.approx(np.trapezoid(fp, traj.times), rel=1e-14)
         assert m_u3 == pytest.approx(np.trapezoid(fu, traj.times), rel=1e-14)
         assert m_u3 > 0.0
+
+    @pytest.mark.parametrize("vacuum", [True, False], ids=["vacuum", "positive"])
+    def test_compact_moments_equal_masked_formulas(self, law2, noisy_run, vacuum):
+        # with rho = m = 0 at x = 0.5 on every save after the first, or none
+        traj, _ = noisy_run
+        if vacuum:
+            i = int(np.argmin(np.abs(traj.grid.x - 0.5)))
+            states = [s.copy() for s in traj.states]
+            for s in states[1:]:
+                s.rho[i] = s.mom[i] = 0.0
+            traj = dataclasses.replace(traj, states=states)
+        window = (-1.5, 2.0)
+        got = compact_moments(traj, law2, window)
+        assert got == masked_compact_moments(traj, law2, window)
 
 
 class TestEnsembleMoments:

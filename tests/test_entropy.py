@@ -365,10 +365,12 @@ class TestMechanicalEnergy:
         for name in ("_check_pos", "_check_nonneg"):
             check = getattr(PressureLaw, name)
             monkeypatch.setattr(
-                PressureLaw, name, staticmethod(lambda r, _c=check: calls.append(1) or _c(r))
+                PressureLaw,
+                name,
+                staticmethod(lambda r, _c=check, _n=name: calls.append(_n) or _c(r)),
             )
         mechanical_energy_pair(law, rho, m)
-        assert not calls  # its own density check is the only one
+        assert calls == ["_check_nonneg"]  # the pass's density check, the only one
 
 
 class TestHighOrderEnergy:
@@ -383,6 +385,72 @@ class TestHighOrderEnergy:
     def test_relative_touches_zero(self, law2):
         _, rel = high_order_energy(law2, 1.0, 0.0, 1.0)
         assert rel == pytest.approx(0.0, abs=1e-14)
+
+
+# the gather-and-scatter forms of the energies, which each masked the
+# vacuum itself: the oracles of their evaluation on the state's pass
+def gathered_mechanical_pair(law, rho, m):
+    pos = rho > 0.0
+    out = np.zeros((4,) + rho.shape)
+    rp, mp = rho[pos], m[pos]
+    e = law._internal_energy(rp)
+    (P,) = law._pressure_parts(rp, 0)
+    out[0, pos] = 0.5 * mp**2 / rp + rp * e
+    out[1, pos] = 0.5 * mp**3 / rp**2 + mp * (e + P / rp)
+    out[2, pos] = mp / rp
+    out[3, pos] = 1.0 / rp
+    return out
+
+
+def gathered_high_order_energy(law, rho, m, rho_inf):
+    pos = rho > 0.0
+    kin = np.zeros(rho.shape)
+    kin[pos] = m[pos] ** 4 / (12.0 * rho[pos] ** 3) + law.internal_energy(
+        rho[pos]
+    ) * m[pos] ** 2 / rho[pos]
+    g = law.high_order_potential(rho)
+    g_inf = law.high_order_potential(rho_inf)
+    gp_inf = law.dhigh_order_potential(rho_inf)
+    return kin + g, kin + (g - g_inf - gp_inf * (rho - rho_inf))
+
+
+def pass_batch(vacuum):
+    """(3, 40) states across the composite blend window, with rho = m = 0
+    on a few nodes if vacuum."""
+    rng = np.random.default_rng(21)
+    rho = rng.uniform(0.05, 3.0, (3, 40))
+    m = rng.standard_normal((3, 40))
+    if vacuum:
+        rho[0, 0] = m[0, 0] = rho[1, 17] = m[1, 17] = rho[2, -1] = m[2, -1] = 0.0
+    return rho, m
+
+
+@pytest.mark.parametrize("vacuum", [True, False], ids=["vacuum", "positive"])
+@pytest.mark.parametrize(
+    "law",
+    [
+        PressureLaw.polytropic(1.4),
+        PressureLaw.polytropic(2.0, kappa=0.5),
+        PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4),
+    ],
+    ids=["gamma=1.4", "unscaled", "composite"],
+)
+class TestEnergiesOnThePass:
+    """The energies on the state's pass equal their gather-and-scatter
+    forms bit for bit, with vacuum nodes and without."""
+
+    def test_mechanical_energy_pair(self, law, vacuum):
+        rho, m = pass_batch(vacuum)
+        me = mechanical_energy_pair(law, rho, m)
+        want = gathered_mechanical_pair(law, rho, m)
+        for name, w in zip(FIELDS, want):
+            assert np.array_equal(getattr(me, name), w), name
+
+    def test_high_order_energy(self, law, vacuum):
+        rho, m = pass_batch(vacuum)
+        got = high_order_energy(law, rho, m, 1.2)
+        want = gathered_high_order_energy(law, rho, m, 1.2)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestPsiCutoff:

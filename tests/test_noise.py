@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svvlab.errors import ConfigError, DomainError
-from svvlab.noise import MAX_BASE_STEPS, NoiseModel, bump
+from svvlab.noise import MAX_BASE_STEPS, NoiseModel, _column, bump
 from svvlab.pressure import PressureLaw
 
 
@@ -284,6 +284,25 @@ class TestForcing:
             )
 
 
+def gathered_growth_b0(model, states):
+    """growth_check's constant from the positive nodes gathered, each state
+    masking its vacuum itself: the oracle of its evaluation on the states'
+    pass."""
+    eps2 = 0.0 if model.epsilon is None else _column(model.epsilon) ** 2
+    worst = 0.0
+    for x, rho, m in states:
+        pos = rho > 0.0
+        with np.errstate(over="ignore"):
+            G = np.sqrt(model.forcing_quadratic(x, rho, m))
+            if pos.any():
+                rp = rho[pos]
+                u = m[pos] / rp
+                e2 = np.broadcast_to(eps2, rho.shape)[pos]
+                env = rp * np.sqrt(1.0 + e2 + u**2 + model.law.internal_energy(rp))
+                worst = max(worst, float(np.max(G[pos] / env)))
+    return worst
+
+
 class TestGrowth:
     def test_single_mode_bound(self, single):
         x = np.linspace(-3, 3, 101)
@@ -320,3 +339,19 @@ class TestGrowth:
         ]
         assert got.empirical_B0 == max(want) > 0.0
         assert got.n_states == 2 and got.passed
+
+    @pytest.mark.parametrize("vacuum", [True, False], ids=["vacuum", "positive"])
+    @pytest.mark.parametrize("kind", ["raw", "mollified", "per-row"])
+    def test_equals_gathered_formula(self, law2, kind, vacuum):
+        model = NoiseModel.mode_family(0.5, 0.5, 60, law2, seed=1, dt_base=1e-3)
+        if kind != "raw":
+            eps = [0.05, 0.02, 0.1] if kind == "per-row" else 0.05
+            model = model.truncate_mollify(eps, 3.0, 0.25, rho_inf=1.0)
+        x = np.linspace(-2.0, 2.0, 65)
+        rho = 1.0 + 0.6 * np.cos(np.arange(3)[:, None] + 2.0 * x)
+        m = 0.8 * np.sin(x - np.arange(3)[:, None]) * rho
+        if vacuum:
+            rho[0, 3] = m[0, 3] = rho[2, 40] = m[2, 40] = 0.0
+        states = [(x, rho, m), (x, rho[::-1].copy(), 2.0 * m[::-1])]
+        got = model.growth_check(states).empirical_B0
+        assert got == gathered_growth_b0(model, states) > 0.0

@@ -18,14 +18,13 @@ from svvlab.errors import (
     PositivityLoss,
 )
 from svvlab.noise import NoiseModel
-from svvlab.pressure import PressureLaw, _smoothstep
+from svvlab.pressure import PressureLaw, StateFields, _smoothstep
 from svvlab.solver import (
     CFL_NUMBER,
     DIFFUSION_NUMBER,
     Grid,
     GridState,
     SolverConfig,
-    StateFields,
     Stepper,
     _save_times,
     dissipation_rate,
