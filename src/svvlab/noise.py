@@ -11,11 +11,20 @@ Brownian increments come from counter-based Philox streams keyed by
 (seed, sample, fine step), so that runs with different eps, different
 mode counts, or halved time steps share one underlying path: increments
 are always generated on a base grid dt_base and summed.
+
+A run evaluates the forcing once per step, so what depends on the grid
+alone (the mode profiles and the cutoff) is kept per grid, and the
+indicator is first bounded by one scalar: where max u + K(max rho) and
+min u - K(max rho) clear the edge of Gamma_H, it is exactly 1 and no
+per-node K is taken.  Every state's density is checked, raw model or
+mollified: by its pass (pressure.StateFields), or, where a raw model
+reads nothing of the pass, by the pass's check alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,10 +52,12 @@ def _check_bump(center, width):
         raise ConfigError(f"bump width must be positive and finite, got {width}")
 
 
+@lru_cache(maxsize=64)
 def _base_steps(dt, dt_base) -> int:
     """Base-grid steps per step of dt: ConfigError unless dt_base is
     positive and finite and dt a whole multiple of it (a NaN fails), of at
-    most MAX_BASE_STEPS base steps."""
+    most MAX_BASE_STEPS base steps.  A run asks it once per step, so each
+    (dt, dt_base) is worked out once."""
     k = dt / dt_base if 0.0 < dt_base < np.inf else np.nan
     ki = round(k) if k < np.inf else 0
     if not (ki >= 1 and abs(k - ki) <= 1e-9):
@@ -226,22 +237,40 @@ class NoiseModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def _region_indicator(self, rho, m, fields=None):
-        """Smooth indicator of Gamma_H in the Riemann invariants.  fields is
-        the states' StateFields, made here (checking rho) if not given."""
-        if fields is None:
-            fields = StateFields(
-                self.law, np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
-            )
+    @cached_property
+    def _region(self):
+        """(H, transition width, mode caps or None) as columns over the rows
+        of a batch, one value as it is, and the edge that the scalar bound
+        of _indicator must clear: the smallest H - width over the rows,
+        less a relative margin of 1e-9 H, far above the rounding of the
+        bound and of the indicator's arithmetic."""
+        H, width = _column(self.H), _column(self.epsilon)
+        caps = _column(self.mode_cap) if isinstance(self.mode_cap, tuple) else None
+        return H, width, caps, float(np.min((1.0 - 1e-9) * H - width))
+
+    def _indicator(self, fields):
+        """The smooth indicator of Gamma_H in the Riemann invariants on the
+        states of fields, or None where it is exactly 1 on states without
+        vacuum.
+
+        K is increasing, so w2 = u + K <= max u + K(max rho) and w1 = u - K
+        >= min u - K(max rho).  When that bound clears the edge (_region),
+        both smoothsteps are exactly 1 at every node and the per-node K is
+        not evaluated; otherwise the full formula is."""
+        H, width, _, edge = self._region
         u = fields.u
-        K = fields.masked(self.law._k_integral(fields.rp))
-        H = _column(self.H)
-        width = _column(self.epsilon)  # the transition width
-        upper = (H - (u + K)) / width  # (H - w2) / width
-        lower = ((u - K) + H) / width  # (w1 + H) / width
-        if (upper >= 1.0).all() and (lower >= 1.0).all():  # both steps are exactly 1
-            return fields.masked(np.ones_like(u))
-        return fields.masked(_smoothstep(upper)[0] * _smoothstep(lower)[0])
+        clears = False
+        if u.size:
+            top = self.law._k_integral(fields.rp.max())
+            clears = u.max() + top < edge and top - u.min() < edge
+        if not clears:
+            K = fields.masked(self.law._k_integral(fields.rp))
+            upper = (H - (u + K)) / width  # (H - w2) / width
+            lower = ((u - K) + H) / width  # (w1 + H) / width
+            if not ((upper >= 1.0).all() and (lower >= 1.0).all()):
+                return fields.masked(_smoothstep(upper)[0] * _smoothstep(lower)[0])
+        # both steps are exactly 1
+        return None if fields.pos is None else fields.masked(np.ones_like(u))
 
     def _spatial_cutoff(self, x):
         """The whole-line cutoff on |x| < 1/eps, or None where there is
@@ -253,7 +282,7 @@ class NoiseModel:
     def _on_grid(self, x):
         """(alpha_k(x) of every mode, spatial cutoff) on the nodes x: they
         depend on x alone, so each grid's are evaluated once and kept (the
-        last few grids')."""
+        last few grids'), keyed by their bytes."""
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
         kept = self._grids.get(key)
@@ -268,15 +297,27 @@ class NoiseModel:
         """k -> zeta_k^eps at the given states; the Gamma_H indicator is
         evaluated once, for every mode, and the profiles and the spatial
         cutoff once per grid.  A model mollified per row zeroes each row's
-        modes beyond its cap."""
+        modes beyond its cap.  fields is the states' StateFields, whose
+        pass checked rho >= 0; without it, a mollified model makes the pass
+        and a raw model, which reads nothing of it, makes the pass's check
+        alone."""
+        if fields is None:
+            if self.H is None:
+                self.law._check_nonneg(rho)
+            else:
+                fields = StateFields(
+                    self.law, np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
+                )
         profiles, cutoff = self._on_grid(x)
         if self.H is None:
             return lambda k: profiles[k] * rho
-        indicator = self._region_indicator(rho, m, fields)
-        caps = _column(self.mode_cap) if isinstance(self.mode_cap, tuple) else None
+        indicator = self._indicator(fields)
+        caps = self._region[2]
 
         def zeta(k):
-            z = profiles[k] * rho * indicator
+            z = profiles[k] * rho
+            if indicator is not None:  # an indicator of all ones is exact
+                z = z * indicator
             if cutoff is not None:
                 z = z * cutoff
             return z if caps is None else z * (k < caps)
@@ -304,17 +345,20 @@ class NoiseModel:
         one row of increments per state.  fields is the states'
         StateFields, made here if not given."""
         dW = np.asarray(dW, dtype=float)
-        if dW.shape[-1] != self.n_modes:
+        if dW.shape[-1] != len(self.modes):
             raise DomainError(
-                f"expected {self.n_modes} increments, got {dW.shape[-1]}"
+                f"expected {len(self.modes)} increments, got {dW.shape[-1]}"
             )
         zeta = self._mollified(x, rho, m, fields)
-        out = np.zeros_like(np.asarray(rho, dtype=float))
+        # the sum starts from its first nonzero term plus 0.0, which gives
+        # the bits, and the signs of zero, of zeros plus that term
+        out = None
         for k, mode in enumerate(self.modes):
             dW_k = dW[..., k, None]
             if dW_k.any():
-                out = out + mode.a * zeta(k) * dW_k
-        return out
+                term = mode.a * zeta(k) * dW_k
+                out = term + 0.0 if out is None else out + term
+        return np.zeros_like(np.asarray(rho, dtype=float)) if out is None else out
 
     # -- Brownian increments ----------------------------------------------
 
@@ -340,17 +384,19 @@ class NoiseModel:
 
         sample_id is one id, giving (n_modes,) increments, or a sequence of
         ids, giving (len(sample_id), n_modes), where a repeated id repeats
-        its row.  dt must be an integer
-        multiple of dt_base; the increments are sums of base-grid draws, so
-        coarse and fine runs share one path.
+        its row.  step is a nonnegative integer (DomainError otherwise).
+        dt must be an integer multiple of dt_base; the increments are sums
+        of base-grid draws, so coarse and fine runs share one path.
         """
-        ki = _base_steps(dt, self.dt_base)
+        if not (isinstance(step, (int, np.integer)) and step >= 0):
+            raise DomainError(f"step must be a nonnegative integer, got {step!r}")
+        ki = _base_steps(float(dt), float(self.dt_base))
         batched = not isinstance(sample_id, (int, np.integer))
-        ids = [int(s) for s in sample_id] if batched else [int(sample_id)]
-        nm = self.n_modes
+        ids = list(map(int, sample_id)) if batched else [int(sample_id)]
+        nm = len(self.modes)
         root = np.sqrt(self.dt_base)
         out = np.zeros((len(ids), nm))
-        base = step * ki
+        base = int(step) * ki
         first = {}  # sample id -> its first row: each id is drawn once
         for i, sid in enumerate(ids):
             if sid in first:

@@ -27,9 +27,11 @@ exactly and the constants chained left to right.  g' reads e, and g reads
 g', through that table, from its cell edges.  A number is evaluated as a
 1-element array, so that it gets the bits an array gives.
 
-StateFields is a law's pass over states (rho, m): one (P, P') call, which
-checks rho >= 0, the positivity mask, a safe divisor and u = m / rho.  It
-holds the vacuum rule, and every functional of a state reads it.
+StateFields is a law's pass over states (rho, m): one (P, P') call, the
+positivity mask, a safe divisor and u = m / rho, after one sign test of
+rho, rho.min() > 0, which leaves out the checks and masks that a state
+without vacuum does not need.  It holds the vacuum rule, and every
+functional of a state reads it.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ class PressureLaw:
 
     # -- basic properties --------------------------------------------------
 
-    @property
+    @cached_property
     def is_polytropic(self) -> bool:
         return self.kind == "polytropic"
 
@@ -400,7 +402,7 @@ class PressureLaw:
         law's are exp(L), exp(L) L' and exp(L) (L'' + L'^2) with L = log P,
         and P = P' = 0 on vacuum."""
         if self.is_polytropic:
-            k, g = self.kappa, self.gamma
+            k, g = self.kappa1, self.gamma1
             parts = [k * rho**g]
             if order >= 1:
                 parts.append(k * g * rho ** (g - 1.0))
@@ -433,8 +435,8 @@ class PressureLaw:
 
     def _k_integral(self, rho):
         if self.is_polytropic:
-            th = self.theta
-            return np.sqrt(self.kappa * self.gamma) / th * rho**th
+            th = self.theta1
+            return np.sqrt(self.kappa1 * self.gamma1) / th * rho**th
         return self._regimes(
             rho, self._near_law._k_integral, self._k_fit, self._far_law._k_integral
         )
@@ -707,13 +709,27 @@ class StateFields:
     where positive and 1 elsewhere, safe to divide by; u is m / rho, 0 on
     vacuum; P and dP are P(rho) and P'(rho).  Readers mask a vacuum
     through masked(), which does nothing when pos is None: the values are
-    those of the masked formulas, bit for bit.  rho >= 0 is checked once,
-    by (P, P') (DomainError otherwise).
+    those of the masked formulas, bit for bit.
+
+    The density takes one sign test: a float array with rho.min() > 0 is
+    checked and unmasked by it, and goes straight to (P, P').  Anything
+    else (a zero, a negative or a NaN density, an empty array or no array)
+    is checked by (P, P'), DomainError for a negative, and then masked.
     """
 
     __slots__ = ("P", "dP", "pos", "rp", "u")
 
     def __init__(self, law: PressureLaw, rho: np.ndarray, m: np.ndarray):
+        if (
+            type(rho) is np.ndarray
+            and rho.dtype == float
+            and rho.ndim
+            and rho.size
+            and rho.min() > 0.0
+        ):
+            self.P, self.dP = law._pressure_parts(rho, 1)
+            self.pos, self.rp, self.u = None, rho, m / rho
+            return
         self.P, self.dP = law.pressure_pair(rho)
         self._mask(rho)
         self.u = m / rho if self.pos is None else np.where(self.pos, m / self.rp, 0.0)

@@ -19,6 +19,11 @@ The recorded relative energy, dissipation and minimum density, which no
 step reads, are evaluated from the block, with one call of each
 functional per block, bitwise the values of a per-step evaluation.
 
+A step of one row is bound by its calls, not by its arithmetic, so the
+step writes its convective update and its diffusion into workspaces the
+stepper keeps per shape, and builds an error only for a row that broke a
+guard.
+
 Positivity is never repaired: a density-floor violation raises
 PositivityLoss with the failing time, location and sample.  A failed
 sample keeps its row, so a run's batch has one shape from the first step
@@ -162,7 +167,7 @@ class Stepper:
         self.grid = grid
         self.config = config
         n = grid.n
-        dx = grid.dx
+        self.dx = dx = grid.dx
         self.epsilon = np.asarray(
             config.epsilon if epsilon is None else epsilon, dtype=float
         )
@@ -170,6 +175,8 @@ class Stepper:
         self.mu = self.epsilon[..., None] * config.dt / dx**2
         # far-field values of (rho, m), broadcast over the stacked fields
         self._far = np.array([[config.rho_inf], [0.0]])
+        # state shape -> the stacked (rho, m) of the convective update
+        self._update = {}
         if config.scheme == "imex":
             # (I - mu L) on interior nodes with Dirichlet ends is diagonal in
             # the sine basis sin(pi j k / n); the inverses of its eigenvalues,
@@ -224,7 +231,7 @@ class Stepper:
     def _dt_max(self, fields: StateFields) -> np.ndarray:
         """Per-row stability bound on dt from the largest wave speed."""
         cfg = self.config
-        dx = self.grid.dx
+        dx = self.dx
         c = np.sqrt(fields.dP)
         speed = fields.masked(np.abs(fields.u) + c, -np.inf).max(axis=-1)
         speed[~(speed > 0.0)] = 1e-30  # no positive cell, or all at rest
@@ -241,15 +248,18 @@ class Stepper:
         state's StateFields, made here if not given.  out, a (2, S, n+1)
         array, receives the new (rho, m) of every row if given; it may be
         the memory of state itself.  Returns (new state, failures).  The
-        new state holds every row, views of out (or of a new array), a
-        failed row as the step left it.  failures lists (row, error), by
-        row, for every row that broke the CFL bound at the step start, or
-        diverged or fell below the density floor at its end.  A row at
-        the far-field state (rho_inf, 0) with zero forcing comes back
-        bitwise unchanged.
+        new state holds every row, views of out (or of a new array, never
+        a workspace), a failed row as the step left it.  failures lists
+        (row, error), by row, for every row that broke the CFL bound at the
+        step start, or diverged or fell below the density floor at its
+        end.  A row at the far-field state (rho_inf, 0) with zero forcing
+        comes back bitwise unchanged.
+
+        The convective update is written into a workspace kept per state
+        shape, whose two ends only the explicit diffusion reads.
         """
         cfg = self.config
-        dx = self.grid.dx
+        dx = self.dx
         dt = cfg.dt
         rho, m = state.rho, state.mom
         if fields is None:
@@ -260,11 +270,20 @@ class Stepper:
 
         flux_m = fields.masked(m**2 / fields.rp) + fields.P
 
-        new = np.stack((rho, m))  # (rho, m) stacked, ends kept
-        new[0, ..., 1:-1] = rho[..., 1:-1] - dt * (m[..., 2:] - m[..., :-2]) / (2.0 * dx)
-        new[1, ..., 1:-1] = m[..., 1:-1] - dt * (flux_m[..., 2:] - flux_m[..., :-2]) / (
-            2.0 * dx
-        )
+        new = self._update.get(rho.shape)
+        if new is None:
+            new = self._update[rho.shape] = np.empty((2,) + rho.shape)
+        if cfg.scheme == "explicit":  # its diffusion reads the two ends
+            n = self.grid.n
+            new[0, ..., ::n], new[1, ..., ::n] = rho[..., ::n], m[..., ::n]
+        # interior: f - (dt (g(i+1) - g(i-1))) / (2 dx) for (f, g) = (rho, m)
+        # and (m, flux_m)
+        for f, g, row in ((rho, m, new[0]), (m, flux_m, new[1])):
+            d = row[..., 1:-1]
+            np.subtract(g[..., 2:], g[..., :-2], out=d)
+            d *= dt
+            d /= 2.0 * dx
+            np.subtract(f[..., 1:-1], d, out=d)
         if forcing_increment is not None:
             new[1, ..., 1:-1] += forcing_increment[..., 1:-1]
 
@@ -272,23 +291,24 @@ class Stepper:
         rho_new, m_new = new
 
         t_new = state.t + dt
-        finite = np.isfinite(new).all(axis=-1).all(axis=0)
+        finite = np.isfinite(new).all(axis=(0, -1))
         rho_min = rho_new.min(axis=-1)
         bad = unstable | ~finite | (rho_min < cfg.density_floor)
         failures = []
-        for row in np.flatnonzero(bad):
-            if unstable[row]:
-                exc = NumericalError(
-                    f"dt = {dt:g} violates the stability bound {dt_max[row]:g} "
-                    f"at t = {state.t:g}",
-                    t=state.t,
-                )
-            elif not finite[row]:
-                exc = DivergenceError(t_new)
-            else:
-                i = int(np.argmin(rho_new[row]))
-                exc = PositivityLoss(t_new, self.grid.x[i], float(rho_min[row]))
-            failures.append((int(row), exc))
+        if bad.any():
+            for row in np.flatnonzero(bad):
+                if unstable[row]:
+                    exc = NumericalError(
+                        f"dt = {dt:g} violates the stability bound {dt_max[row]:g} "
+                        f"at t = {state.t:g}",
+                        t=state.t,
+                    )
+                elif not finite[row]:
+                    exc = DivergenceError(t_new)
+                else:
+                    i = int(np.argmin(rho_new[row]))
+                    exc = PositivityLoss(t_new, self.grid.x[i], float(rho_min[row]))
+                failures.append((int(row), exc))
         return GridState(t_new, rho_new, m_new), failures
 
 
@@ -484,10 +504,11 @@ def simulate(
     saves[:, 0, 1] = block[1, :, 0] = start.mom
     state = start
     fields = push()
+    forced = noise is not None and noise.n_modes > 0
     x = grid.x
     for n in range(n_steps):
         forcing = None
-        if noise is not None and noise.n_modes > 0:
+        if forced:
             dW = noise.sample_increments(ids, n, config.dt)
             forcing = noise.apply_forcing(x, state.rho, state.mom, dW, fields)
             if failed is not None:

@@ -29,8 +29,6 @@ ALLOWED_MEMBERS = {
     ("goursat", "GoursatTable.boundary_residual"),
     # one mode's mollified coefficient, the term the forcing sums
     ("noise", "NoiseModel.zeta_eff"),
-    # (gamma1 - 1) / 2, the exponent of the law's first branch, beside theta2
-    ("pressure", "PressureLaw.theta1"),
     # P'', beside the P and P' that the pressure pair gives
     ("pressure", "PressureLaw.d2pressure"),
     # c = sqrt(P'), which the CFL guard takes from the state's P'

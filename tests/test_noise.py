@@ -1,11 +1,14 @@
 """Finite-mode forcing: construction, truncation, streams, growth bounds."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from svvlab.errors import ConfigError, DomainError
 from svvlab.noise import MAX_BASE_STEPS, NoiseModel, _column, bump
-from svvlab.pressure import PressureLaw
+from svvlab.pressure import PressureLaw, StateFields, _smoothstep
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,39 @@ class TestSampling:
             model.sample_increments(sid, step + 1, 3e-3)
             assert np.array_equal(model.sample_increments(sid, step, 3e-3), expect)
 
+    @pytest.mark.parametrize("step", [-1, 1.5])
+    def test_bad_step_rejected(self, single, step):
+        # a negative step escaped as an OverflowError, a fractional one as
+        # a TypeError
+        message = f"step must be a nonnegative integer, got {step!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            single.sample_increments(0, step, 1e-3)
+
+    @pytest.mark.parametrize("step", [0, 2**70])
+    def test_first_and_far_steps_keep_their_bits(self, law2, step):
+        # the fresh-Philox oracle at both ends of the step range, two base
+        # steps per step
+        model = NoiseModel.mode_family(0.2, 1.5, 4, law2, seed=7, dt_base=1e-3)
+        expect = np.zeros(4)
+        for j in range(2 * step, 2 * step + 2):
+            bitgen = np.random.Philox(key=(7 << 64) | 3, counter=j << 128)
+            expect += np.random.Generator(bitgen).standard_normal(4)
+        expect *= np.sqrt(1e-3)
+        assert np.array_equal(model.sample_increments(3, step, 2e-3), expect)
+        assert np.array_equal(model.sample_increments([3], step, 2e-3)[0], expect)
+        if step < 2**63:  # a numpy integer is the same step
+            assert np.array_equal(model.sample_increments(3, np.int64(step), 2e-3), expect)
+
+    def test_numpy_time_steps_are_the_float_step(self, law2):
+        # the base steps per step are kept per float dt, so a 0-d array or
+        # a numpy float dt (or dt_base) is the same dt, not an unhashable key
+        model = NoiseModel.mode_family(0.2, 1.5, 4, law2, seed=7, dt_base=1e-3)
+        expect = model.sample_increments([3, 5], 4, 2e-3)
+        for dt in (np.array(2e-3), np.float64(2e-3)):
+            assert np.array_equal(model.sample_increments([3, 5], 4, dt), expect)
+        numpy_base = replace(model, dt_base=np.array(1e-3))
+        assert np.array_equal(numpy_base.sample_increments([3, 5], 4, 2e-3), expect)
+
     def test_batched_rows_are_one_sample_draws(self, family):
         ids = [4, 0, 9]
         batch = family.sample_increments(ids, 6, 2e-3)
@@ -223,16 +259,14 @@ class TestForcing:
         dW = np.random.default_rng(0).standard_normal(20)
         force = np.zeros_like(x)
         quad = 0.0
+        indicator = model._indicator(StateFields(law2, rho, m))
         for k, mode in enumerate(model.modes):
             z = model.zeta_eff(k, x, rho, m)
             # the per-mode formula, indicator and cutoff evaluated afresh
             raw = mode(x, rho, m)
-            assert np.array_equal(
-                z, raw * model._region_indicator(rho, m) * model._spatial_cutoff(x)
-            )
+            assert np.array_equal(z, raw * indicator * model._spatial_cutoff(x))
             force = force + mode.a * z * dW[k]
             quad = quad + (mode.a * z) ** 2
-        indicator = model._region_indicator(rho, m)
         within = (indicator > 0.0) & (indicator < 1.0)  # strictly inside the transition
         assert within.any() and np.abs(x[within]).min() < 1.0
         assert model._spatial_cutoff(x).min() == 0.0
@@ -275,13 +309,175 @@ class TestForcing:
             assert np.array_equal(quad[r], model.forcing_quadratic(x, rho[r], m[r]))
             for k in range(cap, rows.n_modes):
                 assert not rows.zeta_eff(k, x, rho, m)[r].any()
-        assert rows._region_indicator(rho, m)[0].min() < 1.0
+        assert rows._indicator(StateFields(law2, rho, m))[0].min() < 1.0
+
+    @pytest.mark.parametrize("method", ["apply_forcing", "forcing_quadratic", "zeta_eff"])
+    @pytest.mark.parametrize("mollified", [False, True], ids=["raw", "mollified"])
+    def test_negative_density_rejected(self, law2, mollified, method):
+        # the raw model gave a forcing of -0.3 and a quadratic of 0.09 at
+        # rho = -1; both models check rho, through the state's pass or, raw,
+        # by the pass's check
+        model = NoiseModel.single_mode(0.3, law2, seed=7, dt_base=1e-3)
+        if mollified:
+            model = model.truncate_mollify(0.05, 3.0, 0.25, rho_inf=1.0)
+        x, rho = np.zeros(1), np.array([-1.0])
+        calls = {
+            "apply_forcing": lambda: model.apply_forcing(x, rho, 0.0, [1.0]),
+            "forcing_quadratic": lambda: model.forcing_quadratic(x, rho, 0.0),
+            "zeta_eff": lambda: model.zeta_eff(0, x, rho, 0.0),
+        }
+        with pytest.raises(DomainError, match="density must be nonnegative"):
+            calls[method]()
+
+    def test_raw_model_checks_without_a_pass(self, single, monkeypatch):
+        # a raw model reads nothing of the state's pass, so without one it
+        # makes the pass's density check alone, not P and P'
+        calls = []
+        check, parts = PressureLaw._check_nonneg, PressureLaw._pressure_parts
+        monkeypatch.setattr(
+            PressureLaw, "_check_nonneg",
+            staticmethod(lambda rho: calls.append("_check_nonneg") or check(rho)),
+        )
+        monkeypatch.setattr(
+            PressureLaw, "_pressure_parts",
+            lambda self, *a: calls.append("_pressure_parts") or parts(self, *a),
+        )
+        x = np.linspace(-1.0, 1.0, 9)
+        rho, m = np.ones(9), np.zeros(9)
+        single.forcing_quadratic(x, rho, m)
+        single.apply_forcing(x, rho, m, [1.0])
+        assert calls == ["_check_nonneg", "_check_nonneg"]
 
     def test_wrong_increment_count(self, family):
         with pytest.raises(DomainError):
             family.apply_forcing(
                 np.zeros(3), np.ones(3), np.zeros(3), np.zeros(2)
             )
+
+
+def full_indicator(model, rho, m):
+    """The Gamma_H indicator from the full formula at every node, zero on
+    vacuum: the oracle of the scalar bound."""
+    pos = rho > 0.0
+    rp = np.where(pos, rho, 1.0)
+    u = np.where(pos, m / rp, 0.0)
+    K = np.where(pos, model.law.k_integral(rp), 0.0)
+    H, width = _column(model.H), _column(model.epsilon)
+    upper = (H - (u + K)) / width
+    lower = ((u - K) + H) / width
+    return np.where(pos, _smoothstep(upper)[0] * _smoothstep(lower)[0], 0.0)
+
+
+def summed_forcing(model, x, rho, m, dW):
+    """(apply_forcing, forcing_quadratic) with every coefficient multiplied
+    by the full indicator and the forcing summed from zeros."""
+    indicator = full_indicator(model, rho, m)
+    cutoff = model._spatial_cutoff(x)
+    caps = _column(model.mode_cap) if isinstance(model.mode_cap, tuple) else None
+    force, quad = np.zeros_like(rho), 0.0
+    for k, mode in enumerate(model.modes):
+        z = mode.alpha(x) * rho * indicator
+        if cutoff is not None:
+            z = z * cutoff
+        if caps is not None:
+            z = z * (k < caps)
+        if dW[..., k, None].any():
+            force = force + mode.a * z * dW[..., k, None]
+        quad = quad + (mode.a * z) ** 2
+    return force, quad
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def near_edge(model, law, delta, side, own, amp=0.3):
+    """Three rows, rho = 1 + amp cos, whose largest w2 (side "upper") or
+    smallest -w1 (side "lower") is (1 + delta) times the edge H - eps:
+    each row's own edge, or the smallest over the rows."""
+    x = np.linspace(-3.0, 3.0, 65)
+    rows = np.arange(3)[:, None]
+    rho = 1.0 + amp * np.cos(x + rows)
+    K = law.k_integral(rho)
+    edge = np.broadcast_to(_column(model.H) - _column(model.epsilon), (3, 1))
+    target = (edge if own else edge.min()) * (1.0 + delta)
+    u = 0.2 * np.sin(x - rows)
+    if side == "upper":
+        u = u + (target - (u + K).max(axis=-1, keepdims=True))
+    else:
+        u = u - (target + (u - K).min(axis=-1, keepdims=True))
+    return x, rho, u * rho
+
+
+class TestRegionBound:
+    """Where max u + K(max rho) and min u - K(max rho) clear H - eps, the
+    indicator is 1 without a per-node K; everywhere it, the forcing and
+    its quadratic are those of the full formula, bitwise."""
+
+    @pytest.mark.parametrize("delta", [-0.1, -1e-3, -1e-12, 0.0, 1e-12, 0.02])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize(
+        "case", ["polytropic", "flat", "composite", "vacuum", "per-row", "per-row-own"]
+    )
+    def test_bound_equals_full_indicator(self, law2, case, side, delta, monkeypatch):
+        law = law2
+        if case == "composite":  # rho in [0.7, 1.3] straddles rho_lo = 0.9
+            law = PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4)
+        eps = [0.05, 0.2, 0.5] if case.startswith("per-row") else 0.05
+        template = NoiseModel.mode_family(0.4, 1.0, 3, law, seed=3, dt_base=1e-3)
+        model = template.truncate_mollify(eps, 3.0, 0.25, 1.0)
+        amp = 0.0 if case == "flat" else 0.3
+        x, rho, m = near_edge(model, law, delta, side, case == "per-row-own", amp)
+        if case == "vacuum":
+            rho[:, 20:24] = m[:, 20:24] = 0.0
+        # the bound clears inside the smallest edge by more than its margin
+        # and, where rho varies and max u and max rho fall on different
+        # nodes, by more than its slack
+        clears = case != "per-row-own" and (
+            delta == -0.1 or (case == "flat" and delta == -1e-3)
+        )
+        want = full_indicator(model, rho, m)
+        ndims = []  # the ndim of each rho that the model's law takes K of
+        plain = PressureLaw._k_integral
+        monkeypatch.setattr(
+            PressureLaw, "_k_integral",
+            lambda self, r: (self is law and ndims.append(np.ndim(r))) or plain(self, r),
+        )
+        got = model._indicator(StateFields(law, rho, m))
+        assert ndims == ([0] if clears else [0, 2])
+        # None stands for an indicator of exactly 1, on states without
+        # vacuum, and is what a bound that clears gives them
+        if clears and case != "vacuum":
+            assert got is None
+        if got is None:
+            assert case != "vacuum"
+            got = np.ones_like(want)
+        assert same_bits(got, want)
+        if delta == 0.02:
+            assert got.min() < 1.0
+        dW = np.random.default_rng(4).standard_normal((3, model.n_modes))
+        dW[:, 1] = 0.0  # a mode the sum skips
+        force, quad = summed_forcing(model, x, rho, m, dW)
+        # bitwise, so the signs of zero too: the bump is 0 on most nodes
+        assert same_bits(model.apply_forcing(x, rho, m, dW), force)
+        assert same_bits(model.forcing_quadratic(x, rho, m), quad)
+        negative = model.apply_forcing(x, rho, m, -np.abs(dW))
+        assert not (np.signbit(negative) & (negative == 0.0)).any()
+
+    def test_empty_and_nonfinite_states_take_the_full_formula(self, law2):
+        model = NoiseModel.single_mode(0.3, law2, seed=7, dt_base=1e-3)
+        model = model.truncate_mollify(0.05, 3.0, 0.25, 1.0)
+        empty = np.zeros((1, 0))
+        assert model._indicator(StateFields(law2, empty, empty)) is None
+        rho, m = np.ones(5), np.zeros(5)
+        for bad in (np.nan, np.inf):
+            m[2] = bad
+            with np.errstate(invalid="ignore"):
+                assert same_bits(
+                    model._indicator(StateFields(law2, rho, m)),
+                    full_indicator(model, rho, m),
+                )
 
 
 def gathered_growth_b0(model, states):

@@ -13,7 +13,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from svvlab import pressure
 from svvlab.errors import ConfigError, DomainError, NumericalError
-from svvlab.pressure import PressureLaw, _WindowFit, default_kappa
+from svvlab.pressure import PressureLaw, StateFields, _WindowFit, default_kappa
 
 
 @pytest.fixture(scope="module")
@@ -934,7 +934,8 @@ class TestNoisyCompositeRun:
         noise = noise.truncate_mollify(0.5, 3.0, 0.25, 1.0)
         trajs = simulate(init, law, grid, cfg, noise, [0, 1, 2])
         steps = trajs[0].step_states
-        assert noise._region_indicator(steps[:, 0], steps[:, 1]).min() < 1.0
+        fields = StateFields(law, steps[:, 0], steps[:, 1])
+        assert noise._indicator(fields).min() < 1.0
         energy = [19.627908369408857, 19.716620413425854, 19.79979201902719]
         dissipation = [4.178850471336354, 4.180272837728829, 4.184445657719746]
         for name, want in (("energy", energy), ("dissipation", dissipation)):

@@ -1,5 +1,7 @@
 """Time stepping: equilibrium, convergence, stability guards, heat kernel."""
 
+import os
+import sys
 import warnings
 from dataclasses import replace
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+import svvlab
 from svvlab import noise as noise_module
 from svvlab import solver
 from svvlab.config import config_from_dict
@@ -707,7 +710,7 @@ class TestSharedStatePass:
             assert_matches_oracle(traj, noise)
             rho, m = traj.step_states[:, 0], traj.step_states[:, 1]
             if eps == eps_list[0]:
-                assert noise._region_indicator(rho, m).min() < 1.0
+                assert noise._indicator(StateFields(law, rho, m)).min() < 1.0
 
     def test_composite_blend_window(self):
         init, law, grid, cfg, _ = batch_case("composite")
@@ -721,27 +724,29 @@ class TestSharedStatePass:
         cfg = config_from_dict(README_RUN)
         sc, n_samples = cfg.solver, 12
         init = cfg.initial.build(cfg.grid, sc.rho_inf)
-        shapes = []
-        check = PressureLaw._check_nonneg
-
-        def counted(rho):
-            shapes.append(np.shape(rho))
-            return check(rho)
-
+        passes, parts, checks, masks = [], [], [], []
+        spy(monkeypatch, StateFields, "__init__", passes, lambda self, law, rho, m: rho)
+        spy(monkeypatch, StateFields, "_mask", masks, lambda self, rho: rho)
+        spy(monkeypatch, PressureLaw, "_pressure_parts", parts, lambda self, rho, k: rho)
+        spy(monkeypatch, PressureLaw, "_check_nonneg", checks, lambda rho: rho, static=True)
         bumps = []
         plain_bump = noise_module.bump
-        monkeypatch.setattr(PressureLaw, "_check_nonneg", staticmethod(counted))
         monkeypatch.setattr(
             noise_module, "bump", lambda *a, **k: bumps.append(1) or plain_bump(*a, **k)
         )
         simulate(init, cfg.law, cfg.grid, sc, cfg.noise, list(range(n_samples)))
-        # the state's pass checks each state, the initial one and one per
-        # step; e* checks each block of 2 steps (the last state alone) in
-        # its shape, and e(rho_inf) and P(rho_inf) once per law; no other
+        # each state, the initial one and one per step, has one pass, whose
+        # one sign test (every rho > 0) leaves out the check and the mask:
+        # one (P, P') evaluation per state and no other of its shape
         nodes = cfg.grid.n + 1
         states = [(n_samples, nodes)] * (sc.n_steps + 1)
+        assert passes == states
+        assert [s for s in parts if s == (n_samples, nodes)] == states
+        assert (n_samples, nodes) not in checks + masks
+        # e* checks each block of 2 steps (the last state alone) in its
+        # shape, and e(rho_inf) and P(rho_inf) once per law; no other
         blocks = [(n_samples, 2, nodes)] * (sc.n_steps // 2) + [(n_samples, 1, nodes)]
-        assert sorted(shapes, key=len) == [(), ()] + states + blocks
+        assert sorted(checks, key=len) == [(), ()] + blocks
         # the mode's profile is evaluated once per grid, by every later run too
         simulate(init, cfg.law, cfg.grid, sc, cfg.noise, 3)
         assert len(bumps) == cfg.noise.n_modes == 1
@@ -779,6 +784,18 @@ class TestSharedStatePass:
             assert energy == quotient_energy(law, grid, rho, m, 1.0)
             assert rate == gradient_dissipation(law, grid, rho, m)
         assert np.isfinite(energy) and np.isfinite(rate) and rate > 0.0
+
+
+def spy(monkeypatch, owner, name, shapes, picks, static=False):
+    """Replace owner.name by a wrapper that appends the shape of the array
+    that picks(*args) returns to shapes, then calls the original."""
+    plain = getattr(owner, name)
+
+    def spied(*args):
+        shapes.append(np.shape(picks(*args)))
+        return plain(*args)
+
+    monkeypatch.setattr(owner, name, staticmethod(spied) if static else spied)
 
 
 def block_sizes(monkeypatch, points=None):
@@ -880,16 +897,16 @@ class TestBlocks:
             solver, "dissipation_rate",
             lambda law, grid, rho, *a: rates.append(rho.shape[1]) or rate(law, grid, rho, *a),
         )
-        check = PressureLaw._check_nonneg
-        monkeypatch.setattr(
-            PressureLaw, "_check_nonneg",
-            staticmethod(lambda rho: checks.append(np.shape(rho)) or check(rho)),
-        )
+        passes = []
+        spy(monkeypatch, StateFields, "__init__", passes, lambda self, law, rho, m: rho)
+        spy(monkeypatch, PressureLaw, "_check_nonneg", checks, lambda rho: rho, static=True)
         simulate(init, law, grid, cfg)
         blocks = [(1, 7, grid.n + 1)] * 5 + [(1, 6, grid.n + 1)]
         assert estar == blocks
         assert rates == [7] * 5 + [5]  # the 40 steps; the last state begins none
-        assert checks.count((1, grid.n + 1)) == cfg.n_steps + 1
+        # one pass per state, whose one sign test is the state's only check
+        assert passes == [(1, grid.n + 1)] * (cfg.n_steps + 1)
+        assert (1, grid.n + 1) not in checks
         assert [c for c in checks if len(c) == 3] == blocks
 
     @pytest.mark.parametrize("keep_failures", [False, True])
@@ -991,8 +1008,11 @@ class TestMaskFreePass:
         # a wide Gamma_H, where both steps are exactly 1, and a narrow one
         for c1 in (30.0, 3.0):
             model = noise.truncate_mollify([0.05, 0.2, 0.5], c1, 0.25, 1.0)
-            a = model._region_indicator(rho, m, fields)
-            b = model._region_indicator(rho, m, masked)
+            # None stands for an indicator of exactly 1, on states without
+            # vacuum; the masked pass gives its ones
+            a, b = model._indicator(fields), model._indicator(masked)
+            if a is None:
+                a = np.ones_like(b)
             assert np.array_equal(a, b)
             assert (a.min() < 1.0) == (c1 == 3.0)
             dW = model.sample_increments([0, 1, 2], 0, cfg.dt)
@@ -1020,9 +1040,7 @@ class TestMaskFreePass:
         stepper = Stepper(law2, grid, cfg)
         assert np.array_equal(stepper._dt_max(fields), dpressure_dt_max(stepper, rho, m))
         noise = NoiseModel.single_mode(0.3, law2, seed=7, dt_base=1e-3)
-        indicator = noise.truncate_mollify(0.05, 3.0, 0.25, 1.0)._region_indicator(
-            rho, m, fields
-        )
+        indicator = noise.truncate_mollify(0.05, 3.0, 0.25, 1.0)._indicator(fields)
         assert indicator[0, 60] == 0.0 and indicator[0, 59] == 1.0
 
     def test_vacuum_batch_takes_the_masks(self, grid):
@@ -1046,6 +1064,87 @@ class TestMaskFreePass:
         lone = simulate(GridState(0.0, rho[0], m[0]), law, grid, cfg, noise, 3)
         for name in ("energy", "dissipation", "step_states", "forcing_increments"):
             assert np.array_equal(getattr(batch[0], name), getattr(lone, name)), name
+
+
+def checked_pass(law, rho, m):
+    """(P, P', pos, rp, u) of a pass that checks rho >= 0 and then tests
+    rho > 0 for its masks, on every state: the oracle of the one sign
+    test."""
+    P, dP = law.pressure_pair(rho)
+    pos = rho > 0.0
+    if pos.all():
+        return P, dP, None, rho, m / rho
+    rp = np.where(pos, rho, 1.0)
+    return P, dP, pos, rp, np.where(pos, m / rp, 0.0)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the oracle's error is the one to match
+        return type(exc), str(exc)
+
+
+class TestOneSignTest:
+    """A float array with rho.min() > 0 takes its pass without the check
+    and the masks; every other density takes them.  Either way the pass
+    holds the checked pass's values, bit for bit, or raises its error."""
+
+    CASES = {
+        "positive": lambda rho: rho,
+        "zero": lambda rho: np.where(np.arange(rho.shape[-1]) == 60, 0.0, rho),
+        "negative": lambda rho: np.where(np.arange(rho.shape[-1]) == 60, -1e-3, rho),
+        "nan": lambda rho: np.where(np.arange(rho.shape[-1]) == 60, np.nan, rho),
+        "inf": lambda rho: np.where(np.arange(rho.shape[-1]) == 60, np.inf, rho),
+        "empty": lambda rho: rho[:, :0],
+        "no rows": lambda rho: rho[:0],
+        "0-d": lambda rho: np.array(rho[0, 60]),
+        "numpy float": lambda rho: rho[0, 60],
+        "float32": lambda rho: rho.astype(np.float32),
+        "integer": lambda rho: np.ones(rho.shape, dtype=int),
+        "list": lambda rho: rho[0].tolist(),
+        "float": lambda rho: float(rho[0, 60]),
+    }
+
+    @pytest.mark.parametrize("kind", ["polytropic", "composite"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pass_equals_checked_pass(self, grid, kind, case):
+        law = PressureLaw.polytropic(2.0)
+        if kind == "composite":
+            law = PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4)
+        base = np.stack([bump_state(grid, amp=a).rho for a in (0.3, 0.6, -0.5)])
+        rho = self.CASES[case](base)
+        m = self.CASES[case](0.2 * np.sin(grid.x) * base)
+        with np.errstate(invalid="ignore"):
+            want = outcome(checked_pass, law, rho, m)
+            got = outcome(lambda: StateFields(law, rho, m))
+        if case in ("negative", "list", "float"):
+            assert type(want[0]) is type and got == want
+            return
+        fields = [got.P, got.dP, got.pos, got.rp, got.u]
+        for a, b in zip(fields, want):
+            assert type(a) is type(b)
+            assert a is None or np.array_equal(a, b, equal_nan=True)
+            assert a is None or np.shape(a) == np.shape(b)
+        assert (got.pos is None) == (case in ("positive", "inf", "0-d", "numpy float",
+                                              "float32", "integer", "empty", "no rows"))
+        if case == "positive":
+            masked = masked_fields(law, rho, m)
+            assert np.array_equal(got.u, masked.u)
+            assert np.array_equal(got.P, masked.P) and np.array_equal(got.dP, masked.dP)
+
+    def test_positive_float_arrays_take_no_check_or_mask(self, law2, grid, monkeypatch):
+        rho = np.stack([bump_state(grid).rho] * 2)
+        checks, pairs, masks = [], [], []
+        spy(monkeypatch, PressureLaw, "_check_nonneg", checks, lambda r: r, static=True)
+        spy(monkeypatch, PressureLaw, "pressure_pair", pairs, lambda self, r: r)
+        spy(monkeypatch, StateFields, "_mask", masks, lambda self, r: r)
+        assert StateFields(law2, rho, rho).pos is None
+        assert checks == pairs == masks == []
+        rho[1, 7] = 0.0
+        assert StateFields(law2, rho, rho).pos is not None
+        assert checks == pairs == masks == [rho.shape]
 
 
 class TestDstWorkspaces:
@@ -1090,3 +1189,79 @@ class TestDstWorkspaces:
             got = stepper._diffuse(f, stepper._far)
             assert np.array_equal(got[..., 1:-1], want)
             assert (got[0, :, [0, -1]] == 1.0).all() and (got[1, :, [0, -1]] == 0.0).all()
+
+
+class TestUpdateWorkspace:
+    """The convective update is written into a workspace kept per state
+    shape; each step gives the bits of the update on a stacked copy of its
+    state, and a returned state is never the workspace."""
+
+    @staticmethod
+    def rows(grid, shift):
+        # three rows whose ends are off the far field, which only the
+        # explicit diffusion reads
+        rho = np.stack([bump_state(grid, amp=a).rho for a in (0.3, 0.5, 0.2)]) + shift
+        m = (0.2 + shift) * np.sin(grid.x + np.arange(3)[:, None]) * rho
+        return rho, m
+
+    @pytest.mark.parametrize("kind", ["imex", "explicit", "composite"])
+    def test_successive_steps_without_out(self, kind):
+        _, law, grid, cfg, _ = batch_case(kind)
+        stepper = Stepper(law, grid, cfg, np.array([0.05, 0.02, 0.08]))
+        forcing = 1e-3 * np.cos(grid.x) * np.ones((3, 1))
+        results = []
+        for shift in (0.1, -0.1, 0.05):
+            rho, m = self.rows(grid, shift)
+            want = pressure_step(stepper, rho, m, forcing)
+            new, failures = stepper.step(GridState(0.0, rho, m), forcing)
+            assert failures == []
+            assert np.array_equal(new.rho, want[0]) and np.array_equal(new.mom, want[1])
+            for work in stepper._update.values():
+                assert not np.shares_memory(work, new.rho)
+                assert not np.shares_memory(work, new.mom)
+            results.append((new, new.copy()))
+        assert set(stepper._update) == {(3, grid.n + 1)}
+        for new, kept in results:  # not changed by the later steps
+            assert np.array_equal(new.rho, kept.rho) and np.array_equal(new.mom, kept.mom)
+
+    @pytest.mark.parametrize("kind", ["imex", "explicit", "composite"])
+    def test_out_aliasing_the_state(self, kind):
+        _, law, grid, cfg, _ = batch_case(kind)
+        stepper = Stepper(law, grid, cfg, np.array([0.05, 0.02, 0.08]))
+        for shift in (0.1, -0.1):
+            rho, m = self.rows(grid, shift)
+            want = pressure_step(stepper, rho, m, None)
+            memory = np.stack((rho, m))
+            new, _ = stepper.step(GridState(0.0, *memory), None, None, memory)
+            assert np.shares_memory(new.rho, memory) and np.shares_memory(new.mom, memory)
+            assert np.array_equal(memory, want)
+
+
+class TestCallBudget:
+    """A single-row step is bound by its calls: the calls into svvlab per
+    step of one sample of the README run file, which numpy's version does
+    not change, stay within the budget."""
+
+    BUDGET = 18.6  # 43.7 before the workspaces, the bound and the sign test
+
+    def test_single_row_calls_per_step(self):
+        cfg = config_from_dict(README_RUN)
+        init = cfg.initial.build(cfg.grid, cfg.solver.rho_inf)
+        root = os.path.dirname(svvlab.__file__) + os.sep
+        calls = [0]
+
+        def counted(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls[0] += 1
+
+        def run():
+            return simulate(init, cfg.law, cfg.grid, cfg.solver, cfg.noise, [0])
+
+        run()  # the profiles, the stream and the law's window fits
+        before = sys.getprofile()
+        sys.setprofile(counted)
+        try:
+            run()
+        finally:
+            sys.setprofile(before)
+        assert calls[0] / cfg.solver.n_steps <= self.BUDGET
