@@ -105,33 +105,30 @@ def invariant_region_check(traj: Trajectory, law: PressureLaw, H: float) -> floa
 
     Uses every recorded step when available, otherwise the save states.
     """
-    if H <= 0.0:
-        raise DomainError("region half-width H must be positive")
-    if traj.step_states is not None:
-        rho, m = traj.step_states[:, 0], traj.step_states[:, 1]
-    else:
-        rho = np.array([s.rho for s in traj.states])
-        m = np.array([s.mom for s in traj.states])
-    w1, w2 = riemann_invariants(law, rho, m)
+    if not H > 0.0:  # a NaN fails it
+        raise DomainError(f"region half-width H must be positive, got {H}")
+    states = traj.save_states if traj.step_states is None else traj.step_states
+    w1, w2 = riemann_invariants(law, states[:, 0], states[:, 1])
     return float(np.maximum(np.maximum(w2 - H, -H - w1), 0.0).max())
 
 
 def compact_moments(traj: Trajectory, law: PressureLaw, window) -> tuple:
     """Space-time integrals over [0,T] x K of rho P(rho) and rho |u|^3.
 
-    window is (x_left, x_right); integration uses the save states with
-    trapezoid rules in space and then in time.  Returns (M_P, M_u3).
+    window is (x_left, x_right); integration uses the save states on the
+    run of nodes in it with trapezoid rules in space and then in time.
+    Returns (M_P, M_u3), (0.0, 0.0) for a window that holds no node.
     """
     a, b = window
     x = traj.grid.x
-    if a < x[0] - 1e-12 or b > x[-1] + 1e-12 or a >= b:
+    # written so that a NaN fails it
+    if not x[0] - 1e-12 <= a < b <= x[-1] + 1e-12:
         raise ConfigError(f"window ({a}, {b}) must sit inside the grid")
-    mask = (x >= a) & (x <= b)
-    rho = np.array([s.rho[mask] for s in traj.states])
-    m = np.array([s.mom[mask] for s in traj.states])
+    span = slice(np.searchsorted(x, a), np.searchsorted(x, b, side="right"))
+    rho, m = traj.save_states[:, 0, span], traj.save_states[:, 1, span]
     fields = StateFields(law, rho, m)
-    fp = np.trapezoid(rho * fields.P, x[mask])
-    fu = np.trapezoid(rho * np.abs(fields.u) ** 3, x[mask])
+    fp = np.trapezoid(rho * fields.P, x[span])
+    fu = np.trapezoid(rho * np.abs(fields.u) ** 3, x[span])
     t = traj.times
     return float(np.trapezoid(fp, t)), float(np.trapezoid(fu, t))
 
@@ -144,8 +141,8 @@ class BumpTestFunction:
     """
 
     def __init__(self, t0: float, rt: float, x0: float, rx: float):
-        if rt <= 0.0 or rx <= 0.0:
-            raise ConfigError("bump radii must be positive")
+        if not (0.0 < rt < np.inf and 0.0 < rx < np.inf):  # a NaN fails it
+            raise ConfigError(f"bump radii must be positive and finite, got {rt}, {rx}")
         self.t0, self.rt, self.x0, self.rx = t0, rt, x0, rx
 
     @staticmethod
@@ -272,11 +269,16 @@ def entropy_inequality_residual(
 def ensemble_moments(samples, p: float, n_boot: int = 2000, seed: int = 0):
     """Monte Carlo estimate of E[X^p] with a bootstrap 95% interval.
 
-    Returns (mean, (lo, hi)).  Requires p >= 1 and at least two samples.
+    Returns (mean, (lo, hi)).  Requires a finite p >= 1 (a NaN fails the
+    check), at least two samples, each finite, and a whole n_boot >= 1.
     """
     xs = np.asarray(samples, dtype=float)
-    if p < 1:
-        raise DomainError(f"moment exponent must be >= 1, got {p}")
+    if not np.isfinite(xs).all():
+        raise DomainError("samples must be finite")
+    if not 1.0 <= p < np.inf:
+        raise DomainError(f"moment exponent must be finite and >= 1, got {p}")
+    if not (isinstance(n_boot, (int, np.integer)) and n_boot >= 1):
+        raise DomainError(f"n_boot must be a whole number >= 1, got {n_boot}")
     if xs.size < 2:
         raise DomainError("need at least 2 samples for a confidence interval")
     if p != int(p) and np.any(xs < 0.0):

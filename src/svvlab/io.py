@@ -73,10 +73,10 @@ def save_trajectory(traj: Trajectory, out_dir, prefix="frame"):
     """Write per-save frames plus a manifest JSON; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     frames = []
-    for k, state in enumerate(traj.states):
+    for k, (t, (rho, m)) in enumerate(zip(traj.times, traj.save_states)):
         name = f"{prefix}_{k:04d}.svv"
-        write_frame(os.path.join(out_dir, name), traj.grid, state)
-        frames.append({"file": name, "t": fmt(state.t)})
+        write_frame(os.path.join(out_dir, name), traj.grid, GridState(t, rho, m))
+        frames.append({"file": name, "t": fmt(t)})
     manifest = {
         "format": "svvlab-trajectory-1",
         "n": traj.grid.n,
@@ -111,7 +111,7 @@ def load_trajectory_states(manifest_path):
 def diagnostics_csv(path, traj: Trajectory):
     """One row per save time: t, E, D, min_rho."""
     n_steps = traj.energy.size - 1
-    save_every = n_steps // (len(traj.states) - 1) if len(traj.states) > 1 else 1
+    save_every = n_steps // max(1, len(traj.times) - 1)
     rows = []
     for k, t in enumerate(traj.times):
         i = min(k * save_every, n_steps)

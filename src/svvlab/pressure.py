@@ -713,8 +713,9 @@ class StateFields:
 
     The density takes one sign test: a float array with rho.min() > 0 is
     checked and unmasked by it, and goes straight to (P, P').  Anything
-    else (a zero, a negative or a NaN density, an empty array or no array)
-    is checked by (P, P'), DomainError for a negative, and then masked.
+    else (a zero, a negative or a NaN density, an empty array, or a list,
+    number or other dtype, converted to a float array) is checked by
+    (P, P'), DomainError for a negative, and then masked.
     """
 
     __slots__ = ("P", "dP", "pos", "rp", "u")
@@ -730,6 +731,7 @@ class StateFields:
             self.P, self.dP = law._pressure_parts(rho, 1)
             self.pos, self.rp, self.u = None, rho, m / rho
             return
+        rho, m = np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
         self.P, self.dP = law.pressure_pair(rho)
         self._mask(rho)
         self.u = m / rho if self.pos is None else np.where(self.pos, m / self.rp, 0.0)

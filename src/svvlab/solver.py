@@ -17,7 +17,8 @@ law's pass over it (pressure.StateFields).  Each step writes its new state
 into a block of steps, and the state's pass writes u and P' beside it.
 The recorded relative energy, dissipation and minimum density, which no
 step reads, are evaluated from the block, with one call of each
-functional per block, bitwise the values of a per-step evaluation.
+functional per block, bitwise the values of a per-step evaluation, and
+the saves (and the steps, if recorded) are copied out of it.
 
 A step of one row is bound by its calls, not by its arithmetic, so the
 step writes its convective update and its diffusion into workspaces the
@@ -321,7 +322,7 @@ class Trajectory:
     law: PressureLaw
     sample_id: int
     times: np.ndarray
-    states: list  # GridState at save times
+    save_states: np.ndarray  # (saves, 2, n + 1): (rho, m) at each save time
     energy: np.ndarray  # relative energy at each step start + final
     dissipation: np.ndarray  # cumulative viscous dissipation, same grid
     min_rho: np.ndarray
@@ -336,7 +337,7 @@ class Trajectory:
 
     @property
     def final(self) -> GridState:
-        return self.states[-1]
+        return GridState(self.times[-1], *self.save_states[-1])
 
 
 def relative_energy(law, grid, rho, m, rho_inf, fields=None):
@@ -346,7 +347,7 @@ def relative_energy(law, grid, rho, m, rho_inf, fields=None):
     given; e* comes from one relative_internal_energy call on rho."""
     if fields is None:
         fields = StateFields(law, rho, m)
-    kin = fields.masked(0.5 * m**2 / fields.rp)
+    kin = fields.masked(0.5 * np.square(m) / fields.rp)
     estar = law.relative_internal_energy(rho, rho_inf)
     return np.trapezoid(kin + estar, dx=grid.dx, axis=-1)
 
@@ -470,9 +471,9 @@ def simulate(
 
     def flush():
         """Record the relative energies, minimum densities and states of
-        the block's states, the first that of step head, and the
-        dissipation that they add, each from one call on them all; the
-        additions are made step after step."""
+        the block's states, the first that of step head, the saves among
+        them, and the dissipation that they add, each from one call on
+        them all; the additions are made step after step."""
         nonlocal filled, head
         if not filled:
             return
@@ -484,8 +485,9 @@ def simulate(
         energy[:, c : c + k] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
         min_rho[:, c : c + k] = rho.min(axis=-1)
         if step_states is not None:
-            step_states[:, c : c + k, 0] = rho
-            step_states[:, c : c + k, 1] = m
+            step_states[:, c : c + k] = block[:2, :, :k].transpose(1, 2, 0, 3)
+        at = np.arange(-c % save_every, k, save_every)
+        saves[:, (c + at) // save_every] = block[:2, :, at].transpose(1, 2, 0, 3)
         if c + k > n_steps:  # the run's last state begins no step
             k -= 1
             if not k:
@@ -500,8 +502,7 @@ def simulate(
     errors = [None] * n_samples
     failed = None  # the failed rows, once one has failed
     diss[:, 0] = 0.0
-    saves[:, 0, 0] = block[0, :, 0] = start.rho
-    saves[:, 0, 1] = block[1, :, 0] = start.mom
+    block[0, :, 0], block[1, :, 0] = start.rho, start.mom
     state = start
     fields = push()
     forced = noise is not None and noise.n_modes > 0
@@ -531,10 +532,6 @@ def simulate(
             if failed.all() if keep_failures else failed[0]:
                 break
         fields = push()
-        if (n + 1) % save_every == 0:
-            j = (n + 1) // save_every
-            saves[:, j, 0] = state.rho
-            saves[:, j, 1] = state.mom
     flush()
     if not keep_failures:
         for exc in errors:
@@ -547,7 +544,7 @@ def simulate(
             return Trajectory(
                 **common,
                 times=np.array([0.0]),
-                states=[GridState(0.0, start.rho[s].copy(), start.mom[s].copy())],
+                save_states=np.stack((start.rho[s], start.mom[s]))[None],
                 energy=np.array([np.nan]),
                 dissipation=np.array([0.0]),
                 min_rho=np.array([start.rho[s].min()]),
@@ -556,7 +553,7 @@ def simulate(
         return Trajectory(
             **common,
             times=times,
-            states=[GridState(t, *saves[s, j]) for j, t in enumerate(times)],
+            save_states=saves[s],
             energy=energy[s],
             dissipation=diss[s],
             min_rho=min_rho[s],

@@ -14,7 +14,7 @@ sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +39,12 @@ class CellPartition:
     n_x: int
 
     def __post_init__(self):
-        if self.t1 <= self.t0 or self.b <= self.a:
-            raise ConfigError("cell window must have positive extent")
-        if self.n_t < 1 or self.n_x < 1:
-            raise ConfigError("cell counts must be positive")
+        # each check is written so that a NaN fails it
+        if not (-np.inf < self.t0 < self.t1 < np.inf and -np.inf < self.a < self.b < np.inf):
+            raise ConfigError("cell window must be finite and have positive extent")
+        counts = (self.n_t, self.n_x)
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+            raise ConfigError(f"cell counts must be positive integers, got {counts}")
 
     def refine(self) -> "CellPartition":
         return CellPartition(self.t0, self.t1, self.a, self.b, 2 * self.n_t, 2 * self.n_x)
@@ -50,14 +52,21 @@ class CellPartition:
 
 @dataclass
 class EmpiricalYoungMeasure:
-    """Per-cell equal-weight (rho, m) samples, tagged with epsilon."""
+    """Per-cell equal-weight (rho, m) atoms, tagged with epsilon."""
 
     cells: CellPartition
-    samples: list  # flat list of (n_k, 2) arrays, row-major over (it, ix)
+    atoms: np.ndarray  # (N, 2), cell after cell, row-major over (it, ix)
+    counts: np.ndarray  # the atom count of each cell, in the same order
     epsilon: float
+    starts: np.ndarray = field(init=False)  # the index of each cell's first atom
+
+    def __post_init__(self):
+        self.starts = np.cumsum(self.counts) - self.counts
 
     def cell(self, it: int, ix: int) -> np.ndarray:
-        return self.samples[it * self.cells.n_x + ix]
+        k = it * self.cells.n_x + ix
+        start = self.starts[k]
+        return self.atoms[start : start + self.counts[k]]
 
 
 def _bin(cells: CellPartition, t, x):
@@ -93,30 +102,18 @@ def build_measure(traj: Trajectory, cells: CellPartition) -> EmpiricalYoungMeasu
     The atoms are ordered by save time, then by node, and binned by one
     stable sort of their cell indices, so each cell keeps that order."""
     cell, ks, js, counts = _bin(cells, traj.times, traj.grid.x)
-    atoms = np.array(
-        [np.column_stack((traj.states[k].rho[js], traj.states[k].mom[js])) for k in ks],
-        dtype=float,
-    ).reshape(-1, 2)
+    atoms = traj.save_states[ks][:, :, js].transpose(0, 2, 1).reshape(-1, 2)
     binned = atoms[np.argsort(cell, kind="stable")]
-    samples = np.split(binned, np.cumsum(counts)[:-1])
-    return EmpiricalYoungMeasure(cells=cells, samples=samples, epsilon=traj.config.epsilon)
+    return EmpiricalYoungMeasure(cells, binned, counts, traj.config.epsilon)
 
 
 def measure_from_atoms(atoms, epsilon: float = 0.0) -> EmpiricalYoungMeasure:
     """One-cell measure from explicit (rho, m) atoms, for synthetic tests."""
     arr = np.asarray(atoms, dtype=float).reshape(-1, 2)
-    if np.any(arr[:, 0] < 0.0):
-        raise DomainError("atom densities must be nonnegative")
+    if not (arr.size and np.isfinite(arr).all() and (arr[:, 0] >= 0.0).all()):
+        raise DomainError("need at least one atom, finite, with a nonnegative density")
     cells = CellPartition(0.0, 1.0, 0.0, 1.0, 1, 1)
-    return EmpiricalYoungMeasure(cells=cells, samples=[arr], epsilon=epsilon)
-
-
-def _segments(measure: EmpiricalYoungMeasure):
-    """Every atom of the measure, cell after cell, with the index of each
-    cell's first atom and each cell's atom count."""
-    counts = np.array([len(atoms) for atoms in measure.samples])
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.concatenate(measure.samples), starts, counts
+    return EmpiricalYoungMeasure(cells, arr, np.array([len(arr)]), epsilon)
 
 
 def _atom_pairs(law, spec, atoms):
@@ -149,7 +146,7 @@ def tartar_residual(
     Cell means are segment sums over the atoms of all cells at once.
     """
     c = measure.cells
-    atoms, starts, counts = _segments(measure)
+    atoms, starts, counts = measure.atoms, measure.starts, measure.counts
     eta1, q1 = _atom_pairs(law, spec1, atoms)
     eta2, q2 = _atom_pairs(law, spec2, atoms)
 
@@ -189,7 +186,7 @@ def concentration_metric(measures) -> dict:
     eps = np.array([mu.epsilon for mu in measures])
     traces = np.empty((len(measures), cells.n_t, cells.n_x))
     for k, mu in enumerate(measures):
-        atoms, starts, counts = _segments(mu)
+        atoms, starts, counts = mu.atoms, mu.starts, mu.counts
         mean = np.add.reduceat(atoms, starts) / counts[:, None]
         dev2 = (atoms - np.repeat(mean, counts, axis=0)) ** 2
         trace = np.add.reduceat(dev2, starts).sum(axis=1) / counts

@@ -407,6 +407,29 @@ class TestSweep:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep-epsilon", "young-measure"])
+def test_byte_identical_reruns(runner, tmp_path, command):
+    # every file of two runs of one (config, seed), the sweep's frames,
+    # manifests, summary and concentration traces among them
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "sweep": {"epsilons": [0.05, 0.02], "cells": [2, 2]},
+            "diagnostics": {"window": [-2.0, 2.0], "psis": ["energy", "bump:0,4"]},
+        },
+    )
+    files = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = runner.invoke(main, [command, "--config", cfg, "--output-dir", str(out)])
+        assert r.exit_code == 0, r.output
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    # six frames and a manifest per member, the summary, concentration.json,
+    # config.yaml and version.json
+    assert len(files[0]) == (2 * 7 + 4 if command == "sweep-epsilon" else 3)
+    assert files[0] == files[1]
+
+
 # window and cells that only sweep-epsilon and young-measure read, each
 # rejected before the first step with the message of the check it fails
 BAD_CELLS = [

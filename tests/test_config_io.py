@@ -12,6 +12,7 @@ from svvlab.config import KEYS, InitialData, config_from_dict, load_config
 from svvlab.errors import ConfigError, DomainError
 from svvlab.io import (
     MAGIC,
+    diagnostics_csv,
     fmt,
     load_trajectory_states,
     read_frame,
@@ -353,11 +354,34 @@ class TestIO:
         mpath = save_trajectory(traj, str(tmp_path), prefix="run")
         g2, states, manifest = load_trajectory_states(mpath)
         assert g2 == grid
-        assert len(states) == len(traj.states)
+        assert len(states) == len(traj.save_states)
         assert manifest["error"] is None
-        for a, b in zip(states, traj.states):
-            assert np.array_equal(a.rho, b.rho)
-            assert np.array_equal(a.mom, b.mom)
+        for a, t, (rho, m) in zip(states, traj.times, traj.save_states):
+            assert a.t == t
+            assert np.array_equal(a.rho, rho)
+            assert np.array_equal(a.mom, m)
+
+    def test_diagnostics_csv_rows_are_the_saves(self, tmp_path):
+        # one row per save, the E, D and min rho recorded at its step; a
+        # sample that failed in its first step has the one row of its
+        # initial state
+        law = PressureLaw.polytropic(2.0)
+        grid = Grid(L=5.0, n=64)
+        cfg = SolverConfig(epsilon=0.05, T=0.1, dt=1e-3, n_saves=5, density_floor=0.5)
+        x = grid.x
+        rho = np.stack([1 + 0.3 * np.exp(-(x**2)), np.full(x.size, 0.4)])
+        trajs = simulate(GridState(0.0, rho, np.zeros_like(rho)), law, grid, cfg, None,
+                         [0, 1], keep_failures=True)
+        assert trajs[0].error is None and trajs[1].error is not None
+        for traj in trajs:
+            path = tmp_path / f"s{traj.sample_id}.csv"
+            diagnostics_csv(str(path), traj)
+            steps = np.arange(len(traj.times)) * 20
+            want = np.column_stack((traj.times, traj.energy[steps],
+                                    traj.dissipation[steps], traj.min_rho[steps]))
+            got = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert np.array_equal(got, want, equal_nan=True)
+        assert got.shape == (1, 4) and np.isnan(got[0, 1])  # the failed sample's
 
     def test_csv_deterministic_bytes(self, tmp_path):
         rows = [(1 / 3, 0.1 + 0.2), (1e-300, -2.5)]

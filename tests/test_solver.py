@@ -300,10 +300,8 @@ def batch_case(kind):
 def assert_same_run(traj, one):
     """traj's saves and per-step records are one's, bit for bit."""
     assert np.array_equal(traj.times, one.times)
-    for a, b in zip(traj.states, one.states):
-        assert a.t == b.t
-        assert np.array_equal(a.rho, b.rho) and np.array_equal(a.mom, b.mom)
-    for name in ("energy", "dissipation", "min_rho", "step_states", "forcing_increments"):
+    for name in ("save_states", "energy", "dissipation", "min_rho", "step_states",
+                 "forcing_increments"):
         assert np.array_equal(getattr(traj, name), getattr(one, name)), name
 
 
@@ -440,10 +438,7 @@ def assert_sweep_matches_loop(init, law, grid, config, noise, eps_list, c1=3.0, 
             continue
         assert traj.error is None
         assert np.array_equal(traj.times, one.times)
-        for a, b in zip(traj.states, one.states):
-            assert a.t == b.t
-            assert np.array_equal(a.rho, b.rho) and np.array_equal(a.mom, b.mom)
-        for name in ("energy", "dissipation", "min_rho", "step_states",
+        for name in ("save_states", "energy", "dissipation", "min_rho", "step_states",
                      "forcing_increments"):
             assert np.array_equal(getattr(traj, name), getattr(one, name)), name
     return swept
@@ -671,9 +666,8 @@ def assert_matches_oracle(traj, noise):
     stepped = pressure_step(stepper, start_rho, start_m, forcing)
     assert np.array_equal(stepped, steps[1:].transpose(1, 0, 2))
     every = cfg.n_steps // cfg.n_saves
-    for j, state in enumerate(traj.states):
-        assert np.array_equal(state.rho, rho[j * every])
-        assert np.array_equal(state.mom, m[j * every])
+    assert traj.save_states.shape == (cfg.n_saves + 1, 2, grid.n + 1)
+    assert np.array_equal(traj.save_states, steps[::every])
 
 
 class TestSharedStatePass:
@@ -965,12 +959,59 @@ class TestBlocks:
                 assert traj.error.sample == one.sample and str(traj.error) == str(one)
                 assert (traj.error.t, traj.error.x) == (one.t, one.x)
                 # its initial state, which no later block overwrites
-                first = traj.states[0]
-                assert np.array_equal(first.rho, rho[r]) and np.array_equal(first.mom, m[r])
+                assert np.array_equal(traj.save_states, np.stack((rho[r], m[r]))[None])
             else:
                 assert traj.error is None
                 assert_matches_oracle(traj, noise)
                 assert_same_run(traj, one)
+
+
+class TestSaveLayout:
+    """simulate copies a run's saves out of its blocks of steps: save j is
+    recorded state j * every, bit for bit, whatever the block size, the
+    slot of a block that a save falls in, and the rows that fail."""
+
+    @pytest.mark.parametrize("n_saves", [1, 8, 40])
+    @pytest.mark.parametrize("steps", [1, 3, 31])
+    def test_saves_are_their_steps(self, steps, n_saves, monkeypatch):
+        init, law, grid, cfg, noise = batch_case("imex")
+        cfg = replace(cfg, n_saves=n_saves)
+        ids = [1, 6, 11]
+        sizes = block_sizes(monkeypatch, steps * len(ids) * (grid.n + 1))
+        batch = simulate(init, law, grid, cfg, noise, ids)
+        # the 41 states of 40 steps: a run that ends mid-block unless steps = 1
+        assert sizes == [steps] * (41 // steps) + [41 % steps] * (41 % steps > 0)
+        unrecorded = replace(cfg, record_steps=False, record_forcing=False)
+        every = cfg.n_steps // n_saves
+        for sid, traj in zip(ids, batch):
+            assert traj.save_states.shape == (n_saves + 1, 2, grid.n + 1)
+            assert np.array_equal(traj.times, _save_times(cfg))
+            for j in range(n_saves + 1):
+                assert np.array_equal(traj.save_states[j], traj.step_states[j * every])
+            final = traj.final
+            assert final.t == traj.times[-1]
+            assert np.array_equal(np.stack((final.rho, final.mom)), traj.step_states[-1])
+            lone = simulate(init, law, grid, unrecorded, noise, sid)
+            assert np.array_equal(lone.save_states, traj.save_states)
+
+    @pytest.mark.parametrize("steps", [1, 3, 31])
+    def test_batch_with_a_failed_row(self, steps, monkeypatch):
+        # row 1 falls below the floor in state 11, as in TestBlocks; the
+        # others keep their saves, and row 1 keeps only its initial state
+        init, law, grid, cfg, noise = batch_case("imex")
+        cfg = replace(cfg, density_floor=0.99, n_saves=8)
+        rho = np.stack([init.rho, np.ones(grid.n + 1), init.rho])
+        m = np.array([0.0, 0.5, 0.3])[:, None] * np.tanh(2.0 * grid.x) * rho
+        block_sizes(monkeypatch, steps * 3 * (grid.n + 1))
+        batch = simulate(GridState(0.0, rho, m), law, grid, cfg, noise, [2, 4, 6],
+                         keep_failures=True)
+        assert [traj.error is None for traj in batch] == [True, False, True]
+        assert round(batch[1].error.t / cfg.dt) == 11
+        assert np.array_equal(batch[1].save_states, np.stack((rho[1], m[1]))[None])
+        assert batch[1].times.tolist() == [0.0]
+        for traj in (batch[0], batch[2]):
+            for j in range(cfg.n_saves + 1):
+                assert np.array_equal(traj.save_states[j], traj.step_states[j * 5])
 
 
 def masked_fields(law, rho, m):
@@ -1089,7 +1130,9 @@ def outcome(f, *args):
 class TestOneSignTest:
     """A float array with rho.min() > 0 takes its pass without the check
     and the masks; every other density takes them.  Either way the pass
-    holds the checked pass's values, bit for bit, or raises its error."""
+    holds the checked pass's values, bit for bit, or raises its error.  A
+    density that is not a float64 array (a list, a number, a float32 or an
+    integer array) is taken as the float array of its values."""
 
     CASES = {
         "positive": lambda rho: rho,
@@ -1119,20 +1162,34 @@ class TestOneSignTest:
         with np.errstate(invalid="ignore"):
             want = outcome(checked_pass, law, rho, m)
             got = outcome(lambda: StateFields(law, rho, m))
-        if case in ("negative", "list", "float"):
+        if case == "negative":
             assert type(want[0]) is type and got == want
             return
+        if case in ("list", "float", "numpy float", "float32", "integer"):
+            arrays = StateFields(law, np.asarray(rho, dtype=float), np.asarray(m, dtype=float))
+            want = [arrays.P, arrays.dP, arrays.pos, arrays.rp, arrays.u]
         fields = [got.P, got.dP, got.pos, got.rp, got.u]
         for a, b in zip(fields, want):
             assert type(a) is type(b)
             assert a is None or np.array_equal(a, b, equal_nan=True)
             assert a is None or np.shape(a) == np.shape(b)
         assert (got.pos is None) == (case in ("positive", "inf", "0-d", "numpy float",
-                                              "float32", "integer", "empty", "no rows"))
+                                              "float32", "integer", "empty", "no rows",
+                                              "list", "float"))
         if case == "positive":
             masked = masked_fields(law, rho, m)
             assert np.array_equal(got.u, masked.u)
             assert np.array_equal(got.P, masked.P) and np.array_equal(got.dP, masked.dP)
+
+    @pytest.mark.parametrize("vacuum", [False, True])
+    def test_functionals_take_lists(self, law2, grid, vacuum):
+        rho = bump_state(grid).rho
+        if vacuum:
+            rho[60] = 0.0
+        m = 0.2 * np.sin(grid.x) * rho
+        for f, args in ((relative_energy, (1.0,)), (dissipation_rate, ())):
+            want = f(law2, grid, rho, m, *args)
+            assert f(law2, grid, rho.tolist(), m.tolist(), *args) == want
 
     def test_positive_float_arrays_take_no_check_or_mask(self, law2, grid, monkeypatch):
         rho = np.stack([bump_state(grid).rho] * 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svvlab.entropy import EntropySpec, entropy_pair
-from svvlab.errors import ConfigError
+from svvlab.errors import ConfigError, DomainError
 from svvlab.noise import NoiseModel
 from svvlab.pressure import PressureLaw
 from svvlab.solver import Grid, GridState, SolverConfig, simulate
@@ -40,11 +40,23 @@ def build_measure_loop(traj, cells):
     t_in = (t >= cells.t0 - 1e-12) & (t <= cells.t1 + 1e-12)
     x_in = (x >= cells.a - 1e-12) & (x <= cells.b + 1e-12)
     buckets = [[] for _ in range(cells.n_t * cells.n_x)]
-    for k, state in enumerate(traj.states):
+    for k, (rho, m) in enumerate(traj.save_states):
         if t_in[k]:
             for j in np.nonzero(x_in)[0]:
-                buckets[it_of[k] * cells.n_x + ix_of[j]].append((state.rho[j], state.mom[j]))
+                buckets[it_of[k] * cells.n_x + ix_of[j]].append((rho[j], m[j]))
     return [np.array(b, dtype=float) for b in buckets]
+
+
+def cells_of(measure):
+    """The atoms of each cell, row-major over (it, ix)."""
+    c = measure.cells
+    return [measure.cell(it, ix) for it in range(c.n_t) for ix in range(c.n_x)]
+
+
+def measure_of(cells, per_cell, epsilon):
+    """The measure whose cells hold the arrays of per_cell, in order."""
+    counts = np.array([len(atoms) for atoms in per_cell])
+    return EmpiricalYoungMeasure(cells, np.concatenate(per_cell), counts, epsilon)
 
 
 def cell_pairs_loop(law, spec, atoms):
@@ -56,7 +68,7 @@ def cell_pairs_loop(law, spec, atoms):
 
 def tartar_loop(measure, law, spec1, spec2):
     out = []
-    for atoms in measure.samples:
+    for atoms in cells_of(measure):
         if atoms.shape[0] == 1 or np.ptp(atoms, axis=0).max() == 0.0:
             out.append(0.0)
             continue
@@ -71,7 +83,7 @@ def tartar_loop(measure, law, spec1, spec2):
 def trace_loop(measure):
     return np.array([
         0.0 if len(atoms) == 1 else float(np.trace(np.cov(atoms.T, bias=True)))
-        for atoms in measure.samples
+        for atoms in cells_of(measure)
     ]).reshape(measure.cells.n_t, measure.cells.n_x)
 
 
@@ -102,7 +114,7 @@ def degenerate_measure():
         np.tile([[0.1, 0.2]], (7, 1)),
         spread[:2],
     ]
-    return EmpiricalYoungMeasure(CellPartition(0.0, 1.0, 0.0, 1.0, 2, 3), samples, 0.05)
+    return measure_of(CellPartition(0.0, 1.0, 0.0, 1.0, 2, 3), samples, 0.05)
 
 
 class TestSegmentOracles:
@@ -117,8 +129,9 @@ class TestSegmentOracles:
         loop = build_measure_loop(traj, cells)
         counts = [len(a) for a in loop]
         assert sum(counts) == 4223 and min(counts) == 84 and max(counts) == 105
-        assert len(mu.samples) == len(loop)
-        for a, b in zip(mu.samples, loop):
+        assert mu.counts.tolist() == counts
+        assert np.array_equal(mu.atoms, np.concatenate(loop))
+        for a, b in zip(cells_of(mu), loop):
             assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_tartar_equals_loop(self, law2, noisy_measure):
@@ -135,12 +148,12 @@ class TestSegmentOracles:
 
     def test_traces_equal_loop(self, noisy_measure):
         mu = noisy_measure[2]
-        mus = [mu, EmpiricalYoungMeasure(mu.cells, mu.samples, 0.01)]
+        mus = [mu, EmpiricalYoungMeasure(mu.cells, mu.atoms, mu.counts, 0.01)]
         np.testing.assert_allclose(
             concentration_metric(mus)["traces"][0], trace_loop(mus[0]), rtol=1e-12, atol=0.0
         )
         deg = degenerate_measure()
-        again = EmpiricalYoungMeasure(deg.cells, deg.samples, 0.01)
+        again = EmpiricalYoungMeasure(deg.cells, deg.atoms, deg.counts, 0.01)
         traces = concentration_metric([deg, again])["traces"][0]
         old = trace_loop(deg)
         for i in (2, 3, 5):
@@ -162,9 +175,9 @@ class TestBuildMeasure:
         traj = simulate(init, law2, grid, cfg)
         cells = CellPartition(0.0, 0.2, -2.0, 2.0, 2, 2)
         mu = build_measure(traj, cells)
-        assert len(mu.samples) == 4
+        assert mu.counts.size == 4
         assert mu.epsilon == 0.05
-        for atoms in mu.samples:
+        for atoms in cells_of(mu):
             assert np.all(atoms[:, 0] == 1.0)
             assert np.all(atoms[:, 1] == 0.0)
 
@@ -178,9 +191,33 @@ class TestBuildMeasure:
         with pytest.raises(ConfigError):
             build_measure(traj, CellPartition(0.0, 0.5, -2.0, 2.0, 2, 2))
 
+    @pytest.mark.parametrize("atoms", [
+        [], [(1.0, 0.2), (-0.1, 0.0)], [(float("nan"), 0.2)], [(1.0, 0.2), (float("nan"), 0.0)],
+        [(1.0, float("nan")), (1.2, 0.1)], [(float("inf"), 0.2)], [(1.0, -float("inf"))],
+    ])
+    def test_malformed_atoms_rejected(self, atoms):
+        # no atom (tartar_residual raised IndexError on it), a negative
+        # density, or a NaN or infinite value (tartar_residual gave NaN)
+        with pytest.raises(DomainError):
+            measure_from_atoms(atoms)
+
     def test_refine_doubles_counts(self):
         c = CellPartition(0.0, 1.0, -1.0, 1.0, 2, 3).refine()
         assert (c.n_t, c.n_x) == (4, 6)
+
+    @pytest.mark.parametrize("i, value", [
+        (0, float("nan")), (1, float("nan")), (2, float("nan")), (3, float("nan")),
+        (0, -float("inf")), (1, float("inf")), (2, -float("inf")), (3, float("inf")),
+        (1, 0.0), (3, -1.0),  # no extent
+        (4, 2.5), (5, 2.5), (4, 0), (5, -1), (4, float("nan")), (5, 2.0),
+    ])
+    def test_malformed_partition_rejected(self, i, value):
+        # a NaN or infinite bound, an empty window, a count that is not a
+        # positive integer
+        args = [0.0, 1.0, -1.0, 1.0, 2, 3]
+        args[i] = value
+        with pytest.raises(ConfigError):
+            CellPartition(*args)
 
 
 class TestTartarResidual:
