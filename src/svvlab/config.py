@@ -23,7 +23,7 @@ from .entropy import EntropySpec
 from .errors import ConfigError
 from .noise import NoiseModel, _base_steps
 from .pressure import PressureLaw
-from .solver import Grid, GridState, SolverConfig
+from .solver import Grid, GridState, SolverConfig, _diffusion_numbers
 
 
 def _must(ok, read=None):
@@ -309,6 +309,10 @@ def config_from_dict(raw: dict) -> RunConfig:
             solver.epsilon, cfg.noise_c1, cfg.noise_alpha1, solver.rho_inf,
         )
     cfg.noise_template = noise
+    _build(
+        errs, "grid block invalid", lambda g, s: _diffusion_numbers(g, s.epsilon, s.dt),
+        cfg.grid, solver,
+    )
     _build(
         errs, "initial data invalid", lambda i, g, s: i.build(g, s.rho_inf),
         cfg.initial, cfg.grid, solver,

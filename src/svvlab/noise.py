@@ -10,7 +10,10 @@ whole-line case, by a smooth spatial cutoff on |x| < 1/eps).
 Brownian increments come from counter-based Philox streams keyed by
 (seed, sample, fine step), so that runs with different eps, different
 mode counts, or halved time steps share one underlying path: increments
-are always generated on a base grid dt_base and summed.
+are always generated on a base grid dt_base and summed.  The increments
+depend on nothing but those keys, so a run draws those of many steps in one
+call: sample_increments takes a count of steps, and one step is the count-1
+slice of the same loop.
 
 A run evaluates the forcing once per step, so what depends on the grid
 alone (the mode profiles and the cutoff) is kept per grid, and the
@@ -362,51 +365,74 @@ class NoiseModel:
 
     # -- Brownian increments ----------------------------------------------
 
-    def _blocks(self, sample_id: int, fine_step: int, count: int):
-        """Standard normal draws for one fine step; mode i is draw i.
-
-        Each sample keeps one Philox generator keyed by (seed, sample); a
-        draw restores its initial state (empty output buffer) with the
-        counter set to fine_step << 128, which gives the bits of a
-        generator built afresh with that counter."""
+    def _stream(self, sample_id: int):
+        """(Generator, initial Philox state) of the sample's stream, keyed
+        by (seed, sample) and made on its first use."""
         stream = self._streams.get(sample_id)
         if stream is None:
             key = ((int(self.seed) & _U64) << 64) | (int(sample_id) & _U64)
             gen = np.random.Generator(np.random.Philox(key=key))
             stream = self._streams[sample_id] = gen, gen.bit_generator.state
-        gen, state = stream
-        state["state"]["counter"][:] = 0, 0, fine_step & _U64, fine_step >> 64
-        gen.bit_generator.state = state
-        return gen.standard_normal(count)
+        return stream
 
-    def sample_increments(self, sample_id, step: int, dt: float):
-        """Brownian increments over [step dt, (step+1) dt) for all modes.
+    def _draws_per_step(self, dt) -> int:
+        """Base-grid draws per sample and step of dt: n_modes for each of
+        its base steps."""
+        return len(self.modes) * _base_steps(float(dt), float(self.dt_base))
+
+    def sample_increments(self, sample_id, step: int, dt: float, count=None):
+        """Brownian increments over [step dt, (step+1) dt) for all modes,
+        or, given a count, over each of the count steps from step on.
 
         sample_id is one id, giving (n_modes,) increments, or a sequence of
         ids, giving (len(sample_id), n_modes), where a repeated id repeats
-        its row.  step is a nonnegative integer (DomainError otherwise).
-        dt must be an integer multiple of dt_base; the increments are sums
-        of base-grid draws, so coarse and fine runs share one path.
+        its row; a count puts a leading axis of count steps before these,
+        and one step is the count-1 slice.  step is a nonnegative integer
+        and count a positive one (DomainError otherwise).  dt must be an
+        integer multiple of dt_base; the increments are sums of base-grid
+        draws, so coarse and fine runs share one path.
+
+        Each base step's draw restores the stream's initial state (empty
+        output buffer) with the counter set to fine_step << 128, which
+        gives the bits of a generator built afresh with that counter; the
+        draws of every id and fine step are made in one loop, and summed
+        over each step's base steps in their order.
         """
         if not (isinstance(step, (int, np.integer)) and step >= 0):
             raise DomainError(f"step must be a nonnegative integer, got {step!r}")
+        steps = 1 if count is None else count
+        if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+            raise DomainError(f"count must be a positive integer, got {count!r}")
         ki = _base_steps(float(dt), float(self.dt_base))
         batched = not isinstance(sample_id, (int, np.integer))
         ids = list(map(int, sample_id)) if batched else [int(sample_id)]
-        nm = len(self.modes)
-        root = np.sqrt(self.dt_base)
-        out = np.zeros((len(ids), nm))
+        cols = {}  # sample id -> its column of draws: each id is drawn once
+        for sid in ids:
+            cols.setdefault(sid, len(cols))
+        nm, steps = len(self.modes), int(steps)
+        draws = np.empty((steps * ki, len(cols), nm))  # one row per fine step
         base = int(step) * ki
-        first = {}  # sample id -> its first row: each id is drawn once
-        for i, sid in enumerate(ids):
-            if sid in first:
-                out[i] = out[first[sid]]
-                continue
-            first[sid] = i
-            for j in range(ki):
-                out[i] += self._blocks(sid, base + j, nm)
-        out = out * root
-        return out if batched else out[0]
+        for sid, col in cols.items():
+            gen, state = self._stream(sid)
+            bitgen, draw = gen.bit_generator, gen.standard_normal
+            counter = state["state"]["counter"]
+            slots = draws[:, col]
+            for j in range(steps * ki):
+                counter[2], counter[3] = (base + j) & _U64, (base + j) >> 64
+                bitgen.state = state
+                draw(out=slots[j])
+        # each step's sum starts from its first base draw plus 0.0, which
+        # gives the bits of zeros plus that draw
+        draws = draws.reshape(steps, ki, len(cols), nm)
+        out = draws[:, 0] + 0.0
+        for j in range(1, ki):
+            out += draws[:, j]
+        out *= np.sqrt(self.dt_base)
+        if len(cols) < len(ids):
+            out = out[:, [cols[sid] for sid in ids]]
+        if not batched:
+            out = out[:, 0]
+        return out if count is not None else out[0]
 
     # -- reporting ---------------------------------------------------------
 

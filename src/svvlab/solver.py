@@ -18,7 +18,10 @@ into a block of steps, and the state's pass writes u and P' beside it.
 The recorded relative energy, dissipation and minimum density, which no
 step reads, are evaluated from the block, with one call of each
 functional per block, bitwise the values of a per-step evaluation, and
-the saves (and the steps, if recorded) are copied out of it.
+the saves (and the steps, if recorded) are copied out of it.  The noise
+increments depend on no state, so they are drawn a chunk of steps at a
+time (NoiseModel.sample_increments with a count), and each step indexes
+the chunk.
 
 A step of one row is bound by its calls, not by its arithmetic, so the
 step writes its convective update and its diffusion into workspaces the
@@ -54,7 +57,9 @@ CFL_NUMBER = 0.4
 DIFFUSION_NUMBER = 0.4
 # simulate evaluates the per-step functionals on blocks of at most
 # BLOCK_POINTS node-points (rows x steps x nodes), one step at least: few
-# enough that the block's buffers stay in cache
+# enough that the block's buffers stay in cache.  It draws the noise
+# increments in chunks of at most as many base-grid draws (rows x steps x
+# base steps x modes), one step at least
 BLOCK_POINTS = 2**13
 
 
@@ -70,6 +75,12 @@ class Grid:
             raise ConfigError(f"grid needs at least 16 cells, got {self.n}")
         if not 0.0 < self.L < np.inf:
             raise ConfigError(f"half-width L must be positive and finite, got {self.L}")
+        dx2 = self.dx * self.dx  # inf where dx**2 overflows
+        if not np.finfo(float).tiny <= dx2 < np.inf:
+            raise ConfigError(
+                f"grid.L = {self.L:g} over {self.n} cells gives dx^2 = {dx2:g}, "
+                "not a normal positive float"
+            )
 
     @property
     def dx(self) -> float:
@@ -97,6 +108,19 @@ class GridState:
 
     def copy(self) -> "GridState":
         return GridState(self.t, self.rho.copy(), self.mom.copy())
+
+
+def _diffusion_numbers(grid: Grid, epsilon, dt):
+    """eps dt / dx^2 for each viscosity, as a column over them: ConfigError,
+    naming grid.L, where one is not finite."""
+    with np.errstate(over="ignore"):
+        mu = np.asarray(epsilon, dtype=float)[..., None] * dt / grid.dx**2
+    if not np.isfinite(mu).all():
+        raise ConfigError(
+            f"grid.L = {grid.L:g} over {grid.n} cells gives eps dt / dx^2 = "
+            f"{np.max(mu):g} for dt = {dt:g}, which is not finite"
+        )
+    return mu
 
 
 def _central_difference(f, dx):
@@ -173,7 +197,7 @@ class Stepper:
             config.epsilon if epsilon is None else epsilon, dtype=float
         )
         # a column over the rows: one diffusion number per row
-        self.mu = self.epsilon[..., None] * config.dt / dx**2
+        self.mu = _diffusion_numbers(grid, self.epsilon, config.dt)
         # far-field values of (rho, m), broadcast over the stacked fields
         self._far = np.array([[config.rho_inf], [0.0]])
         # state shape -> the stacked (rho, m) of the convective update
@@ -486,8 +510,9 @@ def simulate(
         min_rho[:, c : c + k] = rho.min(axis=-1)
         if step_states is not None:
             step_states[:, c : c + k] = block[:2, :, :k].transpose(1, 2, 0, 3)
-        at = np.arange(-c % save_every, k, save_every)
-        saves[:, (c + at) // save_every] = block[:2, :, at].transpose(1, 2, 0, 3)
+        kept = block[:2, :, -c % save_every : k : save_every]
+        first = -(-c // save_every)  # the first save at or after step c
+        saves[:, first : first + kept.shape[2]] = kept.transpose(1, 2, 0, 3)
         if c + k > n_steps:  # the run's last state begins no step
             k -= 1
             if not k:
@@ -506,11 +531,21 @@ def simulate(
     state = start
     fields = push()
     forced = noise is not None and noise.n_modes > 0
+    if forced:
+        # the increments of chunk_steps steps are drawn in one call: the
+        # chunk, of the steps from chunk_first on
+        draws = n_samples * noise._draws_per_step(config.dt)
+        chunk_steps = max(1, BLOCK_POINTS // draws)
+        chunk, chunk_first = (), 0
     x = grid.x
     for n in range(n_steps):
         forcing = None
         if forced:
-            dW = noise.sample_increments(ids, n, config.dt)
+            if n - chunk_first == len(chunk):  # the last chunk is used up
+                count = min(n_steps - n, chunk_steps)
+                chunk = noise.sample_increments(ids, n, config.dt, count)
+                chunk_first = n
+            dW = chunk[n - chunk_first]
             forcing = noise.apply_forcing(x, state.rho, state.mom, dW, fields)
             if failed is not None:
                 forcing[failed] = 0.0

@@ -661,6 +661,31 @@ class TestOptions:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize(
+    "grid, solver",
+    [
+        ({"L": 1e-300}, {}),  # dx^2 underflows to 0
+        ({"L": 1e300}, {}),  # dx^2 overflows
+        # dx^2 is subnormal, eps dt / dx^2 finite
+        ({"L": 1e-160}, {"T": 1e-300, "dt": 1e-300, "n_saves": 1}),
+        # dx^2 is normal, eps dt / dx^2 overflows
+        ({"L": 2e-153, "n": 16}, {"epsilon": 0.5, "T": 100.0, "dt": 100.0, "n_saves": 1}),
+    ],
+)
+def test_grid_spacing_out_of_range_exits_2(runner, tmp_path, command, grid, solver):
+    # L = 1e-300 passed validate and failed simulate with a NumericalError
+    # after a RuntimeWarning; L = 1e300 warned and failed both; L = 1e-160
+    # ran on a subnormal dx^2
+    cfg = write_cfg(tmp_path, {"grid": grid, "solver": solver})
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command, "--config", cfg, "--output-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "grid block invalid: grid.L = " in r.output
+    assert not out.exists()
+
+
 def test_runtime_loads_no_scipy():
     # scipy serves only as the tests' oracle: a noisy batched IMEX run,
     # entropy pairs on one piece and split at a kink, and a composite law's

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +172,36 @@ class TestSampling:
         if step < 2**63:  # a numpy integer is the same step
             assert np.array_equal(model.sample_increments(3, np.int64(step), 2e-3), expect)
 
+    @pytest.mark.parametrize("ki", [1, 3])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("high", [False, True])
+    @pytest.mark.parametrize("ids", [[3], [4, 4, 9, 4]])
+    def test_count_is_the_stack_of_single_steps(self, law2, ki, count, high, ids):
+        # count steps in one call: the single-step calls, stacked, and the
+        # fresh-Philox oracle; high puts the fine steps across 2^64, where
+        # the counter's high word turns over
+        model = NoiseModel.mode_family(0.2, 1.5, 4, law2, seed=7, dt_base=1e-3)
+        dt = ki * 1e-3
+        step = 2**64 // ki - count // 2 if high else 0
+        expect = np.zeros((count, len(ids), 4))
+        for k in range(count):
+            for i, sid in enumerate(ids):
+                for j in range((step + k) * ki, (step + k + 1) * ki):
+                    bitgen = np.random.Philox(key=(7 << 64) | sid, counter=j << 128)
+                    expect[k, i] += np.random.Generator(bitgen).standard_normal(4)
+        expect *= np.sqrt(1e-3)
+        stacked = np.stack([model.sample_increments(ids, step + k, dt) for k in range(count)])
+        assert np.array_equal(stacked, expect)
+        assert np.array_equal(model.sample_increments(ids, step, dt, count), expect)
+        single = model.sample_increments(ids[0], step, dt, count)
+        assert np.array_equal(single, expect[:, 0])
+
+    @pytest.mark.parametrize("count", [0, -2, 1.5, "2"])
+    def test_bad_count_rejected(self, single, count):
+        message = f"count must be a positive integer, got {count!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            single.sample_increments([0, 1], 4, 1e-3, count)
+
     def test_numpy_time_steps_are_the_float_step(self, law2):
         # the base steps per step are kept per float dt, so a 0-d array or
         # a numpy float dt (or dt_base) is the same dt, not an unhashable key
@@ -189,14 +220,20 @@ class TestSampling:
             assert np.array_equal(row, family.sample_increments(sid, 6, 2e-3))
 
     def test_repeated_id_is_drawn_once(self, family, monkeypatch):
+        # each id's stream is looked up once per call, and its draws counted
         calls = []
-        blocks = NoiseModel._blocks
+        stream = NoiseModel._stream
 
-        def counted(self, sample_id, fine_step, count):
-            calls.append(sample_id)
-            return blocks(self, sample_id, fine_step, count)
+        def counted(self, sample_id):
+            gen, state = stream(self, sample_id)
 
-        monkeypatch.setattr(NoiseModel, "_blocks", counted)
+            def draw(*args, **kwargs):
+                calls.append(sample_id)
+                return gen.standard_normal(*args, **kwargs)
+
+            return SimpleNamespace(bit_generator=gen.bit_generator, standard_normal=draw), state
+
+        monkeypatch.setattr(NoiseModel, "_stream", counted)
         batch = family.sample_increments([4, 4, 9, 4], 6, 2e-3)
         assert calls == [4, 4, 9, 9]  # two base steps per id
         for row in (1, 3):
