@@ -12,16 +12,17 @@ explicit; the noise is explicit and evaluated at the step start as the Ito
 integral requires.  An ensemble is stepped as one batch, its samples the
 rows of (S, n+1) arrays; a single run is a batch of one.
 
-The step loop evaluates each state's pointwise quantities once, in the
-law's pass over it (pressure.StateFields).  Each step writes its new state
-into a block of steps, and the state's pass writes u and P' beside it.
-The recorded relative energy, dissipation and minimum density, which no
-step reads, are evaluated from the block, with one call of each
-functional per block, bitwise the values of a per-step evaluation, and
-the saves (and the steps, if recorded) are copied out of it.  The noise
-increments depend on no state, so they are drawn a chunk of steps at a
-time (NoiseModel.sample_increments with a count), and each step indexes
-the chunk.
+The step loop runs over a run's states n = 0..N and evaluates each state's
+pointwise quantities once, in the law's pass over it
+(pressure.StateFields).  State n sits in slot n % steps of a block, beside
+its u and P', and its step writes state n + 1 into the next slot.  When the
+last slot or the last state is filled, the block is recorded: the relative
+energy, dissipation and minimum density, which no step reads, come from one
+call of each functional per block, bitwise a per-step evaluation's values,
+and the saves (and the steps, if recorded) are copied out.  A run that
+stops early records nothing after its stop.  The noise increments depend on
+no state, so they are drawn a chunk of steps at a time
+(NoiseModel.sample_increments with a count); step n reads row n % chunk.
 
 A step of one row is bound by its calls, not by its arithmetic, so the
 step writes its convective update and its diffusion into workspaces the
@@ -29,11 +30,14 @@ stepper keeps per shape, and builds an error only for a row that broke a
 guard.
 
 Positivity is never repaired: a density-floor violation raises
-PositivityLoss with the failing time, location and sample.  A failed
-sample keeps its row, so a run's batch has one shape from the first step
-to the last: the row is set to the far-field state (rho_inf, 0) with zero
-forcing, a fixed point of the step, and the sample's Trajectory reports
-only its initial state and its error.
+PositivityLoss with the failing time, location and sample.  An overflow in
+the loop is not warned of: it makes its row's next state non-finite, which
+the step reports, and a row whose last state has a non-finite energy or
+dissipation fails with DivergenceError.  A failed sample keeps its row, so
+a run's batch has one shape from the first step to the last: the row is
+set to the far-field state (rho_inf, 0) with zero forcing, a fixed point
+of the step, and the sample's Trajectory reports only its initial state
+and its error.
 """
 
 from __future__ import annotations
@@ -431,6 +435,8 @@ def simulate(
     change which error that is.  With keep_failures it steps the samples
     that have not failed to T, or until none is left, and returns, and a
     failed sample's Trajectory holds only its initial state and the error.
+    No step follows the last state, so a sample whose last relative energy
+    or dissipation is not finite fails then, with a DivergenceError.
     """
     batched = not isinstance(sample_id, (int, np.integer))
     ids = [int(s) for s in sample_id] if batched else [int(sample_id)]
@@ -466,7 +472,7 @@ def simulate(
     times = _save_times(config)
     saves = np.empty((n_samples, config.n_saves + 1, 2, n_nodes))
     energy = np.empty((n_samples, n_steps + 1))
-    diss = np.empty((n_samples, n_steps + 1))
+    diss = np.zeros((n_samples, n_steps + 1))
     min_rho = np.empty((n_samples, n_steps + 1))
     step_states = (
         np.empty((n_samples, n_steps + 1, 2, n_nodes)) if config.record_steps else None
@@ -475,36 +481,17 @@ def simulate(
         np.zeros((n_samples, n_steps, n_nodes)) if config.record_forcing else None
     )
 
-    # the block: the rho, m, u and P' of each state since the last flush,
-    # laid out (rows, steps, nodes) each, one step at least.  Each step
-    # writes its new state into the block's next free slot
+    # the block: the rho, m, u and P' of up to `steps` states, state n in
+    # slot n % steps, laid out (rows, steps, nodes) each, one step at least
     steps = max(1, min(n_steps + 1, BLOCK_POINTS // (n_samples * n_nodes)))
     block = np.empty((4, n_samples, steps, n_nodes))
-    filled = head = 0
 
-    def push():
-        """Make the state's StateFields, which its step reads, and write
-        its u and P' into the state's slot, flushing a full block."""
-        nonlocal filled
-        fields = StateFields(law, state.rho, state.mom)
-        block[2, :, filled], block[3, :, filled] = fields.u, fields.dP
-        filled += 1
-        if filled == steps:
-            flush()
-        return fields
-
-    def flush():
-        """Record the relative energies, minimum densities and states of
-        the block's states, the first that of step head, the saves among
-        them, and the dissipation that they add, each from one call on
-        them all; the additions are made step after step."""
-        nonlocal filled, head
-        if not filled:
-            return
-        rho, m, u, dP = block[:, :, :filled]
-        c, k = head, filled
-        head += k
-        filled = 0
+    def record(c, k):
+        """Record the relative energies, minimum densities, states and saves
+        of the block's first k states, those of steps c on, and the
+        dissipation they add, each from one call on them all, summed step
+        after step."""
+        rho, m, u, dP = block[:, :, :k]
         fields = StateFields.recorded(rho, u, dP)
         energy[:, c : c + k] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
         min_rho[:, c : c + k] = rho.min(axis=-1)
@@ -526,48 +513,55 @@ def simulate(
 
     errors = [None] * n_samples
     failed = None  # the failed rows, once one has failed
-    diss[:, 0] = 0.0
     block[0, :, 0], block[1, :, 0] = start.rho, start.mom
     state = start
-    fields = push()
     forced = noise is not None and noise.n_modes > 0
     if forced:
-        # the increments of chunk_steps steps are drawn in one call: the
-        # chunk, of the steps from chunk_first on
-        draws = n_samples * noise._draws_per_step(config.dt)
-        chunk_steps = max(1, BLOCK_POINTS // draws)
-        chunk, chunk_first = (), 0
+        # the increments of `chunk` steps are drawn in one call
+        chunk = max(1, BLOCK_POINTS // (n_samples * noise._draws_per_step(config.dt)))
     x = grid.x
-    for n in range(n_steps):
-        forcing = None
-        if forced:
-            if n - chunk_first == len(chunk):  # the last chunk is used up
-                count = min(n_steps - n, chunk_steps)
-                chunk = noise.sample_increments(ids, n, config.dt, count)
-                chunk_first = n
-            dW = chunk[n - chunk_first]
-            forcing = noise.apply_forcing(x, state.rho, state.mom, dW, fields)
-            if failed is not None:
-                forcing[failed] = 0.0
-            if forcing_rec is not None:
-                forcing_rec[:, n] = forcing
-        state, failures = stepper.step(state, forcing, fields, block[:2, :, filled])
-        if failures:
-            for row, exc in failures:
-                # a row keeps its first error: held at the far field, it can
-                # break only its own diffusion bound again (explicit scheme)
-                if errors[row] is None:
-                    exc.sample = ids[row]
-                    errors[row] = exc
-            failed = np.array([exc is not None for exc in errors])
-            # a failed row holds the far field, a fixed point of the step
-            state.rho[failed], state.mom[failed] = config.rho_inf, 0.0
-            # stop once no row that can change the outcome steps: any row
-            # with keep_failures, else a row before the first failed one
-            if failed.all() if keep_failures else failed[0]:
+    # an overflow makes its row's next state non-finite, which the step reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps + 1):
+            j = n % steps
+            fields = StateFields(law, state.rho, state.mom)
+            block[2, :, j], block[3, :, j] = fields.u, fields.dP
+            if j == steps - 1 or n == n_steps:
+                record(n - j, j + 1)
+            if n == n_steps:
                 break
-        fields = push()
-    flush()
+            forcing = None
+            if forced:
+                if n % chunk == 0:
+                    dW = noise.sample_increments(ids, n, config.dt, min(n_steps - n, chunk))
+                forcing = noise.apply_forcing(x, state.rho, state.mom, dW[n % chunk], fields)
+                if failed is not None:
+                    forcing[failed] = 0.0
+                if forcing_rec is not None:
+                    forcing_rec[:, n] = forcing
+            out = block[:2, :, (j + 1) % steps]  # the next state's slot
+            state, failures = stepper.step(state, forcing, fields, out)
+            if failures:
+                for row, exc in failures:
+                    # a row keeps its first error: at the far field it can
+                    # break only its own diffusion bound again (explicit)
+                    if errors[row] is None:
+                        exc.sample = ids[row]
+                        errors[row] = exc
+                failed = np.array([exc is not None for exc in errors])
+                # a failed row holds the far field, a fixed point of the step
+                state.rho[failed], state.mom[failed] = config.rho_inf, 0.0
+                # stop once no row that can change the outcome steps (any
+                # row with keep_failures, else one before the first failed);
+                # nothing reads the states left unrecorded: the run raises,
+                # or returns only failed rows' stubs
+                if failed.all() if keep_failures else failed[0]:
+                    break
+    if n == n_steps:  # the run reached T, and no step checked its last state
+        for row in np.flatnonzero(~np.isfinite([energy[:, -1], diss[:, -1]]).all(axis=0)):
+            if errors[row] is None:
+                errors[row] = DivergenceError(state.t)
+                errors[row].sample = ids[row]
     if not keep_failures:
         for exc in errors:
             if exc is not None:

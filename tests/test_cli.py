@@ -686,6 +686,55 @@ def test_grid_spacing_out_of_range_exits_2(runner, tmp_path, command, grid, solv
     assert not out.exists()
 
 
+OVERFLOW = {"noise": {"amplitude": 1e300}}
+
+# runs at the edges of the model: the run-file blocks merged over a short
+# run (n = 32, 30 steps), the command, its exit code, and the key its
+# message names (exit 2) or the error it reports (exit 1, or each member's
+# of a sweep)
+EDGES = [
+    # the forcing overflows; each run warned before it ended
+    (OVERFLOW, ["simulate"], 1, "NumericalError"),
+    (OVERFLOW, ["simulate", "--samples", "12"], 1, "NumericalError"),
+    (OVERFLOW, ["young-measure"], 1, "NumericalError"),
+    (OVERFLOW, ["sweep-epsilon"], 0, "NumericalError"),
+    # no step follows the last state, whose energy overflows: exited 0
+    ({**OVERFLOW, "solver": {"T": 1e-3, "n_saves": 1}}, ["simulate"], 1, "DivergenceError"),
+    ({"law": {"gamma": 1.0 + 1e-12}}, ["simulate"], 2, "alpha1"),
+    ({"law": {"gamma": float("inf")}}, ["simulate"], 2, "law"),
+    ({"initial": {"amplitude": -1.0}}, ["simulate"], 2, "initial"),
+    ({"law": {**COMPOSITE_LAW, "rho_hi": 0.9}}, ["simulate"], 2, "law"),
+    ({"law": {"gamma": 3.5}}, ["simulate"], 0, None),
+]
+
+
+@pytest.mark.parametrize("blocks, command, code, named", EDGES)
+def test_edge_runs(runner, tmp_path, blocks, command, code, named):
+    run = {
+        "grid": {"n": 32},
+        "solver": {"T": 0.03, "n_saves": 3},
+        "sweep": {"epsilons": [0.05, 0.02], "cells": [2, 2]},
+    }
+    for block, values in blocks.items():
+        run[block] = {**run.get(block, {}), **values}
+    cfg = write_cfg(tmp_path, run)
+    out = tmp_path / "out"
+    args = [command[0], "--config", cfg, *command[1:], "--output-dir", str(out)]
+    r = runner.invoke(main, args)
+    assert r.exit_code == code, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.output
+    if code == 2:
+        assert named in r.output
+        assert not out.exists()
+    elif code == 1:
+        assert json.loads((out / "error.json").read_text())["error"] == named
+    elif command[0] == "sweep-epsilon":
+        # every member failed, its error in the last column
+        rows = (out / "sweep_summary.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert all(row.split(",", 6)[6].startswith(named + "(") for row in rows)
+
+
 def test_runtime_loads_no_scipy():
     # scipy serves only as the tests' oracle: a noisy batched IMEX run,
     # entropy pairs on one piece and split at a kink, and a composite law's
