@@ -13,21 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .entropy import EntropySpec, entropy_pair, riemann_invariants
 from .errors import ConfigError, DomainError
 from .pressure import PressureLaw, StateFields
 from .solver import Trajectory
 
-# Node-points of one block of steps (steps x nodes, times the quadrature
-# nodes per state for an entropy pair, EntropySpec.pair_nodes): each
-# temporary of a block evaluation holds at most 0.5 MB, whatever the grid.
-BLOCK_POINTS = 2**16
-
 
 def _step_blocks(n_steps: int, points_per_step: int):
     """Slices of consecutive steps (or other rows, such as Young-measure
-    atoms) of at most BLOCK_POINTS points (one row at least)."""
-    rows = max(1, BLOCK_POINTS // points_per_step)
+    atoms) of at most solver.BLOCK_POINTS points (one row at least), so
+    that a block's temporaries reuse freed heap pages call after call."""
+    rows = max(1, solver.BLOCK_POINTS // points_per_step)
     return [slice(a, min(a + rows, n_steps)) for a in range(0, n_steps, rows)]
 
 
@@ -58,10 +55,10 @@ def energy_balance_check(
     Uses the per-step states and the exact recorded forcing increments
     (left-point Ito sums); the residual is the time-discretization error
     and should scale like dt.  The sums are evaluated on blocks of
-    consecutive steps of at most BLOCK_POINTS nodes (one forcing_quadratic
-    call per block), so the working memory stays at a few MB on any grid;
-    the per-step sums are added in step order, and the terms agree with a
-    step-by-step loop within 1e-12 relative.
+    consecutive steps of at most solver.BLOCK_POINTS nodes (one
+    forcing_quadratic call per block, _step_blocks), so each temporary
+    holds at most 64 KB; the per-step sums are added in step order, and the
+    terms agree with a step-by-step loop within 1e-12 relative.
     """
     if traj.step_states is None:
         raise ConfigError("trajectory must be run with record_steps=True")
@@ -212,13 +209,13 @@ def entropy_inequality_residual(
     up to discretization error.
 
     The sums run over the steps and nodes inside phi's support, in blocks
-    of consecutive steps of at most BLOCK_POINTS node-points (steps x
-    nodes x spec.pair_nodes), with one entropy_pair and one forcing_quadratic
-    call per block; phi = b_t b_x is the outer product of its time and space
-    factors.  The block size bounds the working memory to a few MB on any
-    grid.  The per-step sums are added in step order, and the result agrees
-    with a step-by-step loop to |dS| <= 1e-12 (|transport| + |martingale| +
-    |ito|), each term within 1e-12 relative.
+    of consecutive steps of at most solver.BLOCK_POINTS node-points (steps
+    x nodes x spec.pair_nodes), with one entropy_pair and one
+    forcing_quadratic call per block; phi = b_t b_x is the outer product of
+    its time and space factors.  The block size bounds each temporary to
+    64 KB (_step_blocks).  The per-step sums are added in step order, and
+    the result agrees with a step-by-step loop to |dS| <= 1e-12
+    (|transport| + |martingale| + |ito|), each term within 1e-12 relative.
     """
     if traj.step_states is None:
         raise ConfigError("trajectory must be run with record_steps=True")

@@ -39,6 +39,7 @@ from math import lgamma, log, log1p, pi
 
 import numpy as np
 
+from . import solver
 from .errors import ConfigError, DomainError
 from .pressure import PressureLaw, StateFields
 
@@ -174,8 +175,8 @@ class EntropySpec:
 
         def derivatives(s):
             # t, t^2 and b = 1 - t^2 are shared and then overwritten in
-            # place: on entropy_pair's blocks of 2^16 nodes, every further
-            # live node array costs more in cache misses than it saves
+            # place, so that a call on one of entropy_pair's blocks
+            # (solver.BLOCK_POINTS nodes) keeps few node arrays live
             shape = np.shape(s)
             t = np.array(s, dtype=float, ndmin=1)
             t -= center
@@ -229,8 +230,6 @@ class EntropyPairValue:
 # accuracy test of the split pairs (tests/test_entropy.py) pins the count.
 SPLIT_NODES = 20
 _GRADING = 4.0
-# Node-points of one derivatives call of the split rule (0.5 MB an array)
-_SPLIT_POINTS = 2**16
 # Above _PEAK_LAM the weight (1 - z^2)^lam is a peak of width ~lam^-1/2 at 0
 # that an end rule, with the other endpoint factor in its integrand, cannot
 # resolve.  A straddling support is then also cut at 0 and where the weight
@@ -353,18 +352,19 @@ def _split_rules(n: int, lam: float):
 
 def _split_sums(spec, lam, u, K):
     """The sums of _node_sums over [-1, 1] for states whose support
-    straddles a kink, piece by piece (_split_pieces), at most _SPLIT_POINTS
-    nodes per derivatives call.  A piece [a, 1] takes the Gauss rule for
-    (1 - z)^lam, with (1 + z)^lam in the integrand; [-1, b] the mirror rule;
-    an interior piece Gauss-Legendre, with the whole weight in the
-    integrand.  The weights are formed in logarithms, so that no factor
-    overflows for large lam, and log(1 - z^2) by log1p within 1/2 of 0, so
-    that lam times its rounding stays small where the weight peaks."""
+    straddles a kink, piece by piece (_split_pieces), at most
+    solver.BLOCK_POINTS nodes (64 KB an array) per derivatives call.  A
+    piece [a, 1] takes the Gauss rule for (1 - z)^lam, with (1 + z)^lam in
+    the integrand; [-1, b] the mirror rule; an interior piece
+    Gauss-Legendre, with the whole weight in the integrand.  The weights
+    are formed in logarithms, so that no factor overflows for large lam,
+    and log(1 - z^2) by log1p within 1/2 of 0, so that lam times its
+    rounding stays small where the weight peaks."""
     a, b, owner = _split_pieces(np.asarray(spec.kinks), u, K, _peak_cuts(lam))
     kind = (a == -1.0) + 2 * (b == 1.0)
     nodes, log_w = _split_rules(SPLIT_NODES, lam)
     sums = np.empty((4, a.size))
-    chunk = _SPLIT_POINTS // SPLIT_NODES
+    chunk = solver.BLOCK_POINTS // SPLIT_NODES
     for lo in range(0, a.size, chunk):
         p = slice(lo, lo + chunk)
         t, lw, k = nodes[kind[p]], log_w[kind[p]], kind[p, None]
@@ -388,8 +388,8 @@ def entropy_pair(law: PressureLaw, spec: EntropySpec, rho, m) -> EntropyPairValu
     polynomial piece of psi takes the ceil((d + 2) / 2)-node Gauss-Jacobi
     rule, d the largest degree of the spec's pieces: exact for all four
     fields.  A state whose support straddles a kink is split there
-    (_split_sums), in calls of at most _SPLIT_POINTS node-points.  Vacuum
-    states give zeros.
+    (_split_sums), in calls of at most solver.BLOCK_POINTS node-points.
+    Vacuum states give zeros.
     """
     _require_polytropic(law)
     lam = law.lam

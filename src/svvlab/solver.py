@@ -59,11 +59,10 @@ from .pressure import PressureLaw, StateFields
 # and for explicit diffusion also dt <= DIFFUSION_NUMBER dx^2 / (2 eps)
 CFL_NUMBER = 0.4
 DIFFUSION_NUMBER = 0.4
-# simulate evaluates the per-step functionals on blocks of at most
-# BLOCK_POINTS node-points (rows x steps x nodes), one step at least: few
-# enough that the block's buffers stay in cache.  It draws the noise
-# increments in chunks of at most as many base-grid draws (rows x steps x
-# base steps x modes), one step at least
+# The one block size: simulate's per-step functionals take blocks of at most
+# BLOCK_POINTS node-points (rows x steps x nodes, one step at least), its noise
+# chunks as many base draws, and the post-hoc checks and the split rule read it
+# at call time.  A float64 array of it is 64 KB, under malloc's mmap threshold
 BLOCK_POINTS = 2**13
 
 
@@ -158,6 +157,10 @@ class SolverConfig:
             violations.append(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if not (0.0 < self.T < np.inf and 0.0 < self.dt < np.inf):
             violations.append(f"T and dt must be finite and > 0, got {self.T}, {self.dt}")
+        elif not 0.5 < self.T / self.dt < 2.0**63:  # 1 step to numpy's index range
+            violations.append(
+                f"solver.T / solver.dt = {self.T / self.dt:g} is not 1 to 2^63 steps"
+            )
         elif abs(self.n_steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             violations.append(f"T = {self.T} is not a multiple of dt = {self.dt}")
         elif not self.n_saves >= 1:

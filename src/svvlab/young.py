@@ -118,8 +118,8 @@ def measure_from_atoms(atoms, epsilon: float = 0.0) -> EmpiricalYoungMeasure:
 
 def _atom_pairs(law, spec, atoms):
     """(eta, q) of every atom, vacuum atoms zeroed, from one entropy_pair
-    call per block of at most BLOCK_POINTS node-points (atoms x
-    spec.pair_nodes)."""
+    call per block of at most solver.BLOCK_POINTS node-points (atoms x
+    spec.pair_nodes, diagnostics._step_blocks)."""
     rho = atoms[:, 0].copy()
     m = atoms[:, 1].copy()
     vac = rho < VACUUM_TOL

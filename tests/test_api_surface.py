@@ -48,9 +48,9 @@ ALLOWED_MEMBERS = {
 IMPORTS = {
     "errors": set(),
     "pressure": {"errors"},
-    "entropy": {"errors", "pressure"},
     "noise": {"errors", "pressure"},
     "solver": {"errors", "pressure"},
+    "entropy": {"errors", "pressure", "solver"},  # solver.BLOCK_POINTS
     "goursat": {"entropy", "errors", "pressure"},
     "io": {"errors", "solver"},
     "diagnostics": {"entropy", "errors", "pressure", "solver"},

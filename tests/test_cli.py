@@ -705,6 +705,23 @@ EDGES = [
     ({"initial": {"amplitude": -1.0}}, ["simulate"], 2, "initial"),
     ({"law": {**COMPOSITE_LAW, "rho_hi": 0.9}}, ["simulate"], 2, "law"),
     ({"law": {"gamma": 3.5}}, ["simulate"], 0, None),
+    # T under half a dt, no step: simulate wrote its output, then failed
+    ({"solver": {"T": 1e-10, "dt": 1e-3, "n_saves": 1}}, ["simulate"], 2, "solver.T"),
+    ({"solver": {"T": 1e-10, "dt": 1e-3, "n_saves": 1}}, ["validate"], 2, "solver.T"),
+    # 3e298 steps: numpy refused the run's arrays, and simulate exited 1
+    ({"solver": {"dt": 1e-300}}, ["simulate"], 2, "solver.dt"),
+    ({"grid": {"n": 2}}, ["simulate"], 2, "grid"),
+    ({"initial": {"amplitude": -(1.0 - 1e-4)}}, ["simulate"], 2, "initial"),
+    ({"law": {**COMPOSITE_LAW, "gamma1": 1.0}}, ["simulate"], 2, "gamma1"),
+    ({"law": {**COMPOSITE_LAW, "rho_lo": 0.0}}, ["simulate"], 2, "rho_lo"),
+    # P2 < P1 above rho = 1.2^2.5, so a narrow window there has P' < 0
+    ({"law": {**COMPOSITE_LAW, "rho_lo": 2.0, "rho_hi": 2.0 + 1e-12}}, ["simulate"], 2, "law"),
+    ({"law": {"gamma": 1.0 + 1e-9}, "noise": {"kind": "none"}}, ["simulate"], 0, None),
+    ({"law": {"gamma": 1.0 + 1e-12}, "noise": {"kind": "none"}}, ["simulate"], 0, None),
+    ({"solver": {"epsilon": 1e-300}}, ["simulate"], 0, None),
+    # P2 > P1 below it: P' > 0 in a window 1e-12 wide that the run never enters
+    ({"law": {**COMPOSITE_LAW, "rho_lo": 0.5, "rho_hi": 0.5 + 1e-12}}, ["simulate"], 0, None),
+    ({"law": COMPOSITE_LAW}, ["simulate"], 0, None),
 ]
 
 

@@ -1,12 +1,13 @@
 """Energy balance, invariant regions, moments, weak-form entropy residuals."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from svvlab import diagnostics
+from svvlab import solver
 from svvlab.diagnostics import (
     BumpTestFunction,
     compact_moments,
@@ -27,6 +28,7 @@ from svvlab.solver import (
     relative_energy,
     simulate,
 )
+from svvlab.young import CellPartition, build_measure, tartar_residual
 
 
 @pytest.fixture(scope="module")
@@ -412,22 +414,27 @@ def masked_compact_moments(traj, law, window):
 
 class TestBlockOracles:
     @pytest.mark.parametrize("psi", list(PSIS))
-    def test_residual_matches_step_loop(self, law2, noisy_run, psi):
+    def test_residual_matches_step_loop(self, law2, noisy_run, psi, monkeypatch):
         traj, noise = noisy_run
         n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
-        rows = diagnostics.BLOCK_POINTS // (n_active * PSIS[psi].pair_nodes)
+        per_step = n_active * PSIS[psi].pair_nodes
+        rows = solver.BLOCK_POINTS // per_step
         t = np.arange(len(traj.step_states) - 1) * traj.dt
         n_steps = int(np.sum(np.abs(t - PHI11.t0) < PHI11.rt))
-        assert rows > 1 and n_steps % rows != 0  # a short last block
         rep = assert_residual_matches_loop(traj, law2, PSIS[psi], PHI11, noise)
         assert rep.martingale != 0.0 and rep.ito != 0.0
+        if n_steps % rows == 0:  # the default's last block is full: one row fewer
+            rows -= 1
+            monkeypatch.setattr(solver, "BLOCK_POINTS", rows * per_step)
+            assert_residual_matches_loop(traj, law2, PSIS[psi], PHI11, noise)
+        assert rows > 1 and n_steps % rows != 0  # a short last block
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_one_and_five_step_blocks(self, law2, noisy_run, rows, monkeypatch):
         traj, noise = noisy_run
         n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
         spec = PSIS["cutoff:5"]
-        monkeypatch.setattr(diagnostics, "BLOCK_POINTS", rows * n_active * spec.pair_nodes)
+        monkeypatch.setattr(solver, "BLOCK_POINTS", rows * n_active * spec.pair_nodes)
         assert_residual_matches_loop(traj, law2, spec, PHI11, noise)
         assert_balance_matches_loop(traj, law2, noise)
 
@@ -465,6 +472,20 @@ class TestBlockOracles:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page faults")
+    @pytest.mark.parametrize("psi", list(PSIS))
+    def test_repeated_residual_takes_no_fresh_pages(self, law2, noisy_run, psi):
+        # blocks of solver.BLOCK_POINTS keep every temporary under malloc's
+        # mmap threshold, so a second call reuses the first one's heap: with
+        # blocks of 2^16 points, each call faulted in 600 to 1,700 pages
+        import resource
+
+        traj, noise = noisy_run
+        entropy_inequality_residual(traj, law2, PSIS[psi], PHI11, noise)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        entropy_inequality_residual(traj, law2, PSIS[psi], PHI11, noise)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 100
 
     def test_invariant_region_matches_step_loop(self, law2, noisy_run):
         traj, _ = noisy_run
@@ -505,6 +526,68 @@ class TestBlockOracles:
         window = (-1.5, 2.0)
         got = compact_moments(traj, law2, window)
         assert got == masked_compact_moments(traj, law2, window)
+
+
+def block_outputs(law, grid):
+    """What every block evaluation gives: the records of a verify-shaped run
+    (the README run file, every step and forcing increment recorded), its
+    Ito balance and entropy residuals, the commutation residual of a
+    sweep-shaped run (51 saves, 16 x 16 cells), and split-rule entropy
+    pairs, each as one array."""
+    noise = NoiseModel.single_mode(0.3, law, seed=7, dt_base=1e-3)
+    noise = noise.truncate_mollify(0.05, 3.0, 0.25, 1.0)
+    cfg = SolverConfig(
+        epsilon=0.05, T=0.5, dt=1e-3, n_saves=5, record_steps=True, record_forcing=True
+    )
+    traj = simulate(bump_state(grid), law, grid, cfg, noise, sample_id=3)
+    out = {
+        name: getattr(traj, name)
+        for name in ("energy", "dissipation", "min_rho", "save_states", "step_states",
+                     "forcing_increments")
+    }
+    out["balance"] = dataclasses.astuple(energy_balance_check(traj, law, noise))
+    for name, spec in PSIS.items():
+        rep = entropy_inequality_residual(traj, law, spec, PHI11, noise)
+        out[f"residual {name}"] = dataclasses.astuple(rep)
+    swept = simulate(
+        bump_state(grid), law, grid, dataclasses.replace(cfg, n_saves=50), noise, sample_id=0
+    )
+    measure = build_measure(swept, CellPartition(0.0, 0.5, -2.0, 2.0, 16, 16))
+    out["tartar"] = tartar_residual(measure, law, PSIS["energy"], PSIS["bump:0,4"])
+    rng = np.random.default_rng(4)
+    rho = rng.uniform(1.1, 1.5, 2000)
+    u = rng.uniform(-0.3, 0.3, 2000)
+    K = law.k_integral(rho)
+    kinked = (
+        EntropySpec.compact_bump(0.0, 1.0), EntropySpec.cutoff_energy(0.5),
+        EntropySpec.signed_square(),
+    )
+    for spec in kinked:  # every state's kernel support straddles a kink
+        assert (np.abs(np.subtract.outer(u, spec.kinks)) < K[:, None]).any(axis=1).all()
+        pv = entropy_pair(law, spec, rho, rho * u)
+        out[f"split {spec.name}"] = (pv.eta, pv.q, pv.deta_dm, pv.d2eta_dm2)
+    return {name: np.asarray(value) for name, value in out.items()}
+
+
+@pytest.fixture(scope="module")
+def wide_block_outputs(law2, grid):
+    """block_outputs in blocks of 2^16 points, eight times the default."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BLOCK_POINTS", 2**16)
+        return block_outputs(law2, grid)
+
+
+@pytest.mark.parametrize("points", [2**9, 2**11, solver.BLOCK_POINTS])
+def test_values_do_not_depend_on_the_block_size(
+    law2, grid, wide_block_outputs, points, monkeypatch
+):
+    # per-step sums run in step order, and the split rule sums each state's
+    # pieces alone, so the block size moves no bit of any value
+    monkeypatch.setattr(solver, "BLOCK_POINTS", points)
+    got = block_outputs(law2, grid)
+    assert got.keys() == wide_block_outputs.keys()
+    for name, value in wide_block_outputs.items():
+        assert np.array_equal(got[name], value), name
 
 
 class TestEnsembleMoments:

@@ -148,6 +148,14 @@ class TestTypes:
         with pytest.raises(ConfigError, match=key):
             SolverConfig(**{**args, key: value})
 
+    @pytest.mark.parametrize("T, dt", [(1e-10, 1e-3), (5e-4, 1e-3), (0.03, 1e-300), (1.0, 5e-324)])
+    def test_step_count_checked_when_made(self, T, dt):
+        # no step, where the run wrote its output and then failed; more steps
+        # than numpy indexes; and T / dt overflowing to inf, which raised
+        # OverflowError
+        with pytest.raises(ConfigError, match="solver.T / solver.dt"):
+            SolverConfig(epsilon=0.1, T=T, dt=dt, n_saves=1)
+
     @pytest.mark.parametrize("n_saves", [0, -2, 3, 7])
     def test_n_saves_checked_when_made(self, n_saves):
         # T / dt = 50 steps: n_saves must be >= 1 and divide them
