@@ -13,19 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
 from .entropy import EntropySpec, entropy_pair, riemann_invariants
 from .errors import ConfigError, DomainError
-from .pressure import PressureLaw, StateFields
+from .pressure import PressureLaw, StateFields, _blocks
 from .solver import Trajectory
-
-
-def _step_blocks(n_steps: int, points_per_step: int):
-    """Slices of consecutive steps (or other rows, such as Young-measure
-    atoms) of at most solver.BLOCK_POINTS points (one row at least), so
-    that a block's temporaries reuse freed heap pages call after call."""
-    rows = max(1, solver.BLOCK_POINTS // points_per_step)
-    return [slice(a, min(a + rows, n_steps)) for a in range(0, n_steps, rows)]
 
 
 def _stepwise_total(scale: float, per_step) -> float:
@@ -55,10 +46,9 @@ def energy_balance_check(
     Uses the per-step states and the exact recorded forcing increments
     (left-point Ito sums); the residual is the time-discretization error
     and should scale like dt.  The sums are evaluated on blocks of
-    consecutive steps of at most solver.BLOCK_POINTS nodes (one
-    forcing_quadratic call per block, _step_blocks), so each temporary
-    holds at most 64 KB; the per-step sums are added in step order, and the
-    terms agree with a step-by-step loop within 1e-12 relative.
+    consecutive steps (pressure._blocks), one forcing_quadratic call per
+    block; the per-step sums are added in step order, and the terms agree
+    with a step-by-step loop within 1e-12 relative.
     """
     if traj.step_states is None:
         raise ConfigError("trajectory must be run with record_steps=True")
@@ -75,7 +65,7 @@ def energy_balance_check(
     if has_noise:
         n_steps = len(traj.forcing_increments)
         sums = np.empty((2, n_steps))  # per step: martingale, Ito
-        for blk in _step_blocks(n_steps, x.size):
+        for blk in _blocks(n_steps, x.size):
             rho, m = traj.step_states[blk, 0], traj.step_states[blk, 1]
             fields = StateFields(law, rho, m)
             sums[0, blk] = np.trapezoid(fields.u * traj.forcing_increments[blk], dx=dx)
@@ -209,11 +199,10 @@ def entropy_inequality_residual(
     up to discretization error.
 
     The sums run over the steps and nodes inside phi's support, in blocks
-    of consecutive steps of at most solver.BLOCK_POINTS node-points (steps
-    x nodes x spec.pair_nodes), with one entropy_pair and one
-    forcing_quadratic call per block; phi = b_t b_x is the outer product of
-    its time and space factors.  The block size bounds each temporary to
-    64 KB (_step_blocks).  The per-step sums are added in step order, and
+    of consecutive steps of nodes x spec.pair_nodes points each
+    (pressure._blocks), with one entropy_pair and one forcing_quadratic
+    call per block; phi = b_t b_x is the outer product of its time and
+    space factors.  The per-step sums are added in step order, and
     the result agrees with a step-by-step loop to |dS| <= 1e-12
     (|transport| + |martingale| + |ito|), each term within 1e-12 relative.
     """
@@ -243,7 +232,7 @@ def entropy_inequality_residual(
         bx, dbx, d2bx = phi.space_factors(xa)
         span = slice(steps[0], steps[-1] + 1)
         states = traj.step_states[span]
-        for blk in _step_blocks(steps.size, xa.size * spec.pair_nodes):
+        for blk in _blocks(steps.size, xa.size * spec.pair_nodes):
             rho, m = states[blk, 0][:, active], states[blk, 1][:, active]
             pv = entropy_pair(law, spec, rho, m)
             b, db = bt[blk, None], dbt[blk, None]

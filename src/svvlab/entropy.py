@@ -39,9 +39,8 @@ from math import lgamma, log, log1p, pi
 
 import numpy as np
 
-from . import solver
 from .errors import ConfigError, DomainError
-from .pressure import PressureLaw, StateFields
+from .pressure import PressureLaw, StateFields, _blocks
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ class EntropySpec:
         def derivatives(s):
             # t, t^2 and b = 1 - t^2 are shared and then overwritten in
             # place, so that a call on one of entropy_pair's blocks
-            # (solver.BLOCK_POINTS nodes) keeps few node arrays live
+            # (pressure.BLOCK_POINTS nodes) keeps few node arrays live
             shape = np.shape(s)
             t = np.array(s, dtype=float, ndmin=1)
             t -= center
@@ -352,11 +351,11 @@ def _split_rules(n: int, lam: float):
 
 def _split_sums(spec, lam, u, K):
     """The sums of _node_sums over [-1, 1] for states whose support
-    straddles a kink, piece by piece (_split_pieces), at most
-    solver.BLOCK_POINTS nodes (64 KB an array) per derivatives call.  A
-    piece [a, 1] takes the Gauss rule for (1 - z)^lam, with (1 + z)^lam in
-    the integrand; [-1, b] the mirror rule; an interior piece
-    Gauss-Legendre, with the whole weight in the integrand.  The weights
+    straddles a kink, piece by piece (_split_pieces), in blocks of pieces
+    of SPLIT_NODES nodes each (pressure._blocks), one derivatives call per
+    block.  A piece [a, 1] takes the Gauss rule for (1 - z)^lam, with
+    (1 + z)^lam in the integrand; [-1, b] the mirror rule; an interior
+    piece Gauss-Legendre, with the whole weight in the integrand.  The weights
     are formed in logarithms, so that no factor overflows for large lam,
     and log(1 - z^2) by log1p within 1/2 of 0, so that lam times its
     rounding stays small where the weight peaks."""
@@ -364,9 +363,7 @@ def _split_sums(spec, lam, u, K):
     kind = (a == -1.0) + 2 * (b == 1.0)
     nodes, log_w = _split_rules(SPLIT_NODES, lam)
     sums = np.empty((4, a.size))
-    chunk = solver.BLOCK_POINTS // SPLIT_NODES
-    for lo in range(0, a.size, chunk):
-        p = slice(lo, lo + chunk)
+    for p in _blocks(a.size, SPLIT_NODES):
         t, lw, k = nodes[kind[p]], log_w[kind[p]], kind[p, None]
         pa, pb = a[p, None], b[p, None]
         h = 0.5 * (pb - pa)
@@ -388,7 +385,7 @@ def entropy_pair(law: PressureLaw, spec: EntropySpec, rho, m) -> EntropyPairValu
     polynomial piece of psi takes the ceil((d + 2) / 2)-node Gauss-Jacobi
     rule, d the largest degree of the spec's pieces: exact for all four
     fields.  A state whose support straddles a kink is split there
-    (_split_sums), in calls of at most solver.BLOCK_POINTS node-points.
+    (_split_sums), in blocks of pressure.BLOCK_POINTS node-points.
     Vacuum states give zeros.
     """
     _require_polytropic(law)

@@ -59,8 +59,9 @@ def _check_bump(center, width):
 def _base_steps(dt, dt_base) -> int:
     """Base-grid steps per step of dt: ConfigError unless dt_base is
     positive and finite and dt a whole multiple of it (a NaN fails), of at
-    most MAX_BASE_STEPS base steps.  A run asks it once per step, so each
-    (dt, dt_base) is worked out once."""
+    most MAX_BASE_STEPS base steps.  A job asks it several times for one
+    (dt, dt_base): the run file's check, the chunk size, each draw; so
+    each is worked out once."""
     k = dt / dt_base if 0.0 < dt_base < np.inf else np.nan
     ki = round(k) if k < np.inf else 0
     if not (ki >= 1 and abs(k - ki) <= 1e-9):
@@ -110,9 +111,6 @@ class NoiseModel:
     epsilon: float | tuple | None = None
     mode_cap: int | tuple | None = None
     H: float | tuple | None = None  # invariant-region half-width
-    # sample id -> (Generator, initial Philox state) of its stream; every
-    # draw restores that state, so no draw depends on the ones before it
-    _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # nodes x -> (mode profiles alpha_k(x), spatial cutoff) on them
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -150,6 +148,8 @@ class NoiseModel:
         support_kind: str = "compact_x",
     ) -> "NoiseModel":
         """Modes a_k = a1 k^(-decay), zeta_k = shifted bumps times rho."""
+        if not n_modes >= 1:
+            raise ConfigError(f"noise.n_modes must be at least 1, got {n_modes}")
         if not decay >= 0.0:
             raise ConfigError(f"a_k decay exponent must be nonnegative, got {decay}")
         _check_bump(center, width)
@@ -367,13 +367,11 @@ class NoiseModel:
 
     def _stream(self, sample_id: int):
         """(Generator, initial Philox state) of the sample's stream, keyed
-        by (seed, sample) and made on its first use."""
-        stream = self._streams.get(sample_id)
-        if stream is None:
-            key = ((int(self.seed) & _U64) << 64) | (int(sample_id) & _U64)
-            gen = np.random.Generator(np.random.Philox(key=key))
-            stream = self._streams[sample_id] = gen, gen.bit_generator.state
-        return stream
+        by (seed, sample); every draw restores that state, so no draw
+        depends on the ones before it."""
+        key = ((int(self.seed) & _U64) << 64) | (int(sample_id) & _U64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        return gen, gen.bit_generator.state
 
     def _draws_per_step(self, dt) -> int:
         """Base-grid draws per sample and step of dt: n_modes for each of

@@ -31,7 +31,8 @@ StateFields is a law's pass over states (rho, m): one (P, P') call, the
 positivity mask, a safe divisor and u = m / rho, after one sign test of
 rho, rho.min() > 0, which leaves out the checks and masks that a state
 without vacuum does not need.  It holds the vacuum rule, and every
-functional of a state reads it.
+functional of a state reads it.  BLOCK_POINTS is the lab's one block
+size, and _blocks its one rule for rows per block.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ class PressureLaw:
             i = int(np.argmin(Pp))
             raise ConfigError(
                 f"composite law is not strictly hyperbolic: P' = {Pp[i]:.6g} "
-                f"at rho = {rho[i]:.6g} in the blend window"
+                f"at rho = {rho[i]:.6g} in the blend window [law.rho_lo, law.rho_hi]"
             )
         return law
 
@@ -691,6 +692,23 @@ class PressureLaw:
         if np.any(arr <= 0.0):
             raise DomainError("density must be strictly positive")
         return arr if arr.ndim else float(arr)
+
+
+# The one block size: every walk over blocks of states, steps, atoms or
+# split pieces takes blocks of at most BLOCK_POINTS points (one row at
+# least), through _blocks.  A float64 array of it is 64 KB, under malloc's
+# mmap threshold, so that a block's temporaries reuse freed heap pages
+BLOCK_POINTS = 2**13
+
+
+def _blocks(count: int, points: int) -> list:
+    """Slices of count rows of `points` points each, in blocks of
+    max(1, BLOCK_POINTS // points) rows, each clipped at count; the first
+    block's stop is the rows a block holds.  BLOCK_POINTS is read at call
+    time; map makes the slices, where a comprehension's frame would be one
+    more Python call per walk."""
+    starts = range(0, count, max(1, BLOCK_POINTS // points))
+    return list(map(slice, starts, (*starts[1:], count)))
 
 
 class StateFields:

@@ -53,17 +53,12 @@ from .errors import (
     NumericalError,
     PositivityLoss,
 )
-from .pressure import PressureLaw, StateFields
+from .pressure import PressureLaw, StateFields, _blocks
 
 # stability numbers of the CFL guard: dt <= CFL_NUMBER dx / max(|u| + c),
 # and for explicit diffusion also dt <= DIFFUSION_NUMBER dx^2 / (2 eps)
 CFL_NUMBER = 0.4
 DIFFUSION_NUMBER = 0.4
-# The one block size: simulate's per-step functionals take blocks of at most
-# BLOCK_POINTS node-points (rows x steps x nodes, one step at least), its noise
-# chunks as many base draws, and the post-hoc checks and the split rule read it
-# at call time.  A float64 array of it is 64 KB, under malloc's mmap threshold
-BLOCK_POINTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class Grid:
 
     def __post_init__(self):
         if self.n < 16:
-            raise ConfigError(f"grid needs at least 16 cells, got {self.n}")
+            raise ConfigError(f"grid.n = {self.n}: the grid needs at least 16 cells")
         if not 0.0 < self.L < np.inf:
             raise ConfigError(f"half-width L must be positive and finite, got {self.L}")
         dx2 = self.dx * self.dx  # inf where dx**2 overflows
@@ -108,9 +103,6 @@ class GridState:
         self.mom = np.asarray(self.mom, dtype=float)
         if self.rho.shape != self.mom.shape:
             raise DomainError("rho and mom must share a shape")
-
-    def copy(self) -> "GridState":
-        return GridState(self.t, self.rho.copy(), self.mom.copy())
 
 
 def _diffusion_numbers(grid: Grid, epsilon, dt):
@@ -363,10 +355,6 @@ class Trajectory:
     H: float | None = None  # Gamma_H half-width of the noise, once mollified
 
     @property
-    def dt(self) -> float:
-        return self.config.dt
-
-    @property
     def final(self) -> GridState:
         return GridState(self.times[-1], *self.save_states[-1])
 
@@ -484,9 +472,9 @@ def simulate(
         np.zeros((n_samples, n_steps, n_nodes)) if config.record_forcing else None
     )
 
-    # the block: the rho, m, u and P' of up to `steps` states, state n in
-    # slot n % steps, laid out (rows, steps, nodes) each, one step at least
-    steps = max(1, min(n_steps + 1, BLOCK_POINTS // (n_samples * n_nodes)))
+    # the block: the rho, m, u and P' of up to `steps` states (_blocks),
+    # state n in slot n % steps, laid out (rows, steps, nodes) each
+    steps = _blocks(n_steps + 1, n_samples * n_nodes)[0].stop
     block = np.empty((4, n_samples, steps, n_nodes))
 
     def record(c, k):
@@ -520,8 +508,9 @@ def simulate(
     state = start
     forced = noise is not None and noise.n_modes > 0
     if forced:
-        # the increments of `chunk` steps are drawn in one call
-        chunk = max(1, BLOCK_POINTS // (n_samples * noise._draws_per_step(config.dt)))
+        # the increments of `chunk` steps, a block of base draws (_blocks),
+        # are drawn in one call
+        chunk = _blocks(n_steps, n_samples * noise._draws_per_step(config.dt))[0].stop
     x = grid.x
     # an overflow makes its row's next state non-finite, which the step reports
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import _step_blocks
 from .entropy import EntropySpec, entropy_pair
 from .errors import ConfigError, DomainError
-from .pressure import PressureLaw
+from .pressure import PressureLaw, _blocks
 from .solver import Trajectory
 
 VACUUM_TOL = 1e-10
@@ -118,8 +117,8 @@ def measure_from_atoms(atoms, epsilon: float = 0.0) -> EmpiricalYoungMeasure:
 
 def _atom_pairs(law, spec, atoms):
     """(eta, q) of every atom, vacuum atoms zeroed, from one entropy_pair
-    call per block of at most solver.BLOCK_POINTS node-points (atoms x
-    spec.pair_nodes, diagnostics._step_blocks)."""
+    call per block of atoms of spec.pair_nodes points each
+    (pressure._blocks)."""
     rho = atoms[:, 0].copy()
     m = atoms[:, 1].copy()
     vac = rho < VACUUM_TOL
@@ -127,7 +126,7 @@ def _atom_pairs(law, spec, atoms):
     m[vac] = 0.0
     eta = np.empty(rho.size)
     q = np.empty(rho.size)
-    for block in _step_blocks(rho.size, spec.pair_nodes):
+    for block in _blocks(rho.size, spec.pair_nodes):
         pv = entropy_pair(law, spec, rho[block], m[block])
         eta[block] = pv.eta
         q[block] = pv.q

@@ -1,6 +1,7 @@
 """Every public top-level def and class in src/svvlab has a caller in src,
-and so does every public method and property of a public class; and each
-module imports only the package modules its row of IMPORTS names."""
+and so does every public method and property of a public class; each
+module imports only the package modules its row of IMPORTS names; and only
+pressure names BLOCK_POINTS."""
 
 import ast
 from pathlib import Path
@@ -50,11 +51,11 @@ IMPORTS = {
     "pressure": {"errors"},
     "noise": {"errors", "pressure"},
     "solver": {"errors", "pressure"},
-    "entropy": {"errors", "pressure", "solver"},  # solver.BLOCK_POINTS
+    "entropy": {"errors", "pressure"},
     "goursat": {"entropy", "errors", "pressure"},
     "io": {"errors", "solver"},
     "diagnostics": {"entropy", "errors", "pressure", "solver"},
-    "young": {"diagnostics", "entropy", "errors", "pressure", "solver"},
+    "young": {"entropy", "errors", "pressure", "solver"},
     "config": {"entropy", "errors", "noise", "pressure", "solver"},
     "__init__": {"entropy", "noise", "pressure", "solver"},
     "cli": {
@@ -199,3 +200,32 @@ def test_imports_resolve_per_module(tmp_path):
     assert relative_imports(tmp_path) == {
         "__init__": set(), "a": {"b", "__init__"}, "b": {"c"}, "c": set(),
     }
+
+
+def block_size_readers(package=PACKAGE):
+    """The modules of the package whose code names BLOCK_POINTS: as a
+    name, an attribute or an imported name."""
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Name) and node.id == "BLOCK_POINTS"
+                or isinstance(node, ast.Attribute) and node.attr == "BLOCK_POINTS"
+                or isinstance(node, ast.alias) and node.name == "BLOCK_POINTS"
+            ):
+                readers.add(path.stem)
+    return readers
+
+
+def test_block_size_is_read_in_pressure_alone():
+    # every other module takes its blocks from pressure._blocks, the one
+    # rule for rows per block
+    assert block_size_readers() == {"pressure"}
+
+
+def test_block_size_readers_see_every_form(tmp_path):
+    (tmp_path / "a.py").write_text("from .p import BLOCK_POINTS\n")
+    (tmp_path / "b.py").write_text("from . import p\n\nrows = p.BLOCK_POINTS // 8\n")
+    (tmp_path / "c.py").write_text("# BLOCK_POINTS, in a comment\nBLOCKS = 2\n")
+    (tmp_path / "d.py").write_text("def f():\n    return BLOCK_POINTS\n")
+    assert block_size_readers(tmp_path) == {"a", "b", "d"}

@@ -710,18 +710,41 @@ EDGES = [
     ({"solver": {"T": 1e-10, "dt": 1e-3, "n_saves": 1}}, ["validate"], 2, "solver.T"),
     # 3e298 steps: numpy refused the run's arrays, and simulate exited 1
     ({"solver": {"dt": 1e-300}}, ["simulate"], 2, "solver.dt"),
-    ({"grid": {"n": 2}}, ["simulate"], 2, "grid"),
+    ({"grid": {"n": 2}}, ["simulate"], 2, "grid.n"),
     ({"initial": {"amplitude": -(1.0 - 1e-4)}}, ["simulate"], 2, "initial"),
     ({"law": {**COMPOSITE_LAW, "gamma1": 1.0}}, ["simulate"], 2, "gamma1"),
     ({"law": {**COMPOSITE_LAW, "rho_lo": 0.0}}, ["simulate"], 2, "rho_lo"),
     # P2 < P1 above rho = 1.2^2.5, so a narrow window there has P' < 0
-    ({"law": {**COMPOSITE_LAW, "rho_lo": 2.0, "rho_hi": 2.0 + 1e-12}}, ["simulate"], 2, "law"),
+    ({"law": {**COMPOSITE_LAW, "rho_lo": 2.0, "rho_hi": 2.0 + 1e-12}}, ["simulate"], 2, "law.rho_lo"),
     ({"law": {"gamma": 1.0 + 1e-9}, "noise": {"kind": "none"}}, ["simulate"], 0, None),
     ({"law": {"gamma": 1.0 + 1e-12}, "noise": {"kind": "none"}}, ["simulate"], 0, None),
     ({"solver": {"epsilon": 1e-300}}, ["simulate"], 0, None),
     # P2 > P1 below it: P' > 0 in a window 1e-12 wide that the run never enters
     ({"law": {**COMPOSITE_LAW, "rho_lo": 0.5, "rho_hi": 0.5 + 1e-12}}, ["simulate"], 0, None),
     ({"law": COMPOSITE_LAW}, ["simulate"], 0, None),
+    # a family of no modes ran noise-free, and validate passed its growth
+    ({"noise": {"kind": "mode_family", "n_modes": 0}}, ["simulate"], 2, "noise.n_modes"),
+    ({"noise": {"kind": "mode_family", "n_modes": -3}}, ["simulate"], 2, "noise.n_modes"),
+    ({"noise": {"kind": "mode_family", "n_modes": 0}}, ["validate"], 2, "noise.n_modes"),
+    ({"noise": {"kind": "mode_family", "n_modes": -3}}, ["validate"], 2, "noise.n_modes"),
+    # a bump down to density 1e-4, above a lowered initial.c0
+    ({"initial": {"amplitude": -(1.0 - 1e-4), "c0": 1e-5}}, ["simulate"], 0, None),
+]
+
+# the same edges under the commands that build Young measures and sweeps
+for command in (["young-measure"], ["sweep-epsilon"]):
+    EDGES += [
+        ({"law": {"gamma": 1.0 + 1e-9}, "noise": {"kind": "none"}}, command, 0, None),
+        ({"law": {"gamma": 1.0 + 1e-12}, "noise": {"kind": "none"}}, command, 0, None),
+        ({"law": {"gamma": 3.5}}, command, 0, None),
+        ({"initial": {"amplitude": -(1.0 - 1e-4), "c0": 1e-5}}, command, 0, None),
+        # the entropy pairs and the Young measures need a polytropic law
+        ({"law": COMPOSITE_LAW}, command, 2, "law.kind"),
+    ]
+EDGES += [
+    ({"law": {"gamma": 1.0 + 1e-12}}, ["sweep-epsilon"], 2, "alpha1"),
+    ({"law": {**COMPOSITE_LAW, "rho_lo": 2.0, "rho_hi": 2.0 + 1e-12}}, ["sweep-epsilon"], 2,
+     "law.rho_lo"),
 ]
 
 
@@ -745,7 +768,7 @@ def test_edge_runs(runner, tmp_path, blocks, command, code, named):
         assert not out.exists()
     elif code == 1:
         assert json.loads((out / "error.json").read_text())["error"] == named
-    elif command[0] == "sweep-epsilon":
+    elif named is not None:  # a sweep-epsilon run
         # every member failed, its error in the last column
         rows = (out / "sweep_summary.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 2

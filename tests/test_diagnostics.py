@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svvlab import solver
+from svvlab import pressure
 from svvlab.diagnostics import (
     BumpTestFunction,
     compact_moments,
@@ -418,14 +418,14 @@ class TestBlockOracles:
         traj, noise = noisy_run
         n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
         per_step = n_active * PSIS[psi].pair_nodes
-        rows = solver.BLOCK_POINTS // per_step
-        t = np.arange(len(traj.step_states) - 1) * traj.dt
+        rows = pressure.BLOCK_POINTS // per_step
+        t = np.arange(len(traj.step_states) - 1) * traj.config.dt
         n_steps = int(np.sum(np.abs(t - PHI11.t0) < PHI11.rt))
         rep = assert_residual_matches_loop(traj, law2, PSIS[psi], PHI11, noise)
         assert rep.martingale != 0.0 and rep.ito != 0.0
         if n_steps % rows == 0:  # the default's last block is full: one row fewer
             rows -= 1
-            monkeypatch.setattr(solver, "BLOCK_POINTS", rows * per_step)
+            monkeypatch.setattr(pressure, "BLOCK_POINTS", rows * per_step)
             assert_residual_matches_loop(traj, law2, PSIS[psi], PHI11, noise)
         assert rows > 1 and n_steps % rows != 0  # a short last block
 
@@ -434,7 +434,7 @@ class TestBlockOracles:
         traj, noise = noisy_run
         n_active = int(np.sum(np.abs(traj.grid.x - PHI11.x0) < PHI11.rx))
         spec = PSIS["cutoff:5"]
-        monkeypatch.setattr(solver, "BLOCK_POINTS", rows * n_active * spec.pair_nodes)
+        monkeypatch.setattr(pressure, "BLOCK_POINTS", rows * n_active * spec.pair_nodes)
         assert_residual_matches_loop(traj, law2, spec, PHI11, noise)
         assert_balance_matches_loop(traj, law2, noise)
 
@@ -476,7 +476,7 @@ class TestBlockOracles:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux page faults")
     @pytest.mark.parametrize("psi", list(PSIS))
     def test_repeated_residual_takes_no_fresh_pages(self, law2, noisy_run, psi):
-        # blocks of solver.BLOCK_POINTS keep every temporary under malloc's
+        # blocks of pressure.BLOCK_POINTS keep every temporary under malloc's
         # mmap threshold, so a second call reuses the first one's heap: with
         # blocks of 2^16 points, each call faulted in 600 to 1,700 pages
         import resource
@@ -573,17 +573,17 @@ def block_outputs(law, grid):
 def wide_block_outputs(law2, grid):
     """block_outputs in blocks of 2^16 points, eight times the default."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "BLOCK_POINTS", 2**16)
+        mp.setattr(pressure, "BLOCK_POINTS", 2**16)
         return block_outputs(law2, grid)
 
 
-@pytest.mark.parametrize("points", [2**9, 2**11, solver.BLOCK_POINTS])
+@pytest.mark.parametrize("points", [2**9, 2**11, pressure.BLOCK_POINTS])
 def test_values_do_not_depend_on_the_block_size(
     law2, grid, wide_block_outputs, points, monkeypatch
 ):
     # per-step sums run in step order, and the split rule sums each state's
     # pieces alone, so the block size moves no bit of any value
-    monkeypatch.setattr(solver, "BLOCK_POINTS", points)
+    monkeypatch.setattr(pressure, "BLOCK_POINTS", points)
     got = block_outputs(law2, grid)
     assert got.keys() == wide_block_outputs.keys()
     for name, value in wide_block_outputs.items():

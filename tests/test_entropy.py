@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from svvlab import entropy, solver
+from svvlab import entropy, pressure
 from svvlab.entropy import (
     SPLIT_NODES,
     EntropySpec,
@@ -632,7 +632,7 @@ class TestFusedGenerators:
 
     def test_split_pieces_in_bounded_calls(self, law2, monkeypatch):
         # the pieces of straddling states reach derivatives in calls of at
-        # most solver.BLOCK_POINTS node-points, and the pairs do not depend on
+        # most pressure.BLOCK_POINTS node-points, and the pairs do not depend on
         # how they are chunked; in-piece states take pair_nodes nodes
         assert [s.pair_nodes for s in builtin_specs()] == [2, 3, 3, 2, 1, 4, 4]
         bump = EntropySpec.compact_bump(0.0, 1.0)
@@ -648,7 +648,7 @@ class TestFusedGenerators:
             return bump.derivatives(s)
 
         counted = EntropySpec("counted", derivatives, bump.kinks, bump.degrees)
-        monkeypatch.setattr(solver, "BLOCK_POINTS", 7 * entropy.SPLIT_NODES)
+        monkeypatch.setattr(pressure, "BLOCK_POINTS", 7 * entropy.SPLIT_NODES)
         chunked = entropy_pair(law2, counted, rho, m)
         assert len(calls) > 10 and all(c[0] <= 7 and c[1] == entropy.SPLIT_NODES for c in calls)
         for name in FIELDS:
