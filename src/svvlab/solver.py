@@ -15,7 +15,8 @@ rows of (S, n+1) arrays; a single run is a batch of one.
 The step loop runs over a run's states n = 0..N and evaluates each state's
 pointwise quantities once, in the law's pass over it
 (pressure.StateFields).  State n sits in slot n % steps of a block, beside
-its u and P', and its step writes state n + 1 into the next slot.  When the
+its u and P', each field of it one C-contiguous (rows, nodes) array, and
+its step writes state n + 1 into the next slot.  When the
 last slot or the last state is filled, the block is recorded: the relative
 energy, dissipation and minimum density, which no step reads, come from one
 call of each functional per block, bitwise a per-step evaluation's values,
@@ -42,6 +43,7 @@ and its error.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +61,15 @@ from .pressure import PressureLaw, StateFields, _blocks
 # and for explicit diffusion also dt <= DIFFUSION_NUMBER dx^2 / (2 eps)
 CFL_NUMBER = 0.4
 DIFFUSION_NUMBER = 0.4
+
+
+def _physical_memory() -> float:
+    """The machine's physical memory in bytes, or inf where the platform
+    does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -120,9 +131,14 @@ def _diffusion_numbers(grid: Grid, epsilon, dt):
 
 def _central_difference(f, dx):
     """d/dx over the last axis: central inside, one-sided at the ends, the
-    values of np.gradient(f, dx, axis=-1)."""
-    out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+    values of np.gradient(f, dx, axis=-1).
+
+    The central differences are one flat pass over all of f's memory,
+    which leaves junk in each row's two ends; the one-sided ends then
+    overwrite it."""
+    out = np.empty(f.shape)
+    flat = f.ravel()
+    out.reshape(-1)[1:-1] = (flat[2:] - flat[:-2]) / (2.0 * dx)
     out[..., 0] = (f[..., 1] - f[..., 0]) / dx
     out[..., -1] = (f[..., -1] - f[..., -2]) / dx
     return out
@@ -152,6 +168,14 @@ class SolverConfig:
         elif not 0.5 < self.T / self.dt < 2.0**63:  # 1 step to numpy's index range
             violations.append(
                 f"solver.T / solver.dt = {self.T / self.dt:g} is not 1 to 2^63 steps"
+            )
+        elif 24.0 * (self.T / self.dt + 1.0) > _physical_memory():
+            # a sample records three float64 per state: its relative
+            # energy, dissipation and minimum density
+            violations.append(
+                f"solver.T / solver.dt = {self.T / self.dt:g} steps: a sample's "
+                f"per-step records need {24.0 * (self.T / self.dt + 1.0):.3g} bytes, "
+                f"more than the machine's {_physical_memory():.3g} bytes of memory"
             )
         elif abs(self.n_steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             violations.append(f"T = {self.T} is not a multiple of dt = {self.dt}")
@@ -199,8 +223,10 @@ class Stepper:
         self.mu = _diffusion_numbers(grid, self.epsilon, config.dt)
         # far-field values of (rho, m), broadcast over the stacked fields
         self._far = np.array([[config.rho_inf], [0.0]])
-        # state shape -> the stacked (rho, m) of the convective update
+        # state shape -> the stacked (rho, m) of the convective update, and
+        # each of its fields' memory but the first and last node, flat
         self._update = {}
+        self._interior = {}
         if config.scheme == "imex":
             # (I - mu L) on interior nodes with Dirichlet ends is diagonal in
             # the sine basis sin(pi j k / n); the inverses of its eigenvalues,
@@ -279,8 +305,11 @@ class Stepper:
         end.  A row at the far-field state (rho_inf, 0) with zero forcing
         comes back bitwise unchanged.
 
-        The convective update is written into a workspace kept per state
-        shape, whose two ends only the explicit diffusion reads.
+        The convective update and the forcing are written into a workspace
+        kept per state shape, as one flat pass over each field's memory,
+        which leaves junk in each row's two ends.  The implicit diffusion
+        never reads them and clamps them; for the explicit one, which reads
+        them, the state's own ends are copied in after the update.
         """
         cfg = self.config
         dx = self.dx
@@ -297,19 +326,25 @@ class Stepper:
         new = self._update.get(rho.shape)
         if new is None:
             new = self._update[rho.shape] = np.empty((2,) + rho.shape)
-        if cfg.scheme == "explicit":  # its diffusion reads the two ends
-            n = self.grid.n
-            new[0, ..., ::n], new[1, ..., ::n] = rho[..., ::n], m[..., ::n]
-        # interior: f - (dt (g(i+1) - g(i-1))) / (2 dx) for (f, g) = (rho, m)
-        # and (m, flux_m)
-        for f, g, row in ((rho, m, new[0]), (m, flux_m, new[1])):
-            d = row[..., 1:-1]
-            np.subtract(g[..., 2:], g[..., :-2], out=d)
+            self._interior[rho.shape] = (
+                new[0].reshape(-1)[1:-1],
+                new[1].reshape(-1)[1:-1],
+            )
+        d_rho, d_m = self._interior[rho.shape]
+        # f - (dt (g(i+1) - g(i-1))) / (2 dx) for (f, g) = (rho, m) and
+        # (m, flux_m), in one flat pass per field: right at every interior
+        # node, junk at the rows' ends
+        rho_flat, m_flat = rho.ravel(), m.ravel()
+        for f, g, d in ((rho_flat, m_flat, d_rho), (m_flat, flux_m.ravel(), d_m)):
+            np.subtract(g[2:], g[:-2], out=d)
             d *= dt
             d /= 2.0 * dx
-            np.subtract(f[..., 1:-1], d, out=d)
+            np.subtract(f[1:-1], d, out=d)
         if forcing_increment is not None:
-            new[1, ..., 1:-1] += forcing_increment[..., 1:-1]
+            d_m += forcing_increment.ravel()[1:-1]
+        if cfg.scheme == "explicit":  # its diffusion reads the state's ends
+            n = self.grid.n
+            new[0, ..., ::n], new[1, ..., ::n] = rho[..., ::n], m[..., ::n]
 
         new = self._diffuse(new, self._far, out)
         rho_new, m_new = new
@@ -473,38 +508,40 @@ def simulate(
     )
 
     # the block: the rho, m, u and P' of up to `steps` states (_blocks),
-    # state n in slot n % steps, laid out (rows, steps, nodes) each
+    # state n in slot n % steps, laid out (fields, steps, rows, nodes), so
+    # each field of a state is one C-contiguous (rows, nodes) array
     steps = _blocks(n_steps + 1, n_samples * n_nodes)[0].stop
-    block = np.empty((4, n_samples, steps, n_nodes))
+    block = np.empty((4, steps, n_samples, n_nodes))
 
     def record(c, k):
         """Record the relative energies, minimum densities, states and saves
         of the block's first k states, those of steps c on, and the
         dissipation they add, each from one call on them all, summed step
-        after step."""
-        rho, m, u, dP = block[:, :, :k]
+        after step.  The functionals read (k, rows, nodes) arrays, and
+        their (k, rows) values are written transposed."""
+        rho, m, u, dP = block[:, :k]
         fields = StateFields.recorded(rho, u, dP)
-        energy[:, c : c + k] = relative_energy(law, grid, rho, m, config.rho_inf, fields)
-        min_rho[:, c : c + k] = rho.min(axis=-1)
+        energy[:, c : c + k] = relative_energy(law, grid, rho, m, config.rho_inf, fields).T
+        min_rho[:, c : c + k] = rho.min(axis=-1).T
         if step_states is not None:
-            step_states[:, c : c + k] = block[:2, :, :k].transpose(1, 2, 0, 3)
-        kept = block[:2, :, -c % save_every : k : save_every]
+            step_states[:, c : c + k] = block[:2, :k].transpose(2, 1, 0, 3)
+        kept = block[:2, -c % save_every : k : save_every]
         first = -(-c // save_every)  # the first save at or after step c
-        saves[:, first : first + kept.shape[2]] = kept.transpose(1, 2, 0, 3)
+        saves[:, first : first + kept.shape[1]] = kept.transpose(2, 1, 0, 3)
         if c + k > n_steps:  # the run's last state begins no step
             k -= 1
             if not k:
                 return
-            rho, m, u, dP = rho[:, :k], m[:, :k], u[:, :k], dP[:, :k]
+            rho, m, u, dP = rho[:k], m[:k], u[:k], dP[:k]
             fields = StateFields.recorded(rho, u, dP)
         rate = dissipation_rate(law, grid, rho, m, fields)
-        added = row_eps[:, None] * config.dt * rate
+        added = row_eps[:, None] * config.dt * rate.T
         added[:, 0] += diss[:, c]
         diss[:, c + 1 : c + k + 1] = np.cumsum(added, axis=1)
 
     errors = [None] * n_samples
     failed = None  # the failed rows, once one has failed
-    block[0, :, 0], block[1, :, 0] = start.rho, start.mom
+    block[0, 0], block[1, 0] = start.rho, start.mom
     state = start
     forced = noise is not None and noise.n_modes > 0
     if forced:
@@ -517,7 +554,7 @@ def simulate(
         for n in range(n_steps + 1):
             j = n % steps
             fields = StateFields(law, state.rho, state.mom)
-            block[2, :, j], block[3, :, j] = fields.u, fields.dP
+            block[2, j], block[3, j] = fields.u, fields.dP
             if j == steps - 1 or n == n_steps:
                 record(n - j, j + 1)
             if n == n_steps:
@@ -531,7 +568,7 @@ def simulate(
                     forcing[failed] = 0.0
                 if forcing_rec is not None:
                     forcing_rec[:, n] = forcing
-            out = block[:2, :, (j + 1) % steps]  # the next state's slot
+            out = block[:2, (j + 1) % steps]  # the next state's slot
             state, failures = stepper.step(state, forcing, fields, out)
             if failures:
                 for row, exc in failures:

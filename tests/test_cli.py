@@ -745,6 +745,10 @@ EDGES += [
     ({"law": {"gamma": 1.0 + 1e-12}}, ["sweep-epsilon"], 2, "alpha1"),
     ({"law": {**COMPOSITE_LAW, "rho_lo": 2.0, "rho_hi": 2.0 + 1e-12}}, ["sweep-epsilon"], 2,
      "law.rho_lo"),
+    # 5e11 steps, whose energies alone need 4 TB: validate passed, and
+    # simulate wrote its directory, then failed to allocate the save times
+    ({"solver": {"T": 0.5, "dt": 1e-12, "n_saves": 10}}, ["simulate"], 2, "solver.dt"),
+    ({"solver": {"T": 0.5, "dt": 1e-12, "n_saves": 10}}, ["validate"], 2, "solver.dt"),
 ]
 
 

@@ -747,7 +747,7 @@ class TestSharedStatePass:
         assert (n_samples, nodes) not in checks + masks
         # e* checks each block of 2 steps (the last state alone) in its
         # shape, and e(rho_inf) and P(rho_inf) once per law; no other
-        blocks = [(n_samples, 2, nodes)] * (sc.n_steps // 2) + [(n_samples, 1, nodes)]
+        blocks = [(2, n_samples, nodes)] * (sc.n_steps // 2) + [(1, n_samples, nodes)]
         assert sorted(checks, key=len) == [(), ()] + blocks
         # the mode's profile is evaluated once per grid, by every later run too
         simulate(init, cfg.law, cfg.grid, sc, cfg.noise, 3)
@@ -810,7 +810,7 @@ def block_sizes(monkeypatch, points=None):
     energy = solver.relative_energy
 
     def counted(law, grid, rho, *a):
-        sizes.append(rho.shape[1])
+        sizes.append(rho.shape[0])
         return energy(law, grid, rho, *a)
 
     monkeypatch.setattr(solver, "relative_energy", counted)
@@ -897,13 +897,13 @@ class TestBlocks:
         rate = solver.dissipation_rate
         monkeypatch.setattr(
             solver, "dissipation_rate",
-            lambda law, grid, rho, *a: rates.append(rho.shape[1]) or rate(law, grid, rho, *a),
+            lambda law, grid, rho, *a: rates.append(rho.shape[0]) or rate(law, grid, rho, *a),
         )
         passes = []
         spy(monkeypatch, StateFields, "__init__", passes, lambda self, law, rho, m: rho)
         spy(monkeypatch, PressureLaw, "_check_nonneg", checks, lambda rho: rho, static=True)
         simulate(init, law, grid, cfg)
-        blocks = [(1, 7, grid.n + 1)] * 5 + [(1, 6, grid.n + 1)]
+        blocks = [(7, 1, grid.n + 1)] * 5 + [(6, 1, grid.n + 1)]
         assert estar == blocks
         assert rates == [7] * 5 + [5]  # the 40 steps; the last state begins none
         # one pass per state, whose one sign test is the state's only check
@@ -1335,6 +1335,42 @@ class TestUpdateWorkspace:
             assert np.shares_memory(new.rho, memory) and np.shares_memory(new.mom, memory)
             assert np.array_equal(memory, want)
 
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("kind", ["imex", "explicit"])
+    def test_row_ends_never_leak(self, kind, strided):
+        # the update is one flat pass over each field, which writes junk
+        # into every row's two ends: a far-field row between two rows with
+        # large momenta, forced, with forcing ends that must never be added
+        _, law, grid, cfg, _ = batch_case(kind)
+        x = grid.x
+        rho = np.stack([bump_state(grid, amp=0.5).rho + 0.3, np.ones_like(x),
+                        1.2 - 0.1 * np.tanh(x)])
+        m = np.stack([3.0 * np.sin(x + 1.0), np.zeros_like(x), -2.0 * np.cos(x)]) * rho
+        forcing = 1e-2 * np.cos(x + np.arange(3)[:, None])
+        forcing[:, [0, -1]] = 1e3
+        if strided:  # every other node of a wider array, NaN in between
+            wide = np.full((3, 3, 2 * (grid.n + 1)), np.nan)
+            wide[:, :, 1::2] = rho, m, forcing
+            rho, m, forcing = wide[:, :, 1::2]
+            assert not rho.flags.c_contiguous
+        new, failures = Stepper(law, grid, cfg).step(GridState(0.0, rho, m), forcing)
+        assert failures == []
+        for r in range(3):
+            one, _ = Stepper(law, grid, cfg).step(
+                GridState(0.0, rho[r : r + 1], m[r : r + 1]), forcing[r : r + 1]
+            )
+            assert np.array_equal(new.rho[r], one.rho[0])
+            assert np.array_equal(new.mom[r], one.mom[0])
+        # the state's own ends, which the explicit diffusion alone reads:
+        # node 1 of the density moves with node 0 under it alone
+        stepper = Stepper(law, grid, cfg)
+        want = pressure_step(stepper, rho, m, forcing)
+        assert np.array_equal(np.stack((new.rho, new.mom)), want)
+        moved = rho.copy()
+        moved[:, 0] += 0.1
+        other = pressure_step(stepper, moved, m, forcing)[0, :, 1]
+        assert (other != new.rho[:, 1]).all() == (kind == "explicit")
+
 
 class TestNoiseChunks:
     """simulate draws the noise increments of a chunk of steps per call, of
@@ -1377,6 +1413,46 @@ class TestNoiseChunks:
         assert calls == [(s, min(chunk, n - s)) for s in range(0, n, chunk)]
         for traj, one in zip(chunked, whole):
             assert_same_run(traj, one)
+
+
+class TestContiguousStates:
+    """simulate's block keeps each field of a state in one C-contiguous
+    (rows, nodes) array, and each field of a block of states in one
+    C-contiguous (steps, rows, nodes) array: every array a step reads or
+    writes, and every array the recorded functionals read."""
+
+    def test_readme_ensemble(self, monkeypatch):
+        cfg = config_from_dict(README_RUN)
+        init = cfg.initial.build(cfg.grid, cfg.solver.rho_inf)
+        rows, n_steps = 12, cfg.solver.n_steps
+        shape = (rows, cfg.grid.n + 1)
+
+        def layout(*arrays):
+            return [(a.shape, a.flags.c_contiguous) for a in arrays]
+
+        steps, energies, rates = [], [], []
+        step = Stepper.step
+
+        def spied_step(self, state, forcing, fields, out):
+            steps.append(layout(state.rho, state.mom, fields.u, fields.dP, out[0], out[1]))
+            return step(self, state, forcing, fields, out)
+
+        def spied(plain, calls):
+            def functional(law, grid, rho, m, *rest):  # rest ends with the fields
+                calls.append(layout(rho, m, rest[-1].u, rest[-1].dP))
+                return plain(law, grid, rho, m, *rest)
+
+            return functional
+
+        monkeypatch.setattr(Stepper, "step", spied_step)
+        monkeypatch.setattr(solver, "relative_energy", spied(solver.relative_energy, energies))
+        monkeypatch.setattr(solver, "dissipation_rate", spied(solver.dissipation_rate, rates))
+        simulate(init, cfg.law, cfg.grid, cfg.solver, cfg.noise, list(range(rows)))
+        assert steps == [[(shape, True)] * 6] * n_steps
+        for calls, states in ((energies, n_steps + 1), (rates, n_steps)):
+            assert calls and sum(call[0][0][0] for call in calls) == states
+            for call in calls:
+                assert call == [((call[0][0][0],) + shape, True)] * 4
 
 
 class TestCallBudget:
