@@ -247,17 +247,26 @@ def entropy_table_cmd(gamma, psi, rho_range, u_range, output_dir):
     except ConfigError as exc:
         click.echo(str(exc), err=True)
         sys.exit(2)
-    out_dir = output_dir or os.environ.get("SVV_OUTPUT_DIR", "out")
-    os.makedirs(out_dir, exist_ok=True)
     rhos = np.linspace(*rho_range)
     us = np.linspace(*u_range)
     rows = []
-    for rho in rhos:
-        pv = entropy_pair(law, spec, np.full(us.size, rho), rho * us)
-        for j, u in enumerate(us):
-            rows.append(
-                (rho, u, pv.eta[j], pv.q[j], pv.deta_dm[j], pv.d2eta_dm2[j])
-            )
+    # a table with rows too large to represent is rejected, not written
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rho in rhos:
+            pv = entropy_pair(law, spec, np.full(us.size, rho), rho * us)
+            for j, u in enumerate(us):
+                rows.append(
+                    (rho, u, pv.eta[j], pv.q[j], pv.deta_dm[j], pv.d2eta_dm2[j])
+                )
+        bad = int(np.sum(~np.isfinite(rows).all(axis=1)))
+        if bad:  # the densities' rows at rest tell which range is at fault
+            rest = entropy_pair(law, spec, rhos, np.zeros_like(rhos))
+            finite = np.isfinite([rest.eta, rest.q, rest.deta_dm, rest.d2eta_dm2]).all()
+            option = "--u-range" if finite else "--rho-range"
+            click.echo(f"{option}: {bad} of the {len(rows)} rows are not finite", err=True)
+            sys.exit(2)
+    out_dir = output_dir or os.environ.get("SVV_OUTPUT_DIR", "out")
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "entropy_table.csv")
     write_csv(path, ["rho", "u", "eta", "q", "deta_dm", "d2eta_dm2"], rows)
     click.echo(f"wrote {path}")

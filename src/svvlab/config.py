@@ -127,7 +127,16 @@ class InitialData:
             rho = np.full(x.size, rho_inf)
             m = np.zeros(x.size)
         elif self.kind == "bump":
-            prof = np.exp(-((x - self.center) ** 2) / (2.0 * self.width**2))
+            # 2 width^2 must be positive and finite (a NaN fails it); a
+            # quotient that overflows gives exp(-inf) = 0, the profile's limit
+            with np.errstate(over="ignore"):
+                spread = 2.0 * np.float64(self.width) ** 2
+                if not 0.0 < spread < np.inf:
+                    raise ConfigError(
+                        f"initial.width = {self.width:g} gives a bump whose 2 width^2 "
+                        "is zero or not finite"
+                    )
+                prof = np.exp(-((x - self.center) ** 2) / spread)
             rho = rho_inf + self.amplitude * prof
             m = self.m_amplitude * prof
         elif self.kind == "riemann_smoothed":

@@ -26,6 +26,17 @@ def _stepwise_total(scale: float, per_step) -> float:
     return float(np.cumsum(scale * per_step)[-1]) if per_step.size else 0.0
 
 
+def _forced(traj: Trajectory, noise) -> bool:
+    """Whether noise forces traj's run; ConfigError unless traj recorded
+    what a check of it reads: its steps, and its forcing if forced."""
+    if traj.step_states is None:
+        raise ConfigError("trajectory must be run with record_steps=True")
+    has_noise = noise is not None and noise.n_modes > 0
+    if has_noise and traj.forcing_increments is None:
+        raise ConfigError("trajectory must be run with record_forcing=True")
+    return has_noise
+
+
 @dataclass(frozen=True)
 class BalanceReport:
     """Discrete Ito energy identity bookkeeping for one trajectory."""
@@ -50,26 +61,21 @@ def energy_balance_check(
     block; the per-step sums are added in step order, and the terms agree
     with a step-by-step loop within 1e-12 relative.
     """
-    if traj.step_states is None:
-        raise ConfigError("trajectory must be run with record_steps=True")
-    has_noise = noise is not None and noise.n_modes > 0
-    if has_noise and traj.forcing_increments is None:
-        raise ConfigError("trajectory must be run with record_forcing=True")
-
+    has_noise = _forced(traj, noise)
     grid = traj.grid
     cfg = traj.config
     dx = grid.dx
-    x = grid.x
     mart = 0.0
     ito = 0.0
     if has_noise:
+        spatial = noise.on_grid(grid.x)
         n_steps = len(traj.forcing_increments)
         sums = np.empty((2, n_steps))  # per step: martingale, Ito
-        for blk in _blocks(n_steps, x.size):
+        for blk in _blocks(n_steps, grid.x.size):
             rho, m = traj.step_states[blk, 0], traj.step_states[blk, 1]
             fields = StateFields(law, rho, m)
             sums[0, blk] = np.trapezoid(fields.u * traj.forcing_increments[blk], dx=dx)
-            quad = noise.forcing_quadratic(x, rho, m, fields)
+            quad = noise.forcing_quadratic(spatial, rho, m, fields)
             sums[1, blk] = np.trapezoid(fields.masked(1.0 / fields.rp) * quad, dx=dx)
         mart = _stepwise_total(1.0, sums[0])
         ito = _stepwise_total(0.5 * cfg.dt, sums[1])
@@ -206,11 +212,7 @@ def entropy_inequality_residual(
     the result agrees with a step-by-step loop to |dS| <= 1e-12
     (|transport| + |martingale| + |ito|), each term within 1e-12 relative.
     """
-    if traj.step_states is None:
-        raise ConfigError("trajectory must be run with record_steps=True")
-    has_noise = noise is not None and noise.n_modes > 0
-    if has_noise and traj.forcing_increments is None:
-        raise ConfigError("trajectory must be run with record_forcing=True")
+    has_noise = _forced(traj, noise)
     cfg = traj.config
     grid = traj.grid
     T = cfg.T
@@ -232,6 +234,7 @@ def entropy_inequality_residual(
         bx, dbx, d2bx = phi.space_factors(xa)
         span = slice(steps[0], steps[-1] + 1)
         states = traj.step_states[span]
+        spatial = noise.on_grid(xa) if has_noise else None
         for blk in _blocks(steps.size, xa.size * spec.pair_nodes):
             rho, m = states[blk, 0][:, active], states[blk, 1][:, active]
             pv = entropy_pair(law, spec, rho, m)
@@ -242,7 +245,7 @@ def entropy_inequality_residual(
                 w = b * bx
                 dF = traj.forcing_increments[span][blk][:, active]
                 sums[2, blk] = np.sum(pv.deta_dm * dF * w, axis=-1)
-                quad = noise.forcing_quadratic(xa, rho, m)
+                quad = noise.forcing_quadratic(spatial, rho, m)
                 sums[3, blk] = np.sum(pv.d2eta_dm2 * quad * w, axis=-1)
     scales = (dt * dx, cfg.epsilon * dt * dx, dx, 0.5 * dt * dx)
     transport, visc, mart, ito = map(_stepwise_total, scales, sums)

@@ -6,16 +6,15 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A quadrature or solve failed to converge; carries a residual estimate.
+    """A quadrature or solve failed to converge.
 
     Also raised when a time step breaks its stability bound; t is then the
     time of the step and sample the id of the failing sample."""
 
     sample = None
 
-    def __init__(self, message, residual=None, t=None):
+    def __init__(self, message, t=None):
         super().__init__(message)
-        self.residual = residual
         self.t = t
 
 

@@ -16,17 +16,17 @@ call: sample_increments takes a count of steps, and one step is the count-1
 slice of the same loop.
 
 A run evaluates the forcing once per step, so what depends on the grid
-alone (the mode profiles and the cutoff) is kept per grid, and the
-indicator is first bounded by one scalar: where max u + K(max rho) and
-min u - K(max rho) clear the edge of Gamma_H, it is exactly 1 and no
-per-node K is taken.  Every state's density is checked, raw model or
-mollified: by its pass (pressure.StateFields), or, where a raw model
-reads nothing of the pass, by the pass's check alone.
+alone (the mode profiles and the cutoff) is evaluated once, by on_grid,
+and handed in; the indicator is first bounded by one scalar: where max u
++ K(max rho) and min u - K(max rho) clear the edge of Gamma_H, it is
+exactly 1 and no per-node K is taken.  Every state's density is checked,
+raw model or mollified: by its pass (pressure.StateFields), or, where a
+raw model reads nothing of the pass, by the pass's check alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -111,8 +111,6 @@ class NoiseModel:
     epsilon: float | tuple | None = None
     mode_cap: int | tuple | None = None
     H: float | tuple | None = None  # invariant-region half-width
-    # nodes x -> (mode profiles alpha_k(x), spatial cutoff) on them
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -210,7 +208,14 @@ class NoiseModel:
             raise ConfigError(
                 f"alpha1 must lie in (0, {alpha_max:g}) for this law, got {alpha1}"
             )
-        H_min = 1.0 + (rho_inf + 1.0) ** th2
+        try:
+            H_min = 1.0 + (rho_inf + 1.0) ** th2
+        except OverflowError:
+            key = "law.gamma" if law.is_polytropic else "law.gamma2"
+            raise ConfigError(
+                f"{key} = {law.gamma2:g} and solver.rho_inf = {rho_inf:g} make the "
+                "far-field bound 1 + (rho_inf + 1)^theta2 on H overflow"
+            ) from None
         H_rows, caps = [], []
         for eps in eps_rows:
             H = c1 * eps ** (-alpha1)
@@ -275,35 +280,23 @@ class NoiseModel:
         # both steps are exactly 1
         return None if fields.pos is None else fields.masked(np.ones_like(u))
 
-    def _spatial_cutoff(self, x):
-        """The whole-line cutoff on |x| < 1/eps, or None where there is
-        none to apply."""
-        if self.support_kind != "whole_line" or self.epsilon is None:
-            return None
-        return _smoothstep(2.0 * (1.0 - np.abs(_column(self.epsilon) * np.asarray(x))))[0]
-
-    def _on_grid(self, x):
-        """(alpha_k(x) of every mode, spatial cutoff) on the nodes x: they
-        depend on x alone, so each grid's are evaluated once and kept (the
-        last few grids'), keyed by their bytes."""
+    def on_grid(self, x):
+        """(alpha_k(x) of every mode, the whole-line cutoff on |x| < 1/eps
+        or None where there is none): the forcing's factors that depend on
+        the nodes x alone, which every forcing call on x is handed."""
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        kept = self._grids.get(key)
-        if kept is None:
-            if len(self._grids) >= 4:
-                self._grids.clear()
-            profiles = tuple(mode.alpha(x) for mode in self.modes)
-            kept = self._grids[key] = profiles, self._spatial_cutoff(x)
-        return kept
+        cutoff = None
+        if self.support_kind == "whole_line" and self.epsilon is not None:
+            cutoff = _smoothstep(2.0 * (1.0 - np.abs(_column(self.epsilon) * x)))[0]
+        return tuple(mode.alpha(x) for mode in self.modes), cutoff
 
-    def _mollified(self, x, rho, m, fields=None):
-        """k -> zeta_k^eps at the given states; the Gamma_H indicator is
-        evaluated once, for every mode, and the profiles and the spatial
-        cutoff once per grid.  A model mollified per row zeroes each row's
-        modes beyond its cap.  fields is the states' StateFields, whose
-        pass checked rho >= 0; without it, a mollified model makes the pass
-        and a raw model, which reads nothing of it, makes the pass's check
-        alone."""
+    def _mollified(self, spatial, rho, m, fields=None):
+        """k -> zeta_k^eps at the given states on the nodes x, spatial =
+        on_grid(x); the Gamma_H indicator is evaluated once, for every
+        mode.  A model mollified per row zeroes each row's modes beyond its
+        cap.  fields is the states' StateFields, whose pass checked rho >=
+        0; without it, a mollified model makes the pass and a raw model,
+        which reads nothing of it, makes the pass's check alone."""
         if fields is None:
             if self.H is None:
                 self.law._check_nonneg(rho)
@@ -311,7 +304,7 @@ class NoiseModel:
                 fields = StateFields(
                     self.law, np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
                 )
-        profiles, cutoff = self._on_grid(x)
+        profiles, cutoff = spatial
         if self.H is None:
             return lambda k: profiles[k] * rho
         indicator = self._indicator(fields)
@@ -327,22 +320,24 @@ class NoiseModel:
 
         return zeta
 
-    def zeta_eff(self, k, x, rho, m):
-        """Mollified coefficient of mode k (0-based) at the given states."""
-        return self._mollified(x, rho, m)(k)
+    def zeta_eff(self, k, spatial, rho, m):
+        """Mollified coefficient of mode k (0-based), spatial = on_grid(x)."""
+        return self._mollified(spatial, rho, m)(k)
 
-    def forcing_quadratic(self, x, rho, m, fields=None):
-        """sum_k (a_k zeta_k)^2, the Ito-correction integrand numerator.
-        fields is the states' StateFields, made here if not given."""
-        zeta = self._mollified(x, rho, m, fields)
+    def forcing_quadratic(self, spatial, rho, m, fields=None):
+        """sum_k (a_k zeta_k)^2, the Ito-correction integrand numerator, with
+        spatial = on_grid(x); fields is the states' StateFields, made here
+        if not given."""
+        zeta = self._mollified(spatial, rho, m, fields)
         total = 0.0
         for k, mode in enumerate(self.modes):
             z = mode.a * zeta(k)
             total = total + z**2
         return total
 
-    def apply_forcing(self, x, rho, m, dW, fields=None):
-        """Momentum increment sum_k a_k zeta_k^eps(x, rho, m) dW_k.
+    def apply_forcing(self, spatial, rho, m, dW, fields=None):
+        """Momentum increment sum_k a_k zeta_k^eps(x, rho, m) dW_k, with
+        spatial = on_grid(x).
 
         rho and m may hold one state per row; dW is then (rows, n_modes),
         one row of increments per state.  fields is the states'
@@ -352,7 +347,7 @@ class NoiseModel:
             raise DomainError(
                 f"expected {len(self.modes)} increments, got {dW.shape[-1]}"
             )
-        zeta = self._mollified(x, rho, m, fields)
+        zeta = self._mollified(spatial, rho, m, fields)
         # the sum starts from its first nonzero term plus 0.0, which gives
         # the bits, and the signs of zero, of zeros plus that term
         out = None
@@ -452,7 +447,7 @@ class NoiseModel:
             # P = kappa rho^gamma may overflow where the envelope does
             with np.errstate(over="ignore"):
                 fields = StateFields(self.law, rho, m)
-                G = np.sqrt(self.forcing_quadratic(x, rho, m, fields))
+                G = np.sqrt(self.forcing_quadratic(self.on_grid(x), rho, m, fields))
                 rp, u = fields.rp, fields.u
                 env = rp * np.sqrt(1.0 + eps2 + u**2 + self.law._internal_energy(rp))
                 worst = max(worst, float(np.max(fields.masked(G / env), initial=0.0)))

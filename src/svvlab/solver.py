@@ -546,9 +546,9 @@ def simulate(
     forced = noise is not None and noise.n_modes > 0
     if forced:
         # the increments of `chunk` steps, a block of base draws (_blocks),
-        # are drawn in one call
+        # are drawn in one call, and the forcing's spatial factors once
         chunk = _blocks(n_steps, n_samples * noise._draws_per_step(config.dt))[0].stop
-    x = grid.x
+        spatial = noise.on_grid(grid.x)
     # an overflow makes its row's next state non-finite, which the step reports
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps + 1):
@@ -563,7 +563,9 @@ def simulate(
             if forced:
                 if n % chunk == 0:
                     dW = noise.sample_increments(ids, n, config.dt, min(n_steps - n, chunk))
-                forcing = noise.apply_forcing(x, state.rho, state.mom, dW[n % chunk], fields)
+                forcing = noise.apply_forcing(
+                    spatial, state.rho, state.mom, dW[n % chunk], fields
+                )
                 if failed is not None:
                     forcing[failed] = 0.0
                 if forcing_rec is not None:

@@ -523,6 +523,22 @@ class TestEntropyTable:
         assert "--u-range" in r.output
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "option, values, bad",
+        [("--u-range", ("-1e160", "1e160", "3"), "40 of the 60 rows"),
+         ("--rho-range", ("1e300", "1e301", "2"), "40 of the 40 rows")],
+    )
+    def test_non_finite_table_exits_2(self, runner, tmp_path, option, values, bad):
+        # each exited 0 after RuntimeWarnings, its table written with those
+        # rows not finite; the message names the range at fault
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["entropy-table", option, *values, "--output-dir", out])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)
+        assert bad in r.output and option in r.output
+        assert ({"--u-range", "--rho-range"} - {option}).pop() not in r.output
+        assert not os.path.exists(out)
+
     def test_gamma_next_to_one_gives_a_finite_table(self, runner, tmp_path):
         # lam ~ 1e6: the Gauss-Jacobi rule must stay finite
         out = str(tmp_path / "out")
@@ -750,6 +766,15 @@ EDGES += [
     ({"solver": {"T": 0.5, "dt": 1e-12, "n_saves": 10}}, ["simulate"], 2, "solver.dt"),
     ({"solver": {"T": 0.5, "dt": 1e-12, "n_saves": 10}}, ["validate"], 2, "solver.dt"),
 ]
+# a bump 1e300 wide raised an OverflowError squaring it, and one 1e-300 wide
+# warned of a division by zero; a noisy gamma of 1e6 raised an OverflowError
+# in the far-field bound on H
+for command in (["validate"], ["simulate"]):
+    EDGES += [
+        ({"initial": {"width": 1e300}}, command, 2, "initial.width"),
+        ({"initial": {"width": 1e-300}}, command, 2, "initial.width"),
+        ({"law": {"gamma": 1e6}}, command, 2, "law.gamma"),
+    ]
 
 
 @pytest.mark.parametrize("blocks, command, code, named", EDGES)

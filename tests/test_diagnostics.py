@@ -323,7 +323,7 @@ def balance_loop(traj, noise):
         pos = rho > 0.0
         u = np.where(pos, m / np.where(pos, rho, 1.0), 0.0)
         mart += float(np.trapezoid(u * dF, dx=dx))
-        quad = noise.forcing_quadratic(x, rho, m)
+        quad = noise.forcing_quadratic(noise.on_grid(x), rho, m)
         inv_rho = np.where(pos, 1.0 / np.where(pos, rho, 1.0), 0.0)
         ito += 0.5 * traj.config.dt * float(np.trapezoid(inv_rho * quad, dx=dx))
     return mart, ito
@@ -350,7 +350,7 @@ def residual_loop(traj, law, spec, phi, noise):
         visc += cfg.epsilon * dt * dx * float(np.sum(pv.eta * phi_dxx(phi, t, xa)))
         dF = traj.forcing_increments[n][active]
         mart += dx * float(np.sum(pv.deta_dm * dF * w[active]))
-        quad = noise.forcing_quadratic(xa, rho[active], m[active])
+        quad = noise.forcing_quadratic(noise.on_grid(xa), rho[active], m[active])
         ito += 0.5 * dt * dx * float(np.sum(pv.d2eta_dm2 * quad * w[active]))
     return transport, mart, ito, visc
 

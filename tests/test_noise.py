@@ -262,12 +262,12 @@ class TestForcing:
     def test_zero_increment(self, single):
         x = np.linspace(-2, 2, 11)
         rho = np.ones(11)
-        out = single.apply_forcing(x, rho, np.zeros(11), np.zeros(1))
+        out = single.apply_forcing(single.on_grid(x), rho, np.zeros(11), np.zeros(1))
         assert np.all(out == 0.0)
 
     def test_vacuum_cell_zero(self, single):
-        x = np.zeros(1)
-        out = single.apply_forcing(x, np.zeros(1), np.zeros(1), np.array([1.0]))
+        spatial = single.on_grid(np.zeros(1))
+        out = single.apply_forcing(spatial, np.zeros(1), np.zeros(1), np.array([1.0]))
         assert out[0] == 0.0
 
     def test_outside_region_zero_after_mollify(self, law2):
@@ -277,9 +277,9 @@ class TestForcing:
         x = np.zeros(1)
         rho = np.array([1.0])
         m = np.array([100.0])
-        forced = out.apply_forcing(x, rho, m, np.array([1.0]))
+        forced = out.apply_forcing(out.on_grid(x), rho, m, np.array([1.0]))
         assert forced[0] == 0.0
-        inside = out.apply_forcing(x, rho, np.zeros(1), np.array([1.0]))
+        inside = out.apply_forcing(out.on_grid(x), rho, np.zeros(1), np.array([1.0]))
         assert inside[0] != 0.0
 
     def test_shared_mollifier_matches_per_mode_sums(self, law2):
@@ -298,17 +298,17 @@ class TestForcing:
         quad = 0.0
         indicator = model._indicator(StateFields(law2, rho, m))
         for k, mode in enumerate(model.modes):
-            z = model.zeta_eff(k, x, rho, m)
+            z = model.zeta_eff(k, model.on_grid(x), rho, m)
             # the per-mode formula, indicator and cutoff evaluated afresh
             raw = mode(x, rho, m)
-            assert np.array_equal(z, raw * indicator * model._spatial_cutoff(x))
+            assert np.array_equal(z, raw * indicator * model.on_grid(x)[1])
             force = force + mode.a * z * dW[k]
             quad = quad + (mode.a * z) ** 2
         within = (indicator > 0.0) & (indicator < 1.0)  # strictly inside the transition
         assert within.any() and np.abs(x[within]).min() < 1.0
-        assert model._spatial_cutoff(x).min() == 0.0
-        assert np.array_equal(model.apply_forcing(x, rho, m, dW), force)
-        assert np.array_equal(model.forcing_quadratic(x, rho, m), quad)
+        assert model.on_grid(x)[1].min() == 0.0
+        assert np.array_equal(model.apply_forcing(model.on_grid(x), rho, m, dW), force)
+        assert np.array_equal(model.forcing_quadratic(model.on_grid(x), rho, m), quad)
 
     def test_batched_forcing_rows(self, family):
         model = family.truncate_mollify(0.2, 3.0, 0.25, rho_inf=1.0)
@@ -316,10 +316,11 @@ class TestForcing:
         rho = 1.0 + 0.2 * np.cos(np.arange(3)[:, None] + x)
         m = 4.0 * np.sin(np.arange(3)[:, None] - x)  # partly outside Gamma_H
         dW = np.random.default_rng(1).standard_normal((3, model.n_modes))
-        out = model.apply_forcing(x, rho, m, dW)
+        spatial = model.on_grid(x)
+        out = model.apply_forcing(spatial, rho, m, dW)
         assert out.shape == rho.shape
         for r in range(3):
-            assert np.array_equal(out[r], model.apply_forcing(x, rho[r], m[r], dW[r]))
+            assert np.array_equal(out[r], model.apply_forcing(spatial, rho[r], m[r], dW[r]))
 
     def test_rows_mollified_per_epsilon(self, law2):
         # each row is the model mollified for its own epsilon: caps 2, 4 and
@@ -338,14 +339,14 @@ class TestForcing:
         rho = 1.0 + 0.3 * np.cos(np.arange(3)[:, None] + x)
         m = 3.0 * np.sin(x) * rho  # leaves Gamma_H in the first row
         dW = np.random.default_rng(2).standard_normal((3, rows.n_modes))
-        force = rows.apply_forcing(x, rho, m, dW)
-        quad = rows.forcing_quadratic(x, rho, m)
+        force = rows.apply_forcing(rows.on_grid(x), rho, m, dW)
+        quad = rows.forcing_quadratic(rows.on_grid(x), rho, m)
         for r, model in enumerate(lone):
-            cap = model.n_modes
-            assert np.array_equal(force[r], model.apply_forcing(x, rho[r], m[r], dW[r, :cap]))
-            assert np.array_equal(quad[r], model.forcing_quadratic(x, rho[r], m[r]))
+            cap, spatial = model.n_modes, model.on_grid(x)
+            assert np.array_equal(force[r], model.apply_forcing(spatial, rho[r], m[r], dW[r, :cap]))
+            assert np.array_equal(quad[r], model.forcing_quadratic(spatial, rho[r], m[r]))
             for k in range(cap, rows.n_modes):
-                assert not rows.zeta_eff(k, x, rho, m)[r].any()
+                assert not rows.zeta_eff(k, rows.on_grid(x), rho, m)[r].any()
         assert rows._indicator(StateFields(law2, rho, m))[0].min() < 1.0
 
     @pytest.mark.parametrize("method", ["apply_forcing", "forcing_quadratic", "zeta_eff"])
@@ -357,11 +358,11 @@ class TestForcing:
         model = NoiseModel.single_mode(0.3, law2, seed=7, dt_base=1e-3)
         if mollified:
             model = model.truncate_mollify(0.05, 3.0, 0.25, rho_inf=1.0)
-        x, rho = np.zeros(1), np.array([-1.0])
+        spatial, rho = model.on_grid(np.zeros(1)), np.array([-1.0])
         calls = {
-            "apply_forcing": lambda: model.apply_forcing(x, rho, 0.0, [1.0]),
-            "forcing_quadratic": lambda: model.forcing_quadratic(x, rho, 0.0),
-            "zeta_eff": lambda: model.zeta_eff(0, x, rho, 0.0),
+            "apply_forcing": lambda: model.apply_forcing(spatial, rho, 0.0, [1.0]),
+            "forcing_quadratic": lambda: model.forcing_quadratic(spatial, rho, 0.0),
+            "zeta_eff": lambda: model.zeta_eff(0, spatial, rho, 0.0),
         }
         with pytest.raises(DomainError, match="density must be nonnegative"):
             calls[method]()
@@ -381,14 +382,14 @@ class TestForcing:
         )
         x = np.linspace(-1.0, 1.0, 9)
         rho, m = np.ones(9), np.zeros(9)
-        single.forcing_quadratic(x, rho, m)
-        single.apply_forcing(x, rho, m, [1.0])
+        single.forcing_quadratic(single.on_grid(x), rho, m)
+        single.apply_forcing(single.on_grid(x), rho, m, [1.0])
         assert calls == ["_check_nonneg", "_check_nonneg"]
 
     def test_wrong_increment_count(self, family):
         with pytest.raises(DomainError):
             family.apply_forcing(
-                np.zeros(3), np.ones(3), np.zeros(3), np.zeros(2)
+                family.on_grid(np.zeros(3)), np.ones(3), np.zeros(3), np.zeros(2)
             )
 
 
@@ -409,7 +410,7 @@ def summed_forcing(model, x, rho, m, dW):
     """(apply_forcing, forcing_quadratic) with every coefficient multiplied
     by the full indicator and the forcing summed from zeros."""
     indicator = full_indicator(model, rho, m)
-    cutoff = model._spatial_cutoff(x)
+    cutoff = model.on_grid(x)[1]
     caps = _column(model.mode_cap) if isinstance(model.mode_cap, tuple) else None
     force, quad = np.zeros_like(rho), 0.0
     for k, mode in enumerate(model.modes):
@@ -497,9 +498,9 @@ class TestRegionBound:
         dW[:, 1] = 0.0  # a mode the sum skips
         force, quad = summed_forcing(model, x, rho, m, dW)
         # bitwise, so the signs of zero too: the bump is 0 on most nodes
-        assert same_bits(model.apply_forcing(x, rho, m, dW), force)
-        assert same_bits(model.forcing_quadratic(x, rho, m), quad)
-        negative = model.apply_forcing(x, rho, m, -np.abs(dW))
+        assert same_bits(model.apply_forcing(model.on_grid(x), rho, m, dW), force)
+        assert same_bits(model.forcing_quadratic(model.on_grid(x), rho, m), quad)
+        negative = model.apply_forcing(model.on_grid(x), rho, m, -np.abs(dW))
         assert not (np.signbit(negative) & (negative == 0.0)).any()
 
     def test_empty_and_nonfinite_states_take_the_full_formula(self, law2):
@@ -526,7 +527,7 @@ def gathered_growth_b0(model, states):
     for x, rho, m in states:
         pos = rho > 0.0
         with np.errstate(over="ignore"):
-            G = np.sqrt(model.forcing_quadratic(x, rho, m))
+            G = np.sqrt(model.forcing_quadratic(model.on_grid(x), rho, m))
             if pos.any():
                 rp = rho[pos]
                 u = m[pos] / rp

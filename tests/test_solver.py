@@ -13,6 +13,12 @@ import svvlab
 from svvlab import noise as noise_module
 from svvlab import pressure, solver
 from svvlab.config import config_from_dict
+from svvlab.diagnostics import (
+    BumpTestFunction,
+    energy_balance_check,
+    entropy_inequality_residual,
+)
+from svvlab.entropy import EntropySpec
 from svvlab.errors import (
     ConfigError,
     DivergenceError,
@@ -749,9 +755,28 @@ class TestSharedStatePass:
         # shape, and e(rho_inf) and P(rho_inf) once per law; no other
         blocks = [(2, n_samples, nodes)] * (sc.n_steps // 2) + [(1, n_samples, nodes)]
         assert sorted(checks, key=len) == [(), ()] + blocks
-        # the mode's profile is evaluated once per grid, by every later run too
-        simulate(init, cfg.law, cfg.grid, sc, cfg.noise, 3)
+        # each mode's profile is evaluated once per run, and a later run
+        # evaluates it afresh
         assert len(bumps) == cfg.noise.n_modes == 1
+        simulate(init, cfg.law, cfg.grid, sc, cfg.noise, 3)
+        assert len(bumps) == 2 * cfg.noise.n_modes
+
+    def test_noise_model_keeps_no_per_grid_state(self, monkeypatch):
+        # a run evaluates the profiles once and hands them to every forcing
+        # call, and so does each check of it: the model keeps no dict of
+        # grids, keyed by their nodes
+        cfg = config_from_dict(README_RUN)
+        sc = replace(cfg.solver, record_steps=True, record_forcing=True)
+        init = cfg.initial.build(cfg.grid, sc.rho_inf)
+        grids = []
+        spy(monkeypatch, NoiseModel, "on_grid", grids, lambda self, x: x)
+        traj = simulate(init, cfg.law, cfg.grid, sc, cfg.noise, 0)
+        assert grids == [(cfg.grid.n + 1,)]
+        assert not [k for k, v in vars(cfg.noise).items() if isinstance(v, dict)]
+        energy_balance_check(traj, cfg.law, cfg.noise)
+        phi = BumpTestFunction(0.25, 0.2, 0.0, 2.0)
+        entropy_inequality_residual(traj, cfg.law, EntropySpec.energy(), phi, cfg.noise)
+        assert len(grids) == 3
 
     def test_negative_initial_density_rejected_before_stepping(self, law2, grid, monkeypatch):
         init = bump_state(grid)
@@ -1099,8 +1124,9 @@ class TestMaskFreePass:
             assert np.array_equal(a, b)
             assert (a.min() < 1.0) == (c1 == 3.0)
             dW = model.sample_increments([0, 1, 2], 0, cfg.dt)
-            forcing = model.apply_forcing(grid.x, rho, m, dW, fields)
-            assert np.array_equal(forcing, model.apply_forcing(grid.x, rho, m, dW, masked))
+            spatial = model.on_grid(grid.x)
+            forcing = model.apply_forcing(spatial, rho, m, dW, fields)
+            assert np.array_equal(forcing, model.apply_forcing(spatial, rho, m, dW, masked))
             (got, _), (want, _) = (
                 stepper.step(GridState(0.0, rho, m), forcing, f) for f in (fields, masked)
             )
@@ -1462,8 +1488,10 @@ class TestCallBudget:
 
     # 43.7 before the workspaces, the bound and the sign test; 18.55 before
     # the noise increments were drawn a chunk of steps per call; 16.56
-    # before the step loop made each state's pass without a call of its own
-    BUDGET = 15.56
+    # before the step loop made each state's pass without a call of its own;
+    # 15.56 before the run evaluated the mode profiles once and handed them
+    # to every forcing call
+    BUDGET = 14.57
 
     def test_single_row_calls_per_step(self):
         cfg = config_from_dict(README_RUN)
@@ -1478,7 +1506,7 @@ class TestCallBudget:
         def run():
             return simulate(init, cfg.law, cfg.grid, cfg.solver, cfg.noise, [0])
 
-        run()  # the profiles, the stream and the law's window fits
+        run()  # what later runs share: the law's and the model's cached values
         before = sys.getprofile()
         sys.setprofile(counted)
         try:
