@@ -166,7 +166,11 @@ main.add_command(simulate_cmd, name="simulate")
 @main.command("sweep-epsilon")
 @with_common
 def sweep_cmd(config_path, seed, output_dir):
-    """Common-noise viscosity sweep with Young-measure analysis."""
+    """Common-noise viscosity sweep with Young-measure analysis.
+
+    A failed member's row names its error, and the others go on; if every
+    member failed, the run exits 1 and error.json names the first's error.
+    """
     cfg = _load(config_path, seed, output_dir)
     if not cfg.sweep_epsilons:
         click.echo("sweep.epsilons missing from config", err=True)
@@ -218,6 +222,8 @@ def sweep_cmd(config_path, seed, output_dir):
         ["epsilon", "E_max", "D_total", "M_P", "M_u3", "max_excess", "max_tartar"],
         rows,
     )
+    if not measures:  # every member failed: exit as a failed simulate does
+        _fail_runtime(cfg.output_dir, results[0][1].error)
     if len(measures) >= 2:
         conc = concentration_metric(measures)
         write_json(
@@ -243,6 +249,10 @@ def entropy_table_cmd(gamma, psi, rho_range, u_range, output_dir):
     """Dump (rho, u, eta, q, d_m eta, d2_m eta) over a grid."""
     try:
         law = PressureLaw.polytropic(gamma)
+    except ConfigError as exc:  # it names gamma
+        click.echo(f"--{exc}", err=True)
+        sys.exit(2)
+    try:
         spec = _psi_spec(psi)
     except ConfigError as exc:
         click.echo(str(exc), err=True)
@@ -312,9 +322,12 @@ def validate_cmd(config_path, seed, output_dir):
     if cfg.law.is_polytropic:
         rho = np.linspace(0.2, 4.0, 25)
         u = np.linspace(-2.0, 2.0, 25)
-        pv = entropy_pair(cfg.law, EntropySpec.energy(), rho, rho * u)
-        me = mechanical_energy_pair(cfg.law, rho, rho * u)
-        err = float(np.max(np.abs(pv.eta - me.eta) / np.maximum(np.abs(me.eta), 1e-30)))
+        # a law too steep for these densities overflows: a non-finite
+        # error fails the check, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            pv = entropy_pair(cfg.law, EntropySpec.energy(), rho, rho * u)
+            me = mechanical_energy_pair(cfg.law, rho, rho * u)
+            err = float(np.max(np.abs(pv.eta - me.eta) / np.maximum(np.abs(me.eta), 1e-30)))
         checks.append(("entropy_vs_mechanical", err <= 1e-7))
     else:
         checks.append(("entropy_vs_mechanical", None))

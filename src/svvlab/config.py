@@ -259,7 +259,10 @@ def _build(errs, label, make, *args):
 
 def _law_from(v):
     if v["kind"] == "polytropic":
-        return PressureLaw.polytropic(v["gamma"], v.get("kappa"))
+        try:
+            return PressureLaw.polytropic(v["gamma"], v.get("kappa"))
+        except ConfigError as exc:  # it names gamma or kappa
+            raise ConfigError(f"law.{exc}") from None
     missing = [f"law.{key}" for key in ("gamma1", "gamma2") if key not in v]
     if missing:
         raise ConfigError(f"kind: composite requires {' and '.join(missing)}")

@@ -24,7 +24,10 @@ closed-form tail above rho_hi, where P = kappa2 rho**gamma2 exactly.  Each
 table is built lazily, on first use, by _WindowFit: cells sampled from the
 integrand and halved until its series converges, each series integrated
 exactly and the constants chained left to right.  g' reads e, and g reads
-g', through that table, from its cell edges.  A number is evaluated as a
+g', through that table, from its cell edges.  The fits need numpy core
+alone: _chebint does numpy.polynomial's chebint operations in its order,
+and _CHEB_TO_POWER is the recurrence's table, so that the tables are the
+ones numpy.polynomial gives, and no run loads it.  A number is evaluated as a
 1-element array, so that it gets the bits an array gives.
 
 StateFields is a law's pass over states (rho, m): one (P, P') call, the
@@ -41,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .errors import ConfigError, DomainError, NumericalError
 
@@ -56,13 +58,21 @@ _CELL_SAMPLES = 12
 _CELL_TOL = 1e-14
 _START_CELLS = 4
 _MAX_SPLITS = 20
-# row j: the power-series coefficients of T_j, lowest first
-_CHEB_TO_POWER = np.array(
-    [np.pad(chebyshev.cheb2poly(row), (0, _CELL_DEGREE - j))
-     for j, row in enumerate(np.eye(_CELL_DEGREE + 1))]
-)
 # points of the blend window on which a composite law must have P' > 0
 _HYPERBOLICITY_SAMPLES = 257
+
+
+def _cheb_to_power(degree):
+    """Row j: the power-series coefficients of T_j, lowest first, from
+    T_0 = 1, T_1 = x and T_{j+1} = 2 x T_j - T_{j-1}; exact small integers."""
+    table = np.eye(degree + 1)
+    for j in range(2, degree + 1):
+        table[j, 1:] = 2.0 * table[j - 1, :-1]
+        table[j] -= table[j - 2]
+    return table
+
+
+_CHEB_TO_POWER = _cheb_to_power(_CELL_DEGREE)
 
 
 def default_kappa(gamma: float) -> float:
@@ -155,7 +165,7 @@ class _WindowFit:
         order = np.argsort(a)
         a, b, c = a[order], b[order], c[order]
         # int over [a, s] of each series: zero at x = -1, its cell integral at 1
-        coef = chebyshev.chebint(c, lbnd=-1.0, axis=1) * (0.5 * (b - a))[:, None]
+        coef = _chebint(c) * (0.5 * (b - a))[:, None]
         start = np.cumsum(np.concatenate(([base], coef.sum(axis=1))))
         coef[:, 0] += start[:-1]
         self.top = float(start[-1])  # the value at hi
@@ -174,6 +184,29 @@ class _WindowFit:
             out *= x
             out += t[j]
         return out
+
+
+def _chebint(c):
+    """The Chebyshev series (cells, n + 1) of the integrals from x = -1 of
+    the series c (cells, n), n >= 2: numpy.polynomial.chebyshev.chebint(c,
+    lbnd=-1.0, axis=1) with numpy's operations in numpy's order, and its
+    layout, a transposed C array, so that every later sum adds alike."""
+    c = c.T
+    n = len(c)
+    tmp = np.empty((n + 1,) + c.shape[1:])
+    tmp[0] = c[0] * 0
+    tmp[1] = c[0]
+    tmp[2] = c[1] / 4
+    for j in range(2, n):
+        tmp[j + 1] = c[j] / (2 * (j + 1))
+        tmp[j - 1] -= c[j] / (2 * (j - 1))
+    # chebval(-1.0, tmp): numpy's Clenshaw recurrence, x2 = 2 x
+    x, x2 = -1.0, -2.0
+    c0, c1 = tmp[-2], tmp[-1]
+    for i in range(3, n + 2):
+        c0, c1 = tmp[-i] - c1, c0 + c1 * x2
+    tmp[0] += 0 - (c0 + c1 * x)
+    return tmp.T
 
 
 def _dct2(g):
@@ -231,13 +264,19 @@ class PressureLaw:
 
     @staticmethod
     def polytropic(gamma: float, kappa: float | None = None) -> "PressureLaw":
-        # each check is written so that a NaN fails it
+        # each check is written so that a NaN fails it; each message begins
+        # with the parameter's name, which a caller may qualify
         if not 1.0 < gamma < np.inf:
-            raise ConfigError(f"polytropic law needs a finite gamma > 1, got {gamma}")
+            raise ConfigError(f"gamma = {gamma}: a polytropic law needs a finite gamma > 1")
         if kappa is None:
-            kappa = default_kappa(gamma)
+            try:
+                kappa = default_kappa(gamma)
+            except OverflowError:
+                raise ConfigError(
+                    f"gamma = {gamma:g}: the scaled kappa (gamma - 1)^2 / (4 gamma) overflows"
+                ) from None
         if not 0.0 < kappa < np.inf:
-            raise ConfigError(f"kappa must be positive and finite, got {kappa}")
+            raise ConfigError(f"kappa = {kappa}: must be positive and finite")
         return PressureLaw("polytropic", gamma, gamma, kappa, kappa)
 
     @staticmethod
@@ -605,11 +644,14 @@ class PressureLaw:
 
     # -- empirical bound checks --------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def verify_bounds(self, rho_samples, rho_inf: float = 1.0) -> BoundReport:
         """Empirically check the structural inequalities of the law.
 
         Returns, per inequality, the tightest constants observed over the
-        sample set.  Violations are report entries, never exceptions.
+        sample set.  Violations are report entries, never exceptions or
+        warnings: a law too steep for the samples overflows unwarned, and
+        a ratio that is not finite fails its check.
         """
         rho = np.asarray(rho_samples, dtype=float)
         if rho.size == 0:

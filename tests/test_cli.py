@@ -496,6 +496,15 @@ class TestEntropyTable:
         assert r.exit_code == 2
         assert "gamma" in r.output
 
+    def test_huge_gamma_exits_2(self, runner, tmp_path):
+        # the scaled kappa's (gamma - 1)^2 raised an OverflowError: exit 1
+        out = tmp_path / "o"
+        r = runner.invoke(main, ["entropy-table", "--gamma", "1e300", "--output-dir", str(out)])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert "--gamma" in r.output
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "rho_range",
         [("-1", "5", "4"), ("0.5", "-2", "4"), ("0.1", "5", "0"), ("0.1", "5", "nan"),
@@ -643,6 +652,18 @@ class TestValidate:
         with open(os.path.join(out, "validate.json")) as fh:
             assert json.load(fh)["noise_growth"] == status
 
+    def test_steep_law_fails_its_bounds_unwarned(self, runner, tmp_path):
+        # gamma 1e6 overflows P at the bounds' densities up to 50 and in the
+        # entropy cross-check, which warned (a traceback under the suite's
+        # filter); a non-finite ratio fails its check, as simulate fails
+        cfg = write_cfg(tmp_path, {"law": {"gamma": 1e6}, "noise": {"kind": "none"}})
+        out = str(tmp_path / "out")
+        r = runner.invoke(main, ["validate", "--config", cfg, "--output-dir", out])
+        assert r.exit_code == 1, r.output
+        assert isinstance(r.exception, SystemExit), r.output
+        with open(os.path.join(out, "validate.json")) as fh:
+            assert json.load(fh)["pressure_bounds"] == "fail"
+
     def test_empty_config_exits_2(self, runner, tmp_path):
         p = tmp_path / "empty.yaml"
         p.write_text("")
@@ -706,14 +727,15 @@ OVERFLOW = {"noise": {"amplitude": 1e300}}
 
 # runs at the edges of the model: the run-file blocks merged over a short
 # run (n = 32, 30 steps), the command, its exit code, and the key its
-# message names (exit 2) or the error it reports (exit 1, or each member's
-# of a sweep)
+# message names (exit 2) or the error it reports (exit 1; a sweep's rows
+# name each member's too)
 EDGES = [
     # the forcing overflows; each run warned before it ended
     (OVERFLOW, ["simulate"], 1, "NumericalError"),
     (OVERFLOW, ["simulate", "--samples", "12"], 1, "NumericalError"),
     (OVERFLOW, ["young-measure"], 1, "NumericalError"),
-    (OVERFLOW, ["sweep-epsilon"], 0, "NumericalError"),
+    # every member failed, and the sweep exited 0
+    (OVERFLOW, ["sweep-epsilon"], 1, "NumericalError"),
     # no step follows the last state, whose energy overflows: exited 0
     ({**OVERFLOW, "solver": {"T": 1e-3, "n_saves": 1}}, ["simulate"], 1, "DivergenceError"),
     ({"law": {"gamma": 1.0 + 1e-12}}, ["simulate"], 2, "alpha1"),
@@ -775,6 +797,10 @@ for command in (["validate"], ["simulate"]):
         ({"initial": {"width": 1e-300}}, command, 2, "initial.width"),
         ({"law": {"gamma": 1e6}}, command, 2, "law.gamma"),
     ]
+# a gamma of 1e300 raised an OverflowError squaring gamma - 1 for the
+# scaled kappa
+for command in (["validate"], ["simulate"]):
+    EDGES.append(({"law": {"gamma": 1e300}}, command, 2, "law.gamma"))
 
 
 @pytest.mark.parametrize("blocks, command, code, named", EDGES)
@@ -795,9 +821,10 @@ def test_edge_runs(runner, tmp_path, blocks, command, code, named):
     if code == 2:
         assert named in r.output
         assert not out.exists()
-    elif code == 1:
+        return
+    if code == 1:
         assert json.loads((out / "error.json").read_text())["error"] == named
-    elif named is not None:  # a sweep-epsilon run
+    if command[0] == "sweep-epsilon" and named is not None:
         # every member failed, its error in the last column
         rows = (out / "sweep_summary.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 2
@@ -805,9 +832,10 @@ def test_edge_runs(runner, tmp_path, blocks, command, code, named):
 
 
 def test_runtime_loads_no_scipy():
-    # scipy serves only as the tests' oracle: a noisy batched IMEX run,
-    # entropy pairs on one piece and split at a kink, and a composite law's
-    # window fit all run on numpy alone; importing the CLI builds no rule
+    # scipy and numpy.polynomial serve only as the tests' oracles: a noisy
+    # batched IMEX run, entropy pairs on one piece and split at a kink, and
+    # a composite law's four window fits all run on numpy core alone;
+    # importing the CLI builds no rule
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = """
 import sys
@@ -828,8 +856,11 @@ init = GridState(0.0, 1.0 + 0.3 * np.exp(-grid.x**2), np.zeros(grid.n + 1))
 simulate(init, law, grid, cfg, noise, [0, 1])
 entropy_pair(law, EntropySpec.compact_bump(0.0, 4.0), [1.0, 2.0], [0.5, -0.5])
 entropy_pair(law, EntropySpec.compact_bump(0.0, 1.0), [1.0, 2.0], [0.5, -0.5])
-PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4).internal_energy(np.array([1.1]))
+comp = PressureLaw.composite(2.0, 1.6, 0.125, 0.15, 0.9, 1.4)
+for name in ("internal_energy", "k_integral", "dhigh_order_potential", "high_order_potential"):
+    getattr(comp, name)(np.array([1.1]))
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
 """
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -839,4 +870,4 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
         check=True,
         timeout=60,
     )
-    assert out.stdout.split("\n")[:2] == ["0", "[]"]
+    assert out.stdout.split("\n")[:3] == ["0", "[]", "[]"]

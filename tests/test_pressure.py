@@ -201,6 +201,13 @@ class TestVerifyBounds:
         report = law2.verify_bounds(np.array([]))
         assert len(report) == 0
 
+    def test_steep_law_fails_unwarned(self):
+        # gamma 1e6 overflows P above density 1, which warned (an error
+        # under the suite's filter); its ratios are not finite and fail
+        report = PressureLaw.polytropic(1e6).verify_bounds(np.geomspace(1e-3, 50.0, 64))
+        assert not report
+        assert not next(c for c in report if c.name == "pressure-vs-power").satisfied
+
     def test_relative_energy_constant(self, law2):
         # e*(2, 1) >= C rho (rho^theta - rho_inf^theta)^2 with the best C
         C_max = 0.125 / (2.0 * (np.sqrt(2.0) - 1.0) ** 2)
@@ -564,6 +571,49 @@ class TestCompositeWindowFits:
             assert c.shape == ref.shape == g.shape
             err = np.abs(c - ref).max(axis=1)
             assert np.all(err <= 1e-15 * np.abs(ref).max(axis=1))
+
+    @pytest.mark.parametrize("cells", [1, 2, 37])
+    def test_chebint_is_numpys_bitwise(self, cells):
+        # numpy.polynomial is the oracle: the same bits in the same layout,
+        # since the layout decides the order of the fit's later sums; the
+        # cells of zeros tell the signs of numpy's zeros
+        rng = np.random.default_rng(cells)
+        zeros = np.zeros((2, pressure._CELL_DEGREE))
+        zeros[0, 0] = -0.0
+        c = np.vstack((rng.standard_normal((cells, pressure._CELL_DEGREE)), zeros))
+        got, want = pressure._chebint(c), chebyshev.chebint(c, lbnd=-1.0, axis=1)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cheb_to_power_is_numpys_bitwise(self):
+        n = pressure._CELL_DEGREE + 1
+        want = np.array(
+            [np.pad(chebyshev.cheb2poly(row), (0, n - 1 - j)) for j, row in enumerate(np.eye(n))]
+        )
+        assert np.array_equal(pressure._CHEB_TO_POWER.view(np.int64), want.view(np.int64))
+
+    def test_workload_fits_are_numpys_bitwise(self, monkeypatch):
+        # the four fits of the composite workload's law, each integral and
+        # the finished tables, against the fits built on numpy's chebint
+        def tables(law):
+            return [
+                b.tobytes() for name in FITS
+                for b in (getattr(law, name)._table, getattr(law, name).edges)
+            ]
+
+        seen = []
+        chebint = pressure._chebint
+        monkeypatch.setattr(pressure, "_chebint", lambda c: seen.append(c) or chebint(c))
+        got = tables(PressureLaw.composite(*LAWS["composite-workload"]))
+        assert len(seen) == len(FITS)
+        for c in seen:
+            ours, numpys = chebint(c), chebyshev.chebint(c, lbnd=-1.0, axis=1)
+            assert ours.strides == numpys.strides
+            assert np.array_equal(ours.view(np.int64), numpys.view(np.int64))
+        monkeypatch.setattr(
+            pressure, "_chebint", lambda c: chebyshev.chebint(c, lbnd=-1.0, axis=1)
+        )
+        assert got == tables(PressureLaw.composite(*LAWS["composite-workload"]))
 
     @pytest.mark.parametrize("law_name", sorted(LAWS))
     @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
