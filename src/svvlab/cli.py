@@ -8,6 +8,7 @@ config is copied into the output directory alongside a version stamp.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -24,9 +25,13 @@ from .entropy import EntropySpec, entropy_pair, mechanical_energy_pair
 from .errors import ConfigError, DivergenceError, NumericalError, PositivityLoss
 from .goursat import goursat_solve
 from .io import diagnostics_csv, fmt, save_trajectory, write_csv, write_json
+from .noise import _U64
 from .pressure import PressureLaw
 from .solver import _save_times, epsilon_sweep, simulate
 from .young import CellPartition, _bin, build_measure, concentration_metric, tartar_residual
+
+# the import graph lives until the process exits: no collection need walk it
+gc.freeze()
 
 RUNTIME_ERRORS = (PositivityLoss, DivergenceError, NumericalError)
 
@@ -114,8 +119,12 @@ def _fail_runtime(out_dir, exc):
 
 
 common_options = [
-    click.option("--config", "config_path", required=True, type=click.Path(exists=True)),
-    click.option("--seed", type=int, default=None, help="override the config seed"),
+    click.option(
+        "--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False)
+    ),
+    click.option(
+        "--seed", type=click.IntRange(0, _U64), default=None, help="override the config seed"
+    ),
     click.option("--output-dir", type=click.Path(), default=None),
 ]
 

@@ -21,7 +21,7 @@ import yaml
 
 from .entropy import EntropySpec
 from .errors import ConfigError
-from .noise import NoiseModel, _base_steps
+from .noise import _U64, NoiseModel, _base_steps
 from .pressure import PressureLaw
 from .solver import Grid, GridState, SolverConfig, _diffusion_numbers
 
@@ -85,7 +85,7 @@ KEYS = {
     },
     "diagnostics": {"window": _items(float, 2), "psis": _items(_text)},
     "sweep": {"epsilons": _items(float), "cells": _items(_whole, 2)},
-    "seed": _whole,
+    "seed": _must(lambda v: 0 <= _whole(v) <= _U64, int),  # in [0, 2^64), the noise key
     "samples": _whole,
     "output_dir": _text,
 }
@@ -209,9 +209,16 @@ def load_config(path: str) -> RunConfig:
     All schema and cross-module violations are gathered and raised as one
     ConfigError listing every problem.
     """
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    return config_from_dict(raw)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"run file {path} unreadable: {exc}") from None
+    if raw is not None and not isinstance(raw, dict):
+        raise ConfigError(
+            f"run file {path} holds a {type(raw).__name__}, not a mapping of keys"
+        )
+    return config_from_dict(raw or {})
 
 
 def _read(keys, given, defaults, where, errs):
@@ -285,7 +292,9 @@ def _noise_from(v, law, seed, dt_base):
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict) or not raw:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"configuration is a {type(raw).__name__}, not a mapping of keys")
+    if not raw:
         raise ConfigError("empty configuration", ["configuration file is empty"])
     errs = []
     v = _read(KEYS, raw, DEFAULTS, "", errs)

@@ -60,7 +60,7 @@ IMPORTS = {
     "__init__": {"entropy", "noise", "pressure", "solver"},
     "cli": {
         "__init__", "config", "diagnostics", "entropy", "errors", "goursat", "io",
-        "pressure", "solver", "young",
+        "noise", "pressure", "solver", "young",
     },
 }
 

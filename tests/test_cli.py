@@ -698,6 +698,36 @@ class TestOptions:
         assert not out.exists()
 
 
+# run files that are not a readable mapping of keys; each exited 1 with a
+# traceback, and the list was called an empty configuration
+MALFORMED = {
+    "syntax": b"law: {kind: [\n",
+    "tag": b"seed: !!python/object:os.system ls\n",
+    "bytes": b"seed: \xff\xfe1\n",
+    "list": b"- 1\n- 2\n",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_malformed_run_file_exits_2(runner, tmp_path, command, kind):
+    path = tmp_path / f"{kind}.yaml"
+    if MALFORMED[kind] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(MALFORMED[kind])
+    out = tmp_path / "out"
+    r = runner.invoke(main, [command, "--config", str(path), "--output-dir", str(out)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    assert str(path) in r.output
+    if kind == "list":
+        assert "not a mapping" in r.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 @pytest.mark.parametrize(
     "grid, solver",
@@ -801,6 +831,14 @@ for command in (["validate"], ["simulate"]):
 # scaled kappa
 for command in (["validate"], ["simulate"]):
     EDGES.append(({"law": {"gamma": 1e300}}, command, 2, "law.gamma"))
+# a seed keys the noise streams modulo 2^64: --seed 2^64 + 1 wrote the frames
+# of --seed 1, and seed -1 those of seed 2^64 - 1
+EDGES += [
+    ({"seed": -1}, ["simulate"], 2, "seed"),
+    ({"seed": 2**64}, ["simulate"], 2, "seed"),
+    ({}, ["simulate", "--seed", str(2**64 + 1)], 2, "--seed"),
+    ({}, ["simulate", "--seed", "-1"], 2, "--seed"),
+]
 
 
 @pytest.mark.parametrize("blocks, command, code, named", EDGES)
@@ -811,7 +849,7 @@ def test_edge_runs(runner, tmp_path, blocks, command, code, named):
         "sweep": {"epsilons": [0.05, 0.02], "cells": [2, 2]},
     }
     for block, values in blocks.items():
-        run[block] = {**run.get(block, {}), **values}
+        run[block] = {**run.get(block, {}), **values} if isinstance(values, dict) else values
     cfg = write_cfg(tmp_path, run)
     out = tmp_path / "out"
     args = [command[0], "--config", cfg, *command[1:], "--output-dir", str(out)]
@@ -829,6 +867,28 @@ def test_edge_runs(runner, tmp_path, blocks, command, code, named):
         rows = (out / "sweep_summary.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 2
         assert all(row.split(",", 6)[6].startswith(named + "(") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "imports, frozen",
+    [("svvlab.cli", True), ("svvlab, svvlab.config, svvlab.solver", False)],
+)
+def test_only_the_cli_freezes_its_imports(imports, frozen):
+    # the CLI moves its import graph to the permanent generation, so the
+    # collections at exit skip it; the library leaves the collector alone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = f"import gc, {imports}; print(gc.get_freeze_count(), gc.isenabled())"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    count, enabled = out.stdout.split()
+    assert (int(count) > 0) == frozen
+    assert enabled == "True"
 
 
 def test_runtime_loads_no_scipy():
